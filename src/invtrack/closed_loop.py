@@ -5,8 +5,8 @@ relative to the reference) and the estimation error eps (estimate relative
 to the true pose).  Around a constant-input reference the linearization is
 block upper-triangular with the controller loop matrix, the feedback
 cross-coupling, and the observer error matrix, so the closed-loop spectrum
-is the plain union of the two designs.  Everything here is checked against
-finite-difference linearizations of the full nonlinear loop.
+is the plain union of the two designs.  The CLI and the tests check all of
+it against finite-difference linearizations of the full nonlinear loop.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 from . import se2
 from .controller import ControllerGains, TrackingError, ctrl_loop_matrix, feedback, tracking_error
 from .errors import DivergenceError, GeometryError
-from .numerics import jacobian_fd, DEFAULT_FD_STEP
-from .observer import ObserverGains, obs_error_matrix, observer_field, state_error
-from .robot import LandmarkSet, RobotInput, dynamics, measure, measure_values
+from .numerics import DEFAULT_FD_STEP, integrate, jacobian_fd, max_pairwise_distance
+from .observer import ObserverGains, obs_error_matrix, observer_field
+from .robot import LandmarkSet, dynamics, measure, measure_values
 from .se2 import GroupElement
 from .trajectories import ReferenceTrajectory
 
@@ -79,7 +79,6 @@ def simulate(sc: Scenario) -> SimulationResult:
     lm = sc.landmarks
     kg = sc.controller_gains
     og = sc.observer_gains
-    dt = sc.dt
 
     def rate(t: float, w: tuple) -> tuple:
         g = GroupElement(w[0], w[1], w[2])
@@ -90,63 +89,41 @@ def simulate(sc: Scenario) -> SimulationResult:
         inp = feedback(eta_hat, ref_inp.u, ref_inp.v, kg)
         y = measure_values(g, lm)
         dg = dynamics(g, inp)
-        dgh = observer_field(gh, inp, lm, y, og)
+        try:
+            dgh = observer_field(gh, inp, lm, y, og)
+        except GeometryError as err:
+            raise GeometryError(f"{err} (at t={t:.6g})") from err
         return (dg[0], dg[1], dg[2], dgh[0], dgh[1], dgh[2])
 
-    n_steps = int(math.ceil(sc.t_end / dt - 1e-9))
-    grid = [min(i * dt, sc.t_end) for i in range(n_steps)] + [sc.t_end]
-    n = len(grid)
-    pose_rows = []
-    estimate_rows = []
+    def check_box(t: float, w: tuple) -> tuple:
+        for comp in w:
+            if not abs(comp) <= DIVERGENCE_LIMIT:
+                raise DivergenceError(t, "closed-loop state diverged")
+        return w
+
+    w0 = (
+        sc.initial_pose.x, sc.initial_pose.y, sc.initial_pose.theta,
+        sc.initial_estimate.x, sc.initial_estimate.y, sc.initial_estimate.theta,
+    )
+    times, states = integrate(rate, w0, 0.0, sc.t_end, sc.dt, check_box)
     reference_rows = []
     eta_rows = []
     eps_rows = []
     input_rows = []
-
-    w = (
-        sc.initial_pose.x, sc.initial_pose.y, sc.initial_pose.theta,
-        sc.initial_estimate.x, sc.initial_estimate.y, sc.initial_estimate.theta,
-    )
-    for i, t in enumerate(grid):
+    for t, w in zip(times, states):
         g = GroupElement(w[0], w[1], w[2])
         gh = GroupElement(w[3], w[4], w[5])
         g_ref = traj.pose(t)
-        eta = tracking_error(g_ref, g)
-        eps = state_error(g, gh)
         ref_inp = traj.input(t)
-        applied = feedback(tracking_error(g_ref, gh), ref_inp.u, ref_inp.v, kg)
-        pose_rows.append(w[0:3])
-        estimate_rows.append(w[3:6])
         reference_rows.append(g_ref)
-        eta_rows.append(eta)
-        eps_rows.append(eps)
-        input_rows.append(applied)
-        if i == n - 1:
-            break
-        h = grid[i + 1] - t
-        hh = 0.5 * h
-        try:
-            k1 = rate(t, w)
-            w1 = tuple(a + hh * b for a, b in zip(w, k1))
-            k2 = rate(t + hh, w1)
-            w2 = tuple(a + hh * b for a, b in zip(w, k2))
-            k3 = rate(t + hh, w2)
-            w3 = tuple(a + h * b for a, b in zip(w, k3))
-            k4 = rate(t + h, w3)
-        except GeometryError as err:
-            raise GeometryError(f"{err} (at t={t:.6g})") from err
-        h6 = h / 6.0
-        w = tuple(
-            a + h6 * (b + 2.0 * (c + d) + e)
-            for a, b, c, d, e in zip(w, k1, k2, k3, k4)
-        )
-        for comp in w:
-            if not (math.isfinite(comp) and abs(comp) <= DIVERGENCE_LIMIT):
-                raise DivergenceError(grid[i + 1], "closed-loop state diverged")
+        eta_rows.append(tracking_error(g_ref, g))
+        eps_rows.append(tracking_error(g, gh))
+        input_rows.append(feedback(tracking_error(g_ref, gh), ref_inp.u, ref_inp.v, kg))
+    w_rows = np.asarray(states)
     return SimulationResult(
-        np.asarray(grid),
-        np.asarray(pose_rows),
-        np.asarray(estimate_rows),
+        np.asarray(times),
+        w_rows[:, 0:3],
+        w_rows[:, 3:6],
         np.asarray(reference_rows),
         np.asarray(eta_rows),
         np.asarray(eps_rows),
@@ -253,12 +230,7 @@ def time_invariance_probe(
     times = list(times)
     if len(times) < 2:
         raise ValueError("need at least two probe times")
-    mats = linearize_error_field(field, times, step)
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, float(np.linalg.norm(mats[i] - mats[j])))
-    return worst
+    return max_pairwise_distance(linearize_error_field(field, times, step))
 
 
 def separation_matrix(
@@ -270,27 +242,17 @@ def separation_matrix(
     """Block upper-triangular closed-loop linearization around zero error.
 
     Diagonal blocks are the controller and observer designs; the coupling
-    block (how estimation error leaks into the tracking loop through the
-    feedback) is reconstructed numerically from the composed feedback map
-    rather than written down symbolically.  Zero matrix when u_r = 0.
+    block is how estimation error leaks into the tracking loop through the
+    feedback, d(u, 0, u v)/d(eta_hat) at zero error.  Zero matrix when
+    u_r = 0.
     """
-    top_left = ctrl_loop_matrix(u_r, v_r, kg)
-    bottom_right = obs_error_matrix(u_r, v_r, og)
-    if u_r == 0.0:
-        cross = np.zeros((3, 3))
-    else:
-        ref = GroupElement(0.0, 0.0, 0.0)
-        dref = dynamics(ref, RobotInput(u_r, v_r))
-
-        def through_estimate(e: np.ndarray) -> np.ndarray:
-            # True pose sits on the reference; only the estimate is perturbed.
-            inp = feedback(TrackingError(e[0], e[1], e[2]), u_r, v_r, kg)
-            dg = dynamics(ref, inp)
-            return np.asarray(se2.relative_rate(ref, dref, ref, dg))
-
-        cross = jacobian_fd(through_estimate, np.zeros(3))
+    au = abs(u_r)
     out = np.zeros((6, 6))
-    out[:3, :3] = top_left
-    out[:3, 3:] = cross
-    out[3:, 3:] = bottom_right
+    out[:3, :3] = ctrl_loop_matrix(u_r, v_r, kg)
+    out[:3, 3:] = [
+        [-au * kg.k1, -u_r * v_r, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.0, -u_r * kg.k2, -au * kg.k3],
+    ]
+    out[3:, 3:] = obs_error_matrix(u_r, v_r, og)
     return out

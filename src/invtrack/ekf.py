@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import rk4_step
+from .numerics import integrate, max_pairwise_distance
 from .observer import output_error
 from .robot import LandmarkSet, Measurement, RobotInput, dynamics, measure
 from .se2 import GroupElement
@@ -66,30 +66,25 @@ def ekf_jacobians(
 
 
 def ekf_field(
-    state: EkfState,
+    x_hat: GroupElement,
+    P: np.ndarray,
     inp: RobotInput,
     lm: LandmarkSet,
     y: Measurement,
     Q: np.ndarray,
     R: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of (x_hat, P) under the continuous-time Riccati flow."""
-    F, H = ekf_jacobians(state.x_hat, inp, lm)
-    Rm = np.asarray(R, dtype=float)
-    if Rm.shape != (len(lm), len(lm)):
-        raise ValueError(f"R must be {len(lm)}x{len(lm)}, got {Rm.shape}")
-    L = state.P @ np.linalg.solve(Rm, H).T
-    resid = output_error(state.x_hat, lm, y)
-    xdot = np.asarray(dynamics(state.x_hat, inp)) - L @ resid
-    pdot = F @ state.P + state.P @ F.T + np.asarray(Q, dtype=float) - L @ H @ state.P
+    """Time derivative of (x_hat, P) under the continuous-time Riccati flow.
+
+    Takes raw arrays and checks nothing: callers validate P (see EkfState)
+    and the shape of R (p x p) once, before a run.
+    """
+    F, H = ekf_jacobians(x_hat, inp, lm)
+    L = P @ np.linalg.solve(R, H).T
+    resid = output_error(x_hat, lm, y)
+    xdot = np.asarray(dynamics(x_hat, inp)) - L @ resid
+    pdot = F @ P + P @ F.T + Q - L @ H @ P
     return xdot, 0.5 * (pdot + pdot.T)
-
-
-def riccati_rate(P: np.ndarray, F: np.ndarray, H: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Continuous Riccati right-hand side, symmetrized."""
-    L = P @ np.linalg.solve(np.asarray(R, dtype=float), np.asarray(H, dtype=float)).T
-    pdot = F @ P + P @ F.T + np.asarray(Q, dtype=float) - L @ H @ P
-    return 0.5 * (pdot + pdot.T)
 
 
 def ekf_error_matrix(
@@ -127,8 +122,9 @@ def run_along_reference(
     """Integrate the filter fed by noise-free measurements of the reference.
 
     The estimate starts on the reference, so the run isolates how the
-    covariance (and with it the gain) evolves along the path.  P is
-    re-symmetrized after every step.
+    covariance (and with it the gain) evolves along the path.  P0 and R are
+    validated here, once; after every step P is re-symmetrized and checked
+    to be positive semidefinite.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
@@ -136,38 +132,32 @@ def run_along_reference(
     Qm = np.eye(3) * DEFAULT_PROCESS_NOISE if Q is None else np.asarray(Q, dtype=float)
     Rm = np.eye(p) * DEFAULT_MEASUREMENT_NOISE if R is None else np.asarray(R, dtype=float)
     Pm = np.eye(3) * DEFAULT_INITIAL_COVARIANCE if P0 is None else np.asarray(P0, dtype=float)
+    if Rm.shape != (p, p):
+        raise ValueError(f"R must be {p}x{p}, got {Rm.shape}")
+    start = EkfState(traj.pose(0.0), Pm)
 
-    def rate(t: float, w: np.ndarray) -> np.ndarray:
-        try:
-            st = EkfState(GroupElement(w[0], w[1], w[2]), w[3:].reshape(3, 3))
-        except ValueError as err:
-            # The Riccati flow preserves positive semidefiniteness, so a P
-            # outside the state space means the step size cannot follow the
-            # initial covariance transient.
-            raise DivergenceError(t, f"EKF integration unstable ({err}); reduce dt") from err
+    def rate(t: float, w: tuple) -> list:
         y = measure(traj.pose(t), lm)
-        xdot, pdot = ekf_field(st, traj.input(t), lm, y, Qm, Rm)
-        return np.concatenate([xdot, pdot.ravel()])
+        P = np.array(w[3:]).reshape(3, 3)
+        xdot, pdot = ekf_field(GroupElement(w[0], w[1], w[2]), P, traj.input(t), lm, y, Qm, Rm)
+        return xdot.tolist() + pdot.ravel().tolist()
 
-    start = traj.pose(0.0)
-    w = np.concatenate([np.array([start.x, start.y, start.theta]), Pm.ravel()])
-    times = [0.0]
-    estimates = [w[:3].copy()]
-    covariances = [w[3:].reshape(3, 3).copy()]
-    t = 0.0
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
-        w = rk4_step(rate, t, w, h)
-        cov = w[3:].reshape(3, 3)
-        cov = 0.5 * (cov + cov.T)
-        w[3:] = cov.ravel()
-        t = t_end if (t + h) >= t_end - 1e-12 else t + h
-        if not np.all(np.isfinite(w)):
-            raise DivergenceError(t, "EKF state diverged")
-        times.append(t)
-        estimates.append(w[:3].copy())
-        covariances.append(cov.copy())
-    return EkfRun(np.asarray(times), np.asarray(estimates), np.asarray(covariances))
+    def keep_psd(t: float, w: tuple) -> tuple:
+        P = np.array(w[3:]).reshape(3, 3)
+        P = 0.5 * (P + P.T)
+        if np.min(np.linalg.eigvalsh(P)) < -1e-9:
+            # The Riccati flow preserves positive semidefiniteness, so a P
+            # outside the cone means the step size cannot follow the
+            # initial covariance transient.
+            raise DivergenceError(
+                t, "EKF integration unstable (P must be positive semidefinite); reduce dt"
+            )
+        return w[:3] + tuple(P.ravel().tolist())
+
+    w0 = (start.x_hat.x, start.x_hat.y, start.x_hat.theta, *start.P.ravel().tolist())
+    times, states = integrate(rate, w0, 0.0, t_end, dt, keep_psd)
+    w_rows = np.asarray(states)
+    return EkfRun(np.asarray(times), w_rows[:, :3], w_rows[:, 3:].reshape(-1, 3, 3))
 
 
 def time_variance_probe(
@@ -193,8 +183,4 @@ def time_variance_probe(
         _, H = ekf_jacobians(x_hat, traj.input(tq), lm)
         L = run.covariances[i] @ np.linalg.solve(Rm, H).T
         mats.append(ekf_error_matrix(x_hat, traj.input(tq), lm, L))
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, float(np.linalg.norm(mats[i] - mats[j])))
-    return worst
+    return max_pairwise_distance(mats)

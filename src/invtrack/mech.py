@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import jacobian_fd, rk4_step, DEFAULT_FD_STEP
+from .numerics import DEFAULT_FD_STEP, integrate, jacobian_fd, max_pairwise_distance
 
 ForceModel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -112,14 +112,21 @@ def gyroscopic_acceleration(inertia: np.ndarray, velocity: np.ndarray) -> np.nda
     return np.linalg.solve(inertia, np.cross(inertia @ velocity, velocity))
 
 
-def ep_dynamics(s: EpSystem, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attitude and velocity derivatives under control torque u."""
-    u = np.asarray(u, dtype=float)
-    att_dot = s.attitude @ hat(s.velocity)
-    torque = u if s.force is None else s.force(s.attitude, s.velocity) + u
-    vel_dot = gyroscopic_acceleration(s.inertia, s.velocity) + np.linalg.solve(
-        s.inertia, torque
-    )
+def ep_dynamics(
+    attitude: np.ndarray,
+    velocity: np.ndarray,
+    inertia: np.ndarray,
+    force: Optional[ForceModel],
+    u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attitude and velocity derivatives under control torque u.
+
+    Takes raw arrays and checks nothing: EpSystem validates a model once,
+    before its arrays are handed here.
+    """
+    att_dot = attitude @ hat(velocity)
+    torque = u if force is None else force(attitude, velocity) + u
+    vel_dot = gyroscopic_acceleration(inertia, velocity) + np.linalg.solve(inertia, torque)
     return att_dot, vel_dot
 
 
@@ -141,28 +148,20 @@ def integrate_ep(
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
 
-    def rate(t: float, w: np.ndarray) -> np.ndarray:
-        sys_t = EpSystem(
-            project_rotation(w[:9].reshape(3, 3)), w[9:], s.inertia, s.force
+    def rate(t: float, w: tuple) -> list:
+        att_dot, vel_dot = ep_dynamics(
+            np.array(w[:9]).reshape(3, 3), np.array(w[9:]), s.inertia, s.force,
+            np.asarray(u_fn(t), dtype=float),
         )
-        att_dot, vel_dot = ep_dynamics(sys_t, u_fn(t))
-        return np.concatenate([att_dot.ravel(), vel_dot])
+        return att_dot.ravel().tolist() + vel_dot.tolist()
 
-    w = np.concatenate([s.attitude.ravel(), s.velocity])
-    times = [0.0]
-    attitudes = [s.attitude.copy()]
-    velocities = [s.velocity.copy()]
-    t = 0.0
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
-        w = rk4_step(rate, t, w, h)
-        att = project_rotation(w[:9].reshape(3, 3))
-        w[:9] = att.ravel()
-        t = t_end if (t + h) >= t_end - 1e-12 else t + h
-        times.append(t)
-        attitudes.append(att)
-        velocities.append(w[9:].copy())
-    return np.asarray(times), np.asarray(attitudes), np.asarray(velocities)
+    def reproject(t: float, w: tuple) -> tuple:
+        return tuple(project_rotation(np.array(w[:9]).reshape(3, 3)).ravel().tolist()) + w[9:]
+
+    w0 = s.attitude.ravel().tolist() + s.velocity.tolist()
+    times, states = integrate(rate, w0, 0.0, t_end, dt, reproject)
+    w_rows = np.asarray(states)
+    return np.asarray(times), w_rows[:, :9].reshape(-1, 3, 3), w_rows[:, 9:]
 
 
 def spin_feedforward(s: EpSystem, xi_r: np.ndarray, attitude_r: np.ndarray) -> np.ndarray:
@@ -193,32 +192,22 @@ def error_linearization_drift(
     times = list(times)
     if len(times) < 2:
         raise ValueError("need at least two probe times")
-    xi_r_hat = hat(xi_r)
 
     def error_rate(t: float, w: np.ndarray) -> np.ndarray:
         att_r = s.attitude @ rotation_exp(t * xi_r)
         u_r = spin_feedforward(s, xi_r, att_r)
         eta = rotation_exp(w[:3])
-        att = att_r @ eta
         xi = xi_r + w[3:]
-        torque = u_r if s.force is None else s.force(att, xi) + u_r
-        xi_dot = gyroscopic_acceleration(s.inertia, xi) + np.linalg.solve(
-            s.inertia, torque
-        )
+        _, xi_dot = ep_dynamics(att_r @ eta, xi, s.inertia, s.force, u_r)
         # Relative attitude rate in the body frame of eta, then pulled back
         # to exponential coordinates.
         omega_rel = xi - eta.T @ xi_r
         zeta_dot = inv_right_jacobian(w[:3]) @ omega_rel
         return np.concatenate([zeta_dot, xi_dot])
 
-    mats = []
-    for t in times:
-        mats.append(jacobian_fd(lambda w, _t=t: error_rate(_t, w), np.zeros(6), step))
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, float(np.linalg.norm(mats[i] - mats[j])))
-    return worst
+    return max_pairwise_distance(
+        [jacobian_fd(lambda w, _t=t: error_rate(_t, w), np.zeros(6), step) for t in times]
+    )
 
 
 def damping_force(coefficients) -> ForceModel:

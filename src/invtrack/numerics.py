@@ -1,7 +1,8 @@
-"""Fixed-step integration, finite-difference Jacobians, small dense spectra."""
+"""Fixed-step RK4 integration, finite-difference Jacobians, small dense spectra."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -15,50 +16,68 @@ DEFAULT_FD_STEP = 1e-6
 # up here (3x3 error systems, 6x6 separation blocks).
 MAX_EIG_SIZE = 8
 
-VectorField = Callable[[float, np.ndarray], Sequence[float]]
+VectorField = Callable[[float, tuple], Sequence[float]]
 
 
-def rk4_step(field: VectorField, t: float, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of size dt."""
-    k1 = np.asarray(field(t, x), dtype=float)
-    k2 = np.asarray(field(t + 0.5 * dt, x + 0.5 * dt * k1), dtype=float)
-    k3 = np.asarray(field(t + 0.5 * dt, x + 0.5 * dt * k2), dtype=float)
-    k4 = np.asarray(field(t + dt, x + dt * k3), dtype=float)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(field: VectorField, t: float, x: tuple, h: float) -> tuple:
+    """One classical Runge-Kutta step of size h on a flat tuple of floats."""
+    hh = 0.5 * h
+    k1 = field(t, x)
+    k2 = field(t + hh, tuple(a + hh * b for a, b in zip(x, k1)))
+    k3 = field(t + hh, tuple(a + hh * b for a, b in zip(x, k2)))
+    k4 = field(t + h, tuple(a + h * b for a, b in zip(x, k3)))
+    h6 = h / 6.0
+    return tuple(
+        a + h6 * (b + 2.0 * (c + d) + e)
+        for a, b, c, d, e in zip(x, k1, k2, k3, k4)
+    )
 
 
-def integrate_rk4(
+def integrate(
     field: VectorField,
     x0: Sequence[float],
     t0: float,
     t1: float,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate xdot = field(t, x) from t0 to t1 with fixed step dt.
+    after_step: Callable[[float, tuple], tuple] | None = None,
+) -> tuple[list[float], list[tuple]]:
+    """Integrate xdot = field(t, x) from t0 to t1 with fixed-step RK4.
 
-    The final step is shortened so the grid lands exactly on t1.  Returns
-    (times, states) with states[i] the state at times[i], including t0.
+    The grid is t0 + i*dt for i < n = ceil((t1 - t0)/dt - 1e-9), closed by
+    t1 itself, so the last step may be short and the last time is exactly t1.
+    after_step(t, x) runs once after each step, with t the step's end time,
+    and the state it returns is carried forward.  Returns (times, states)
+    with states[i] the state at times[i], including t0.
 
     Raises:
-        DivergenceError: the state picked up a NaN/Inf component.
+        DivergenceError: a state component became NaN/Inf.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t1 < t0:
         raise ValueError(f"t1 must be >= t0, got [{t0}, {t1}]")
-    x = np.asarray(x0, dtype=float)
-    times = [t0]
+    n = int(math.ceil((t1 - t0) / dt - 1e-9))
+    times = [t0 + i * dt for i in range(n)] + [t1]
+    x = tuple(float(c) for c in x0)
     states = [x]
-    t = t0
-    while t < t1 - 1e-12 * max(1.0, abs(t1)):
-        step = min(dt, t1 - t)
-        x = rk4_step(field, t, x, step)
-        t = t1 if (t + step) >= t1 - 1e-12 * max(1.0, abs(t1)) else t + step
-        if not np.all(np.isfinite(x)):
+    for i in range(n):
+        t = times[i + 1]
+        x = rk4_step(field, times[i], x, t - times[i])
+        if not all(map(math.isfinite, x)):
             raise DivergenceError(t)
-        times.append(t)
+        if after_step is not None:
+            x = after_step(t, x)
         states.append(x)
-    return np.asarray(times), np.asarray(states)
+    return times, states
+
+
+def max_pairwise_distance(mats: Sequence[np.ndarray]) -> float:
+    """Largest Frobenius norm of the difference between any two matrices."""
+    worst = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            worst = max(worst, float(np.linalg.norm(mats[i] - mats[j])))
+    return worst
 
 
 def jacobian_fd(

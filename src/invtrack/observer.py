@@ -52,22 +52,20 @@ class BodyFrameLandmarks:
 
     def condition_number(self) -> float:
         g = self.gram()
-        mean = 0.5 * (g[0, 0] + g[1, 1])
-        radius = math.hypot(0.5 * (g[0, 0] - g[1, 1]), g[0, 1])
-        lo = mean - radius
-        if lo <= 0.0:
-            return math.inf
-        return (mean + radius) / lo
+        return gram_condition(g[0, 0], g[0, 1], g[1, 1])
 
 
-@dataclass(frozen=True)
-class ObservationError:
-    """Output mismatch plus, for diagnostics, the body-frame state error."""
+def gram_condition(a: float, b: float, d: float) -> float:
+    """Condition number of the symmetric 2x2 Gram matrix [[a, b], [b, d]].
 
-    eps: tuple[float, ...]
-    eps_x: float
-    eps_y: float
-    eps_theta: float
+    Infinite when the matrix is singular or indefinite.
+    """
+    mean = 0.5 * (a + d)
+    radius = math.hypot(0.5 * (a - d), b)
+    lo = mean - radius
+    if lo <= 0.0:
+        return math.inf
+    return (mean + radius) / lo
 
 
 def body_frame_landmarks(x_hat: GroupElement, lm: LandmarkSet) -> BodyFrameLandmarks:
@@ -91,29 +89,6 @@ def output_error(x_hat: GroupElement, lm: LandmarkSet, y: Measurement) -> np.nda
     for i, (lx, ly) in enumerate(lm.coords):
         out[i] = (x_hat.x - lx) ** 2 + (x_hat.y - ly) ** 2 - y.values[i]
     return out
-
-
-def state_error(g: GroupElement, x_hat: GroupElement) -> tuple[float, float, float]:
-    """Estimate relative to truth, inverse(g) * x_hat, in body-frame components."""
-    c = math.cos(g.theta)
-    s = math.sin(g.theta)
-    dx = x_hat.x - g.x
-    dy = x_hat.y - g.y
-    dth = x_hat.theta - g.theta
-    dth = math.remainder(dth, 2.0 * math.pi)
-    if dth <= -math.pi:
-        dth += 2.0 * math.pi
-    return (dx * c + dy * s, -dx * s + dy * c, dth)
-
-
-def observation_error(
-    g: GroupElement,
-    x_hat: GroupElement,
-    lm: LandmarkSet,
-    y: Measurement,
-) -> ObservationError:
-    ex, ey, eth = state_error(g, x_hat)
-    return ObservationError(tuple(output_error(x_hat, lm, y)), ex, ey, eth)
 
 
 def _weights(u: float, v: float, gains: ObserverGains) -> np.ndarray:
@@ -191,10 +166,7 @@ def observer_field(
         eps = dx * dx + dy * dy - lam
         w1 += ix * eps
         w2 += iy * eps
-    mean = 0.5 * (a + d)
-    radius = math.hypot(0.5 * (a - d), b)
-    lo = mean - radius
-    cond = math.inf if lo <= 0.0 else (mean + radius) / lo
+    cond = gram_condition(a, b, d)
     if not (cond < max_condition):
         raise GeometryError(
             f"body-frame landmark Gram matrix is ill-conditioned: "

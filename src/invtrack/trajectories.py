@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
-import numpy as np
-
 from . import se2
-from .numerics import rk4_step
+from .numerics import integrate
 from .robot import RobotInput, dynamics
 from .se2 import IDENTITY, GroupElement, TangentVector
 
@@ -141,8 +138,8 @@ class IntegratedTrajectory:
     """Reference generated by integrating an arbitrary input profile.
 
     pose(t) is computed by RK4 from the nearest previously evaluated time,
-    so repeated monotone queries cost one short integration each.  Evaluation
-    is guarded by a lock; the object is immutable apart from that cache.
+    so repeated monotone queries cost one short integration each.  The object
+    is immutable apart from that cache.
     """
 
     def __init__(
@@ -155,35 +152,28 @@ class IntegratedTrajectory:
             raise ValueError(f"step must be positive, got {step}")
         self._input_fn = input_fn
         self._step = float(step)
-        self._lock = threading.Lock()
         self._times: list[float] = [0.0]
         self._knots: list[GroupElement] = [start]
 
     def input(self, t: float) -> RobotInput:
         return self._input_fn(t)
 
-    def _rate(self, t: float, w: np.ndarray) -> tuple[float, float, float]:
+    def _rate(self, t: float, w: tuple) -> tuple[float, float, float]:
         return dynamics(GroupElement(w[0], w[1], w[2]), self._input_fn(t))
 
     def pose(self, t: float) -> GroupElement:
         if t < 0.0:
             raise ValueError(f"time must be >= 0, got {t}")
-        with self._lock:
-            i = bisect.bisect_right(self._times, t) - 1
-            t0 = self._times[i]
-            if t0 == t:
-                return self._knots[i]
-            w = np.array(self._knots[i], dtype=float)
-            tc = t0
-            while tc < t - 1e-12:
-                h = min(self._step, t - tc)
-                w = rk4_step(self._rate, tc, w, h)
-                tc += h
-            pose = GroupElement(w[0], w[1], se2.normalize_angle(w[2]))
-            j = bisect.bisect_right(self._times, t)
-            self._times.insert(j, t)
-            self._knots.insert(j, pose)
-            return pose
+        i = bisect.bisect_right(self._times, t) - 1
+        t0 = self._times[i]
+        if t0 == t:
+            return self._knots[i]
+        _, states = integrate(self._rate, self._knots[i], t0, t, self._step)
+        w = states[-1]
+        pose = GroupElement(w[0], w[1], se2.normalize_angle(w[2]))
+        self._times.insert(i + 1, t)
+        self._knots.insert(i + 1, pose)
+        return pose
 
 
 def permanence_probe(

@@ -13,11 +13,11 @@ from invtrack.closed_loop import (
     simulate,
     time_invariance_probe,
 )
-from invtrack.controller import ControllerGains, ctrl_loop_matrix
-from invtrack.errors import DivergenceError
+from invtrack.controller import ControllerGains, TrackingError, ctrl_loop_matrix, feedback
+from invtrack.errors import DivergenceError, GeometryError
 from invtrack.numerics import eigenvalues, jacobian_fd, spectrum_match_distance
 from invtrack.observer import ObserverGains, obs_error_matrix
-from invtrack.robot import LandmarkSet, RobotInput, transform_landmarks
+from invtrack.robot import LandmarkSet, RobotInput, dynamics, transform_landmarks
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import IntegratedTrajectory, PermanentTrajectory
 
@@ -126,6 +126,21 @@ class TestSimulate:
         with pytest.raises((DivergenceError, ValueError)):
             simulate(sc)
 
+    def test_geometry_error_names_the_time(self):
+        # Driving straight away from a unit-sized landmark triangle, the
+        # body-frame Gram matrix crosses the 1e8 condition cap near t = 0.86.
+        start = GroupElement(3000.0, 0.0, 0.0)
+        sc = standard_scenario(
+            trajectory=PermanentTrajectory(2000.0, 0.0, start),
+            landmarks=LandmarkSet(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+            initial_pose=start,
+            initial_estimate=start,
+            t_end=10.0,
+            dt=0.01,
+        )
+        with pytest.raises(GeometryError, match=r"\(at t=0\.8[56]\)"):
+            simulate(sc)
+
 
 class TestErrorFields:
     def test_origin_is_equilibrium(self):
@@ -195,6 +210,28 @@ class TestSeparation:
         for t in (0.0, math.pi / 2, math.pi):
             jac = jacobian_fd(lambda w, _t=t: field(_t, w), np.zeros(6))
             assert np.max(np.abs(jac - predicted)) < 1e-4
+
+    def test_cross_block_matches_fd_of_feedback(self):
+        # Oracle: the coupling block is the Jacobian, at zero error, of the
+        # tracking-error rate when only the estimate (hence the feedback) is
+        # perturbed and the true pose sits on the reference.
+        def fd_cross_block(u_r, v_r, kg):
+            dref = dynamics(IDENTITY, RobotInput(u_r, v_r))
+
+            def through_estimate(e):
+                inp = feedback(TrackingError(e[0], e[1], e[2]), u_r, v_r, kg)
+                dg = dynamics(IDENTITY, inp)
+                return np.asarray(se2.relative_rate(IDENTITY, dref, IDENTITY, dg))
+
+            return jacobian_fd(through_estimate, np.zeros(3))
+
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            u_r = float(rng.uniform(0.1, 3.0)) * float(rng.choice([-1.0, 1.0]))
+            v_r = float(rng.uniform(-2.0, 2.0))
+            kg = ControllerGains(*rng.uniform(0.2, 4.0, 3))
+            m = separation_matrix(u_r, v_r, kg, OG)
+            assert np.max(np.abs(m[:3, 3:] - fd_cross_block(u_r, v_r, kg))) <= 1e-8
 
     def test_cross_block_nonzero(self):
         # Estimation error must actually leak into the tracking loop;

@@ -8,12 +8,11 @@ from invtrack.ekf import (
     ekf_error_matrix,
     ekf_field,
     ekf_jacobians,
-    riccati_rate,
     run_along_reference,
     time_variance_probe,
 )
 from invtrack.errors import DivergenceError
-from invtrack.numerics import integrate_rk4, jacobian_fd
+from invtrack.numerics import integrate, jacobian_fd
 from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
@@ -65,22 +64,20 @@ class TestField:
         st = EkfState(g, np.eye(3) * 1e-2)
         inp = RobotInput(1.0, 0.5)
         xdot, _ = ekf_field(
-            st, inp, STANDARD, measure(g, STANDARD), np.eye(3) * 1e-3, np.eye(3) * 1e-2
+            st.x_hat, st.P, inp, STANDARD, measure(g, STANDARD),
+            np.eye(3) * 1e-3, np.eye(3) * 1e-2,
         )
         assert np.max(np.abs(xdot - np.asarray(dynamics(g, inp)))) < 1e-12
 
     def test_scalar_riccati_fixed_point(self):
-        # 1-D analogue with direct measurement: P settles at sqrt(Q R).
+        # 1-D analogue with F = 0 and direct measurement (H = 1): the Riccati
+        # flow pdot = q - p^2 / r settles at sqrt(q r).
         q, r = 0.04, 0.25
-        F = np.zeros((1, 1))
-        H = np.eye(1)
-        Q = np.array([[q]])
-        R = np.array([[r]])
 
         def field(t, p):
-            return riccati_rate(p.reshape(1, 1), F, H, Q, R).ravel()
+            return (q - p[0] * p[0] / r,)
 
-        _, states = integrate_rk4(field, np.array([1.0]), 0.0, 60.0, 1e-2)
+        _, states = integrate(field, (1.0,), 0.0, 60.0, 1e-2)
         assert abs(states[-1][0] - math.sqrt(q * r)) < 1e-8
 
     def test_covariance_rate_symmetric(self):
@@ -88,7 +85,8 @@ class TestField:
         st = EkfState(g, np.eye(3) * 1e-2)
         y = measure(GroupElement(0.52, -0.48, 0.81), STANDARD)
         _, pdot = ekf_field(
-            st, RobotInput(1.0, 0.5), STANDARD, y, np.eye(3) * 1e-3, np.eye(3) * 1e-2
+            st.x_hat, st.P, RobotInput(1.0, 0.5), STANDARD, y,
+            np.eye(3) * 1e-3, np.eye(3) * 1e-2,
         )
         assert np.max(np.abs(pdot - pdot.T)) < 1e-12
 
@@ -108,6 +106,13 @@ class TestRun:
         traj = PermanentTrajectory(1.0, 0.5)
         with pytest.raises(DivergenceError, match="reduce dt"):
             run_along_reference(traj, STANDARD, t_end=1.0, dt=1e-2)
+
+    def test_inputs_checked_once_at_start(self):
+        traj = PermanentTrajectory(1.0, 0.5)
+        with pytest.raises(ValueError, match="R must be 3x3"):
+            run_along_reference(traj, STANDARD, t_end=0.1, dt=1e-3, R=np.eye(2))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            run_along_reference(traj, STANDARD, t_end=0.1, dt=1e-3, P0=-np.eye(3))
 
     def test_covariance_stays_symmetric_psd(self):
         traj = PermanentTrajectory(1.0, 0.5)

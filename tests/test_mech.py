@@ -86,7 +86,7 @@ class TestDynamics:
             xi = np.zeros(3)
             xi[axis] = 1.3
             s = EpSystem(EYE, xi, INERTIA)
-            _, vdot = ep_dynamics(s, np.zeros(3))
+            _, vdot = ep_dynamics(s.attitude, s.velocity, s.inertia, s.force, np.zeros(3))
             assert np.max(np.abs(vdot)) < 1e-14
 
     def test_gyroscopic_term_conserves_energy_rate(self):
@@ -98,7 +98,7 @@ class TestDynamics:
     def test_attitude_rate_is_body_frame(self):
         xi = np.array([0.1, 0.2, 0.3])
         s = EpSystem(EYE, xi, INERTIA)
-        att_dot, _ = ep_dynamics(s, np.zeros(3))
+        att_dot, _ = ep_dynamics(s.attitude, s.velocity, s.inertia, s.force, np.zeros(3))
         assert np.allclose(att_dot, hat(xi))
 
     def test_free_body_conserves_energy(self):

@@ -7,8 +7,9 @@ from invtrack.errors import DivergenceError
 from invtrack.numerics import (
     Spectrum,
     eigenvalues,
-    integrate_rk4,
+    integrate,
     jacobian_fd,
+    max_pairwise_distance,
     rk4_step,
     spectral_abscissa,
     spectrum_match_distance,
@@ -17,43 +18,86 @@ from invtrack.numerics import (
 
 class TestIntegrate:
     def test_zero_field_constant(self):
-        _, states = integrate_rk4(lambda t, x: np.zeros(2), np.array([3.0, -1.0]), 0.0, 2.0, 0.1)
-        assert np.allclose(states[-1], [3.0, -1.0])
+        _, states = integrate(lambda t, x: (0.0, 0.0), (3.0, -1.0), 0.0, 2.0, 0.1)
+        assert states[-1] == (3.0, -1.0)
 
     def test_exponential_growth(self):
-        _, states = integrate_rk4(lambda t, x: x, np.array([1.0]), 0.0, 1.0, 1e-3)
+        _, states = integrate(lambda t, x: x, (1.0,), 0.0, 1.0, 1e-3)
         assert abs(states[-1][0] - math.e) < 1e-9
 
     def test_exponential_decay_relative(self):
-        _, states = integrate_rk4(lambda t, x: -x, np.array([1.0]), 0.0, 10.0, 1e-3)
+        _, states = integrate(lambda t, x: (-x[0],), (1.0,), 0.0, 10.0, 1e-3)
         assert abs(states[-1][0] - math.exp(-10)) < 1e-9 * math.exp(-10)
 
     def test_final_time_hit_exactly(self):
-        times, _ = integrate_rk4(lambda t, x: np.zeros(1), np.zeros(1), 0.0, 0.25, 0.1)
+        times, _ = integrate(lambda t, x: (0.0,), (0.0,), 0.0, 0.25, 0.1)
         assert times[-1] == 0.25
 
     def test_divergence_detected(self):
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-            integrate_rk4(lambda t, x: x * x, np.array([1.0]), 0.0, 3.0, 1e-2)
+        with pytest.raises(DivergenceError) as err:
+            integrate(lambda t, x: (x[0] * x[0],), (1.0,), 0.0, 3.0, 1e-2)
         assert err.value.time > 0.0
 
     def test_fourth_order_convergence(self):
         # Halving dt should shrink the global error by about 16x.
         def field(t, x):
-            return np.array([math.cos(t) * x[0]])
+            return (math.cos(t) * x[0],)
 
         exact = math.exp(math.sin(2.0))
         errs = []
         for dt in (0.05, 0.025):
-            _, states = integrate_rk4(field, np.array([1.0]), 0.0, 2.0, dt)
+            _, states = integrate(field, (1.0,), 0.0, 2.0, dt)
             errs.append(abs(states[-1][0] - exact))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
 
     def test_rk4_step_matches_taylor(self):
-        out = rk4_step(lambda t, x: x, 0.0, np.array([1.0]), 0.1)
+        out = rk4_step(lambda t, x: x, 0.0, (1.0,), 0.1)
         series = sum(0.1**k / math.factorial(k) for k in range(5))
         assert abs(out[0] - series) < 1e-12
+
+    def test_grid_is_exact_and_closed_by_t1(self):
+        # 0.03 does not divide 0.25 - 0.05: the grid is t0 + i*dt, then t1.
+        times, states = integrate(lambda t, x: (1.0,), (0.0,), 0.05, 0.25, 0.03)
+        assert times[:-1] == [0.05 + i * 0.03 for i in range(7)]
+        assert times[-1] == 0.25
+        assert len(states) == len(times)
+        assert abs(states[-1][0] - 0.2) < 1e-15
+
+    def test_after_step_runs_once_per_step_and_is_carried(self):
+        seen = []
+
+        def halve(t, x):
+            seen.append(t)
+            return (0.5 * x[0],)
+
+        times, states = integrate(lambda t, x: (0.0,), (1.0,), 0.0, 1.0, 0.25, halve)
+        assert seen == times[1:]
+        assert states == [(0.5**i,) for i in range(5)]
+
+    def test_divergence_reports_the_step_time(self):
+        def blow_up(t, x):
+            return (math.inf if t >= 0.6 else 0.0,)
+
+        with pytest.raises(DivergenceError) as err:
+            integrate(blow_up, (0.0,), 0.0, 1.0, 0.25)
+        # The step from 0.5 is the first to see the infinite rate; it ends at 0.75.
+        assert err.value.time == 0.75
+
+    def test_rejects_bad_steps(self):
+        with pytest.raises(ValueError):
+            integrate(lambda t, x: x, (1.0,), 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            integrate(lambda t, x: x, (1.0,), 1.0, 0.0, 0.1)
+
+
+class TestPairwiseDistance:
+    def test_largest_pair_wins(self):
+        mats = [np.zeros((2, 2)), np.eye(2), 3.0 * np.eye(2)]
+        assert max_pairwise_distance(mats) == pytest.approx(3.0 * math.sqrt(2.0))
+
+    def test_single_matrix_is_zero(self):
+        assert max_pairwise_distance([np.eye(3)]) == 0.0
 
 
 class TestJacobian:

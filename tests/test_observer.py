@@ -5,6 +5,7 @@ import pytest
 
 from invtrack import se2
 from invtrack.closed_loop import observer_error_field
+from invtrack.controller import tracking_error
 from invtrack.errors import GeometryError
 from invtrack.numerics import eigenvalues, jacobian_fd
 from invtrack.observer import (
@@ -13,8 +14,8 @@ from invtrack.observer import (
     gain_matrix,
     obs_error_matrix,
     observer_field,
+    gram_condition,
     output_error,
-    state_error,
 )
 from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure, transform_landmarks
 from invtrack.se2 import GroupElement, IDENTITY
@@ -62,6 +63,18 @@ class TestBodyFrameLandmarks:
                 se2.compose(g0, x_hat), transform_landmarks(g0, STANDARD)
             )
             assert np.max(np.abs(base.coords - moved.coords)) < 1e-9
+
+    def test_condition_number_matches_dense(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            bf = body_frame_landmarks(random_pose(rng), STANDARD)
+            g = bf.gram()
+            assert bf.condition_number() == gram_condition(g[0, 0], g[0, 1], g[1, 1])
+            assert bf.condition_number() == pytest.approx(np.linalg.cond(g), rel=1e-9)
+
+    def test_singular_gram_is_infinitely_conditioned(self):
+        assert gram_condition(1.0, 1.0, 1.0) == math.inf
+        assert gram_condition(0.0, 0.0, 0.0) == math.inf
 
 
 class TestOutputError:
@@ -147,6 +160,11 @@ class TestGainMatrix:
         bf = body_frame_landmarks(GroupElement(1e7, 0.0, 0.0), STANDARD)
         with pytest.raises(GeometryError):
             gain_matrix(bf, RobotInput(1.0, 0.0), GAINS, max_condition=1e3)
+        # The scalar observer field applies the same cap to the same Gram.
+        x_hat = GroupElement(1e7, 0.0, 0.0)
+        with pytest.raises(GeometryError):
+            observer_field(x_hat, RobotInput(1.0, 0.0), STANDARD, measure(x_hat, STANDARD),
+                           GAINS, max_condition=1e3)
 
 
 class TestObserverField:
@@ -188,10 +206,10 @@ class TestObserverField:
         h = 1e-6
         dx = dynamics(x, inp)
         dxh = observer_field(x_hat, inp, STANDARD, y, GAINS)
-        e0 = state_error(x, x_hat)
+        e0 = tracking_error(x, x_hat)
         x1 = GroupElement(x.x + h * dx[0], x.y + h * dx[1], x.theta + h * dx[2])
         xh1 = GroupElement(x_hat.x + h * dxh[0], x_hat.y + h * dxh[1], x_hat.theta + h * dxh[2])
-        e1 = state_error(x1, xh1)
+        e1 = tracking_error(x1, xh1)
         n0 = sum(c * c for c in e0)
         n1 = sum(c * c for c in e1)
         assert n1 < n0

@@ -81,19 +81,19 @@ class TestExp:
 
     def test_matches_ode_integration(self):
         # exp(xi) is the unit-time flow of the left-invariant field g * xi.
-        from invtrack.numerics import integrate_rk4
+        from invtrack.numerics import integrate
 
         xi = TangentVector(0.8, -0.3, 1.7)
 
         def field(t, w):
             c, s = math.cos(w[2]), math.sin(w[2])
-            return np.array([
+            return (
                 xi.vx * c - xi.vy * s,
                 xi.vx * s + xi.vy * c,
                 xi.omega,
-            ])
+            )
 
-        _, states = integrate_rk4(field, np.zeros(3), 0.0, 1.0, 1e-4)
+        _, states = integrate(field, (0.0, 0.0, 0.0), 0.0, 1.0, 1e-4)
         g = se2.exp(xi)
         assert abs(g.x - states[-1][0]) < 1e-9
         assert abs(g.y - states[-1][1]) < 1e-9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from invtrack import se2
+from invtrack.numerics import integrate
 from invtrack.robot import RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY, TangentVector
 from invtrack.trajectories import (
@@ -133,6 +134,24 @@ class TestIntegrated:
         assert late == again
         perm = PermanentTrajectory(1.0, 0.5)
         assert abs(early.x - perm.pose(1.0).x) < 1e-8
+
+    def test_pose_from_a_knot_matches_one_direct_integration(self):
+        def wobble(t):
+            return RobotInput(1.0, 0.5 + 0.3 * math.sin(t))
+
+        traj = IntegratedTrajectory(wobble, IDENTITY, step=1e-3)
+        traj.pose(0.4567)  # leaves a knot the next query starts from
+        t = 1.23456        # not a multiple of the step
+        got = traj.pose(t)
+
+        def rate(tt, w):
+            return dynamics(GroupElement(w[0], w[1], w[2]), wobble(tt))
+
+        _, states = integrate(rate, (0.0, 0.0, 0.0), 0.0, t, 1e-3)
+        x, y, theta = states[-1]
+        assert abs(got.x - x) <= 1e-12
+        assert abs(got.y - y) <= 1e-12
+        assert abs(se2.normalize_angle(got.theta - theta)) <= 1e-12
 
 
 class TestPermanenceProbe:
