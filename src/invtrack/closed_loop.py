@@ -18,11 +18,19 @@ from typing import Callable
 import numpy as np
 
 from . import se2
-from .controller import ControllerGains, TrackingError, ctrl_loop_matrix, feedback, tracking_error
+from .controller import (
+    ControllerGains,
+    TrackingError,
+    ctrl_loop_matrix,
+    feedback,
+    feedback_values,
+    relative_pose,
+    tracking_error,
+)
 from .errors import DivergenceError, GeometryError
 from .numerics import DEFAULT_FD_STEP, integrate, jacobian_fd, max_pairwise_distance
-from .observer import ObserverGains, obs_error_matrix, observer_field
-from .robot import LandmarkSet, dynamics, measure, measure_values
+from .observer import ObserverGains, obs_error_matrix, observer_field, observer_rate
+from .robot import LandmarkSet, dynamics, dynamics_values, measure, measure_values
 from .se2 import GroupElement
 from .trajectories import ReferenceTrajectory
 
@@ -67,6 +75,50 @@ class SimulationResult:
     inputs: np.ndarray           # (n, 2) applied (u, v)
 
 
+def _loop_rate(
+    traj: ReferenceTrajectory,
+    lm: LandmarkSet,
+    kg: ControllerGains,
+    og: ObserverGains,
+) -> tuple[Callable[[float, tuple], tuple], Callable[[float], tuple]]:
+    """The coupled plant/observer/controller right-hand side on flat
+    (x, y, theta, xhat, yhat, thetahat) tuples, and its reference lookup.
+
+    reference(t) returns (x_r, y_r, theta_r, u_r, v_r) and remembers the
+    last time asked for, so the two midpoint stages of an RK4 step share
+    one trajectory query, and the end stage usually serves the sample row
+    at the step's end and the next step's first stage.
+    """
+    coords = lm.coords
+    last_t = math.nan
+    last_ref: tuple = ()
+
+    def reference(t: float) -> tuple:
+        nonlocal last_t, last_ref
+        if t != last_t:
+            g = traj.pose(t)
+            inp = traj.input(t)
+            last_t = t
+            last_ref = (g.x, g.y, g.theta, inp.u, inp.v)
+        return last_ref
+
+    def rate(t: float, w: tuple) -> tuple:
+        x, y, th, xh, yh, thh = w
+        xr, yr, thr, ur, vr = reference(t)
+        eta_x, eta_y, eta_th = relative_pose(xr, yr, thr, xh, yh, thh)
+        u, v = feedback_values(eta_x, eta_y, eta_th, ur, vr, kg)
+        try:
+            dxh, dyh, dthh = observer_rate(
+                xh, yh, thh, u, v, coords, measure_values(GroupElement(x, y, th), lm), og
+            )
+        except GeometryError as err:
+            raise GeometryError(f"{err} (at t={t:.6g})") from err
+        dx, dy, dth = dynamics_values(th, u, v)
+        return (dx, dy, dth, dxh, dyh, dthh)
+
+    return rate, reference
+
+
 def simulate(sc: Scenario) -> SimulationResult:
     """Run the coupled plant/observer/controller loop with fixed-step RK4.
 
@@ -75,59 +127,41 @@ def simulate(sc: Scenario) -> SimulationResult:
     leaves a 1e6 box and with GeometryError (timestamped) when the landmark
     geometry degenerates as seen from the estimate.
     """
-    traj = sc.trajectory
-    lm = sc.landmarks
     kg = sc.controller_gains
-    og = sc.observer_gains
+    rate, reference = _loop_rate(sc.trajectory, sc.landmarks, kg, sc.observer_gains)
+    rows = []
 
-    def rate(t: float, w: tuple) -> tuple:
-        g = GroupElement(w[0], w[1], w[2])
-        gh = GroupElement(w[3], w[4], w[5])
-        g_ref = traj.pose(t)
-        ref_inp = traj.input(t)
-        eta_hat = tracking_error(g_ref, gh)
-        inp = feedback(eta_hat, ref_inp.u, ref_inp.v, kg)
-        y = measure_values(g, lm)
-        dg = dynamics(g, inp)
-        try:
-            dgh = observer_field(gh, inp, lm, y, og)
-        except GeometryError as err:
-            raise GeometryError(f"{err} (at t={t:.6g})") from err
-        return (dg[0], dg[1], dg[2], dgh[0], dgh[1], dgh[2])
+    def record(t: float, w: tuple) -> tuple:
+        # One sample row: reference pose, eta, eps and the applied input.
+        x, y, th, xh, yh, thh = w
+        xr, yr, thr, ur, vr = reference(t)
+        rows.append(
+            (xr, yr, thr)
+            + relative_pose(xr, yr, thr, x, y, th)
+            + relative_pose(x, y, th, xh, yh, thh)
+            + feedback_values(*relative_pose(xr, yr, thr, xh, yh, thh), ur, vr, kg)
+        )
+        return w
 
-    def check_box(t: float, w: tuple) -> tuple:
+    def after_step(t: float, w: tuple) -> tuple:
         for comp in w:
             if not abs(comp) <= DIVERGENCE_LIMIT:
                 raise DivergenceError(t, "closed-loop state diverged")
-        return w
+        return record(t, w)
 
-    w0 = (
-        sc.initial_pose.x, sc.initial_pose.y, sc.initial_pose.theta,
-        sc.initial_estimate.x, sc.initial_estimate.y, sc.initial_estimate.theta,
-    )
-    times, states = integrate(rate, w0, 0.0, sc.t_end, sc.dt, check_box)
-    reference_rows = []
-    eta_rows = []
-    eps_rows = []
-    input_rows = []
-    for t, w in zip(times, states):
-        g = GroupElement(w[0], w[1], w[2])
-        gh = GroupElement(w[3], w[4], w[5])
-        g_ref = traj.pose(t)
-        ref_inp = traj.input(t)
-        reference_rows.append(g_ref)
-        eta_rows.append(tracking_error(g_ref, g))
-        eps_rows.append(tracking_error(g, gh))
-        input_rows.append(feedback(tracking_error(g_ref, gh), ref_inp.u, ref_inp.v, kg))
+    w0 = tuple(map(float, sc.initial_pose + sc.initial_estimate))
+    record(0.0, w0)
+    times, states = integrate(rate, w0, 0.0, sc.t_end, sc.dt, after_step)
     w_rows = np.asarray(states)
+    samples = np.asarray(rows)
     return SimulationResult(
         np.asarray(times),
         w_rows[:, 0:3],
         w_rows[:, 3:6],
-        np.asarray(reference_rows),
-        np.asarray(eta_rows),
-        np.asarray(eps_rows),
-        np.asarray(input_rows),
+        samples[:, 0:3],
+        samples[:, 3:6],
+        samples[:, 6:9],
+        samples[:, 9:11],
     )
 
 

@@ -44,17 +44,50 @@ class TrackingError(NamedTuple):
     eta_theta: float
 
 
+def relative_pose(
+    xr: float, yr: float, thr: float, x: float, y: float, th: float
+) -> tuple[float, float, float]:
+    """Bare-float core of tracking_error: inverse(g_ref) * g, heading wrapped."""
+    c = math.cos(thr)
+    s = math.sin(thr)
+    dx = x - xr
+    dy = y - yr
+    return (dx * c + dy * s, -dx * s + dy * c, se2.normalize_angle(th - thr))
+
+
 def tracking_error(g_ref: GroupElement, g: GroupElement) -> TrackingError:
     """Invariant tracking error with heading difference wrapped to (-pi, pi]."""
-    c = math.cos(g_ref.theta)
-    s = math.sin(g_ref.theta)
-    dx = g.x - g_ref.x
-    dy = g.y - g_ref.y
-    return TrackingError(
-        dx * c + dy * s,
-        -dx * s + dy * c,
-        se2.normalize_angle(g.theta - g_ref.theta),
+    return TrackingError(*relative_pose(g_ref.x, g_ref.y, g_ref.theta, g.x, g.y, g.theta))
+
+
+def feedback_values(
+    eta_x: float,
+    eta_y: float,
+    eta_theta: float,
+    u_r: float,
+    v_r: float,
+    gains: ControllerGains,
+) -> tuple[float, float]:
+    """Bare-float core of feedback: the applied (u, v) for the error eta.
+
+    Raises:
+        ValueError: non-finite reference input.
+        DegenerateReferenceError: u_r = 0.
+    """
+    if not (math.isfinite(u_r) and math.isfinite(v_r)):
+        raise ValueError(f"reference input must be finite, got ({u_r}, {v_r})")
+    if u_r == 0.0:
+        raise DegenerateReferenceError("feedback requires u_r != 0")
+    sgn = 1.0 if u_r > 0.0 else -1.0
+    au = abs(u_r)
+    u = u_r - u_r * v_r * eta_y - au * gains.k1 * eta_x
+    v = (
+        v_r
+        + v_r * sgn * gains.k1 * eta_x
+        + (v_r * v_r - gains.k2) * eta_y
+        - sgn * gains.k3 * eta_theta
     )
+    return (u, v)
 
 
 def feedback(
@@ -69,20 +102,7 @@ def feedback(
     forward or in reverse.  A reference with u_r = 0 never moves and the
     heading error is then uncontrollable, so it is rejected outright.
     """
-    if not (math.isfinite(u_r) and math.isfinite(v_r)):
-        raise ValueError(f"reference input must be finite, got ({u_r}, {v_r})")
-    if u_r == 0.0:
-        raise DegenerateReferenceError("feedback requires u_r != 0")
-    sgn = 1.0 if u_r > 0.0 else -1.0
-    au = abs(u_r)
-    u = u_r - u_r * v_r * eta.eta_y - au * gains.k1 * eta.eta_x
-    v = (
-        v_r
-        + v_r * sgn * gains.k1 * eta.eta_x
-        + (v_r * v_r - gains.k2) * eta.eta_y
-        - sgn * gains.k3 * eta.eta_theta
-    )
-    return RobotInput(u, v)
+    return RobotInput(*feedback_values(eta.eta_x, eta.eta_y, eta.eta_theta, u_r, v_r, gains))
 
 
 def ctrl_loop_matrix(u_r: float, v_r: float, gains: ControllerGains) -> np.ndarray:

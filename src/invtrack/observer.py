@@ -130,34 +130,33 @@ def gain_matrix(
     return -0.5 * _weights(inp.u, inp.v, gains) @ gram_inv @ bf.coords
 
 
-def observer_field(
-    x_hat: GroupElement,
-    inp: RobotInput,
-    lm: LandmarkSet,
-    y: Measurement | Sequence[float],
+def observer_rate(
+    xh: float,
+    yh: float,
+    thh: float,
+    u: float,
+    v: float,
+    coords: Sequence[tuple[float, float]],
+    values: Sequence[float],
     gains: ObserverGains,
     max_condition: float = DEFAULT_MAX_CONDITION,
 ) -> tuple[float, float, float]:
-    """Estimate derivative: model flow plus the body-frame output correction.
+    """Bare-float core of observer_field: estimate (xh, yh, thh), input
+    (u, v), landmark coordinates and measured squared ranges, one per landmark.
 
-    Equals the plain model dynamics whenever the estimate reproduces the
-    measurement exactly.  y may be a Measurement or any float sequence.
-    Scalar arithmetic throughout: this runs four times per integration step
-    inside the closed loop.
+    Raises:
+        ValueError: non-finite input.
+        GeometryError: Gram matrix condition number exceeds max_condition.
     """
-    values = y.values if isinstance(y, Measurement) else y
-    if len(values) != len(lm):
-        raise ValueError(f"measurement length {len(values)} != landmark count {len(lm)}")
-    u, v = inp.u, inp.v
     if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValueError(f"input has non-finite components: {inp}")
-    ct = math.cos(x_hat.theta)
-    st = math.sin(x_hat.theta)
+        raise ValueError(f"input has non-finite components: {RobotInput(u, v)}")
+    ct = math.cos(thh)
+    st = math.sin(thh)
     a = b = d = 0.0
     w1 = w2 = 0.0
-    for (lx, ly), lam in zip(lm.coords, values):
-        dx = lx - x_hat.x
-        dy = ly - x_hat.y
+    for (lx, ly), lam in zip(coords, values):
+        dx = lx - xh
+        dy = ly - yh
         ix = dx * ct + dy * st
         iy = -dx * st + dy * ct
         a += ix * ix
@@ -184,6 +183,27 @@ def observer_field(
         u * ct + (c1 * ct - c2 * st),
         u * st + (c1 * st + c2 * ct),
         u * v + c3,
+    )
+
+
+def observer_field(
+    x_hat: GroupElement,
+    inp: RobotInput,
+    lm: LandmarkSet,
+    y: Measurement | Sequence[float],
+    gains: ObserverGains,
+    max_condition: float = DEFAULT_MAX_CONDITION,
+) -> tuple[float, float, float]:
+    """Estimate derivative: model flow plus the body-frame output correction.
+
+    Equals the plain model dynamics whenever the estimate reproduces the
+    measurement exactly.  y may be a Measurement or any float sequence.
+    """
+    values = y.values if isinstance(y, Measurement) else y
+    if len(values) != len(lm):
+        raise ValueError(f"measurement length {len(values)} != landmark count {len(lm)}")
+    return observer_rate(
+        x_hat.x, x_hat.y, x_hat.theta, inp.u, inp.v, lm.coords, values, gains, max_condition
     )
 
 

@@ -11,6 +11,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 CSV_COLUMNS = (
     "t",
     "x",
@@ -33,9 +35,13 @@ CSV_COLUMNS = (
 )
 
 
+# Every float in a report or time series: enough digits to round-trip a double.
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(value: float) -> str:
     """Shortest decimal form that round-trips a double."""
-    return "%.17g" % value
+    return FLOAT_FORMAT % value
 
 
 def _emit(obj, indent: int, pieces: list) -> None:
@@ -103,30 +109,18 @@ def verdict(command: str, passed: bool, metrics: dict, tolerances: dict, digest:
 
 def timeseries_csv(result) -> str:
     """Render a simulation result as CSV with the fixed column set."""
+    table = np.column_stack((
+        result.times,
+        result.poses,
+        result.estimates,
+        result.references,
+        result.tracking_errors,
+        result.estimation_errors,
+        result.inputs,
+    ))
+    row_format = ",".join([FLOAT_FORMAT] * len(CSV_COLUMNS))
     lines = [",".join(CSV_COLUMNS)]
-    n = len(result.times)
-    for i in range(n):
-        row = (
-            result.times[i],
-            result.poses[i, 0],
-            result.poses[i, 1],
-            result.poses[i, 2],
-            result.estimates[i, 0],
-            result.estimates[i, 1],
-            result.estimates[i, 2],
-            result.references[i, 0],
-            result.references[i, 1],
-            result.references[i, 2],
-            result.tracking_errors[i, 0],
-            result.tracking_errors[i, 1],
-            result.tracking_errors[i, 2],
-            result.estimation_errors[i, 0],
-            result.estimation_errors[i, 1],
-            result.estimation_errors[i, 2],
-            result.inputs[i, 0],
-            result.inputs[i, 1],
-        )
-        lines.append(",".join(format_float(v) for v in row))
+    lines.extend(row_format % tuple(row) for row in table.tolist())
     lines.append("")
     return "\n".join(lines)
 

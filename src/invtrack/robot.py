@@ -73,13 +73,16 @@ class Measurement:
         return len(self.values)
 
 
+def dynamics_values(theta: float, u: float, v: float) -> tuple[float, float, float]:
+    """Bare-float core of dynamics(): no input check."""
+    return (u * math.cos(theta), u * math.sin(theta), u * v)
+
+
 def dynamics(g: GroupElement, inp: RobotInput) -> tuple[float, float, float]:
     """Unicycle state derivative (xdot, ydot, thetadot) = (u cos, u sin, u v)."""
     if not (math.isfinite(inp.u) and math.isfinite(inp.v)):
         raise ValueError(f"input has non-finite components: {inp}")
-    c = math.cos(g.theta)
-    s = math.sin(g.theta)
-    return (inp.u * c, inp.u * s, inp.u * inp.v)
+    return dynamics_values(g.theta, inp.u, inp.v)
 
 
 def measure_values(g: GroupElement, lm: LandmarkSet) -> tuple[float, ...]:

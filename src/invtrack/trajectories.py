@@ -39,8 +39,10 @@ class PermanentTrajectory:
     def __post_init__(self):
         if not (math.isfinite(self.u) and math.isfinite(self.v)):
             raise ValueError("trajectory input must be finite")
-        # pose() runs millions of times per simulation; cache the constants
-        # of its closed form (chord radius u/omega and the start rotation).
+        # pose() and input() run at two stage times of every simulation
+        # step; cache the constant input and the constants of the pose's
+        # closed form (chord radius u/omega and the start rotation).
+        object.__setattr__(self, "_input", RobotInput(self.u, self.v))
         omega = self.u * self.v
         object.__setattr__(self, "_omega", omega)
         object.__setattr__(self, "_ratio", self.u / omega if omega != 0.0 else 0.0)
@@ -69,7 +71,7 @@ class PermanentTrajectory:
         )
 
     def input(self, t: float) -> RobotInput:
-        return RobotInput(self.u, self.v)
+        return self._input  # type: ignore[attr-defined]
 
     def period(self) -> float | None:
         """Time per full revolution for circles; None for straight lines."""

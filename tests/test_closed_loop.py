@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invtrack import se2
 from invtrack.closed_loop import (
     Scenario,
+    SimulationResult,
+    _loop_rate,
     closed_loop_error_field,
     controller_error_field,
     observer_error_field,
@@ -13,13 +17,24 @@ from invtrack.closed_loop import (
     simulate,
     time_invariance_probe,
 )
-from invtrack.controller import ControllerGains, TrackingError, ctrl_loop_matrix, feedback
+from invtrack.controller import (
+    ControllerGains,
+    TrackingError,
+    ctrl_loop_matrix,
+    feedback,
+    tracking_error,
+)
 from invtrack.errors import DivergenceError, GeometryError
-from invtrack.numerics import eigenvalues, jacobian_fd, spectrum_match_distance
-from invtrack.observer import ObserverGains, obs_error_matrix
-from invtrack.robot import LandmarkSet, RobotInput, dynamics, transform_landmarks
+from invtrack.numerics import eigenvalues, integrate, jacobian_fd, spectrum_match_distance
+from invtrack.observer import ObserverGains, obs_error_matrix, observer_field
+from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure_values, transform_landmarks
 from invtrack.se2 import GroupElement, IDENTITY
-from invtrack.trajectories import IntegratedTrajectory, PermanentTrajectory
+from invtrack.trajectories import (
+    IntegratedTrajectory,
+    PermanentTrajectory,
+    PiecewiseTrajectory,
+    Segment,
+)
 
 KG = ControllerGains(1.0, 1.0, 1.0)
 OG = ObserverGains(1.0, 1.0, 1.0)
@@ -113,8 +128,10 @@ class TestSimulate:
         assert np.max(np.abs(moved_back_x - base.poses[:, 0])) < 1e-9
 
     def test_divergence_reported_with_time(self):
-        # Flip the sign of every gain direction by overdriving k2 until the
-        # loop is unstable enough to blow past the divergence box.
+        # Huge gains and a far-off estimate fling the estimate away until the
+        # body-frame Gram matrix crosses the condition cap at t = 0.25: this
+        # raises a timestamped GeometryError, which the ValueError clause
+        # accepts.  test_divergence_box_reports_time pins the 1e6 box itself.
         sc = standard_scenario(
             initial_pose=GroupElement(0.5, 0.5, 0.5),
             initial_estimate=GroupElement(30.0, 30.0, 2.0),
@@ -140,6 +157,197 @@ class TestSimulate:
         )
         with pytest.raises(GeometryError, match=r"\(at t=0\.8[56]\)"):
             simulate(sc)
+
+    def test_divergence_box_reports_time(self):
+        # A 1e5 m/s reference seen by landmarks millions of metres away: the
+        # state stays finite but leaves the 1e6 box after the third step.
+        sc = standard_scenario(
+            trajectory=PermanentTrajectory(1e5, 0.0),
+            landmarks=LandmarkSet(((-1e6, -1e6), (3e6, 0.0), (0.0, 3e6))),
+            dt=0.01,
+        )
+        with pytest.raises(DivergenceError, match=r"^closed-loop state diverged at t=0\.03$") as info:
+            simulate(sc)
+        assert info.value.time == 0.03
+
+
+def composed_rate(traj, lm, kg, og):
+    """Oracle: the closed-loop right-hand side composed from the public
+    layers, each building and validating its own boxed values."""
+
+    def rate(t, w):
+        g = GroupElement(w[0], w[1], w[2])
+        gh = GroupElement(w[3], w[4], w[5])
+        g_ref = traj.pose(t)
+        ref_inp = traj.input(t)
+        eta_hat = tracking_error(g_ref, gh)
+        inp = feedback(eta_hat, ref_inp.u, ref_inp.v, kg)
+        y = measure_values(g, lm)
+        dg = dynamics(g, inp)
+        try:
+            dgh = observer_field(gh, inp, lm, y, og)
+        except GeometryError as err:
+            raise GeometryError(f"{err} (at t={t:.6g})") from err
+        return (dg[0], dg[1], dg[2], dgh[0], dgh[1], dgh[2])
+
+    return rate
+
+
+def composed_simulate(sc):
+    """Oracle: simulate() assembled from composed_rate and the boxed layers
+    (no divergence box; the runs it is compared on stay bounded)."""
+    traj = sc.trajectory
+    kg = sc.controller_gains
+    rate = composed_rate(traj, sc.landmarks, kg, sc.observer_gains)
+    w0 = tuple(sc.initial_pose) + tuple(sc.initial_estimate)
+    times, states = integrate(rate, w0, 0.0, sc.t_end, sc.dt)
+    refs, etas, epss, inputs = [], [], [], []
+    for t, w in zip(times, states):
+        g = GroupElement(w[0], w[1], w[2])
+        gh = GroupElement(w[3], w[4], w[5])
+        g_ref = traj.pose(t)
+        ref_inp = traj.input(t)
+        refs.append(g_ref)
+        etas.append(tracking_error(g_ref, g))
+        epss.append(tracking_error(g, gh))
+        inputs.append(feedback(tracking_error(g_ref, gh), ref_inp.u, ref_inp.v, kg))
+    w_rows = np.asarray(states)
+    return SimulationResult(
+        np.asarray(times), w_rows[:, 0:3], w_rows[:, 3:6], np.asarray(refs),
+        np.asarray(etas), np.asarray(epss), np.asarray(inputs),
+    )
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _signed(lo, hi):
+    return st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), _floats(lo, hi))
+
+
+# Headings anywhere, or within 1e-6 of the +-pi wrap on either side.
+HEADINGS = st.one_of(
+    _floats(-math.pi, math.pi),
+    _floats(0.0, 1e-6).map(lambda d: math.pi - d),
+    _floats(0.0, 1e-6).map(lambda d: -math.pi + d),
+)
+SPEEDS = _signed(0.2, 3.0)
+STEERS = st.one_of(st.just(0.0), _signed(0.1, 2.0))
+
+
+@st.composite
+def references(draw):
+    start = GroupElement(draw(_floats(-5.0, 5.0)), draw(_floats(-5.0, 5.0)), draw(HEADINGS))
+    kind = draw(st.sampled_from(("permanent", "piecewise", "wobble")))
+    if kind == "permanent":
+        return PermanentTrajectory(draw(SPEEDS), draw(STEERS), start)
+    if kind == "piecewise":
+        legs = draw(st.lists(st.builds(Segment, SPEEDS, STEERS, _floats(0.2, 1.5)),
+                             min_size=1, max_size=4))
+        return PiecewiseTrajectory(tuple(legs), start)
+    u, v, amp, rate = draw(SPEEDS), draw(STEERS), draw(_floats(0.1, 0.4)), draw(_floats(0.5, 2.0))
+    return IntegratedTrajectory(lambda t: RobotInput(u, v + amp * math.sin(rate * t)), start)
+
+
+@st.composite
+def landmark_sets(draw):
+    # Jittered, evenly spread bearings leave every angular gap below pi, so
+    # the centre lies inside the hull and the set is never collinear.
+    count = draw(st.integers(3, 12))
+    step = 2.0 * math.pi / count
+    cx, cy = draw(_floats(-5.0, 5.0)), draw(_floats(-5.0, 5.0))
+    pts = []
+    for i in range(count):
+        bearing = i * step + draw(_floats(-0.25, 0.25)) * step
+        radius = draw(_floats(3.0, 20.0))
+        pts.append((cx + radius * math.cos(bearing), cy + radius * math.sin(bearing)))
+    return LandmarkSet(tuple(pts))
+
+
+GAINS = st.tuples(_floats(0.2, 5.0), _floats(0.2, 5.0), _floats(0.2, 5.0))
+
+
+class TestFusedRate:
+    @given(
+        traj=references(),
+        lm=landmark_sets(),
+        kg=GAINS.map(lambda k: ControllerGains(*k)),
+        og=GAINS.map(lambda k: ObserverGains(*k)),
+        pose=st.tuples(_floats(-8.0, 8.0), _floats(-8.0, 8.0), HEADINGS),
+        est=st.tuples(_floats(-8.0, 8.0), _floats(-8.0, 8.0), HEADINGS),
+        t=_floats(0.0, 3.0),
+        h=_floats(1e-3, 0.1),
+    )
+    def test_matches_composed_rate(self, traj, lm, kg, og, pose, est, t, h):
+        # The stage times of one RK4 step, so the memoized reference lookup
+        # is hit and missed in the order simulate() meets it.
+        fused, _ = _loop_rate(traj, lm, kg, og)
+        oracle = composed_rate(traj, lm, kg, og)
+        w = pose + est
+        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+            try:
+                want = oracle(s, w)
+            except GeometryError as err:
+                with pytest.raises(GeometryError) as got:
+                    fused(s, w)
+                assert str(got.value) == str(err)
+                continue
+            # Same arithmetic in the same order: equal, not merely close.
+            assert fused(s, w) == want
+
+    def test_reference_lookup_once_per_stage_time(self):
+        calls = []
+
+        class Counting(PermanentTrajectory):
+            def pose(self, t):
+                calls.append(t)
+                return super().pose(t)
+
+        # dt = 1/8 keeps every stage time exact, so each step's end stage
+        # also serves the sample row and the next step's first stage: one
+        # lookup at t = 0, then two per step (midpoint, end).
+        res = simulate(standard_scenario(trajectory=Counting(1.0, 0.5), t_end=1.0, dt=0.125))
+        steps = len(res.times) - 1
+        assert len(calls) == 1 + 2 * steps
+        assert sorted(set(calls)) == sorted(calls)
+
+
+class TestSimulateRegimes:
+    # Reverse driving (u_r < 0) and starts straddling the heading wrap at
+    # +-pi: the fused run converges and equals the composed oracle exactly.
+    @pytest.mark.parametrize(
+        "traj, pose, est",
+        [
+            (PermanentTrajectory(-1.0, 0.5), GroupElement(0.1, -0.1, 0.1),
+             GroupElement(-0.05, 0.1, 0.0)),
+            (PermanentTrajectory(-1.2, 0.0, GroupElement(2.0, 1.0, -math.pi + 1e-9)),
+             GroupElement(2.1, 0.9, math.pi - 0.05), GroupElement(1.9, 1.1, -math.pi + 0.08)),
+            (PermanentTrajectory(1.0, 0.5, GroupElement(1.0, -2.0, math.pi)),
+             GroupElement(1.05, -2.0, -math.pi + 0.05), GroupElement(1.0, -1.95, math.pi - 0.04)),
+        ],
+        ids=["reverse", "reverse-line-across-wrap", "forward-across-wrap"],
+    )
+    def test_converges_and_matches_composed(self, traj, pose, est):
+        sc = standard_scenario(
+            trajectory=traj,
+            controller_gains=ControllerGains(2.0, 2.0, 2.0),
+            observer_gains=ObserverGains(2.0, 2.0, 2.0),
+            initial_pose=pose,
+            initial_estimate=est,
+            t_end=15.0,
+            dt=0.01,
+        )
+        res = simulate(sc)
+        # The wrapped heading errors start small although the raw headings
+        # differ by nearly 2 pi.
+        assert abs(res.tracking_errors[0, 2]) < 0.2
+        assert abs(res.estimation_errors[0, 2]) < 0.2
+        assert np.linalg.norm(res.tracking_errors[-1]) < 1e-4
+        assert np.linalg.norm(res.estimation_errors[-1]) < 1e-4
+        want = composed_simulate(sc)
+        for name in SimulationResult.__dataclass_fields__:
+            assert np.array_equal(getattr(res, name), getattr(want, name)), name
 
 
 class TestErrorFields:
