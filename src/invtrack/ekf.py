@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .numerics import integrate, max_pairwise_distance
-from .observer import output_error
-from .robot import LandmarkSet, Measurement, RobotInput, dynamics, measure
+from .robot import LandmarkSet, Measurement, RobotInput, dynamics_values, finite_input, measure
 from .se2 import GroupElement
 
 DEFAULT_PROCESS_NOISE = 1e-3
@@ -65,6 +64,74 @@ def ekf_jacobians(
     return F, H
 
 
+def riccati_values(
+    w: tuple,
+    u: float,
+    v: float,
+    coords: tuple,
+    y: tuple,
+    q: tuple,
+    r_inv: tuple,
+) -> tuple:
+    """Bare-float core of ekf_field on the flat state (x, y, theta, P row-major).
+
+    q holds Q's nine entries row-major and r_inv the rows of R^-1; y is the
+    measurement, one value per landmark in coords.  Checks nothing.
+
+    H has rows (2(x - lx), 2(y - ly), 0), so with S = R^-1 H the gain
+    L = P S^T only ever meets the first two columns of P:
+    L res = P[:, :2] (S^T res) and L H P = P[:, :2] (S^T H) P[:2, :].
+    """
+    x, yy, th, p00, p01, p02, p10, p11, p12, p20, p21, p22 = w
+    hx = [2.0 * (x - lx) for lx, _ in coords]
+    hy = [2.0 * (yy - ly) for _, ly in coords]
+    g0 = g1 = m00 = m01 = m10 = m11 = 0.0
+    for (lx, ly), yi, row, hxi, hyi in zip(coords, y, r_inv, hx, hy):
+        s0 = s1 = 0.0
+        for rij, hxj, hyj in zip(row, hx, hy):
+            s0 += rij * hxj
+            s1 += rij * hyj
+        res = (x - lx) ** 2 + (yy - ly) ** 2 - yi
+        g0 += s0 * res
+        g1 += s1 * res
+        m00 += s0 * hxi
+        m01 += s0 * hyi
+        m10 += s1 * hxi
+        m11 += s1 * hyi
+    # A = P[:, :2] (S^T H), so L H P = A P[:2, :].
+    a00 = p00 * m00 + p01 * m10
+    a01 = p00 * m01 + p01 * m11
+    a10 = p10 * m00 + p11 * m10
+    a11 = p10 * m01 + p11 * m11
+    a20 = p20 * m00 + p21 * m10
+    a21 = p20 * m01 + p21 * m11
+    # F has the single nonzero column f = (-u sin, u cos, 0) at index 2, so
+    # (F P)_ij = f_i P_2j and (P F^T)_ij = P_i2 f_j.
+    c, s, om = dynamics_values(th, u, v)
+    f0 = -s
+    q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
+    d00 = f0 * p20 + p02 * f0 + q00 - (a00 * p00 + a01 * p10)
+    d01 = f0 * p21 + p02 * c + q01 - (a00 * p01 + a01 * p11)
+    d02 = f0 * p22 + q02 - (a00 * p02 + a01 * p12)
+    d10 = c * p20 + p12 * f0 + q10 - (a10 * p00 + a11 * p10)
+    d11 = c * p21 + p12 * c + q11 - (a10 * p01 + a11 * p11)
+    d12 = c * p22 + q12 - (a10 * p02 + a11 * p12)
+    d20 = p22 * f0 + q20 - (a20 * p00 + a21 * p10)
+    d21 = p22 * c + q21 - (a20 * p01 + a21 * p11)
+    d22 = q22 - (a20 * p02 + a21 * p12)
+    e01 = 0.5 * (d01 + d10)
+    e02 = 0.5 * (d02 + d20)
+    e12 = 0.5 * (d12 + d21)
+    return (
+        c - (p00 * g0 + p01 * g1),
+        s - (p10 * g0 + p11 * g1),
+        om - (p20 * g0 + p21 * g1),
+        d00, e01, e02,
+        e01, d11, e12,
+        e02, e12, d22,
+    )
+
+
 def ekf_field(
     x_hat: GroupElement,
     P: np.ndarray,
@@ -76,15 +143,18 @@ def ekf_field(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative of (x_hat, P) under the continuous-time Riccati flow.
 
-    Takes raw arrays and checks nothing: callers validate P (see EkfState)
-    and the shape of R (p x p) once, before a run.
+    An array wrapper over riccati_values.  Takes raw arrays and checks
+    nothing but the input: callers validate P (see EkfState) and the shape
+    of R (p x p) once, before a run.
     """
-    F, H = ekf_jacobians(x_hat, inp, lm)
-    L = P @ np.linalg.solve(R, H).T
-    resid = output_error(x_hat, lm, y)
-    xdot = np.asarray(dynamics(x_hat, inp)) - L @ resid
-    pdot = F @ P + P @ F.T + Q - L @ H @ P
-    return xdot, 0.5 * (pdot + pdot.T)
+    u, v = finite_input(inp)
+    rates = riccati_values(
+        (x_hat.x, x_hat.y, x_hat.theta, *np.asarray(P, dtype=float).ravel().tolist()),
+        u, v, lm.coords, y.values,
+        tuple(np.broadcast_to(np.asarray(Q, dtype=float), (3, 3)).ravel().tolist()),
+        tuple(map(tuple, np.linalg.inv(R).tolist())),
+    )
+    return np.array(rates[:3]), np.array(rates[3:]).reshape(3, 3)
 
 
 def ekf_error_matrix(
@@ -123,8 +193,9 @@ def run_along_reference(
 
     The estimate starts on the reference, so the run isolates how the
     covariance (and with it the gain) evolves along the path.  P0 and R are
-    validated here, once; after every step P is re-symmetrized and checked
-    to be positive semidefinite.
+    validated here, once, and R^-1 and Q's entries taken once for the
+    bare-float riccati_values; after every step P is re-symmetrized and
+    checked to be positive semidefinite.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
@@ -135,12 +206,14 @@ def run_along_reference(
     if Rm.shape != (p, p):
         raise ValueError(f"R must be {p}x{p}, got {Rm.shape}")
     start = EkfState(traj.pose(0.0), Pm)
+    coords = lm.coords
+    q = tuple(np.broadcast_to(Qm, (3, 3)).ravel().tolist())
+    r_inv = tuple(map(tuple, np.linalg.inv(Rm).tolist()))
 
-    def rate(t: float, w: tuple) -> list:
-        y = measure(traj.pose(t), lm)
-        P = np.array(w[3:]).reshape(3, 3)
-        xdot, pdot = ekf_field(GroupElement(w[0], w[1], w[2]), P, traj.input(t), lm, y, Qm, Rm)
-        return xdot.tolist() + pdot.ravel().tolist()
+    def rate(t: float, w: tuple) -> tuple:
+        u, v = finite_input(traj.input(t))
+        y = measure(traj.pose(t), lm).values
+        return riccati_values(w, u, v, coords, y, q, r_inv)
 
     def keep_psd(t: float, w: tuple) -> tuple:
         P = np.array(w[3:]).reshape(3, 3)

@@ -107,9 +107,44 @@ class EpSystem:
             raise ValueError("inertia must be positive definite")
 
 
+def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tuple:
+    """Bare-float core of ep_dynamics on the flat state (attitude row-major, velocity).
+
+    inertia and inertia_inv hold I and I^-1 row-major; torque is the total
+    body torque (force model plus control).  Returns R hat(xi) row-major and
+    I^-1 ((I xi) x xi + torque).  Checks nothing.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, a, b, c = w
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = inertia_inv
+    t0, t1, t2 = torque
+    m0 = i00 * a + i01 * b + i02 * c
+    m1 = i10 * a + i11 * b + i12 * c
+    m2 = i20 * a + i21 * b + i22 * c
+    g0 = m1 * c - m2 * b + t0
+    g1 = m2 * a - m0 * c + t1
+    g2 = m0 * b - m1 * a + t2
+    return (
+        r01 * c - r02 * b, r02 * a - r00 * c, r00 * b - r01 * a,
+        r11 * c - r12 * b, r12 * a - r10 * c, r10 * b - r11 * a,
+        r21 * c - r22 * b, r22 * a - r20 * c, r20 * b - r21 * a,
+        j00 * g0 + j01 * g1 + j02 * g2,
+        j10 * g0 + j11 * g1 + j12 * g2,
+        j20 * g0 + j21 * g1 + j22 * g2,
+    )
+
+
+def _flat(m: np.ndarray) -> tuple:
+    return tuple(np.asarray(m, dtype=float).ravel().tolist())
+
+
 def gyroscopic_acceleration(inertia: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     """Bilinear velocity term I^-1 ((I w) x w) of the rotating body."""
-    return np.linalg.solve(inertia, np.cross(inertia @ velocity, velocity))
+    rates = ep_rate_values(
+        (0.0,) * 9 + _flat(velocity), _flat(inertia), _flat(np.linalg.inv(inertia)),
+        (0.0, 0.0, 0.0),
+    )
+    return np.array(rates[9:])
 
 
 def ep_dynamics(
@@ -121,13 +156,16 @@ def ep_dynamics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attitude and velocity derivatives under control torque u.
 
-    Takes raw arrays and checks nothing: EpSystem validates a model once,
-    before its arrays are handed here.
+    An array wrapper over ep_rate_values.  Takes raw arrays and checks
+    nothing: EpSystem validates a model once, before its arrays are handed
+    here.
     """
-    att_dot = attitude @ hat(velocity)
     torque = u if force is None else force(attitude, velocity) + u
-    vel_dot = gyroscopic_acceleration(inertia, velocity) + np.linalg.solve(inertia, torque)
-    return att_dot, vel_dot
+    rates = ep_rate_values(
+        _flat(attitude) + _flat(velocity), _flat(inertia), _flat(np.linalg.inv(inertia)),
+        _flat(torque),
+    )
+    return np.array(rates[:9]).reshape(3, 3), np.array(rates[9:])
 
 
 def kinetic_energy(s: EpSystem) -> float:
@@ -142,18 +180,23 @@ def integrate_ep(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 on (attitude, velocity); attitude is re-projected onto
     the rotation group after every step so the drift stays at roundoff level.
+    I and I^-1 are taken once; the force model, when there is one, sees
+    arrays at every stage.
 
     Returns (times, attitudes (n, 3, 3), velocities (n, 3)).
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
 
-    def rate(t: float, w: tuple) -> list:
-        att_dot, vel_dot = ep_dynamics(
-            np.array(w[:9]).reshape(3, 3), np.array(w[9:]), s.inertia, s.force,
-            np.asarray(u_fn(t), dtype=float),
-        )
-        return att_dot.ravel().tolist() + vel_dot.tolist()
+    inertia = _flat(s.inertia)
+    inertia_inv = _flat(np.linalg.inv(s.inertia))
+    force = s.force
+
+    def rate(t: float, w: tuple) -> tuple:
+        torque = np.asarray(u_fn(t), dtype=float)
+        if force is not None:
+            torque = force(np.array(w[:9]).reshape(3, 3), np.array(w[9:])) + torque
+        return ep_rate_values(w, inertia, inertia_inv, torque.tolist())
 
     def reproject(t: float, w: tuple) -> tuple:
         return tuple(project_rotation(np.array(w[:9]).reshape(3, 3)).ravel().tolist()) + w[9:]

@@ -23,14 +23,15 @@ def rk4_step(field: VectorField, t: float, x: tuple, h: float) -> tuple:
     """One classical Runge-Kutta step of size h on a flat tuple of floats."""
     hh = 0.5 * h
     k1 = field(t, x)
-    k2 = field(t + hh, tuple(a + hh * b for a, b in zip(x, k1)))
-    k3 = field(t + hh, tuple(a + hh * b for a, b in zip(x, k2)))
-    k4 = field(t + h, tuple(a + h * b for a, b in zip(x, k3)))
+    # tuple([...]) rather than tuple(genexpr): same values, no generator frame.
+    k2 = field(t + hh, tuple([a + hh * b for a, b in zip(x, k1)]))
+    k3 = field(t + hh, tuple([a + hh * b for a, b in zip(x, k2)]))
+    k4 = field(t + h, tuple([a + h * b for a, b in zip(x, k3)]))
     h6 = h / 6.0
-    return tuple(
+    return tuple([
         a + h6 * (b + 2.0 * (c + d) + e)
         for a, b, c, d, e in zip(x, k1, k2, k3, k4)
-    )
+    ])
 
 
 def integrate(

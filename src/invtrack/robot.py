@@ -78,11 +78,17 @@ def dynamics_values(theta: float, u: float, v: float) -> tuple[float, float, flo
     return (u * math.cos(theta), u * math.sin(theta), u * v)
 
 
-def dynamics(g: GroupElement, inp: RobotInput) -> tuple[float, float, float]:
-    """Unicycle state derivative (xdot, ydot, thetadot) = (u cos, u sin, u v)."""
+def finite_input(inp: RobotInput) -> RobotInput:
+    """inp itself, once both components are checked to be finite."""
     if not (math.isfinite(inp.u) and math.isfinite(inp.v)):
         raise ValueError(f"input has non-finite components: {inp}")
-    return dynamics_values(g.theta, inp.u, inp.v)
+    return inp
+
+
+def dynamics(g: GroupElement, inp: RobotInput) -> tuple[float, float, float]:
+    """Unicycle state derivative (xdot, ydot, thetadot) = (u cos, u sin, u v)."""
+    u, v = finite_input(inp)
+    return dynamics_values(g.theta, u, v)
 
 
 def measure_values(g: GroupElement, lm: LandmarkSet) -> tuple[float, ...]:

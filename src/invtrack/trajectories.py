@@ -16,7 +16,7 @@ from typing import Callable, Protocol, Sequence
 
 from . import se2
 from .numerics import integrate
-from .robot import RobotInput, dynamics
+from .robot import RobotInput, dynamics_values, finite_input
 from .se2 import IDENTITY, GroupElement, TangentVector
 
 
@@ -161,7 +161,8 @@ class IntegratedTrajectory:
         return self._input_fn(t)
 
     def _rate(self, t: float, w: tuple) -> tuple[float, float, float]:
-        return dynamics(GroupElement(w[0], w[1], w[2]), self._input_fn(t))
+        u, v = finite_input(self._input_fn(t))
+        return dynamics_values(w[2], u, v)
 
     def pose(self, t: float) -> GroupElement:
         if t < 0.0:

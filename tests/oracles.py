@@ -1,0 +1,81 @@
+"""Reference forms that the package's bare-float cores are checked against.
+
+These are the numpy bodies that ekf_field and ep_dynamics had before the
+right-hand sides moved onto riccati_values and ep_rate_values: the same
+formulas written with 3x3 arrays, np.linalg.solve and np.cross, plus the
+runs that integrate them with numerics.integrate.
+"""
+
+import numpy as np
+
+from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
+from invtrack.mech import hat, project_rotation
+from invtrack.numerics import integrate
+from invtrack.observer import output_error
+from invtrack.robot import dynamics, measure
+from invtrack.se2 import GroupElement
+
+
+def ekf_field_oracle(x_hat, P, inp, lm, y, Q, R):
+    F, H = ekf_jacobians(x_hat, inp, lm)
+    L = P @ np.linalg.solve(R, H).T
+    resid = output_error(x_hat, lm, y)
+    xdot = np.asarray(dynamics(x_hat, inp)) - L @ resid
+    pdot = F @ P + P @ F.T + Q - L @ H @ P
+    return xdot, 0.5 * (pdot + pdot.T)
+
+
+def ekf_oracle_run(traj, lm, t_end, dt, Q, R, P0=None):
+    """run_along_reference with ekf_field_oracle as the right-hand side:
+    (times, estimates (n, 3), covariances (n, 3, 3))."""
+    Pm = np.eye(3) * DEFAULT_INITIAL_COVARIANCE if P0 is None else np.asarray(P0, dtype=float)
+
+    def rate(t, w):
+        xdot, pdot = ekf_field_oracle(
+            GroupElement(*w[:3]), np.array(w[3:]).reshape(3, 3), traj.input(t), lm,
+            measure(traj.pose(t), lm), Q, R,
+        )
+        return xdot.tolist() + pdot.ravel().tolist()
+
+    def keep_psd(t, w):
+        P = np.array(w[3:]).reshape(3, 3)
+        return w[:3] + tuple((0.5 * (P + P.T)).ravel().tolist())
+
+    g0 = traj.pose(0.0)
+    w0 = (g0.x, g0.y, g0.theta, *Pm.ravel().tolist())
+    times, states = integrate(rate, w0, 0.0, t_end, dt, keep_psd)
+    rows = np.asarray(states)
+    return np.asarray(times), rows[:, :3], rows[:, 3:].reshape(-1, 3, 3)
+
+
+def ep_dynamics_oracle(attitude, velocity, inertia, force, u):
+    att_dot = attitude @ hat(velocity)
+    torque = u if force is None else force(attitude, velocity) + u
+    gyro = np.linalg.solve(inertia, np.cross(inertia @ velocity, velocity))
+    return att_dot, gyro + np.linalg.solve(inertia, torque)
+
+
+def ep_oracle_run(s, u_fn, t_end, dt):
+    """integrate_ep with ep_dynamics_oracle as the right-hand side:
+    (times, attitudes (n, 3, 3), velocities (n, 3))."""
+
+    def rate(t, w):
+        att_dot, vel_dot = ep_dynamics_oracle(
+            np.array(w[:9]).reshape(3, 3), np.array(w[9:]), s.inertia, s.force,
+            np.asarray(u_fn(t), dtype=float),
+        )
+        return att_dot.ravel().tolist() + vel_dot.tolist()
+
+    def reproject(t, w):
+        return tuple(project_rotation(np.array(w[:9]).reshape(3, 3)).ravel().tolist()) + w[9:]
+
+    w0 = s.attitude.ravel().tolist() + s.velocity.tolist()
+    times, states = integrate(rate, w0, 0.0, t_end, dt, reproject)
+    rows = np.asarray(states)
+    return np.asarray(times), rows[:, :9].reshape(-1, 3, 3), rows[:, 9:]
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Largest entry-wise difference within rtol of the largest oracle entry."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from invtrack.cli import main
+from invtrack.ekf import run_along_reference
 from invtrack.reporting import CSV_COLUMNS
+from invtrack.scenario import parse_scenario
+from oracles import assert_close, ekf_oracle_run
 
 VERDICT_KEYS = ("command", "pass", "metrics", "tolerances", "scenario_digest")
 
@@ -71,6 +75,38 @@ class TestVerdicts:
         assert report["metrics"]["velocity_force_drift"] <= 1e-6
         assert report["metrics"]["attitude_force_drift"] >= 1e-2
         assert report["metrics"]["energy_drift"] <= 1e-8
+
+
+class TestReverseDriving:
+    # u_r < 0 on the standard circle; simulate's reverse runs are covered in
+    # test_closed_loop.py.
+    REVERSE = {"trajectory": {"u": -1.0, "v": 0.5}}
+
+    @pytest.mark.parametrize("command", ["eigs", "separation", "invariance"])
+    def test_verdict_passes(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, self.REVERSE), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{command}: pass\n"
+        report = read_report(out, "eigs.json" if command == "eigs" else "report.json")
+        assert report["pass"] is True
+
+    def test_ekf_compare_passes_and_run_matches_oracle(self, tmp_path):
+        doc = dict(self.REVERSE, probe_times=[0.0, 0.16, 0.32, 0.48])
+        out = tmp_path / "out"
+        assert main(["ekf-compare", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert read_report(out)["metrics"]["ekf_drift"] > 0.1
+        parsed = parse_scenario(doc)
+        sc = parsed.scenario
+        Q = np.eye(3) * parsed.ekf_process_noise
+        R = np.eye(len(sc.landmarks)) * parsed.ekf_measurement_noise
+        P0 = np.eye(3) * parsed.ekf_initial_covariance
+        run = run_along_reference(sc.trajectory, sc.landmarks, 0.48, sc.dt, Q=Q, R=R, P0=P0)
+        times, estimates, covariances = ekf_oracle_run(
+            sc.trajectory, sc.landmarks, 0.48, sc.dt, Q, R, P0
+        )
+        assert run.times.tolist() == times.tolist()
+        assert_close(run.estimates, estimates)
+        assert_close(run.covariances, covariances)
 
 
 class TestSimulate:

@@ -35,6 +35,7 @@ from invtrack.trajectories import (
     PiecewiseTrajectory,
     Segment,
 )
+from strategies import HEADINGS, floats, landmark_sets, signed
 
 KG = ControllerGains(1.0, 1.0, 1.0)
 OG = ObserverGains(1.0, 1.0, 1.0)
@@ -218,54 +219,25 @@ def composed_simulate(sc):
     )
 
 
-def _floats(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-
-
-def _signed(lo, hi):
-    return st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), _floats(lo, hi))
-
-
-# Headings anywhere, or within 1e-6 of the +-pi wrap on either side.
-HEADINGS = st.one_of(
-    _floats(-math.pi, math.pi),
-    _floats(0.0, 1e-6).map(lambda d: math.pi - d),
-    _floats(0.0, 1e-6).map(lambda d: -math.pi + d),
-)
-SPEEDS = _signed(0.2, 3.0)
-STEERS = st.one_of(st.just(0.0), _signed(0.1, 2.0))
+SPEEDS = signed(0.2, 3.0)
+STEERS = st.one_of(st.just(0.0), signed(0.1, 2.0))
 
 
 @st.composite
 def references(draw):
-    start = GroupElement(draw(_floats(-5.0, 5.0)), draw(_floats(-5.0, 5.0)), draw(HEADINGS))
+    start = GroupElement(draw(floats(-5.0, 5.0)), draw(floats(-5.0, 5.0)), draw(HEADINGS))
     kind = draw(st.sampled_from(("permanent", "piecewise", "wobble")))
     if kind == "permanent":
         return PermanentTrajectory(draw(SPEEDS), draw(STEERS), start)
     if kind == "piecewise":
-        legs = draw(st.lists(st.builds(Segment, SPEEDS, STEERS, _floats(0.2, 1.5)),
+        legs = draw(st.lists(st.builds(Segment, SPEEDS, STEERS, floats(0.2, 1.5)),
                              min_size=1, max_size=4))
         return PiecewiseTrajectory(tuple(legs), start)
-    u, v, amp, rate = draw(SPEEDS), draw(STEERS), draw(_floats(0.1, 0.4)), draw(_floats(0.5, 2.0))
+    u, v, amp, rate = draw(SPEEDS), draw(STEERS), draw(floats(0.1, 0.4)), draw(floats(0.5, 2.0))
     return IntegratedTrajectory(lambda t: RobotInput(u, v + amp * math.sin(rate * t)), start)
 
 
-@st.composite
-def landmark_sets(draw):
-    # Jittered, evenly spread bearings leave every angular gap below pi, so
-    # the centre lies inside the hull and the set is never collinear.
-    count = draw(st.integers(3, 12))
-    step = 2.0 * math.pi / count
-    cx, cy = draw(_floats(-5.0, 5.0)), draw(_floats(-5.0, 5.0))
-    pts = []
-    for i in range(count):
-        bearing = i * step + draw(_floats(-0.25, 0.25)) * step
-        radius = draw(_floats(3.0, 20.0))
-        pts.append((cx + radius * math.cos(bearing), cy + radius * math.sin(bearing)))
-    return LandmarkSet(tuple(pts))
-
-
-GAINS = st.tuples(_floats(0.2, 5.0), _floats(0.2, 5.0), _floats(0.2, 5.0))
+GAINS = st.tuples(floats(0.2, 5.0), floats(0.2, 5.0), floats(0.2, 5.0))
 
 
 class TestFusedRate:
@@ -274,10 +246,10 @@ class TestFusedRate:
         lm=landmark_sets(),
         kg=GAINS.map(lambda k: ControllerGains(*k)),
         og=GAINS.map(lambda k: ObserverGains(*k)),
-        pose=st.tuples(_floats(-8.0, 8.0), _floats(-8.0, 8.0), HEADINGS),
-        est=st.tuples(_floats(-8.0, 8.0), _floats(-8.0, 8.0), HEADINGS),
-        t=_floats(0.0, 3.0),
-        h=_floats(1e-3, 0.1),
+        pose=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
+        est=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
+        t=floats(0.0, 3.0),
+        h=floats(1e-3, 0.1),
     )
     def test_matches_composed_rate(self, traj, lm, kg, og, pose, est, t, h):
         # The stage times of one RK4 step, so the memoized reference lookup

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invtrack.ekf import (
     EkfState,
     ekf_error_matrix,
     ekf_field,
     ekf_jacobians,
+    riccati_values,
     run_along_reference,
     time_variance_probe,
 )
@@ -16,8 +19,31 @@ from invtrack.numerics import integrate, jacobian_fd
 from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
+from oracles import assert_close, ekf_field_oracle, ekf_oracle_run
+from strategies import HEADINGS, floats, landmark_sets, signed
 
 STANDARD = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, -10.0)))
+
+
+def _spd(draw, n, scale):
+    # B B^T + n I, scaled: symmetric positive definite with condition number
+    # at most n + 1 for entries of B in [-1, 1].
+    b = np.array(draw(st.lists(floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+    b = b.reshape(n, n)
+    return scale * (b @ b.T + n * np.eye(n))
+
+
+@st.composite
+def riccati_cases(draw):
+    lm = draw(landmark_sets(max_count=8))
+    count = len(lm)
+    x_hat = GroupElement(draw(floats(-8.0, 8.0)), draw(floats(-8.0, 8.0)), draw(HEADINGS))
+    truth = GroupElement(x_hat.x + draw(floats(-0.5, 0.5)), x_hat.y + draw(floats(-0.5, 0.5)), 0.0)
+    inp = RobotInput(draw(signed(0.2, 3.0)), draw(st.one_of(st.just(0.0), signed(0.1, 2.0))))
+    P = _spd(draw, 3, draw(floats(1e-3, 1.0)))
+    Q = _spd(draw, 3, draw(floats(1e-4, 1e-2)))
+    R = _spd(draw, count, draw(floats(1e-3, 1.0)))
+    return x_hat, P, inp, lm, measure(truth, lm), Q, R
 
 
 class TestState:
@@ -59,6 +85,26 @@ class TestJacobians:
 
 
 class TestField:
+    @given(case=riccati_cases())
+    def test_riccati_values_match_oracle(self, case):
+        x_hat, P, inp, lm, y, Q, R = case
+        want_x, want_p = ekf_field_oracle(x_hat, P, inp, lm, y, Q, R)
+        got = riccati_values(
+            (x_hat.x, x_hat.y, x_hat.theta, *P.ravel().tolist()), inp.u, inp.v, lm.coords,
+            y.values, tuple(Q.ravel().tolist()), tuple(map(tuple, np.linalg.inv(R).tolist())),
+        )
+        assert_close(got[:3], want_x)
+        assert_close(got[3:], want_p.ravel())
+        got_x, got_p = ekf_field(x_hat, P, inp, lm, y, Q, R)
+        assert got_x.tolist() == list(got[:3])
+        assert got_p.ravel().tolist() == list(got[3:])
+
+    def test_non_finite_input_rejected(self):
+        g = GroupElement(0.5, -0.5, 0.8)
+        with pytest.raises(ValueError, match="input has non-finite components"):
+            ekf_field(g, np.eye(3), RobotInput(math.nan, 0.5), STANDARD, measure(g, STANDARD),
+                      np.eye(3), np.eye(3))
+
     def test_pure_model_on_exact_measurement(self):
         g = GroupElement(0.5, -0.5, 0.8)
         st = EkfState(g, np.eye(3) * 1e-2)
@@ -92,6 +138,31 @@ class TestField:
 
 
 class TestRun:
+    @pytest.mark.parametrize("u", [1.0, -1.0])
+    def test_matches_oracle_run(self, u):
+        # Non-diagonal R and Q, four landmarks, forward and reverse driving,
+        # starting across the heading wrap.
+        lm = LandmarkSet(((9.0, 1.0), (-2.0, 8.0), (-7.0, -6.0), (4.0, -9.0)))
+        traj = PermanentTrajectory(u, 0.5, GroupElement(1.0, -2.0, math.pi - 1e-3))
+        rng = np.random.default_rng(71)
+        b = rng.uniform(-1.0, 1.0, (4, 4))
+        R = 1e-2 * (b @ b.T + 4.0 * np.eye(4))
+        Q = 1e-3 * np.array([[1.0, 0.2, 0.1], [0.2, 1.5, -0.3], [0.1, -0.3, 2.0]])
+        run = run_along_reference(traj, lm, 0.3, 1e-3, Q=Q, R=R)
+        times, estimates, covariances = ekf_oracle_run(traj, lm, 0.3, 1e-3, Q, R)
+        assert run.times.tolist() == times.tolist()
+        assert_close(run.estimates, estimates)
+        assert_close(run.covariances, covariances)
+
+    def test_non_finite_reference_input_rejected(self):
+        class NanInput(PermanentTrajectory):
+            def input(self, t):
+                return RobotInput(math.nan, self.v) if t > 0.01 else super().input(t)
+
+        traj = NanInput(1.0, 0.5)
+        with pytest.raises(ValueError, match="input has non-finite components"):
+            run_along_reference(traj, STANDARD, t_end=0.1, dt=1e-3)
+
     def test_estimate_stays_on_reference(self):
         traj = PermanentTrajectory(1.0, 0.5)
         run = run_along_reference(traj, STANDARD, t_end=2.0, dt=1e-3)

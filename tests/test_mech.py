@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invtrack.mech import (
     EpSystem,
     damping_force,
     ep_dynamics,
+    ep_rate_values,
     error_linearization_drift,
     gravity_gradient_force,
     gyroscopic_acceleration,
@@ -20,9 +23,34 @@ from invtrack.mech import (
     spin_feedforward,
     vee,
 )
+from oracles import assert_close, ep_dynamics_oracle, ep_oracle_run
+from strategies import floats
 
 INERTIA = np.diag([1.0, 2.0, 3.0])
 EYE = np.eye(3)
+# Symmetric positive definite with nonzero products of inertia.
+FULL_INERTIA = np.array([[1.2, 0.1, -0.2], [0.1, 2.0, 0.3], [-0.2, 0.3, 2.9]])
+
+
+def _vectors(lo, hi):
+    return st.tuples(floats(lo, hi), floats(lo, hi), floats(lo, hi)).map(np.array)
+
+
+@st.composite
+def inertias(draw):
+    # B B^T + 3 I, scaled: symmetric positive definite, generally non-diagonal.
+    b = np.array(draw(st.lists(floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3)
+    return draw(floats(0.1, 5.0)) * (b @ b.T + 3.0 * np.eye(3))
+
+
+FORCES = st.one_of(
+    st.none(),
+    _vectors(0.1, 1.0).map(damping_force),
+    st.builds(
+        gravity_gradient_force, floats(0.1, 2.0),
+        _vectors(-1.0, 1.0).filter(lambda a: np.linalg.norm(a) > 0.1),
+    ),
+)
 
 
 class TestRotations:
@@ -81,6 +109,46 @@ class TestRotations:
 
 
 class TestDynamics:
+    @given(
+        inertia=inertias(),
+        force=FORCES,
+        zeta=_vectors(-3.0, 3.0),
+        xi=_vectors(-2.0, 2.0),
+        u=_vectors(-1.0, 1.0),
+    )
+    def test_ep_rate_values_match_oracle(self, inertia, force, zeta, xi, u):
+        att = rotation_exp(zeta)
+        want_att, want_vel = ep_dynamics_oracle(att, xi, inertia, force, u)
+        torque = u if force is None else force(att, xi) + u
+        got = ep_rate_values(
+            tuple(att.ravel().tolist()) + tuple(xi.tolist()), tuple(inertia.ravel().tolist()),
+            tuple(np.linalg.inv(inertia).ravel().tolist()), tuple(torque.tolist()),
+        )
+        assert_close(got[:9], want_att.ravel())
+        assert_close(got[9:], want_vel)
+        got_att, got_vel = ep_dynamics(att, xi, inertia, force, u)
+        assert got_att.ravel().tolist() + got_vel.tolist() == list(got)
+        assert_close(
+            gyroscopic_acceleration(inertia, xi),
+            np.linalg.solve(inertia, np.cross(inertia @ xi, xi)),
+        )
+
+    @pytest.mark.parametrize(
+        "force", [None, damping_force([0.5, 0.4, 0.3]), gravity_gradient_force(1.0, [0.3, 0.0, 1.0])]
+    )
+    def test_matches_oracle_run(self, force):
+        s = EpSystem(rotation_exp(np.array([0.3, -0.5, 1.1])), np.array([0.4, 1.0, -0.6]),
+                     FULL_INERTIA, force)
+
+        def u_fn(t):
+            return np.array([0.1 * math.sin(t), -0.2, 0.05 * t])
+
+        times, attitudes, velocities = integrate_ep(s, u_fn, 0.2, 1e-3)
+        want_t, want_att, want_vel = ep_oracle_run(s, u_fn, 0.2, 1e-3)
+        assert times.tolist() == want_t.tolist()
+        assert_close(attitudes, want_att)
+        assert_close(velocities, want_vel)
+
     def test_principal_axis_spin_is_equilibrium(self):
         for axis in range(3):
             xi = np.zeros(3)

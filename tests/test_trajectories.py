@@ -153,6 +153,12 @@ class TestIntegrated:
         assert abs(got.y - y) <= 1e-12
         assert abs(se2.normalize_angle(got.theta - theta)) <= 1e-12
 
+    def test_non_finite_input_rejected(self):
+        traj = IntegratedTrajectory(lambda t: RobotInput(1.0, math.inf if t > 0.5 else 0.5))
+        assert traj.pose(0.4).x > 0.0
+        with pytest.raises(ValueError, match=r"^input has non-finite components: RobotInput\(u=1\.0, v=inf\)$"):
+            traj.pose(0.6)
+
 
 class TestPermanenceProbe:
     def test_zero_for_constant_input(self):
