@@ -36,6 +36,7 @@ from .mech import (
     integrate_ep,
     orthonormality_defect,
 )
+from .numerics import eigenvalues, spectrum_match_distance
 from .observer import obs_error_matrix
 from .scenario import ParsedScenario, parse_scenario
 from .trajectories import permanence_probe
@@ -104,7 +105,7 @@ def _spectrum_rows(spec) -> list:
     return [[z.real, z.imag] for z in spec.values]
 
 
-def _cmd_simulate(parsed: ParsedScenario, args, out_dir: Path) -> dict:
+def _cmd_simulate(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
     res = simulate(parsed.scenario)
     reporting.write_text(out_dir / "timeseries.csv", reporting.timeseries_csv(res))
     final_eta = float(np.linalg.norm(res.tracking_errors[-1]))
@@ -118,17 +119,12 @@ def _cmd_simulate(parsed: ParsedScenario, args, out_dir: Path) -> dict:
         "samples": len(res.times),
     }
     passed = final_eta <= tol and final_eps <= tol
-    return reporting.verdict(
-        "simulate", passed, metrics, {"final_error": tol},
-        reporting.scenario_digest(parsed.canonical),
-    )
+    return passed, metrics, {"final_error": tol}
 
 
-def _cmd_eigs(parsed: ParsedScenario, args, out_dir: Path) -> dict:
+def _cmd_eigs(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
     inp = sc.trajectory.input(0.0)
-    from .numerics import eigenvalues, spectrum_match_distance
-
     ctrl = eigenvalues(ctrl_loop_matrix(inp.u, inp.v, sc.controller_gains))
     obs = eigenvalues(obs_error_matrix(inp.u, inp.v, sc.observer_gains))
     combined = eigenvalues(
@@ -149,16 +145,11 @@ def _cmd_eigs(parsed: ParsedScenario, args, out_dir: Path) -> dict:
         and obs.max_real() < -tol
         and combined.max_real() < -tol
     )
-    return reporting.verdict(
-        "eigs", passed, metrics, {"stability_margin": tol},
-        reporting.scenario_digest(parsed.canonical),
-    )
+    return passed, metrics, {"stability_margin": tol}
 
 
-def _cmd_separation(parsed: ParsedScenario, args, out_dir: Path) -> dict:
+def _cmd_separation(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
-    from .numerics import eigenvalues, spectrum_match_distance
-
     inp0 = sc.trajectory.input(parsed.probe_times[0])
     block = separation_matrix(inp0.u, inp0.v, sc.controller_gains, sc.observer_gains)
     union = eigenvalues(ctrl_loop_matrix(inp0.u, inp0.v, sc.controller_gains)).union(
@@ -186,13 +177,10 @@ def _cmd_separation(parsed: ParsedScenario, args, out_dir: Path) -> dict:
     }
     tolerances = {"spectrum_union": tol, "linearization_match": LINEARIZATION_MATCH_CAP}
     passed = union_mismatch <= tol and deviation <= LINEARIZATION_MATCH_CAP
-    return reporting.verdict(
-        "separation", passed, metrics, tolerances,
-        reporting.scenario_digest(parsed.canonical),
-    )
+    return passed, metrics, tolerances
 
 
-def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> dict:
+def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
     times = parsed.probe_times
     ctrl_drift = time_invariance_probe(
@@ -220,13 +208,10 @@ def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> dict:
         "input_variation": input_variation,
     }
     passed = ctrl_drift <= tol and obs_drift <= tol and loop_drift <= tol
-    return reporting.verdict(
-        "invariance", passed, metrics, {"linearization_drift": tol},
-        reporting.scenario_digest(parsed.canonical),
-    )
+    return passed, metrics, {"linearization_drift": tol}
 
 
-def _cmd_ekf_compare(parsed: ParsedScenario, args, out_dir: Path) -> dict:
+def _cmd_ekf_compare(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
     p = len(sc.landmarks)
     ekf_drift = time_variance_probe(
@@ -256,13 +241,10 @@ def _cmd_ekf_compare(parsed: ParsedScenario, args, out_dir: Path) -> dict:
     }
     tolerances = {"ekf_drift_min": EKF_DRIFT_FLOOR, "invariant_drift_max": tol}
     passed = ekf_drift > EKF_DRIFT_FLOOR and obs_drift <= tol and loop_drift <= tol
-    return reporting.verdict(
-        "ekf-compare", passed, metrics, tolerances,
-        reporting.scenario_digest(parsed.canonical),
-    )
+    return passed, metrics, tolerances
 
 
-def _cmd_mech_lemma(parsed: ParsedScenario, args, out_dir: Path) -> dict:
+def _cmd_mech_lemma(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
     cfg = parsed.mech
     inertia = np.diag(cfg.inertia)
     eye = np.eye(3)
@@ -301,10 +283,7 @@ def _cmd_mech_lemma(parsed: ParsedScenario, args, out_dir: Path) -> dict:
         and attitude_drift >= DEPENDENT_DRIFT_FLOOR
         and energy_drift <= ENERGY_DRIFT_CAP
     )
-    return reporting.verdict(
-        "mech-lemma", passed, metrics, tolerances,
-        reporting.scenario_digest(parsed.canonical),
-    )
+    return passed, metrics, tolerances
 
 
 _HANDLERS = {
@@ -325,7 +304,11 @@ def main(argv=None) -> int:
         parsed = _load_scenario(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        report = _HANDLERS[args.command](parsed, args, out_dir)
+        passed, metrics, tolerances = _HANDLERS[args.command](parsed, args, out_dir)
+        report = reporting.verdict(
+            args.command, passed, metrics, tolerances,
+            reporting.scenario_digest(parsed.canonical),
+        )
         name = _REPORT_NAME.get(args.command, "report.json")
         reporting.write_text(out_dir / name, reporting.json_text(report))
     except InvtrackError as err:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .numerics import integrate, max_pairwise_distance
-from .robot import LandmarkSet, Measurement, RobotInput, dynamics_values, finite_input, measure
+from .robot import LandmarkSet, RobotInput, dynamics_values, finite_input, measure
 from .se2 import GroupElement
 
 DEFAULT_PROCESS_NOISE = 1e-3
@@ -73,7 +73,8 @@ def riccati_values(
     q: tuple,
     r_inv: tuple,
 ) -> tuple:
-    """Bare-float core of ekf_field on the flat state (x, y, theta, P row-major).
+    """Time derivative of (x_hat, P) under the continuous-time Riccati flow,
+    on the flat state (x, y, theta, P row-major).
 
     q holds Q's nine entries row-major and r_inv the rows of R^-1; y is the
     measurement, one value per landmark in coords.  Checks nothing.
@@ -130,45 +131,6 @@ def riccati_values(
         e01, d11, e12,
         e02, e12, d22,
     )
-
-
-def ekf_field(
-    x_hat: GroupElement,
-    P: np.ndarray,
-    inp: RobotInput,
-    lm: LandmarkSet,
-    y: Measurement,
-    Q: np.ndarray,
-    R: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of (x_hat, P) under the continuous-time Riccati flow.
-
-    An array wrapper over riccati_values.  Takes raw arrays and checks
-    nothing but the input: callers validate P (see EkfState) and the shape
-    of R (p x p) once, before a run.
-    """
-    u, v = finite_input(inp)
-    rates = riccati_values(
-        (x_hat.x, x_hat.y, x_hat.theta, *np.asarray(P, dtype=float).ravel().tolist()),
-        u, v, lm.coords, y.values,
-        tuple(np.broadcast_to(np.asarray(Q, dtype=float), (3, 3)).ravel().tolist()),
-        tuple(map(tuple, np.linalg.inv(R).tolist())),
-    )
-    return np.array(rates[:3]), np.array(rates[3:]).reshape(3, 3)
-
-
-def ekf_error_matrix(
-    x_hat: GroupElement,
-    inp: RobotInput,
-    lm: LandmarkSet,
-    L: np.ndarray,
-) -> np.ndarray:
-    """World-frame linearized error dynamics F - L H for a given gain."""
-    F, H = ekf_jacobians(x_hat, inp, lm)
-    Lm = np.asarray(L, dtype=float)
-    if Lm.shape != (3, len(lm)):
-        raise ValueError(f"L must be 3x{len(lm)}, got {Lm.shape}")
-    return F - Lm @ H
 
 
 @dataclass(frozen=True)
@@ -242,18 +204,17 @@ def time_variance_probe(
     R: np.ndarray | None = None,
     P0: np.ndarray | None = None,
 ) -> float:
-    """Max pairwise Frobenius distance between F - L H sampled along a run."""
+    """Max pairwise Frobenius distance between the world-frame linearized
+    error dynamics F - L H, with L = P H^T R^-1, sampled along a run."""
     times = sorted(float(t) for t in times)
     if len(times) < 2:
         raise ValueError("need at least two probe times")
-    run = run_along_reference(traj, lm, times[-1], dt, Q=Q, R=R, P0=P0)
-    p = len(lm)
-    Rm = np.eye(p) * DEFAULT_MEASUREMENT_NOISE if R is None else np.asarray(R, dtype=float)
+    Rm = np.eye(len(lm)) * DEFAULT_MEASUREMENT_NOISE if R is None else np.asarray(R, dtype=float)
+    run = run_along_reference(traj, lm, times[-1], dt, Q=Q, R=Rm, P0=P0)
     mats = []
     for tq in times:
         i = int(np.argmin(np.abs(run.times - tq)))
-        x_hat = GroupElement(*run.estimates[i])
-        _, H = ekf_jacobians(x_hat, traj.input(tq), lm)
+        F, H = ekf_jacobians(GroupElement(*run.estimates[i]), traj.input(tq), lm)
         L = run.covariances[i] @ np.linalg.solve(Rm, H).T
-        mats.append(ekf_error_matrix(x_hat, traj.input(tq), lm, L))
+        mats.append(F - L @ H)
     return max_pairwise_distance(mats)

@@ -108,11 +108,12 @@ class EpSystem:
 
 
 def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tuple:
-    """Bare-float core of ep_dynamics on the flat state (attitude row-major, velocity).
+    """Attitude and velocity derivatives on the flat state (attitude row-major, velocity).
 
     inertia and inertia_inv hold I and I^-1 row-major; torque is the total
     body torque (force model plus control).  Returns R hat(xi) row-major and
-    I^-1 ((I xi) x xi + torque).  Checks nothing.
+    I^-1 ((I xi) x xi + torque).  Checks nothing: EpSystem validates a model
+    once, before its arrays are flattened for this core.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22, a, b, c = w
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia
@@ -136,36 +137,6 @@ def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tupl
 
 def _flat(m: np.ndarray) -> tuple:
     return tuple(np.asarray(m, dtype=float).ravel().tolist())
-
-
-def gyroscopic_acceleration(inertia: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """Bilinear velocity term I^-1 ((I w) x w) of the rotating body."""
-    rates = ep_rate_values(
-        (0.0,) * 9 + _flat(velocity), _flat(inertia), _flat(np.linalg.inv(inertia)),
-        (0.0, 0.0, 0.0),
-    )
-    return np.array(rates[9:])
-
-
-def ep_dynamics(
-    attitude: np.ndarray,
-    velocity: np.ndarray,
-    inertia: np.ndarray,
-    force: Optional[ForceModel],
-    u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Attitude and velocity derivatives under control torque u.
-
-    An array wrapper over ep_rate_values.  Takes raw arrays and checks
-    nothing: EpSystem validates a model once, before its arrays are handed
-    here.
-    """
-    torque = u if force is None else force(attitude, velocity) + u
-    rates = ep_rate_values(
-        _flat(attitude) + _flat(velocity), _flat(inertia), _flat(np.linalg.inv(inertia)),
-        _flat(torque),
-    )
-    return np.array(rates[:9]).reshape(3, 3), np.array(rates[9:])
 
 
 def kinetic_energy(s: EpSystem) -> float:
@@ -210,7 +181,11 @@ def integrate_ep(
 def spin_feedforward(s: EpSystem, xi_r: np.ndarray, attitude_r: np.ndarray) -> np.ndarray:
     """Torque holding the body at constant body velocity xi_r at a given attitude."""
     xi_r = np.asarray(xi_r, dtype=float)
-    u = -(s.inertia @ gyroscopic_acceleration(s.inertia, xi_r))
+    rates = ep_rate_values(
+        (0.0,) * 9 + _flat(xi_r), _flat(s.inertia), _flat(np.linalg.inv(s.inertia)),
+        (0.0, 0.0, 0.0),
+    )
+    u = -(s.inertia @ np.array(rates[9:]))
     if s.force is not None:
         u = u - s.force(attitude_r, xi_r)
     return u
@@ -235,22 +210,29 @@ def error_linearization_drift(
     times = list(times)
     if len(times) < 2:
         raise ValueError("need at least two probe times")
+    inertia = _flat(s.inertia)
+    inertia_inv = _flat(np.linalg.inv(s.inertia))
+    force = s.force
 
-    def error_rate(t: float, w: np.ndarray) -> np.ndarray:
+    def linearization(t: float) -> np.ndarray:
         att_r = s.attitude @ rotation_exp(t * xi_r)
         u_r = spin_feedforward(s, xi_r, att_r)
-        eta = rotation_exp(w[:3])
-        xi = xi_r + w[3:]
-        _, xi_dot = ep_dynamics(att_r @ eta, xi, s.inertia, s.force, u_r)
-        # Relative attitude rate in the body frame of eta, then pulled back
-        # to exponential coordinates.
-        omega_rel = xi - eta.T @ xi_r
-        zeta_dot = inv_right_jacobian(w[:3]) @ omega_rel
-        return np.concatenate([zeta_dot, xi_dot])
 
-    return max_pairwise_distance(
-        [jacobian_fd(lambda w, _t=t: error_rate(_t, w), np.zeros(6), step) for t in times]
-    )
+        def error_rate(w: np.ndarray) -> np.ndarray:
+            eta = rotation_exp(w[:3])
+            att = att_r @ eta
+            xi = xi_r + w[3:]
+            torque = u_r if force is None else force(att, xi) + u_r
+            rates = ep_rate_values(_flat(att) + _flat(xi), inertia, inertia_inv, _flat(torque))
+            # Relative attitude rate in the body frame of eta, then pulled
+            # back to exponential coordinates.
+            omega_rel = xi - eta.T @ xi_r
+            zeta_dot = inv_right_jacobian(w[:3]) @ omega_rel
+            return np.concatenate([zeta_dot, rates[9:]])
+
+        return jacobian_fd(error_rate, np.zeros(6), step)
+
+    return max_pairwise_distance([linearization(t) for t in times])
 
 
 def damping_force(coefficients) -> ForceModel:

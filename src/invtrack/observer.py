@@ -68,6 +68,14 @@ def gram_condition(a: float, b: float, d: float) -> float:
     return (mean + radius) / lo
 
 
+def _check_condition(cond: float, max_condition: float) -> None:
+    if not (cond < max_condition):
+        raise GeometryError(
+            f"body-frame landmark Gram matrix is ill-conditioned: "
+            f"condition number {cond:.3e} exceeds {max_condition:.3e}"
+        )
+
+
 def body_frame_landmarks(x_hat: GroupElement, lm: LandmarkSet) -> BodyFrameLandmarks:
     """Rotate each landmark offset into the estimated body frame."""
     c = math.cos(x_hat.theta)
@@ -120,12 +128,7 @@ def gain_matrix(
     Raises:
         GeometryError: Gram matrix condition number exceeds max_condition.
     """
-    cond = bf.condition_number()
-    if not (cond < max_condition):
-        raise GeometryError(
-            f"body-frame landmark Gram matrix is ill-conditioned: "
-            f"condition number {cond:.3e} exceeds {max_condition:.3e}"
-        )
+    _check_condition(bf.condition_number(), max_condition)
     gram_inv = np.linalg.inv(bf.gram())
     return -0.5 * _weights(inp.u, inp.v, gains) @ gram_inv @ bf.coords
 
@@ -165,12 +168,7 @@ def observer_rate(
         eps = dx * dx + dy * dy - lam
         w1 += ix * eps
         w2 += iy * eps
-    cond = gram_condition(a, b, d)
-    if not (cond < max_condition):
-        raise GeometryError(
-            f"body-frame landmark Gram matrix is ill-conditioned: "
-            f"condition number {cond:.3e} exceeds {max_condition:.3e}"
-        )
+    _check_condition(gram_condition(a, b, d), max_condition)
     det = a * d - b * b
     s1 = (d * w1 - b * w2) / det
     s2 = (-b * w1 + a * w2) / det

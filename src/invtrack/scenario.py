@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from . import se2
 from .closed_loop import Scenario
 from .controller import ControllerGains
+from .ekf import DEFAULT_INITIAL_COVARIANCE, DEFAULT_MEASUREMENT_NOISE, DEFAULT_PROCESS_NOISE
 from .errors import GeometryError, ScenarioError
 from .observer import ObserverGains
 from .robot import LandmarkSet, RobotInput
@@ -326,12 +327,18 @@ def parse_scenario(doc: dict) -> ParsedScenario:
     _check_keys(
         ekf_doc, {"process_noise", "measurement_noise", "initial_covariance"}, "ekf."
     )
-    q = _require_number(ekf_doc.get("process_noise", 1e-3), "ekf.process_noise", positive=True)
+    q = _require_number(
+        ekf_doc.get("process_noise", DEFAULT_PROCESS_NOISE), "ekf.process_noise", positive=True
+    )
     r = _require_number(
-        ekf_doc.get("measurement_noise", 1e-2), "ekf.measurement_noise", positive=True
+        ekf_doc.get("measurement_noise", DEFAULT_MEASUREMENT_NOISE),
+        "ekf.measurement_noise",
+        positive=True,
     )
     p0 = _require_number(
-        ekf_doc.get("initial_covariance", 1e-2), "ekf.initial_covariance", positive=True
+        ekf_doc.get("initial_covariance", DEFAULT_INITIAL_COVARIANCE),
+        "ekf.initial_covariance",
+        positive=True,
     )
 
     mech_doc = doc.get("mech", {})

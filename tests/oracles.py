@@ -1,9 +1,9 @@
 """Reference forms that the package's bare-float cores are checked against.
 
-These are the numpy bodies that ekf_field and ep_dynamics had before the
-right-hand sides moved onto riccati_values and ep_rate_values: the same
-formulas written with 3x3 arrays, np.linalg.solve and np.cross, plus the
-runs that integrate them with numerics.integrate.
+The Riccati flow of riccati_values and the Euler-Poincare rates of
+ep_rate_values written as the textbook formulas, with 3x3 arrays,
+np.linalg.solve and np.cross, plus the runs that integrate them with
+numerics.integrate.
 """
 
 import numpy as np

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invtrack import se2
 from invtrack.closed_loop import observer_error_field
@@ -9,6 +11,7 @@ from invtrack.controller import tracking_error
 from invtrack.errors import GeometryError
 from invtrack.numerics import eigenvalues, jacobian_fd
 from invtrack.observer import (
+    DEFAULT_MAX_CONDITION,
     ObserverGains,
     body_frame_landmarks,
     gain_matrix,
@@ -20,6 +23,7 @@ from invtrack.observer import (
 from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure, transform_landmarks
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
+from strategies import HEADINGS, floats, landmark_sets, signed
 
 GAINS = ObserverGains(1.0, 1.0, 1.0)
 STANDARD = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, -10.0)))
@@ -167,7 +171,71 @@ class TestGainMatrix:
                            GAINS, max_condition=1e3)
 
 
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_default_cap_boundary(self, side):
+        # Estimates far out along a ray see the landmarks nearly collinear;
+        # bisect the distance to a Gram condition number 1e-3 relative below
+        # (side -1) or above (side +1) the default cap.
+        target = DEFAULT_MAX_CONDITION * (1.0 + side * 1e-3)
+        heading = 2.0
+
+        def pose(dist):
+            return GroupElement(dist * math.cos(0.3), dist * math.sin(0.3), heading)
+
+        lo, hi = 10.0, 1e7
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if body_frame_landmarks(pose(mid), STANDARD).condition_number() < target:
+                lo = mid
+            else:
+                hi = mid
+        x_hat = pose(lo)
+        cond = body_frame_landmarks(x_hat, STANDARD).condition_number()
+        assert abs(cond / target - 1.0) < 1e-6
+        inp = RobotInput(1.0, 0.5)
+        y = measure(GroupElement(0.0, 0.0, 0.0), STANDARD)
+        bf = body_frame_landmarks(x_hat, STANDARD)
+        if side < 0.0:
+            gain_matrix(bf, inp, GAINS)
+            observer_field(x_hat, inp, STANDARD, y, GAINS)
+            return
+        with pytest.raises(GeometryError) as from_gain:
+            gain_matrix(bf, inp, GAINS)
+        with pytest.raises(GeometryError) as from_field:
+            observer_field(x_hat, inp, STANDARD, y, GAINS)
+        assert str(from_gain.value) == str(from_field.value)
+        assert "exceeds 1.000e+08" in str(from_gain.value)
+
+
+@st.composite
+def observer_scenes(draw):
+    lm = draw(landmark_sets())
+    truth = GroupElement(draw(floats(-8.0, 8.0)), draw(floats(-8.0, 8.0)), draw(HEADINGS))
+    # The position offset of at least 1e-3 keeps the estimate off the truth.
+    x_hat = GroupElement(
+        truth.x + draw(signed(1e-3, 1.0)), truth.y + draw(signed(1e-3, 1.0)), draw(HEADINGS)
+    )
+    inp = RobotInput(draw(signed(0.2, 3.0)), draw(st.one_of(st.just(0.0), signed(0.1, 2.0))))
+    return x_hat, inp, lm, measure(truth, lm)
+
+
 class TestObserverField:
+    @given(scene=observer_scenes())
+    def test_correction_is_gain_matrix_times_output_error(self, scene):
+        # observer_field (the form the simulation runs) and gain_matrix (the
+        # form the gain identity certifies) apply the same correction.
+        x_hat, inp, lm, y = scene
+        field = np.array(observer_field(x_hat, inp, lm, y, GAINS))
+        model = np.array(dynamics(x_hat, inp))
+        diff = field - model
+        c, s = math.cos(x_hat.theta), math.sin(x_hat.theta)
+        body = np.array([c * diff[0] + s * diff[1], -s * diff[0] + c * diff[1], diff[2]])
+        L = gain_matrix(body_frame_landmarks(x_hat, lm), inp, GAINS)
+        correction = -L @ output_error(x_hat, lm, y)
+        scale = max(np.max(np.abs(correction)), np.max(np.abs(model)))
+        assert np.max(np.abs(body - correction)) <= 1e-12 * scale
+
+
     def test_model_replication_at_truth(self):
         x = GroupElement(0.4, 0.9, -1.2)
         inp = RobotInput(1.0, 0.5)
