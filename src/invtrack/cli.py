@@ -17,6 +17,7 @@ import numpy as np
 
 from . import reporting
 from .closed_loop import (
+    Scenario,
     closed_loop_error_field,
     controller_error_field,
     linearize_error_field,
@@ -180,12 +181,8 @@ def _cmd_separation(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
     return passed, metrics, tolerances
 
 
-def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
-    sc = parsed.scenario
-    times = parsed.probe_times
-    ctrl_drift = time_invariance_probe(
-        controller_error_field(sc.trajectory, sc.controller_gains), times
-    )
+def _observer_and_loop_drift(sc: Scenario, times) -> tuple[float, float]:
+    """Linearization drift of the observer and of the closed-loop error field."""
     obs_drift = time_invariance_probe(
         observer_error_field(sc.trajectory, sc.landmarks, sc.observer_gains), times
     )
@@ -195,6 +192,16 @@ def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
         ),
         times,
     )
+    return obs_drift, loop_drift
+
+
+def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
+    sc = parsed.scenario
+    times = parsed.probe_times
+    ctrl_drift = time_invariance_probe(
+        controller_error_field(sc.trajectory, sc.controller_gains), times
+    )
+    obs_drift, loop_drift = _observer_and_loop_drift(sc, times)
     grid = [sc.t_end * k / 256.0 for k in range(257)]
     input_variation = permanence_probe(
         [sc.trajectory.pose(t) for t in grid],
@@ -223,16 +230,7 @@ def _cmd_ekf_compare(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool,
         R=np.eye(p) * parsed.ekf_measurement_noise,
         P0=np.eye(3) * parsed.ekf_initial_covariance,
     )
-    obs_drift = time_invariance_probe(
-        observer_error_field(sc.trajectory, sc.landmarks, sc.observer_gains),
-        parsed.probe_times,
-    )
-    loop_drift = time_invariance_probe(
-        closed_loop_error_field(
-            sc.trajectory, sc.landmarks, sc.controller_gains, sc.observer_gains
-        ),
-        parsed.probe_times,
-    )
+    obs_drift, loop_drift = _observer_and_loop_drift(sc, parsed.probe_times)
     tol = _tol(args)
     metrics = {
         "ekf_drift": ekf_drift,

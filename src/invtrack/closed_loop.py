@@ -25,10 +25,9 @@ from .controller import (
     feedback,
     feedback_values,
     relative_pose,
-    tracking_error,
 )
 from .errors import DivergenceError, GeometryError
-from .numerics import DEFAULT_FD_STEP, integrate, jacobian_fd, max_pairwise_distance
+from .numerics import integrate, jacobian_fd, max_pairwise_distance
 from .observer import ObserverGains, obs_error_matrix, observer_field, observer_rate
 from .robot import LandmarkSet, dynamics, dynamics_values, measure, measure_values
 from .se2 import GroupElement
@@ -219,19 +218,21 @@ def closed_loop_error_field(
     kg: ControllerGains,
     og: ObserverGains,
 ) -> ErrorField:
-    """Joint (eta, eps) dynamics of the full output-feedback loop."""
+    """Joint (eta, eps) dynamics of the full output-feedback loop: the
+    right-hand side that simulate() integrates, seen in error coordinates.
+
+    GeometryError is timestamped as in simulate().
+    """
+    loop, reference = _loop_rate(traj, lm, kg, og)
 
     def rate(t: float, w: np.ndarray) -> np.ndarray:
-        g_ref = traj.pose(t)
-        ref_inp = traj.input(t)
+        xr, yr, thr, ur, vr = reference(t)
+        g_ref = GroupElement(xr, yr, thr)
         g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
         gh = se2.compose(g, GroupElement(w[3], w[4], w[5]))
-        eta_hat = tracking_error(g_ref, gh)
-        inp = feedback(eta_hat, ref_inp.u, ref_inp.v, kg)
-        y = measure(g, lm)
-        dref = dynamics(g_ref, ref_inp)
-        dg = dynamics(g, inp)
-        dgh = observer_field(gh, inp, lm, y, og)
+        dw = loop(t, g + gh)
+        dg, dgh = dw[:3], dw[3:]
+        dref = dynamics_values(thr, ur, vr)
         deta = se2.relative_rate(g_ref, dref, g, dg)
         deps = se2.relative_rate(g, dg, gh, dgh)
         return np.asarray(deta + deps)
@@ -239,23 +240,12 @@ def closed_loop_error_field(
     return ErrorField(rate, 6)
 
 
-def linearize_error_field(
-    field: ErrorField,
-    times,
-    step: float = DEFAULT_FD_STEP,
-) -> list[np.ndarray]:
+def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
     """Finite-difference linearization of the field at the origin, per time."""
-    mats = []
-    for t in times:
-        mats.append(jacobian_fd(lambda w, _t=t: field(_t, w), np.zeros(field.dim), step))
-    return mats
+    return [jacobian_fd(lambda w, _t=t: field(_t, w), np.zeros(field.dim)) for t in times]
 
 
-def time_invariance_probe(
-    field: ErrorField,
-    times,
-    step: float = DEFAULT_FD_STEP,
-) -> float:
+def time_invariance_probe(field: ErrorField, times) -> float:
     """Max pairwise Frobenius deviation between linearizations along the run.
 
     Near zero exactly when the linearized error dynamics are frozen in time;
@@ -264,7 +254,7 @@ def time_invariance_probe(
     times = list(times)
     if len(times) < 2:
         raise ValueError("need at least two probe times")
-    return max_pairwise_distance(linearize_error_field(field, times, step))
+    return max_pairwise_distance(linearize_error_field(field, times))
 
 
 def separation_matrix(

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import DEFAULT_FD_STEP, integrate, jacobian_fd, max_pairwise_distance
+from .numerics import integrate, jacobian_fd, max_pairwise_distance
 
 ForceModel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -32,10 +32,6 @@ def hat(w: np.ndarray) -> np.ndarray:
             [-w[1], w[0], 0.0],
         ]
     )
-
-
-def vee(m: np.ndarray) -> np.ndarray:
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def rotation_exp(w: np.ndarray) -> np.ndarray:
@@ -139,10 +135,6 @@ def _flat(m: np.ndarray) -> tuple:
     return tuple(np.asarray(m, dtype=float).ravel().tolist())
 
 
-def kinetic_energy(s: EpSystem) -> float:
-    return 0.5 * float(s.velocity @ s.inertia @ s.velocity)
-
-
 def integrate_ep(
     s: EpSystem,
     u_fn: Callable[[float], np.ndarray],
@@ -195,7 +187,6 @@ def error_linearization_drift(
     s: EpSystem,
     xi_r: np.ndarray,
     times,
-    step: float = DEFAULT_FD_STEP,
 ) -> float:
     """Drift of the linearized tracking-error dynamics along a steady spin.
 
@@ -230,7 +221,7 @@ def error_linearization_drift(
             zeta_dot = inv_right_jacobian(w[:3]) @ omega_rel
             return np.concatenate([zeta_dot, rates[9:]])
 
-        return jacobian_fd(error_rate, np.zeros(6), step)
+        return jacobian_fd(error_rate, np.zeros(6))
 
     return max_pairwise_distance([linearization(t) for t in times])
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DivergenceError
 
-DEFAULT_FD_STEP = 1e-6
+FD_STEP = 1e-6
 
 # Dense eigenvalue extraction is only meant for the small matrices that show
 # up here (3x3 error systems, 6x6 separation blocks).
@@ -84,19 +84,17 @@ def max_pairwise_distance(mats: Sequence[np.ndarray]) -> float:
 def jacobian_fd(
     fn: Callable[[np.ndarray], Sequence[float]],
     point: Sequence[float],
-    step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
-    """Central-difference Jacobian of fn at point, one column per coordinate."""
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    """Central-difference Jacobian of fn at point (step FD_STEP), one column
+    per coordinate."""
     p = np.asarray(point, dtype=float)
     cols = []
     for j in range(p.size):
         dp = np.zeros_like(p)
-        dp[j] = step
+        dp[j] = FD_STEP
         hi = np.asarray(fn(p + dp), dtype=float)
         lo = np.asarray(fn(p - dp), dtype=float)
-        cols.append((hi - lo) / (2.0 * step))
+        cols.append((hi - lo) / (2.0 * FD_STEP))
     jac = np.column_stack(cols)
     if not np.all(np.isfinite(jac)):
         raise ValueError("jacobian_fd produced non-finite entries")

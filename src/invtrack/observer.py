@@ -23,7 +23,7 @@ from .se2 import GroupElement
 
 # Reject the correction when the 2x2 Gram matrix of body-frame landmark
 # coordinates is this badly conditioned: the inverse is then meaningless.
-DEFAULT_MAX_CONDITION = 1e8
+MAX_CONDITION = 1e8
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,11 @@ def gram_condition(a: float, b: float, d: float) -> float:
     return (mean + radius) / lo
 
 
-def _check_condition(cond: float, max_condition: float) -> None:
-    if not (cond < max_condition):
+def _check_condition(cond: float) -> None:
+    if not (cond < MAX_CONDITION):
         raise GeometryError(
             f"body-frame landmark Gram matrix is ill-conditioned: "
-            f"condition number {cond:.3e} exceeds {max_condition:.3e}"
+            f"condition number {cond:.3e} exceeds {MAX_CONDITION:.3e}"
         )
 
 
@@ -118,7 +118,6 @@ def gain_matrix(
     bf: BodyFrameLandmarks,
     inp: RobotInput,
     gains: ObserverGains,
-    max_condition: float = DEFAULT_MAX_CONDITION,
 ) -> np.ndarray:
     """Output-injection gain L = -1/2 * W (I I^T)^-1 I, shape (3, p).
 
@@ -126,9 +125,9 @@ def gain_matrix(
     what pins the linearized error dynamics to a constant matrix.
 
     Raises:
-        GeometryError: Gram matrix condition number exceeds max_condition.
+        GeometryError: Gram matrix condition number reaches MAX_CONDITION.
     """
-    _check_condition(bf.condition_number(), max_condition)
+    _check_condition(bf.condition_number())
     gram_inv = np.linalg.inv(bf.gram())
     return -0.5 * _weights(inp.u, inp.v, gains) @ gram_inv @ bf.coords
 
@@ -142,14 +141,13 @@ def observer_rate(
     coords: Sequence[tuple[float, float]],
     values: Sequence[float],
     gains: ObserverGains,
-    max_condition: float = DEFAULT_MAX_CONDITION,
 ) -> tuple[float, float, float]:
     """Bare-float core of observer_field: estimate (xh, yh, thh), input
     (u, v), landmark coordinates and measured squared ranges, one per landmark.
 
     Raises:
         ValueError: non-finite input.
-        GeometryError: Gram matrix condition number exceeds max_condition.
+        GeometryError: Gram matrix condition number reaches MAX_CONDITION.
     """
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError(f"input has non-finite components: {RobotInput(u, v)}")
@@ -168,7 +166,7 @@ def observer_rate(
         eps = dx * dx + dy * dy - lam
         w1 += ix * eps
         w2 += iy * eps
-    _check_condition(gram_condition(a, b, d), max_condition)
+    _check_condition(gram_condition(a, b, d))
     det = a * d - b * b
     s1 = (d * w1 - b * w2) / det
     s2 = (-b * w1 + a * w2) / det
@@ -190,7 +188,6 @@ def observer_field(
     lm: LandmarkSet,
     y: Measurement | Sequence[float],
     gains: ObserverGains,
-    max_condition: float = DEFAULT_MAX_CONDITION,
 ) -> tuple[float, float, float]:
     """Estimate derivative: model flow plus the body-frame output correction.
 
@@ -200,9 +197,7 @@ def observer_field(
     values = y.values if isinstance(y, Measurement) else y
     if len(values) != len(lm):
         raise ValueError(f"measurement length {len(values)} != landmark count {len(lm)}")
-    return observer_rate(
-        x_hat.x, x_hat.y, x_hat.theta, inp.u, inp.v, lm.coords, values, gains, max_condition
-    )
+    return observer_rate(x_hat.x, x_hat.y, x_hat.theta, inp.u, inp.v, lm.coords, values, gains)
 
 
 def obs_error_matrix(u: float, v: float, gains: ObserverGains) -> np.ndarray:

@@ -52,9 +52,6 @@ class LandmarkSet:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
 
 @dataclass(frozen=True)
 class Measurement:

@@ -176,15 +176,14 @@ def _parse_gains(doc, field: str, names: tuple[str, str, str], factory):
     return factory(*vals), {n: v for n, v in zip(names, vals)}
 
 
-def _default_probe_times(traj_doc: dict) -> tuple[float, ...]:
+def _default_probe_times(traj: ReferenceTrajectory) -> tuple[float, ...]:
     # Quarter-period multiples on a closed circle, quarter-turn-of-sine
     # multiples otherwise; either way four times that separate a
     # time-varying linearization from a frozen one.
-    if "segments" not in traj_doc and "v_wobble" not in traj_doc:
-        rate = traj_doc["u"] * traj_doc["v"]
-        if rate != 0.0:
-            quarter = 0.5 * math.pi / abs(rate)
-            return (0.0, quarter, 2.0 * quarter, 3.0 * quarter)
+    period = traj.period() if isinstance(traj, PermanentTrajectory) else None
+    if period is not None:
+        quarter = period / 4.0
+        return (0.0, quarter, 2.0 * quarter, 3.0 * quarter)
     return (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
 
@@ -311,7 +310,7 @@ def parse_scenario(doc: dict) -> ParsedScenario:
 
     raw_times = doc.get("probe_times")
     if raw_times is None:
-        probe_times = _default_probe_times(traj_canonical)
+        probe_times = _default_probe_times(trajectory)
     else:
         if not isinstance(raw_times, list) or len(raw_times) < 2:
             raise ScenarioError("probe_times must be a list of at least 2 numbers")

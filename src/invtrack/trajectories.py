@@ -136,24 +136,23 @@ class PiecewiseTrajectory:
         return RobotInput(seg.u, seg.v)
 
 
+_POSE_STEP = 1e-3
+
+
 class IntegratedTrajectory:
     """Reference generated by integrating an arbitrary input profile.
 
-    pose(t) is computed by RK4 from the nearest previously evaluated time,
-    so repeated monotone queries cost one short integration each.  The object
-    is immutable apart from that cache.
+    pose(t) is computed by RK4 at a 1 ms step from the nearest
+    previously evaluated time, so repeated monotone queries cost one short
+    integration each.  The object is immutable apart from that cache.
     """
 
     def __init__(
         self,
         input_fn: Callable[[float], RobotInput],
         start: GroupElement = IDENTITY,
-        step: float = 1e-3,
     ):
-        if step <= 0.0:
-            raise ValueError(f"step must be positive, got {step}")
         self._input_fn = input_fn
-        self._step = float(step)
         self._times: list[float] = [0.0]
         self._knots: list[GroupElement] = [start]
 
@@ -171,7 +170,7 @@ class IntegratedTrajectory:
         t0 = self._times[i]
         if t0 == t:
             return self._knots[i]
-        _, states = integrate(self._rate, self._knots[i], t0, t, self._step)
+        _, states = integrate(self._rate, self._knots[i], t0, t, _POSE_STEP)
         w = states[-1]
         pose = GroupElement(w[0], w[1], se2.normalize_angle(w[2]))
         self._times.insert(i + 1, t)

@@ -1,6 +1,7 @@
 """Reference forms that the package's bare-float cores are checked against.
 
-The Riccati flow of riccati_values and the Euler-Poincare rates of
+The closed-loop error field composed from the boxed public layers; the
+Riccati flow of riccati_values and the Euler-Poincare rates of
 ep_rate_values written as the textbook formulas, with 3x3 arrays,
 np.linalg.solve and np.cross, plus the runs that integrate them with
 numerics.integrate.
@@ -8,12 +9,38 @@ numerics.integrate.
 
 import numpy as np
 
+from invtrack import se2
+from invtrack.closed_loop import ErrorField
+from invtrack.controller import feedback, tracking_error
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
 from invtrack.mech import hat, project_rotation
 from invtrack.numerics import integrate
-from invtrack.observer import output_error
+from invtrack.observer import observer_field, output_error
 from invtrack.robot import dynamics, measure
 from invtrack.se2 import GroupElement
+
+
+def composed_error_field(traj, lm, kg, og):
+    """closed_loop_error_field composed from the public layers: tracking
+    error, feedback, measurement, plant and reference dynamics, observer
+    field, each building and validating its own boxed values."""
+
+    def rate(t, w):
+        g_ref = traj.pose(t)
+        ref_inp = traj.input(t)
+        g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
+        gh = se2.compose(g, GroupElement(w[3], w[4], w[5]))
+        eta_hat = tracking_error(g_ref, gh)
+        inp = feedback(eta_hat, ref_inp.u, ref_inp.v, kg)
+        y = measure(g, lm)
+        dref = dynamics(g_ref, ref_inp)
+        dg = dynamics(g, inp)
+        dgh = observer_field(gh, inp, lm, y, og)
+        deta = se2.relative_rate(g_ref, dref, g, dg)
+        deps = se2.relative_rate(g, dg, gh, dgh)
+        return np.asarray(deta + deps)
+
+    return ErrorField(rate, 6)
 
 
 def ekf_field_oracle(x_hat, P, inp, lm, y, Q, R):

@@ -12,6 +12,7 @@ from invtrack.closed_loop import (
     _loop_rate,
     closed_loop_error_field,
     controller_error_field,
+    linearize_error_field,
     observer_error_field,
     separation_matrix,
     simulate,
@@ -35,6 +36,7 @@ from invtrack.trajectories import (
     PiecewiseTrajectory,
     Segment,
 )
+from oracles import composed_error_field
 from strategies import HEADINGS, floats, landmark_sets, signed
 
 KG = ControllerGains(1.0, 1.0, 1.0)
@@ -283,6 +285,64 @@ class TestFusedRate:
         steps = len(res.times) - 1
         assert len(calls) == 1 + 2 * steps
         assert sorted(set(calls)) == sorted(calls)
+
+
+ERRORS = st.tuples(floats(-0.5, 0.5), floats(-0.5, 0.5), floats(-0.5, 0.5))
+
+
+class TestFusedErrorField:
+    @given(
+        traj=references(),
+        lm=landmark_sets(),
+        kg=GAINS.map(lambda k: ControllerGains(*k)),
+        og=GAINS.map(lambda k: ObserverGains(*k)),
+        eta=ERRORS,
+        eps=ERRORS,
+        t=floats(0.0, 3.0),
+        h=floats(1e-3, 0.1),
+    )
+    def test_matches_composed_error_field(self, traj, lm, kg, og, eta, eps, t, h):
+        # closed_loop_error_field runs simulate()'s fused right-hand side;
+        # the layer-by-layer composition is its oracle.  Probed at the stage
+        # times of one RK4 step, so the shared reference memo is hit and
+        # missed as in a run.
+        fused = closed_loop_error_field(traj, lm, kg, og)
+        oracle = composed_error_field(traj, lm, kg, og)
+        w = np.array(eta + eps)
+        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+            try:
+                want = oracle(s, w)
+            except GeometryError as err:
+                with pytest.raises(GeometryError) as got:
+                    fused(s, w)
+                assert str(got.value) == f"{err} (at t={s:.6g})"
+                continue
+            # Same arithmetic in the same order: equal, not merely close.
+            assert np.array_equal(fused(s, w), want)
+
+    def test_geometry_error_is_timestamped(self):
+        # 5 km from a unit landmark triangle the Gram condition number is
+        # past the cap; the fused field names the time, as simulate() does.
+        traj = PermanentTrajectory(1.0, 0.0, GroupElement(5000.0, 0.0, 0.0))
+        lm = LandmarkSet(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+        with pytest.raises(GeometryError) as want:
+            composed_error_field(traj, lm, KG, OG)(0.25, np.zeros(6))
+        with pytest.raises(GeometryError) as got:
+            closed_loop_error_field(traj, lm, KG, OG)(0.25, np.zeros(6))
+        assert str(got.value) == f"{want.value} (at t=0.25)"
+
+    def test_one_reference_lookup_per_probe_time(self):
+        calls = []
+
+        class Counting(PermanentTrajectory):
+            def pose(self, t):
+                calls.append(t)
+                return super().pose(t)
+
+        # Twelve fd evaluations per probe time share one trajectory query.
+        times = [0.0, 1.0, 2.5]
+        linearize_error_field(closed_loop_error_field(Counting(1.0, 0.5), STANDARD, KG, OG), times)
+        assert calls == times
 
 
 class TestSimulateRegimes:

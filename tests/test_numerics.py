@@ -107,7 +107,7 @@ class TestJacobian:
         assert np.max(np.abs(jac - m)) < 1e-10
 
     def test_scalar_square(self):
-        jac = jacobian_fd(lambda x: np.array([x[0] ** 2]), np.array([3.0]), step=1e-5)
+        jac = jacobian_fd(lambda x: np.array([x[0] ** 2]), np.array([3.0]))
         assert abs(jac[0, 0] - 6.0) < 1e-6
 
     def test_sine_at_origin(self):

@@ -30,7 +30,7 @@ def random_pose(rng):
 class TestLandmarkSet:
     def test_len_and_array(self):
         assert len(STANDARD) == 3
-        assert STANDARD.as_array().shape == (3, 2)
+        assert np.asarray(STANDARD.coords).shape == (3, 2)
 
     def test_rejects_too_few(self):
         with pytest.raises(GeometryError):

@@ -139,7 +139,7 @@ class TestIntegrated:
         def wobble(t):
             return RobotInput(1.0, 0.5 + 0.3 * math.sin(t))
 
-        traj = IntegratedTrajectory(wobble, IDENTITY, step=1e-3)
+        traj = IntegratedTrajectory(wobble, IDENTITY)
         traj.pose(0.4567)  # leaves a knot the next query starts from
         t = 1.23456        # not a multiple of the step
         got = traj.pose(t)
