@@ -18,6 +18,7 @@ import numpy as np
 from . import reporting
 from .closed_loop import (
     Scenario,
+    _input_grid,
     closed_loop_error_field,
     controller_error_field,
     linearize_error_field,
@@ -202,10 +203,8 @@ def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
         controller_error_field(sc.trajectory, sc.controller_gains), times
     )
     obs_drift, loop_drift = _observer_and_loop_drift(sc, times)
-    grid = [sc.t_end * k / 256.0 for k in range(257)]
     input_variation = permanence_probe(
-        [sc.trajectory.pose(t) for t in grid],
-        [sc.trajectory.input(t) for t in grid],
+        [sc.trajectory.input(t) for t in _input_grid(sc.t_end)]
     )
     tol = _tol(args)
     metrics = {
@@ -220,15 +219,14 @@ def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
 
 def _cmd_ekf_compare(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
-    p = len(sc.landmarks)
     ekf_drift = time_variance_probe(
         sc.trajectory,
         sc.landmarks,
         parsed.probe_times,
         dt=sc.dt,
-        Q=np.eye(3) * parsed.ekf_process_noise,
-        R=np.eye(p) * parsed.ekf_measurement_noise,
-        P0=np.eye(3) * parsed.ekf_initial_covariance,
+        q=parsed.ekf_process_noise,
+        r=parsed.ekf_measurement_noise,
+        p0=parsed.ekf_initial_covariance,
     )
     obs_drift, loop_drift = _observer_and_loop_drift(sc, parsed.probe_times)
     tol = _tol(args)

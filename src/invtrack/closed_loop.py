@@ -36,6 +36,18 @@ from .trajectories import ReferenceTrajectory
 DIVERGENCE_LIMIT = 1e6
 
 
+def _input_grid(t_end: float) -> list[float]:
+    """The 257 evenly spaced times on [0, t_end] at which a scenario's
+    reference input is sampled: checked for u_r = 0 here, and measured for
+    drift by the invariance command."""
+    return [t_end * k / 256.0 for k in range(257)]
+
+
+def _at_time(err: GeometryError, t: float) -> GeometryError:
+    """err with the time at which the error field raised it appended."""
+    return GeometryError(f"{err} (at t={t:.6g})")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one closed-loop run."""
@@ -55,8 +67,7 @@ class Scenario:
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         # The feedback is undefined at u_r = 0; catch it before a run starts.
-        for k in range(257):
-            t = self.t_end * k / 256.0
+        for t in _input_grid(self.t_end):
             if abs(self.trajectory.input(t).u) < 1e-12:
                 raise ValueError(f"reference input u vanishes near t={t:.6g}")
 
@@ -111,7 +122,7 @@ def _loop_rate(
                 xh, yh, thh, u, v, coords, measure_values(GroupElement(x, y, th), lm), og
             )
         except GeometryError as err:
-            raise GeometryError(f"{err} (at t={t:.6g})") from err
+            raise _at_time(err, t) from err
         dx, dy, dth = dynamics_values(th, u, v)
         return (dx, dy, dth, dxh, dyh, dthh)
 
@@ -198,7 +209,10 @@ def observer_error_field(
     lm: LandmarkSet,
     gains: ObserverGains,
 ) -> ErrorField:
-    """Estimation-error dynamics with the true state riding the reference."""
+    """Estimation-error dynamics with the true state riding the reference.
+
+    GeometryError is timestamped as in simulate().
+    """
 
     def rate(t: float, w: np.ndarray) -> np.ndarray:
         g = traj.pose(t)
@@ -206,7 +220,10 @@ def observer_error_field(
         gh = se2.compose(g, GroupElement(w[0], w[1], w[2]))
         y = measure(g, lm)
         dg = dynamics(g, inp)
-        dgh = observer_field(gh, inp, lm, y, gains)
+        try:
+            dgh = observer_field(gh, inp, lm, y, gains)
+        except GeometryError as err:
+            raise _at_time(err, t) from err
         return np.asarray(se2.relative_rate(g, dg, gh, dgh))
 
     return ErrorField(rate, 3)

@@ -23,26 +23,6 @@ DEFAULT_MEASUREMENT_NOISE = 1e-2
 DEFAULT_INITIAL_COVARIANCE = 1e-2
 
 
-@dataclass(frozen=True, eq=False)
-class EkfState:
-    """Pose estimate with covariance P (3x3, symmetric positive semidefinite)."""
-
-    x_hat: GroupElement
-    P: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.P, dtype=float)
-        object.__setattr__(self, "P", p)
-        if p.shape != (3, 3):
-            raise ValueError(f"P must be 3x3, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("P has non-finite entries")
-        if not np.allclose(p, p.T, atol=1e-9):
-            raise ValueError("P must be symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (p + p.T))) < -1e-9:
-            raise ValueError("P must be positive semidefinite")
-
-
 def ekf_jacobians(
     x_hat: GroupElement,
     inp: RobotInput,
@@ -70,35 +50,33 @@ def riccati_values(
     v: float,
     coords: tuple,
     y: tuple,
-    q: tuple,
-    r_inv: tuple,
+    q: float,
+    r_inv: float,
 ) -> tuple:
     """Time derivative of (x_hat, P) under the continuous-time Riccati flow,
-    on the flat state (x, y, theta, P row-major).
+    on the flat state (x, y, theta, P row-major), with Q = q I and
+    R^-1 = r_inv I.
 
-    q holds Q's nine entries row-major and r_inv the rows of R^-1; y is the
-    measurement, one value per landmark in coords.  Checks nothing.
+    y is the measurement, one value per landmark in coords.  Checks nothing.
 
-    H has rows (2(x - lx), 2(y - ly), 0), so with S = R^-1 H the gain
+    H has rows (2(x - lx), 2(y - ly), 0), so with S = r_inv H the gain
     L = P S^T only ever meets the first two columns of P:
     L res = P[:, :2] (S^T res) and L H P = P[:, :2] (S^T H) P[:2, :].
     """
     x, yy, th, p00, p01, p02, p10, p11, p12, p20, p21, p22 = w
-    hx = [2.0 * (x - lx) for lx, _ in coords]
-    hy = [2.0 * (yy - ly) for _, ly in coords]
     g0 = g1 = m00 = m01 = m10 = m11 = 0.0
-    for (lx, ly), yi, row, hxi, hyi in zip(coords, y, r_inv, hx, hy):
-        s0 = s1 = 0.0
-        for rij, hxj, hyj in zip(row, hx, hy):
-            s0 += rij * hxj
-            s1 += rij * hyj
+    for (lx, ly), yi in zip(coords, y):
+        hx = 2.0 * (x - lx)
+        hy = 2.0 * (yy - ly)
+        s0 = r_inv * hx
+        s1 = r_inv * hy
         res = (x - lx) ** 2 + (yy - ly) ** 2 - yi
         g0 += s0 * res
         g1 += s1 * res
-        m00 += s0 * hxi
-        m01 += s0 * hyi
-        m10 += s1 * hxi
-        m11 += s1 * hyi
+        m00 += s0 * hx
+        m01 += s0 * hy
+        m10 += s1 * hx
+        m11 += s1 * hy
     # A = P[:, :2] (S^T H), so L H P = A P[:2, :].
     a00 = p00 * m00 + p01 * m10
     a01 = p00 * m01 + p01 * m11
@@ -110,16 +88,16 @@ def riccati_values(
     # (F P)_ij = f_i P_2j and (P F^T)_ij = P_i2 f_j.
     c, s, om = dynamics_values(th, u, v)
     f0 = -s
-    q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
-    d00 = f0 * p20 + p02 * f0 + q00 - (a00 * p00 + a01 * p10)
-    d01 = f0 * p21 + p02 * c + q01 - (a00 * p01 + a01 * p11)
-    d02 = f0 * p22 + q02 - (a00 * p02 + a01 * p12)
-    d10 = c * p20 + p12 * f0 + q10 - (a10 * p00 + a11 * p10)
-    d11 = c * p21 + p12 * c + q11 - (a10 * p01 + a11 * p11)
-    d12 = c * p22 + q12 - (a10 * p02 + a11 * p12)
-    d20 = p22 * f0 + q20 - (a20 * p00 + a21 * p10)
-    d21 = p22 * c + q21 - (a20 * p01 + a21 * p11)
-    d22 = q22 - (a20 * p02 + a21 * p12)
+    d00 = f0 * p20 + p02 * f0 + q - (a00 * p00 + a01 * p10)
+    d01 = f0 * p21 + p02 * c - (a00 * p01 + a01 * p11)
+    d02 = f0 * p22 - (a00 * p02 + a01 * p12)
+    d10 = c * p20 + p12 * f0 - (a10 * p00 + a11 * p10)
+    d11 = c * p21 + p12 * c + q - (a10 * p01 + a11 * p11)
+    d12 = c * p22 - (a10 * p02 + a11 * p12)
+    d20 = p22 * f0 - (a20 * p00 + a21 * p10)
+    d21 = p22 * c - (a20 * p01 + a21 * p11)
+    d22 = q - (a20 * p02 + a21 * p12)
+    # Each off-diagonal pair gets one value, so RK4 keeps P exactly symmetric.
     e01 = 0.5 * (d01 + d10)
     e02 = 0.5 * (d02 + d20)
     e12 = 0.5 * (d12 + d21)
@@ -147,30 +125,25 @@ def run_along_reference(
     lm: LandmarkSet,
     t_end: float,
     dt: float,
-    Q: np.ndarray | None = None,
-    R: np.ndarray | None = None,
-    P0: np.ndarray | None = None,
+    q: float,
+    r: float,
+    p0: float,
 ) -> EkfRun:
-    """Integrate the filter fed by noise-free measurements of the reference.
+    """Integrate the filter fed by noise-free measurements of the reference,
+    with Q = q I, R = r I and P(0) = p0 I.
 
     The estimate starts on the reference, so the run isolates how the
-    covariance (and with it the gain) evolves along the path.  P0 and R are
-    validated here, once, and R^-1 and Q's entries taken once for the
-    bare-float riccati_values; after every step P is re-symmetrized and
-    checked to be positive semidefinite.
+    covariance (and with it the gain) evolves along the path.  The noise
+    levels are validated here, once; after every step P is checked to be
+    positive semidefinite.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
-    p = len(lm)
-    Qm = np.eye(3) * DEFAULT_PROCESS_NOISE if Q is None else np.asarray(Q, dtype=float)
-    Rm = np.eye(p) * DEFAULT_MEASUREMENT_NOISE if R is None else np.asarray(R, dtype=float)
-    Pm = np.eye(3) * DEFAULT_INITIAL_COVARIANCE if P0 is None else np.asarray(P0, dtype=float)
-    if Rm.shape != (p, p):
-        raise ValueError(f"R must be {p}x{p}, got {Rm.shape}")
-    start = EkfState(traj.pose(0.0), Pm)
+    for name, level in (("q", q), ("r", r), ("p0", p0)):
+        if not (level > 0.0 and math.isfinite(level)):
+            raise ValueError(f"noise level {name} must be positive and finite, got {level}")
     coords = lm.coords
-    q = tuple(np.broadcast_to(Qm, (3, 3)).ravel().tolist())
-    r_inv = tuple(map(tuple, np.linalg.inv(Rm).tolist()))
+    r_inv = 1.0 / r
 
     def rate(t: float, w: tuple) -> tuple:
         u, v = finite_input(traj.input(t))
@@ -178,18 +151,17 @@ def run_along_reference(
         return riccati_values(w, u, v, coords, y, q, r_inv)
 
     def keep_psd(t: float, w: tuple) -> tuple:
-        P = np.array(w[3:]).reshape(3, 3)
-        P = 0.5 * (P + P.T)
-        if np.min(np.linalg.eigvalsh(P)) < -1e-9:
+        if np.min(np.linalg.eigvalsh(np.array(w[3:]).reshape(3, 3))) < -1e-9:
             # The Riccati flow preserves positive semidefiniteness, so a P
             # outside the cone means the step size cannot follow the
             # initial covariance transient.
             raise DivergenceError(
                 t, "EKF integration unstable (P must be positive semidefinite); reduce dt"
             )
-        return w[:3] + tuple(P.ravel().tolist())
+        return w
 
-    w0 = (start.x_hat.x, start.x_hat.y, start.x_hat.theta, *start.P.ravel().tolist())
+    g0 = traj.pose(0.0)
+    w0 = (g0.x, g0.y, g0.theta, p0, 0.0, 0.0, 0.0, p0, 0.0, 0.0, 0.0, p0)
     times, states = integrate(rate, w0, 0.0, t_end, dt, keep_psd)
     w_rows = np.asarray(states)
     return EkfRun(np.asarray(times), w_rows[:, :3], w_rows[:, 3:].reshape(-1, 3, 3))
@@ -200,21 +172,20 @@ def time_variance_probe(
     lm: LandmarkSet,
     times,
     dt: float = 1e-3,
-    Q: np.ndarray | None = None,
-    R: np.ndarray | None = None,
-    P0: np.ndarray | None = None,
+    q: float = DEFAULT_PROCESS_NOISE,
+    r: float = DEFAULT_MEASUREMENT_NOISE,
+    p0: float = DEFAULT_INITIAL_COVARIANCE,
 ) -> float:
     """Max pairwise Frobenius distance between the world-frame linearized
-    error dynamics F - L H, with L = P H^T R^-1, sampled along a run."""
+    error dynamics F - L H, with L = P H^T / r, sampled along a run."""
     times = sorted(float(t) for t in times)
     if len(times) < 2:
         raise ValueError("need at least two probe times")
-    Rm = np.eye(len(lm)) * DEFAULT_MEASUREMENT_NOISE if R is None else np.asarray(R, dtype=float)
-    run = run_along_reference(traj, lm, times[-1], dt, Q=Q, R=Rm, P0=P0)
+    run = run_along_reference(traj, lm, times[-1], dt, q, r, p0)
     mats = []
     for tq in times:
         i = int(np.argmin(np.abs(run.times - tq)))
         F, H = ekf_jacobians(GroupElement(*run.estimates[i]), traj.input(tq), lm)
-        L = run.covariances[i] @ np.linalg.solve(Rm, H).T
+        L = run.covariances[i] @ (H * (1.0 / r)).T
         mats.append(F - L @ H)
     return max_pairwise_distance(mats)

@@ -178,18 +178,12 @@ class IntegratedTrajectory:
         return pose
 
 
-def permanence_probe(
-    poses: Sequence[GroupElement],
-    inputs: Sequence[RobotInput],
-) -> float:
+def permanence_probe(inputs: Sequence[RobotInput]) -> float:
     """How far the invariant input drifts from its initial value over a run.
 
-    For this system the input (u, v) is itself the invariant quantity, so the
-    poses only enter as the alignment check.  Zero exactly on a permanent
-    trajectory; positive as soon as the input changes.
+    For this system the input (u, v) is itself the invariant quantity.  Zero
+    exactly on a permanent trajectory; positive as soon as the input changes.
     """
-    if len(poses) != len(inputs):
-        raise ValueError(f"series lengths differ: {len(poses)} poses, {len(inputs)} inputs")
     if len(inputs) == 0:
         raise ValueError("need at least one sample")
     u0, v0 = inputs[0]

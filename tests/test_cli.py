@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invtrack.cli import main
-from invtrack.ekf import run_along_reference
+from invtrack.ekf import run_along_reference, time_variance_probe
 from invtrack.reporting import CSV_COLUMNS
 from invtrack.scenario import parse_scenario
 from oracles import assert_close, ekf_oracle_run
@@ -97,16 +97,41 @@ class TestReverseDriving:
         assert read_report(out)["metrics"]["ekf_drift"] > 0.1
         parsed = parse_scenario(doc)
         sc = parsed.scenario
-        Q = np.eye(3) * parsed.ekf_process_noise
-        R = np.eye(len(sc.landmarks)) * parsed.ekf_measurement_noise
-        P0 = np.eye(3) * parsed.ekf_initial_covariance
-        run = run_along_reference(sc.trajectory, sc.landmarks, 0.48, sc.dt, Q=Q, R=R, P0=P0)
+        q = parsed.ekf_process_noise
+        r = parsed.ekf_measurement_noise
+        p0 = parsed.ekf_initial_covariance
+        run = run_along_reference(sc.trajectory, sc.landmarks, 0.48, sc.dt, q=q, r=r, p0=p0)
         times, estimates, covariances = ekf_oracle_run(
-            sc.trajectory, sc.landmarks, 0.48, sc.dt, Q, R, P0
+            sc.trajectory, sc.landmarks, 0.48, sc.dt,
+            q * np.eye(3), r * np.eye(len(sc.landmarks)), p0 * np.eye(3),
         )
         assert run.times.tolist() == times.tolist()
         assert_close(run.estimates, estimates)
         assert_close(run.covariances, covariances)
+
+
+class TestEkfNoiseWiring:
+    # Three distinct levels, each large enough that the run with q and r
+    # swapped still follows the covariance transient at 1 ms.
+    NOISE = {"process_noise": 1.3e-2, "measurement_noise": 2.9e-2, "initial_covariance": 5e-3}
+    TIMES = [0.0, 0.1, 0.2]
+
+    def _cli_drift(self, tmp_path, noise):
+        doc = {"probe_times": self.TIMES, "ekf": noise}
+        out = tmp_path / "out"
+        assert main(["ekf-compare", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        return read_report(out)["metrics"]["ekf_drift"]
+
+    def test_cli_drift_is_the_probe_on_the_scenario_noise(self, tmp_path):
+        sc = parse_scenario({}).scenario
+        want = time_variance_probe(
+            sc.trajectory, sc.landmarks, self.TIMES, dt=sc.dt, q=1.3e-2, r=2.9e-2, p0=5e-3
+        )
+        assert self._cli_drift(tmp_path, self.NOISE) == want
+        swapped = time_variance_probe(
+            sc.trajectory, sc.landmarks, self.TIMES, dt=sc.dt, q=2.9e-2, r=1.3e-2, p0=5e-3
+        )
+        assert swapped != want
 
 
 class TestSimulate:

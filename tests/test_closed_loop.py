@@ -331,6 +331,17 @@ class TestFusedErrorField:
             closed_loop_error_field(traj, lm, KG, OG)(0.25, np.zeros(6))
         assert str(got.value) == f"{want.value} (at t=0.25)"
 
+    def test_observer_field_geometry_error_is_timestamped(self):
+        # The observer's own error field, which invariance and ekf-compare
+        # linearize first, names the time in the same words.
+        traj = PermanentTrajectory(1.0, 0.0, GroupElement(5000.0, 0.0, 0.0))
+        lm = LandmarkSet(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+        with pytest.raises(GeometryError) as want:
+            composed_error_field(traj, lm, KG, OG)(0.25, np.zeros(6))
+        with pytest.raises(GeometryError) as got:
+            observer_error_field(traj, lm, OG)(0.25, np.zeros(3))
+        assert str(got.value) == f"{want.value} (at t=0.25)"
+
     def test_one_reference_lookup_per_probe_time(self):
         calls = []
 

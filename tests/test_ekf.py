@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invtrack.ekf import (
-    EkfState,
+    DEFAULT_INITIAL_COVARIANCE,
+    DEFAULT_MEASUREMENT_NOISE,
+    DEFAULT_PROCESS_NOISE,
     ekf_jacobians,
     riccati_values,
     run_along_reference,
@@ -21,47 +23,48 @@ from oracles import assert_close, ekf_field_oracle, ekf_oracle_run
 from strategies import HEADINGS, floats, landmark_sets, signed
 
 STANDARD = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, -10.0)))
+DEFAULT_NOISE = {
+    "q": DEFAULT_PROCESS_NOISE,
+    "r": DEFAULT_MEASUREMENT_NOISE,
+    "p0": DEFAULT_INITIAL_COVARIANCE,
+}
 
 
-def _riccati(x_hat, P, inp, lm, y, Q, R):
+def _riccati(x_hat, P, inp, lm, y, q, r):
     # riccati_values on arrays: (x_hat rate (3,), P rate (3, 3)).
     rates = riccati_values(
         (x_hat.x, x_hat.y, x_hat.theta, *np.asarray(P).ravel().tolist()), inp.u, inp.v,
-        lm.coords, y.values, tuple(np.asarray(Q).ravel().tolist()),
-        tuple(map(tuple, np.linalg.inv(R).tolist())),
+        lm.coords, y.values, q, 1.0 / r,
     )
     return np.array(rates[:3]), np.array(rates[3:]).reshape(3, 3)
 
 
 def _spd(draw, n, scale):
     # B B^T + n I, scaled: symmetric positive definite with condition number
-    # at most n + 1 for entries of B in [-1, 1].
+    # at most n + 1 for entries of B in [-1, 1], and exactly symmetric.
     b = np.array(draw(st.lists(floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
     b = b.reshape(n, n)
-    return scale * (b @ b.T + n * np.eye(n))
+    a = b @ b.T
+    return scale * (0.5 * (a + a.T) + n * np.eye(n))
 
 
 @st.composite
 def riccati_cases(draw):
     lm = draw(landmark_sets(max_count=8))
-    count = len(lm)
     x_hat = GroupElement(draw(floats(-8.0, 8.0)), draw(floats(-8.0, 8.0)), draw(HEADINGS))
     truth = GroupElement(x_hat.x + draw(floats(-0.5, 0.5)), x_hat.y + draw(floats(-0.5, 0.5)), 0.0)
     inp = RobotInput(draw(signed(0.2, 3.0)), draw(st.one_of(st.just(0.0), signed(0.1, 2.0))))
     P = _spd(draw, 3, draw(floats(1e-3, 1.0)))
-    Q = _spd(draw, 3, draw(floats(1e-4, 1e-2)))
-    R = _spd(draw, count, draw(floats(1e-3, 1.0)))
-    return x_hat, P, inp, lm, measure(truth, lm), Q, R
+    q = draw(floats(1e-4, 1e-2))
+    r = draw(floats(1e-3, 1.0))
+    return x_hat, P, inp, lm, measure(truth, lm), q, r
 
 
 class TestState:
-    def test_rejects_asymmetric_covariance(self):
-        with pytest.raises(ValueError):
-            EkfState(IDENTITY, np.array([[1.0, 0.5], [0.0, 1.0]]))
-
     def test_rejects_negative_covariance(self):
+        traj = PermanentTrajectory(1.0, 0.5)
         with pytest.raises(ValueError):
-            EkfState(IDENTITY, np.diag([1.0, -0.1, 1.0]))
+            run_along_reference(traj, STANDARD, 0.1, 1e-3, q=1e-3, r=1e-2, p0=-0.1)
 
 
 class TestJacobians:
@@ -95,11 +98,17 @@ class TestJacobians:
 class TestField:
     @given(case=riccati_cases())
     def test_riccati_values_match_oracle(self, case):
-        x_hat, P, inp, lm, y, Q, R = case
-        want_x, want_p = ekf_field_oracle(x_hat, P, inp, lm, y, Q, R)
-        got_x, got_p = _riccati(x_hat, P, inp, lm, y, Q, R)
+        x_hat, P, inp, lm, y, q, r = case
+        want_x, want_p = ekf_field_oracle(
+            x_hat, P, inp, lm, y, q * np.eye(3), r * np.eye(len(lm))
+        )
+        got_x, got_p = _riccati(x_hat, P, inp, lm, y, q, r)
         assert_close(got_x, want_x)
         assert_close(got_p, want_p)
+        # P is exactly symmetric, and so is its rate: RK4 then keeps P
+        # exactly symmetric without re-symmetrizing.
+        assert np.array_equal(P, P.T)
+        assert np.array_equal(got_p, got_p.T)
 
     def test_non_finite_input_rejected(self):
         # riccati_values checks nothing: the run's stages reject a
@@ -109,16 +118,14 @@ class TestField:
                 return RobotInput(self.u, math.inf)
 
         with pytest.raises(ValueError, match="input has non-finite components"):
-            run_along_reference(InfiniteSteering(1.0, 0.5), STANDARD, t_end=0.1, dt=1e-3)
+            run_along_reference(
+                InfiniteSteering(1.0, 0.5), STANDARD, t_end=0.1, dt=1e-3, **DEFAULT_NOISE
+            )
 
     def test_pure_model_on_exact_measurement(self):
         g = GroupElement(0.5, -0.5, 0.8)
-        st = EkfState(g, np.eye(3) * 1e-2)
         inp = RobotInput(1.0, 0.5)
-        xdot, _ = _riccati(
-            st.x_hat, st.P, inp, STANDARD, measure(g, STANDARD),
-            np.eye(3) * 1e-3, np.eye(3) * 1e-2,
-        )
+        xdot, _ = _riccati(g, np.eye(3) * 1e-2, inp, STANDARD, measure(g, STANDARD), 1e-3, 1e-2)
         assert np.max(np.abs(xdot - np.asarray(dynamics(g, inp)))) < 1e-12
 
     def test_scalar_riccati_fixed_point(self):
@@ -134,28 +141,23 @@ class TestField:
 
     def test_covariance_rate_symmetric(self):
         g = GroupElement(0.5, -0.5, 0.8)
-        st = EkfState(g, np.eye(3) * 1e-2)
         y = measure(GroupElement(0.52, -0.48, 0.81), STANDARD)
-        _, pdot = _riccati(
-            st.x_hat, st.P, RobotInput(1.0, 0.5), STANDARD, y,
-            np.eye(3) * 1e-3, np.eye(3) * 1e-2,
-        )
-        assert np.max(np.abs(pdot - pdot.T)) < 1e-12
+        _, pdot = _riccati(g, np.eye(3) * 1e-2, RobotInput(1.0, 0.5), STANDARD, y, 1e-3, 1e-2)
+        assert np.array_equal(pdot, pdot.T)
 
 
 class TestRun:
     @pytest.mark.parametrize("u", [1.0, -1.0])
     def test_matches_oracle_run(self, u):
-        # Non-diagonal R and Q, four landmarks, forward and reverse driving,
-        # starting across the heading wrap.
+        # Distinct non-default noise levels, four landmarks, forward and
+        # reverse driving, starting across the heading wrap.
         lm = LandmarkSet(((9.0, 1.0), (-2.0, 8.0), (-7.0, -6.0), (4.0, -9.0)))
         traj = PermanentTrajectory(u, 0.5, GroupElement(1.0, -2.0, math.pi - 1e-3))
-        rng = np.random.default_rng(71)
-        b = rng.uniform(-1.0, 1.0, (4, 4))
-        R = 1e-2 * (b @ b.T + 4.0 * np.eye(4))
-        Q = 1e-3 * np.array([[1.0, 0.2, 0.1], [0.2, 1.5, -0.3], [0.1, -0.3, 2.0]])
-        run = run_along_reference(traj, lm, 0.3, 1e-3, Q=Q, R=R)
-        times, estimates, covariances = ekf_oracle_run(traj, lm, 0.3, 1e-3, Q, R)
+        q, r, p0 = 1.7e-3, 2.3e-2, 5e-3
+        run = run_along_reference(traj, lm, 0.3, 1e-3, q=q, r=r, p0=p0)
+        times, estimates, covariances = ekf_oracle_run(
+            traj, lm, 0.3, 1e-3, q * np.eye(3), r * np.eye(4), p0 * np.eye(3)
+        )
         assert run.times.tolist() == times.tolist()
         assert_close(run.estimates, estimates)
         assert_close(run.covariances, covariances)
@@ -167,11 +169,11 @@ class TestRun:
 
         traj = NanInput(1.0, 0.5)
         with pytest.raises(ValueError, match="input has non-finite components"):
-            run_along_reference(traj, STANDARD, t_end=0.1, dt=1e-3)
+            run_along_reference(traj, STANDARD, t_end=0.1, dt=1e-3, **DEFAULT_NOISE)
 
     def test_estimate_stays_on_reference(self):
         traj = PermanentTrajectory(1.0, 0.5)
-        run = run_along_reference(traj, STANDARD, t_end=2.0, dt=1e-3)
+        run = run_along_reference(traj, STANDARD, t_end=2.0, dt=1e-3, **DEFAULT_NOISE)
         ref = traj.pose(2.0)
         final = run.estimates[-1]
         assert abs(final[0] - ref.x) < 1e-6
@@ -182,20 +184,18 @@ class TestRun:
         # timescale, so a centisecond step leaves the PSD cone immediately.
         traj = PermanentTrajectory(1.0, 0.5)
         with pytest.raises(DivergenceError, match="reduce dt"):
-            run_along_reference(traj, STANDARD, t_end=1.0, dt=1e-2)
+            run_along_reference(traj, STANDARD, t_end=1.0, dt=1e-2, **DEFAULT_NOISE)
 
     def test_inputs_checked_once_at_start(self):
         traj = PermanentTrajectory(1.0, 0.5)
-        with pytest.raises(ValueError, match="R must be 3x3"):
-            run_along_reference(traj, STANDARD, t_end=0.1, dt=1e-3, R=np.eye(2))
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            run_along_reference(traj, STANDARD, t_end=0.1, dt=1e-3, P0=-np.eye(3))
+        with pytest.raises(ValueError, match="p0 must be positive and finite, got -1"):
+            run_along_reference(traj, STANDARD, t_end=0.1, dt=1e-3, q=1e-3, r=1e-2, p0=-1)
 
     def test_covariance_stays_symmetric_psd(self):
         traj = PermanentTrajectory(1.0, 0.5)
-        run = run_along_reference(traj, STANDARD, t_end=3.0, dt=1e-3)
-        for P in run.covariances[:: len(run.covariances) // 20]:
-            assert np.max(np.abs(P - P.T)) < 1e-10
+        run = run_along_reference(traj, STANDARD, t_end=3.0, dt=1e-3, **DEFAULT_NOISE)
+        for P in run.covariances:
+            assert np.array_equal(P, P.T)
             assert np.min(np.linalg.eigvalsh(P)) > 0.0
 
 

@@ -164,16 +164,12 @@ class TestPermanenceProbe:
     def test_zero_for_constant_input(self):
         traj = PermanentTrajectory(1.0, 0.5)
         ts = np.linspace(0, 10, 50)
-        probe = permanence_probe(
-            [traj.pose(float(t)) for t in ts], [traj.input(float(t)) for t in ts]
-        )
-        assert probe == 0.0
+        assert permanence_probe([traj.input(float(t)) for t in ts]) == 0.0
 
     def test_sinusoid_amplitude(self):
         ts = np.linspace(0, 2 * math.pi, 1001)
         inputs = [RobotInput(1.0, 0.5 + 0.3 * math.sin(float(t))) for t in ts]
-        poses = [IDENTITY] * len(inputs)
-        probe = permanence_probe(poses, inputs)
+        probe = permanence_probe(inputs)
         assert abs(probe - 0.3) < 1e-5
 
     def test_switch_detected(self):
@@ -181,9 +177,8 @@ class TestPermanenceProbe:
             (Segment(1.0, 0.0, 1.0), Segment(1.0, 0.7, 1.0)), IDENTITY
         )
         ts = [0.0, 0.5, 1.0, 1.5]
-        probe = permanence_probe([traj.pose(t) for t in ts], [traj.input(t) for t in ts])
-        assert probe > 0.5
+        assert permanence_probe([traj.input(t) for t in ts]) > 0.5
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            permanence_probe([IDENTITY], [])
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            permanence_probe([])

@@ -1,0 +1,118 @@
+"""Digest every output of the six CLI commands over a fixed scenario set.
+
+    python3 tools/output_digests.py SRC OUT.json
+
+Imports invtrack from SRC (the src/ directory of any checkout) and runs, in
+process, each of the six commands on the default scenario, then each
+perfbench workload's reference analyses and every full-size seed-7 scenario
+from perfbench/workloads.py, then a few hand-written scenes that reach what
+the workloads do not: non-default EKF noise levels, reverse driving across
+the heading wrap, a piecewise reference, and landmarks too far away to see.
+For each analysis OUT.json records the exit code, the stderr text and the
+sha256 of every file written to --out.  Two trees write byte-identical
+outputs on this set exactly when their OUT.json files agree; `diff` shows
+where they do not.
+
+perfbench/record_reference.py checks only the reference analyses' metrics,
+to a relative tolerance; this compares bytes.  The script reads perfbench/
+and changes nothing there.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Pin BLAS to one thread before numpy is imported, as perfbench/run.py does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 7
+COMMANDS = ("simulate", "eigs", "separation", "invariance", "ekf-compare", "mech-lemma")
+PLANAR = ("simulate", "eigs", "separation", "invariance", "ekf-compare")
+
+_NOISE = {"process_noise": 1.7e-3, "measurement_noise": 2.3e-2, "initial_covariance": 5e-3}
+_SHORT = {"t_end": 2.0, "probe_times": [0.0, 0.25, 0.5, 0.75]}
+HAND_SCENES = (
+    ("noise", PLANAR, {"ekf": _NOISE, **_SHORT}),
+    ("noise-reverse-wrap", PLANAR,
+     {"trajectory": {"u": -1.0, "v": 0.5, "start": [1.0, -2.0, 3.14]}, "ekf": _NOISE, **_SHORT}),
+    ("piecewise", PLANAR,
+     {"trajectory": {"segments": [{"u": 1.0, "v": 0.0, "duration": 0.3},
+                                  {"u": 1.0, "v": 0.7, "duration": 1.0}]},
+      "ekf": _NOISE, **_SHORT}),
+    # 5 km from a unit landmark triangle: the Gram condition cap trips at once.
+    ("far", PLANAR,
+     {"trajectory": {"u": 1.0, "v": 0.0, "start": [5000.0, 0.0, 0.0]},
+      "landmarks": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}),
+)
+
+
+def analyses():
+    """(label, command, document or None for the default) in run order."""
+    from workloads import WORKLOADS, scenarios
+
+    for command in COMMANDS:
+        yield f"default/{command}", command, None
+    for name, workload in WORKLOADS.items():
+        for i, (command, doc) in enumerate(workload.reference):
+            yield f"reference/{name}/{i}/{command}", command, doc
+    for name, workload in WORKLOADS.items():
+        for i, (command, doc) in enumerate(scenarios(workload, SEED)):
+            yield f"seed{SEED}/{name}/{i}/{command}", command, doc
+    for name, commands, doc in HAND_SCENES:
+        for command in commands:
+            yield f"hand/{name}/{command}", command, doc
+
+
+def digest(cli, command: str, doc, work: Path) -> dict:
+    """Run one analysis in a fresh directory; exit code, stderr, file digests."""
+    argv = [command, "--out", str(work / "out")]
+    if doc is not None:
+        config = work / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--config", str(config)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a crash is an outcome to compare, too
+            code = f"raised {type(exc).__name__}"
+            print(exc, file=sys.stderr)
+    out = work / "out"
+    files = {}
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"exit": code, "stderr": err.getvalue(), "files": files}
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/output_digests.py SRC OUT.json", file=sys.stderr)
+        return 2
+    src, dest = Path(args[0]).resolve(), Path(args[1])
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(PERFBENCH))
+    from invtrack import cli
+
+    records = {}
+    for label, command, doc in analyses():
+        with tempfile.TemporaryDirectory() as tmp:
+            records[label] = digest(cli, command, doc, Path(tmp))
+    dest.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(records)} analyses digested into {dest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
