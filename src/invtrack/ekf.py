@@ -144,10 +144,19 @@ def run_along_reference(
             raise ValueError(f"noise level {name} must be positive and finite, got {level}")
     coords = lm.coords
     r_inv = 1.0 / r
+    # (u, v, y) at the last stage time asked for: the two midpoint stages of
+    # a step share one reference query, and the end stage usually serves
+    # the next step's first.
+    last_t = math.nan
+    last_uvy: tuple = ()
 
     def rate(t: float, w: tuple) -> tuple:
-        u, v = finite_input(traj.input(t))
-        y = measure(traj.pose(t), lm).values
+        nonlocal last_t, last_uvy
+        if t != last_t:
+            u, v = finite_input(traj.input(t))
+            last_uvy = (u, v, measure(traj.pose(t), lm).values)
+            last_t = t
+        u, v, y = last_uvy
         return riccati_values(w, u, v, coords, y, q, r_inv)
 
     def keep_psd(t: float, w: tuple) -> tuple:

@@ -91,7 +91,8 @@ def dynamics(g: GroupElement, inp: RobotInput) -> tuple[float, float, float]:
 def measure_values(g: GroupElement, lm: LandmarkSet) -> tuple[float, ...]:
     """Squared distances as a bare tuple; the unvalidated core of measure()."""
     x, y = g.x, g.y
-    return tuple((x - lx) ** 2 + (y - ly) ** 2 for lx, ly in lm.coords)
+    # tuple([...]) rather than tuple(genexpr): same values, no generator frame.
+    return tuple([(x - lx) ** 2 + (y - ly) ** 2 for lx, ly in lm.coords])
 
 
 def measure(g: GroupElement, lm: LandmarkSet) -> Measurement:

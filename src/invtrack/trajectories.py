@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 from . import se2
-from .numerics import integrate
-from .robot import RobotInput, dynamics_values, finite_input
+from .errors import DivergenceError
+from .robot import RobotInput, finite_input
 from .se2 import IDENTITY, GroupElement, TangentVector
 
 
@@ -144,7 +144,8 @@ class IntegratedTrajectory:
 
     pose(t) is computed by RK4 at a 1 ms step from the nearest
     previously evaluated time, so repeated monotone queries cost one short
-    integration each.  The object is immutable apart from that cache.
+    integration each.  The object is immutable apart from that cache and
+    the input at the last stage time integrated.
     """
 
     def __init__(
@@ -155,13 +156,10 @@ class IntegratedTrajectory:
         self._input_fn = input_fn
         self._times: list[float] = [0.0]
         self._knots: list[GroupElement] = [start]
+        self._last_input: tuple[float, float, float] = (math.nan, 0.0, 0.0)
 
     def input(self, t: float) -> RobotInput:
         return self._input_fn(t)
-
-    def _rate(self, t: float, w: tuple) -> tuple[float, float, float]:
-        u, v = finite_input(self._input_fn(t))
-        return dynamics_values(w[2], u, v)
 
     def pose(self, t: float) -> GroupElement:
         if t < 0.0:
@@ -170,9 +168,53 @@ class IntegratedTrajectory:
         t0 = self._times[i]
         if t0 == t:
             return self._knots[i]
-        _, states = integrate(self._rate, self._knots[i], t0, t, _POSE_STEP)
-        w = states[-1]
-        pose = GroupElement(w[0], w[1], se2.normalize_angle(w[2]))
+        # numerics.integrate's RK4 on its grid (t0 + k*_POSE_STEP, closed by
+        # t), with rk4_step's stage times and combine, fused for the
+        # unicycle: the field reads only the heading, so the position stages
+        # are never formed, and k2 and k3 share the time ta + hh and so the
+        # heading rate w2.  The input at the last end stage (tb, ub, vb)
+        # serves a first stage only at exactly the same time: the next
+        # step's, or the next query's when it starts from this one's knot.
+        input_fn = self._input_fn
+        cos = math.cos
+        sin = math.sin
+        x, y, th = (float(c) for c in self._knots[i])
+        tb, ub, vb = self._last_input
+        n = int(math.ceil((t - t0) / _POSE_STEP - 1e-9))
+        ta = t0
+        for k in range(1, n + 1):
+            te = t0 + k * _POSE_STEP if k < n else t
+            h = te - ta
+            hh = 0.5 * h
+            if ta == tb:
+                u1, v1 = ub, vb
+            else:
+                u1, v1 = finite_input(input_fn(ta))
+            w1 = u1 * v1
+            c1 = cos(th)
+            s1 = sin(th)
+            u2, v2 = finite_input(input_fn(ta + hh))
+            w2 = u2 * v2
+            th2 = th + hh * w1
+            c2 = cos(th2)
+            s2 = sin(th2)
+            th3 = th + hh * w2
+            c3 = cos(th3)
+            s3 = sin(th3)
+            tb = ta + h
+            ub, vb = finite_input(input_fn(tb))
+            th4 = th + h * w2
+            c4 = cos(th4)
+            s4 = sin(th4)
+            h6 = h / 6.0
+            x = x + h6 * (u1 * c1 + 2.0 * (u2 * c2 + u2 * c3) + ub * c4)
+            y = y + h6 * (u1 * s1 + 2.0 * (u2 * s2 + u2 * s3) + ub * s4)
+            th = th + h6 * (w1 + 2.0 * (w2 + w2) + ub * vb)
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
+                raise DivergenceError(te)
+            ta = te
+        self._last_input = (tb, ub, vb)
+        pose = GroupElement(x, y, se2.normalize_angle(th))
         self._times.insert(i + 1, t)
         self._knots.insert(i + 1, pose)
         return pose

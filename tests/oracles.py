@@ -4,8 +4,11 @@ The closed-loop error field composed from the boxed public layers; the
 Riccati flow of riccati_values and the Euler-Poincare rates of
 ep_rate_values written as the textbook formulas, with 3x3 arrays,
 np.linalg.solve and np.cross, plus the runs that integrate them with
-numerics.integrate.
+numerics.integrate; and IntegratedTrajectory's reference poses integrated
+by numerics.integrate on the unicycle field.
 """
+
+import bisect
 
 import numpy as np
 
@@ -16,8 +19,9 @@ from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
 from invtrack.mech import hat, project_rotation
 from invtrack.numerics import integrate
 from invtrack.observer import observer_field, output_error
-from invtrack.robot import dynamics, measure
+from invtrack.robot import dynamics, dynamics_values, finite_input, measure
 from invtrack.se2 import GroupElement
+from invtrack.trajectories import _POSE_STEP, IntegratedTrajectory
 
 
 def composed_error_field(traj, lm, kg, og):
@@ -100,6 +104,29 @@ def ep_oracle_run(s, u_fn, t_end, dt):
     times, states = integrate(rate, w0, 0.0, t_end, dt, reproject)
     rows = np.asarray(states)
     return np.asarray(times), rows[:, :9].reshape(-1, 3, 3), rows[:, 9:]
+
+
+class IntegratedTrajectoryOracle(IntegratedTrajectory):
+    """IntegratedTrajectory whose pose runs numerics.integrate on the full
+    unicycle field, four input calls per step, from the nearest knot."""
+
+    def _rate(self, t, w):
+        u, v = finite_input(self._input_fn(t))
+        return dynamics_values(w[2], u, v)
+
+    def pose(self, t):
+        if t < 0.0:
+            raise ValueError(f"time must be >= 0, got {t}")
+        i = bisect.bisect_right(self._times, t) - 1
+        t0 = self._times[i]
+        if t0 == t:
+            return self._knots[i]
+        _, states = integrate(self._rate, self._knots[i], t0, t, _POSE_STEP)
+        w = states[-1]
+        pose = GroupElement(w[0], w[1], se2.normalize_angle(w[2]))
+        self._times.insert(i + 1, t)
+        self._knots.insert(i + 1, pose)
+        return pose
 
 
 def assert_close(got, want, rtol=1e-12):

@@ -191,6 +191,24 @@ class TestRun:
         with pytest.raises(ValueError, match="p0 must be positive and finite, got -1"):
             run_along_reference(traj, STANDARD, t_end=0.1, dt=1e-3, q=1e-3, r=1e-2, p0=-1)
 
+    def test_reference_lookup_once_per_stage_time(self):
+        calls = []
+
+        class Counting(PermanentTrajectory):
+            def pose(self, t):
+                calls.append(t)
+                return super().pose(t)
+
+        # dt = 2^-10 keeps every stage time exact, so each step's end stage
+        # also serves the next step's first: the initial pose, one lookup at
+        # t = 0, then two per step (midpoint, end).
+        run = run_along_reference(
+            Counting(1.0, 0.5), STANDARD, t_end=1.0 / 16, dt=2.0**-10, **DEFAULT_NOISE
+        )
+        steps = len(run.times) - 1
+        assert len(calls) == 2 + 2 * steps
+        assert sorted(set(calls[1:])) == sorted(calls[1:])
+
     def test_covariance_stays_symmetric_psd(self):
         traj = PermanentTrajectory(1.0, 0.5)
         run = run_along_reference(traj, STANDARD, t_end=3.0, dt=1e-3, **DEFAULT_NOISE)

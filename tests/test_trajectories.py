@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invtrack import se2
+from invtrack.errors import DivergenceError
 from invtrack.numerics import integrate
 from invtrack.robot import RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY, TangentVector
 from invtrack.trajectories import (
+    _POSE_STEP,
     IntegratedTrajectory,
     PermanentTrajectory,
     PiecewiseTrajectory,
     Segment,
     permanence_probe,
 )
+from oracles import IntegratedTrajectoryOracle
+from strategies import HEADINGS, floats, signed
 
 
 def dynamics_residual(traj, t, h=1e-6):
@@ -158,6 +164,98 @@ class TestIntegrated:
         assert traj.pose(0.4).x > 0.0
         with pytest.raises(ValueError, match=r"^input has non-finite components: RobotInput\(u=1\.0, v=inf\)$"):
             traj.pose(0.6)
+
+
+def wobble(u, v, amplitude, rate):
+    """The v_wobble input profile of a scenario: (u, v + a sin(rate t))."""
+
+    def input_fn(t):
+        return RobotInput(u, v + amplitude * math.sin(rate * t))
+
+    return input_fn
+
+
+@st.composite
+def query_times(draw):
+    """Pose queries starting at t = 0, then times on and off the 1 ms grid,
+    repeats of an earlier time and returns to before the last knot."""
+    times = [0.0]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("grid", "off", "repeat", "back")))
+        if kind == "grid":
+            t = draw(st.integers(0, 250)) * _POSE_STEP
+        elif kind == "off":
+            t = draw(floats(0.0, 0.25))
+        elif kind == "repeat":
+            t = draw(st.sampled_from(times))
+        else:
+            t = draw(floats(0.0, max(times)))
+        times.append(t)
+    return times
+
+
+class TestFusedPose:
+    @given(
+        u=signed(0.2, 3.0),
+        v=st.one_of(st.just(0.0), floats(-1.0, 1.0)),
+        amplitude=floats(0.1, 0.5),
+        rate=floats(0.5, 2.0),
+        x=floats(-5.0, 5.0),
+        y=floats(-5.0, 5.0),
+        theta=HEADINGS,
+        times=query_times(),
+    )
+    def test_matches_integrate_oracle(self, u, v, amplitude, rate, x, y, theta, times):
+        # The fused unicycle step does numerics.integrate's arithmetic on
+        # its grid, so every pose and every knot it keeps is bit-identical.
+        input_fn = wobble(u, v, amplitude, rate)
+        start = GroupElement(x, y, theta)
+        fused = IntegratedTrajectory(input_fn, start)
+        oracle = IntegratedTrajectoryOracle(input_fn, start)
+        for t in times:
+            assert fused.pose(t) == oracle.pose(t)
+        assert fused._times == oracle._times
+        assert fused._knots == oracle._knots
+
+    def test_one_input_call_per_stage_time(self):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return RobotInput(1.0, 0.5 + 0.3 * math.sin(t))
+
+        # The second query starts from the first one's knot, whose end-stage
+        # input it reuses: 20 steps, one call at t = 0, then two per step.
+        traj = IntegratedTrajectory(counting)
+        traj.pose(0.01)
+        traj.pose(0.02)
+        assert len(calls) == 1 + 2 * 20
+        assert len(set(calls)) == len(calls)
+
+    def test_non_finite_input_at_a_midpoint_stage_only(self):
+        ta, te = 2 * _POSE_STEP, 3 * _POSE_STEP
+        mid = ta + 0.5 * (te - ta)
+
+        def input_fn(t):
+            return RobotInput(1.0, math.inf if t == mid else 0.5)
+
+        message = r"^input has non-finite components: RobotInput\(u=1\.0, v=inf\)$"
+        for cls in (IntegratedTrajectory, IntegratedTrajectoryOracle):
+            with pytest.raises(ValueError, match=message):
+                cls(input_fn).pose(0.01)
+
+    def test_overflow_raises_divergence_at_the_step_end(self):
+        # Finite inputs whose speed overflows the position on the fourth
+        # step, the first one run at u = 1e308 throughout.
+        def input_fn(t):
+            return RobotInput(1e308 if t > 2.7e-3 else 1.0, 0.0)
+
+        times = []
+        for cls in (IntegratedTrajectory, IntegratedTrajectoryOracle):
+            with pytest.raises(DivergenceError) as err:
+                cls(input_fn).pose(0.01)
+            times.append(err.value.time)
+        assert times == [4 * _POSE_STEP, 4 * _POSE_STEP]
 
 
 class TestPermanenceProbe:

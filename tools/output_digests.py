@@ -7,7 +7,8 @@ process, each of the six commands on the default scenario, then each
 perfbench workload's reference analyses and every full-size seed-7 scenario
 from perfbench/workloads.py, then a few hand-written scenes that reach what
 the workloads do not: non-default EKF noise levels, reverse driving across
-the heading wrap, a piecewise reference, and landmarks too far away to see.
+the heading wrap (on a closed-form and an integrated reference), a piecewise
+reference, and landmarks too far away to see.
 For each analysis OUT.json records the exit code, the stderr text and the
 sha256 of every file written to --out.  Two trees write byte-identical
 outputs on this set exactly when their OUT.json files agree; `diff` shows
@@ -49,6 +50,12 @@ HAND_SCENES = (
      {"trajectory": {"segments": [{"u": 1.0, "v": 0.0, "duration": 0.3},
                                   {"u": 1.0, "v": 0.7, "duration": 1.0}]},
       "ekf": _NOISE, **_SHORT}),
+    # An IntegratedTrajectory reference, driven in reverse across the wrap,
+    # on a step that does not divide the probe times.
+    ("wobble-reverse-wrap", PLANAR,
+     {"trajectory": {"u": -1.2, "v": 0.3, "v_wobble": {"amplitude": 0.3, "angular_rate": 1.3},
+                     "start": [1.0, -2.0, 3.14]},
+      "ekf": _NOISE, "t_end": 2.0, "dt": 0.0037, "probe_times": [0.0, 0.2345, 0.5, 0.7777]}),
     # 5 km from a unit landmark triangle: the Gram condition cap trips at once.
     ("far", PLANAR,
      {"trajectory": {"u": 1.0, "v": 0.0, "start": [5000.0, 0.0, 0.0]},
