@@ -92,10 +92,11 @@ def _load_scenario(args: argparse.Namespace) -> ParsedScenario:
             raise ScenarioError(f"cannot read config {args.config}: {err}") from err
         except json.JSONDecodeError as err:
             raise ScenarioError(f"config {args.config} is not valid JSON: {err}") from err
-    if args.dt is not None:
-        doc["dt"] = args.dt
-    if args.t_end is not None:
-        doc["t_end"] = args.t_end
+    if isinstance(doc, dict):  # parse_scenario names any other document's fault
+        if args.dt is not None:
+            doc["dt"] = args.dt
+        if args.t_end is not None:
+            doc["t_end"] = args.t_end
     return parse_scenario(doc)
 
 
@@ -124,20 +125,26 @@ def _cmd_simulate(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, di
     return passed, metrics, {"final_error": tol}
 
 
-def _cmd_eigs(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
-    sc = parsed.scenario
-    inp = sc.trajectory.input(0.0)
+def _separation_spectra(sc: Scenario, t: float):
+    """Controller, observer and closed-loop spectra at the reference input at t,
+    and the distance of the closed-loop spectrum from the union of the other two."""
+    inp = sc.trajectory.input(t)
     ctrl = eigenvalues(ctrl_loop_matrix(inp.u, inp.v, sc.controller_gains))
     obs = eigenvalues(obs_error_matrix(inp.u, inp.v, sc.observer_gains))
     combined = eigenvalues(
         separation_matrix(inp.u, inp.v, sc.controller_gains, sc.observer_gains)
     )
+    return ctrl, obs, combined, spectrum_match_distance(combined, ctrl.union(obs))
+
+
+def _cmd_eigs(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
+    ctrl, obs, combined, union_mismatch = _separation_spectra(parsed.scenario, 0.0)
     tol = _tol(args)
     metrics = {
         "controller_abscissa": ctrl.max_real(),
         "observer_abscissa": obs.max_real(),
         "closed_loop_abscissa": combined.max_real(),
-        "union_mismatch": spectrum_match_distance(combined, ctrl.union(obs)),
+        "union_mismatch": union_mismatch,
         "controller_spectrum": _spectrum_rows(ctrl),
         "observer_spectrum": _spectrum_rows(obs),
         "closed_loop_spectrum": _spectrum_rows(combined),
@@ -152,12 +159,7 @@ def _cmd_eigs(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, 
 
 def _cmd_separation(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
-    inp0 = sc.trajectory.input(parsed.probe_times[0])
-    block = separation_matrix(inp0.u, inp0.v, sc.controller_gains, sc.observer_gains)
-    union = eigenvalues(ctrl_loop_matrix(inp0.u, inp0.v, sc.controller_gains)).union(
-        eigenvalues(obs_error_matrix(inp0.u, inp0.v, sc.observer_gains))
-    )
-    union_mismatch = spectrum_match_distance(eigenvalues(block), union)
+    union_mismatch = _separation_spectra(sc, parsed.probe_times[0])[3]
 
     field = closed_loop_error_field(
         sc.trajectory, sc.landmarks, sc.controller_gains, sc.observer_gains

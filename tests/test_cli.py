@@ -200,6 +200,14 @@ class TestFailureModes:
         assert main(["eigs", "--config", cfg, "--out", str(out)]) == 2
         assert "unknown field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
+    def test_override_on_non_object_config(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, [1, 2])
+        out = tmp_path / "out"
+        assert main(["eigs", "--config", cfg, "--out", str(out), flag, "0.01"]) == 2
+        assert capsys.readouterr().err == "error: scenario document must be a JSON object\n"
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_simulate_is_byte_identical(self, tmp_path):

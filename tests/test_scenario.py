@@ -1,4 +1,6 @@
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,3 +242,200 @@ class TestCanonical:
         d1 = scenario_digest(parse_scenario({"trajectory": {"u": 1}}).canonical)
         d2 = scenario_digest(parse_scenario({"trajectory": {"u": 1.0}}).canonical)
         assert d1 == d2
+
+
+_SEG = {"u": 1.0, "duration": 1.0}
+
+# One fault per document, and the exact message it must produce: at least one
+# row per section and per message template.
+SINGLE_FAULTS = [
+    ([1, 2], "scenario document must be a JSON object"),
+    ({"roll": 1}, "unknown field 'roll'"),
+    ({"trajectory": []}, "trajectory must be an object"),
+    ({"trajectory": {"w": 1}}, "unknown field trajectory.'w'"),
+    ({"trajectory": {"start": [0, 0]}}, "trajectory.start must be a list of 3 numbers"),
+    ({"trajectory": {"start": [0, "a", 0]}}, "trajectory.start[1] must be a number, got 'a'"),
+    ({"trajectory": {"u": 0}}, "trajectory.u must be nonzero"),
+    ({"trajectory": {"u": "1"}}, "trajectory.u must be a number, got '1'"),
+    ({"trajectory": {"u": math.nan}}, "trajectory.u must be finite, got nan"),
+    ({"trajectory": {"v": math.inf}}, "trajectory.v must be finite, got inf"),
+    ({"trajectory": {"v_wobble": 0.3}}, "trajectory.v_wobble must be an object"),
+    ({"trajectory": {"v_wobble": {"phase": 1}}}, "unknown field trajectory.v_wobble.'phase'"),
+    (
+        {"trajectory": {"v_wobble": {"amplitude": None}}},
+        "trajectory.v_wobble.amplitude must be a number, got None",
+    ),
+    (
+        {"trajectory": {"v_wobble": {"angular_rate": -math.inf}}},
+        "trajectory.v_wobble.angular_rate must be finite, got -inf",
+    ),
+    (
+        {"trajectory": {"v": 0.5, "segments": [_SEG]}},
+        "trajectory.segments excludes trajectory.u/v/v_wobble",
+    ),
+    (
+        {"trajectory": {"v_wobble": {}, "segments": [_SEG]}},
+        "trajectory.segments excludes trajectory.u/v/v_wobble",
+    ),
+    ({"trajectory": {"segments": []}}, "trajectory.segments must be a non-empty list"),
+    ({"trajectory": {"segments": _SEG}}, "trajectory.segments must be a non-empty list"),
+    ({"trajectory": {"segments": [_SEG, 5]}}, "trajectory.segments[1] must be an object"),
+    (
+        {"trajectory": {"segments": [{**_SEG, "w": 0}]}},
+        "unknown field trajectory.segments[0].'w'",
+    ),
+    (
+        {"trajectory": {"segments": [{"duration": 1.0}]}},
+        "trajectory.segments[0].u must be a number, got None",
+    ),
+    (
+        {"trajectory": {"segments": [_SEG, {"u": 0.0, "duration": 1.0}]}},
+        "trajectory.segments[1].u must be nonzero",
+    ),
+    (
+        {"trajectory": {"segments": [{**_SEG, "v": True}]}},
+        "trajectory.segments[0].v must be a number, got True",
+    ),
+    (
+        {"trajectory": {"segments": [{"u": 1.0, "duration": 0}]}},
+        "trajectory.segments[0].duration must be > 0, got 0.0",
+    ),
+    (
+        {"trajectory": {"segments": [{"u": 1.0}]}},
+        "trajectory.segments[0].duration must be a number, got None",
+    ),
+    ({"landmarks": {"a": 1}}, "landmarks must be a list of [x, y] pairs"),
+    ({"landmarks": [[0, 0], [1, 0, 0], [0, 1]]}, "landmarks[1] must be an [x, y] pair"),
+    ({"landmarks": [[0, 0], [1, "x"], [0, 1]]}, "landmarks[1][1] must be a number, got 'x'"),
+    ({"landmarks": [[0, 0], [1, 0], [math.inf, 1]]}, "landmarks[2][0] must be finite, got inf"),
+    (
+        {"landmarks": [[0, 0], [1, 1], [2, 2]]},
+        "landmarks: landmarks are collinear (or coincident)",
+    ),
+    ({"landmarks": [[0, 0], [1, 0]]}, "landmarks: need at least 3 landmarks, got 2"),
+    ({"controller_gains": [1, 1, 1]}, "controller_gains must be an object"),
+    ({"observer_gains": "unit"}, "observer_gains must be an object"),
+    ({"observer_gains": {"k1": 1}}, "unknown field observer_gains.'k1'"),
+    ({"controller_gains": {"k2": 0}}, "controller_gains.k2 must be > 0, got 0.0"),
+    ({"observer_gains": {"l3": "1"}}, "observer_gains.l3 must be a number, got '1'"),
+    ({"observer_gains": {"l1": -2.5}}, "observer_gains.l1 must be > 0, got -2.5"),
+    ({"gains": 1}, "gains must be an object"),
+    ({"gains": {"m1": 1}}, "unknown field gains.'m1'"),
+    ({"gains": {"l2": -1}}, "gains.l2 must be > 0, got -1.0"),
+    ({"gains": {"k3": math.inf}}, "gains.k3 must be finite, got inf"),
+    ({"gains": {}, "observer_gains": {}}, "gains excludes controller_gains/observer_gains"),
+    (
+        {"initial_pose": [0, 0, 0], "initial_tracking_error": [0, 0, 0]},
+        "initial_pose excludes initial_tracking_error",
+    ),
+    (
+        {"initial_estimate": [0, 0, 0], "initial_estimate_error": [0, 0, 0]},
+        "initial_estimate excludes initial_estimate_error",
+    ),
+    ({"initial_pose": [0, 0]}, "initial_pose must be a list of 3 numbers"),
+    ({"initial_estimate": "origin"}, "initial_estimate must be a list of 3 numbers"),
+    (
+        {"initial_tracking_error": [0, 0, None]},
+        "initial_tracking_error[2] must be a number, got None",
+    ),
+    (
+        {"initial_estimate_error": [math.nan, 0, 0]},
+        "initial_estimate_error[0] must be finite, got nan",
+    ),
+    ({"t_end": True}, "t_end must be a number, got True"),
+    ({"t_end": -1}, "t_end must be > 0, got -1.0"),
+    ({"dt": 0.0}, "dt must be > 0, got 0.0"),
+    ({"dt": math.inf}, "dt must be finite, got inf"),
+    ({"probe_times": [0.0]}, "probe_times must be a list of at least 2 numbers"),
+    ({"probe_times": 1.0}, "probe_times must be a list of at least 2 numbers"),
+    ({"probe_times": [0.0, "1"]}, "probe_times[1] must be a number, got '1'"),
+    ({"probe_times": [-1.0, 0.0]}, "probe_times entries must be >= 0"),
+    ({"ekf": None}, "ekf must be an object"),
+    ({"ekf": {"q": 1}}, "unknown field ekf.'q'"),
+    ({"ekf": {"process_noise": 0}}, "ekf.process_noise must be > 0, got 0.0"),
+    ({"ekf": {"measurement_noise": "1e-2"}}, "ekf.measurement_noise must be a number, got '1e-2'"),
+    ({"ekf": {"initial_covariance": math.inf}}, "ekf.initial_covariance must be finite, got inf"),
+    ({"mech": []}, "mech must be an object"),
+    ({"mech": {"mass": 1}}, "unknown field mech.'mass'"),
+    ({"mech": {"inertia": [1, 2]}}, "mech.inertia must be a list of 3 numbers"),
+    ({"mech": {"inertia": [1, 0, 1]}}, "mech.inertia entries must be > 0"),
+    (
+        {"mech": {"reference_velocity": [0, "a", 0]}},
+        "mech.reference_velocity[1] must be a number, got 'a'",
+    ),
+    ({"mech": {"damping": [0.5, -0.1, 0.3]}}, "mech.damping entries must be > 0"),
+    ({"mech": {"force_strength": math.nan}}, "mech.force_strength must be finite, got nan"),
+    ({"mech": {"force_axis": [0, 0, 0]}}, "mech.force_axis must be nonzero"),
+    ({"mech": {"probe_times": [1.0]}}, "mech.probe_times must be a list of at least 2 numbers"),
+    ({"mech": {"probe_times": [0.0, None]}}, "mech.probe_times[1] must be a number, got None"),
+    ({"mech": {"t_end": 0}}, "mech.t_end must be > 0, got 0.0"),
+    ({"mech": {"dt": -1e-3}}, "mech.dt must be > 0, got -0.001"),
+]
+
+
+@pytest.mark.parametrize("doc, message", SINGLE_FAULTS)
+def test_single_fault_message(doc, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(doc)
+    assert str(info.value) == message
+
+
+class TestForceAxis:
+    # gravity_gradient_force divides by the axis length; these axes have
+    # nonzero entries but a length that underflows to 0 or overflows to inf.
+    @pytest.mark.parametrize("axis", [[1e-170, 1e-170, 0.0], [1e200, 1e200, 0.0]])
+    def test_unusable_length_rejected(self, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match=r"^mech\.force_axis length"):
+                parse_scenario({"mech": {"force_axis": axis}})
+
+    def test_tiny_but_representable_axis_accepted(self):
+        axis = parse_scenario({"mech": {"force_axis": [1e-150, 0.0, 0.0]}}).mech.force_axis
+        assert axis == (1e-150, 0.0, 0.0)
+
+
+# Documents whose canonical form must parse back to itself: the README's
+# "two configs that resolve to the same run share a digest".
+FIXED_POINT_DOCS = [
+    {},
+    {"trajectory": {"u": -1.5, "v": 0.2, "start": [1.0, -2.0, 3.0]}, "probe_times": None},
+    {
+        "trajectory": {
+            "segments": [{"u": 1.0, "duration": 2.0}, {"u": -1, "v": 0.5, "duration": 1}]
+        },
+        "gains": {"k2": 3.0, "l3": 0.5},
+        "initial_tracking_error": [0.1, -0.2, 0.3],
+        "initial_estimate_error": [0.05, 0.0, -0.1],
+    },
+    {
+        "trajectory": {"v": 0.1, "v_wobble": {"amplitude": 0.2}, "start": [0, 0, 1]},
+        "controller_gains": {"k1": 2},
+        "observer_gains": {"l2": 4},
+        "initial_pose": [0.5, 0.5, 0.0],
+        "t_end": 5,
+        "dt": 0.002,
+        "probe_times": [0, 0.5],
+        "ekf": {"measurement_noise": 0.05},
+        "mech": {
+            "inertia": [2, 3, 4],
+            "reference_velocity": [0.1, 0.2, 0.3],
+            "damping": [1, 1, 1],
+            "force_strength": -2,
+            "force_axis": [1, 0, 0],
+            "probe_times": [0, 0.5, 1],
+            "t_end": 3,
+            "dt": 0.01,
+        },
+    },
+]
+
+
+@pytest.mark.parametrize("doc", FIXED_POINT_DOCS)
+def test_canonical_is_a_fixed_point(doc):
+    p = parse_scenario(doc)
+    again = parse_scenario(copy.deepcopy(p.canonical))
+    assert again.canonical == p.canonical
+    assert scenario_digest(again.canonical) == scenario_digest(p.canonical)
+    assert again.probe_times == p.probe_times
+    assert again.mech == p.mech

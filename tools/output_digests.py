@@ -8,7 +8,10 @@ perfbench workload's reference analyses and every full-size seed-7 scenario
 from perfbench/workloads.py, then a few hand-written scenes that reach what
 the workloads do not: non-default EKF noise levels, reverse driving across
 the heading wrap (on a closed-form and an integrated reference), a piecewise
-reference, and landmarks too far away to see.
+reference, landmarks too far away to see, and the scenario parse paths no
+workload takes (split gain sections, absolute initial poses, a segment with
+default v, every mech field off its default, "probe_times": null, and a few
+documents that must be rejected).
 For each analysis OUT.json records the exit code, the stderr text and the
 sha256 of every file written to --out.  Two trees write byte-identical
 outputs on this set exactly when their OUT.json files agree; `diff` shows
@@ -60,6 +63,24 @@ HAND_SCENES = (
     ("far", PLANAR,
      {"trajectory": {"u": 1.0, "v": 0.0, "start": [5000.0, 0.0, 0.0]},
       "landmarks": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}),
+    ("split-gains-absolute", PLANAR,
+     {"trajectory": {"segments": [{"u": 1.0, "duration": 0.4},
+                                  {"u": 0.8, "v": -0.6, "duration": 1.0}],
+                     "start": [0.5, -0.5, 0.2]},
+      "controller_gains": {"k1": 2.0, "k3": 1.5}, "observer_gains": {"l2": 2.5},
+      "initial_pose": [0.6, -0.4, 0.25], "initial_estimate": [0.7, -0.5, 0.2],
+      "t_end": 1.5, "probe_times": None}),
+    ("mech-all", ("mech-lemma",),
+     {"mech": {"inertia": [1.5, 2.5, 2.0], "reference_velocity": [-0.3, 0.8, 0.5],
+               "damping": [0.7, 0.2, 0.45], "force_strength": 2.5,
+               "force_axis": [0.3, -1.0, 0.6], "probe_times": [0.0, 0.4, 1.1],
+               "t_end": 0.5, "dt": 2e-3}}),
+    ("fault-gains", ("eigs",), {"gains": {"k2": 0.0}}),
+    ("fault-segment", ("separation",), {"trajectory": {"segments": [{"u": 1.0, "w": 2.0}]}}),
+    ("fault-mech", ("mech-lemma",), {"mech": {"damping": [0.5, 0.0, 0.3]}}),
+    # mech.force_axis whose length underflows to 0 or overflows to inf.
+    ("fault-axis-tiny", ("mech-lemma",), {"mech": {"force_axis": [1e-170, 1e-170, 0.0]}}),
+    ("fault-axis-huge", ("mech-lemma",), {"mech": {"force_axis": [1e200, 1e200, 0.0]}}),
 )
 
 
