@@ -257,12 +257,10 @@ def _cmd_mech_lemma(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
     attitude_drift = error_linearization_drift(tilted, xi_r, cfg.probe_times)
 
     free = EpSystem(eye, xi_r, inertia, None)
-    times, attitudes, velocities = integrate_ep(
-        free, lambda t: np.zeros(3), cfg.t_end, cfg.dt
-    )
+    times, attitudes, velocities = integrate_ep(free, lambda t: (0.0, 0.0, 0.0), cfg.t_end, cfg.dt)
     energies = 0.5 * np.einsum("ni,ij,nj->n", velocities, inertia, velocities)
     energy_drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
-    defect = max(orthonormality_defect(a) for a in attitudes)
+    defect = orthonormality_defect(attitudes)
 
     tol = _tol(args)
     metrics = {

@@ -111,6 +111,43 @@ def riccati_values(
     )
 
 
+# keep_psd's floor on the smallest eigenvalue of P.
+PSD_FLOOR = -1e-9
+
+
+def keep_psd(t: float, w: tuple) -> tuple:
+    """run_along_reference's post-step hook: w unchanged once its P, on the
+    flat state (x, y, theta, P row-major), has lambda_min(P) >= PSD_FLOOR.
+
+    That holds exactly when every principal minor of A = P - PSD_FLOOR I is
+    >= 0; they are read on bare floats from the six distinct entries of the
+    exactly symmetric P.
+
+    Raises:
+        DivergenceError: at t, when P has left the cone.
+    """
+    a00 = w[3] - PSD_FLOOR
+    a11 = w[7] - PSD_FLOOR
+    a22 = w[11] - PSD_FLOOR
+    a01 = w[4]
+    a02 = w[5]
+    a12 = w[8]
+    m12 = a11 * a22 - a12 * a12
+    if (
+        a00 < 0.0 or a11 < 0.0 or a22 < 0.0 or m12 < 0.0
+        or a00 * a22 - a02 * a02 < 0.0
+        or a00 * a11 - a01 * a01 < 0.0
+        or a00 * m12 - a01 * (a01 * a22 - a12 * a02) + a02 * (a01 * a12 - a11 * a02) < 0.0
+    ):
+        # The Riccati flow preserves positive semidefiniteness, so a P
+        # outside the cone means the step size cannot follow the initial
+        # covariance transient.
+        raise DivergenceError(
+            t, "EKF integration unstable (P must be positive semidefinite); reduce dt"
+        )
+    return w
+
+
 @dataclass(frozen=True)
 class EkfRun:
     """Sampled filter run: times, estimates (n, 3), covariances (n, 3, 3)."""
@@ -158,16 +195,6 @@ def run_along_reference(
             last_t = t
         u, v, y = last_uvy
         return riccati_values(w, u, v, coords, y, q, r_inv)
-
-    def keep_psd(t: float, w: tuple) -> tuple:
-        if np.min(np.linalg.eigvalsh(np.array(w[3:]).reshape(3, 3))) < -1e-9:
-            # The Riccati flow preserves positive semidefiniteness, so a P
-            # outside the cone means the step size cannot follow the
-            # initial covariance transient.
-            raise DivergenceError(
-                t, "EKF integration unstable (P must be positive semidefinite); reduce dt"
-            )
-        return w
 
     g0 = traj.pose(0.0)
     w0 = (g0.x, g0.y, g0.theta, p0, 0.0, 0.0, 0.0, p0, 0.0, 0.0, 0.0, p0)

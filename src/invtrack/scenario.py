@@ -172,6 +172,13 @@ _MECH = {
 }
 
 
+def _finite_product(value: float, field: str, name: str) -> None:
+    # The trajectory constructors multiply the section's numbers; finite
+    # factors can still overflow.
+    if not math.isfinite(value):
+        raise ScenarioError(f"{field}: {name} must be finite, got {value}")
+
+
 def _trajectory_section(value) -> dict:
     doc = _object(value, "trajectory", ("u", "v", "start", "segments", "v_wobble"))
     start = _require_triple(doc.get("start", [0.0, 0.0, 0.0]), "trajectory.start")
@@ -182,14 +189,25 @@ def _trajectory_section(value) -> dict:
         if not isinstance(raw, list) or not raw:
             raise ScenarioError("trajectory.segments must be a non-empty list")
         segs = [_section(s, f"trajectory.segments[{i}]", _SEGMENT) for i, s in enumerate(raw)]
+        for i, seg in enumerate(segs):
+            u, v, duration = seg["u"], seg["v"], seg["duration"]
+            field = f"trajectory.segments[{i}]"
+            _finite_product(u * duration, field, "distance u*duration")
+            _finite_product(u * v * duration, field, "turn angle u*v*duration")
         out = {"segments": segs}
     else:
         out = {
             "u": _nonzero(doc.get("u", STANDARD_U), "trajectory.u"),
             "v": _require_number(doc.get("v", STANDARD_V), "trajectory.v"),
         }
+        u, v = out["u"], out["v"]
+        _finite_product(u * v, "trajectory", "turn rate u*v")
         if "v_wobble" in doc:
-            out["v_wobble"] = _section(doc["v_wobble"], "trajectory.v_wobble", _WOBBLE)
+            wobble = out["v_wobble"] = _section(doc["v_wobble"], "trajectory.v_wobble", _WOBBLE)
+            _finite_product(
+                abs(u) * (abs(v) + abs(wobble["amplitude"])), "trajectory.v_wobble",
+                "peak turn rate |u|*(|v| + |amplitude|)",
+            )
     out["start"] = start
     return out
 

@@ -4,8 +4,9 @@ The closed-loop error field composed from the boxed public layers; the
 Riccati flow of riccati_values and the Euler-Poincare rates of
 ep_rate_values written as the textbook formulas, with 3x3 arrays,
 np.linalg.solve and np.cross, plus the runs that integrate them with
-numerics.integrate; and IntegratedTrajectory's reference poses integrated
-by numerics.integrate on the unicycle field.
+numerics.integrate; the SVD projection onto SO(3) that project_attitude's
+polar iteration is held to; and IntegratedTrajectory's reference poses
+integrated by numerics.integrate on the unicycle field.
 """
 
 import bisect
@@ -16,7 +17,7 @@ from invtrack import se2
 from invtrack.closed_loop import ErrorField
 from invtrack.controller import feedback, tracking_error
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
-from invtrack.mech import hat, project_rotation
+from invtrack.mech import hat
 from invtrack.numerics import integrate
 from invtrack.observer import observer_field, output_error
 from invtrack.robot import dynamics, dynamics_values, finite_input, measure
@@ -77,6 +78,16 @@ def ekf_oracle_run(traj, lm, t_end, dt, Q, R, P0=None):
     times, states = integrate(rate, w0, 0.0, t_end, dt, keep_psd)
     rows = np.asarray(states)
     return np.asarray(times), rows[:, :3], rows[:, 3:].reshape(-1, 3, 3)
+
+
+def project_rotation(m):
+    """Nearest rotation matrix (Frobenius) by SVD, with the reflection case fixed up."""
+    u, _, vt = np.linalg.svd(m)
+    r = u @ vt
+    if np.linalg.det(r) < 0.0:
+        u[:, -1] = -u[:, -1]
+        r = u @ vt
+    return r
 
 
 def ep_dynamics_oracle(attitude, velocity, inertia, force, u):

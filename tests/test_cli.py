@@ -68,6 +68,16 @@ class TestVerdicts:
         assert main(["ekf-compare", "--out", str(out), "--dt", "0.01"]) == 2
         assert "reduce dt" in capsys.readouterr().err
 
+    def test_ekf_compare_low_measurement_noise_is_diagnosed(self, tmp_path, capsys):
+        # At r = 5e-3 the covariance transient is too fast for the 1 ms
+        # step, and the PSD guard stops the run after its first step.
+        cfg = write_config(tmp_path, {"ekf": {"measurement_noise": 5e-3}})
+        assert main(["ekf-compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: EKF integration unstable (P must be positive semidefinite); "
+            "reduce dt at t=0.001\n"
+        )
+
     def test_mech_lemma_passes(self, tmp_path):
         out = tmp_path / "out"
         assert main(["mech-lemma", "--out", str(out)]) == 0
@@ -199,6 +209,19 @@ class TestFailureModes:
         out = tmp_path / "out"
         assert main(["eigs", "--config", cfg, "--out", str(out)]) == 2
         assert "unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "eigs", "separation", "invariance", "ekf-compare"]
+    )
+    def test_overflowing_turn_rate_is_bad_input(self, tmp_path, capsys, command):
+        # u and v are finite, their product is not: a named scenario fault.
+        config = write_config(tmp_path, {"trajectory": {"u": 1e200, "v": 1e200}})
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--out", str(out), "--t-end", "0.01"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: trajectory: turn rate u*v must be finite, got inf\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
     def test_override_on_non_object_config(self, tmp_path, capsys, flag):

@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from invtrack.ekf import (
     DEFAULT_INITIAL_COVARIANCE,
     DEFAULT_MEASUREMENT_NOISE,
     DEFAULT_PROCESS_NOISE,
+    PSD_FLOOR,
     ekf_jacobians,
+    keep_psd,
     riccati_values,
     run_along_reference,
     time_variance_probe,
 )
 from invtrack.errors import DivergenceError
+from invtrack.mech import rotation_exp
 from invtrack.numerics import integrate, jacobian_fd
 from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure
 from invtrack.se2 import GroupElement, IDENTITY
@@ -65,6 +68,46 @@ class TestState:
         traj = PermanentTrajectory(1.0, 0.5)
         with pytest.raises(ValueError):
             run_along_reference(traj, STANDARD, 0.1, 1e-3, q=1e-3, r=1e-2, p0=-0.1)
+
+
+def _guard_raises(P):
+    w = (0.0, 0.0, 0.0, *np.asarray(P).ravel().tolist())
+    try:
+        assert keep_psd(0.0, w) is w
+    except DivergenceError:
+        return True
+    return False
+
+
+@st.composite
+def near_floor_covariances(draw):
+    # Q diag(lam) Q^T, made exactly symmetric, with lam_min within 1e-9 of
+    # PSD_FLOOR or of 0 (either side, down to 1e-17 away) and the other
+    # two eigenvalues in [s / 100, s].
+    s = draw(floats(1e-3, 1.0))
+    centre = draw(st.sampled_from((PSD_FLOOR, 0.0)))
+    offset = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(floats(-17.0, -9.0))
+    lam = np.diag([centre + offset, s * draw(floats(0.01, 1.0)), s * draw(floats(0.01, 1.0))])
+    q = rotation_exp(np.array([draw(floats(-3.0, 3.0)) for _ in range(3)]))
+    p = q @ lam @ q.T
+    return 0.5 * (p + p.T)
+
+
+class TestPsdGuard:
+    # The guard and eigvalsh may disagree only within roundoff of the floor;
+    # the largest gap seen over 600k such draws was 2.1 eps ||P||.
+    BAND = 1e-14
+
+    @given(P=near_floor_covariances())
+    def test_agrees_with_eigvalsh(self, P):
+        lam_min = float(np.min(np.linalg.eigvalsh(P)))
+        assume(abs(lam_min - PSD_FLOOR) > self.BAND * np.linalg.norm(P, 2))
+        assert _guard_raises(P) == (lam_min < PSD_FLOOR)
+
+    def test_two_negative_eigenvalues_raise(self):
+        # Eigenvalues (5, -1, -1) / 100: det > 0 and a positive diagonal, so
+        # only the 2x2 minors see it.
+        assert _guard_raises(np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]]) / 100)
 
 
 class TestJacobians:
@@ -183,8 +226,9 @@ class TestRun:
         # The initial covariance transient relaxes on a sub-millisecond
         # timescale, so a centisecond step leaves the PSD cone immediately.
         traj = PermanentTrajectory(1.0, 0.5)
-        with pytest.raises(DivergenceError, match="reduce dt"):
+        with pytest.raises(DivergenceError, match="reduce dt") as info:
             run_along_reference(traj, STANDARD, t_end=1.0, dt=1e-2, **DEFAULT_NOISE)
+        assert info.value.time == 0.01
 
     def test_inputs_checked_once_at_start(self):
         traj = PermanentTrajectory(1.0, 0.5)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from invtrack.errors import DivergenceError
 from invtrack.mech import (
+    PROJECTION_DEFECT_CAP,
     EpSystem,
     damping_force,
     ep_rate_values,
@@ -15,12 +17,14 @@ from invtrack.mech import (
     integrate_ep,
     inv_right_jacobian,
     orthonormality_defect,
-    project_rotation,
+    project_attitude,
     rotation_exp,
     spin_feedforward,
 )
-from oracles import assert_close, ep_dynamics_oracle, ep_oracle_run
+from oracles import assert_close, ep_dynamics_oracle, ep_oracle_run, project_rotation
 from strategies import floats
+
+EPS = np.finfo(float).eps
 
 INERTIA = np.diag([1.0, 2.0, 3.0])
 EYE = np.eye(3)
@@ -118,9 +122,62 @@ class TestRotations:
         rng = np.random.default_rng(63)
         R = rotation_exp(np.array([0.4, -0.2, 1.0]))
         noisy = R + rng.normal(scale=1e-4, size=(3, 3))
-        fixed = project_rotation(noisy)
+        fixed = _project(noisy)
         assert orthonormality_defect(fixed) < 1e-12
         assert np.max(np.abs(fixed - R)) < 1e-3
+
+
+def _project(m):
+    # project_attitude on a 3x3 array, with no velocity behind the attitude.
+    return np.array(project_attitude(0.0, tuple(np.asarray(m).ravel().tolist()))).reshape(3, 3)
+
+
+@st.composite
+def near_rotations(draw):
+    # A rotation plus a perturbation whose defect is within the accepted cap.
+    rotation = rotation_exp(draw(_vectors(-3.0, 3.0)))
+    e = np.array(draw(st.lists(floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3)
+    m = rotation + draw(floats(0.0, PROJECTION_DEFECT_CAP / 3.0)) * e
+    assume(orthonormality_defect(m) <= PROJECTION_DEFECT_CAP)
+    return m
+
+
+class TestProjection:
+    @given(m=near_rotations())
+    def test_matches_svd_oracle(self, m):
+        # The bound is the SVD's own error: against an extended-precision
+        # polar factor the polar iteration lands within about 1 ulp of 1,
+        # the SVD oracle within about 25.
+        fixed = _project(m)
+        assert np.max(np.abs(fixed - project_rotation(m))) <= 32 * EPS
+        assert orthonormality_defect(fixed) < 1e-15
+
+    def test_reflection_raises(self):
+        with pytest.raises(DivergenceError, match="reflection.*reduce dt") as info:
+            project_attitude(0.25, tuple((-rotation_exp(np.array([0.4, -0.2, 1.0]))).ravel()))
+        assert info.value.time == 0.25
+
+    def test_defect_beyond_cap_raises(self):
+        m = rotation_exp(np.array([0.4, -0.2, 1.0])) * (1.0 + 2.0 * PROJECTION_DEFECT_CAP)
+        with pytest.raises(DivergenceError, match="exceeds.*reduce dt") as info:
+            project_attitude(0.5, tuple(m.ravel()))
+        assert info.value.time == 0.5
+
+    def test_coarse_step_raises_in_run(self):
+        # A one-second step turns the body by about 1.2 rad: RK4 leaves the
+        # rotation group by more than the cap, and the run stops there.
+        s = EpSystem(EYE, np.array([0.4, 1.0, -0.6]), INERTIA)
+        with pytest.raises(DivergenceError, match="reduce dt") as info:
+            integrate_ep(s, lambda t: (0.0, 0.0, 0.0), 4.0, 1.0)
+        assert info.value.time == 1.0
+
+    def test_defect_of_a_stack_is_the_max_over_members(self):
+        rng = np.random.default_rng(64)
+        stack = np.array([
+            rotation_exp(rng.uniform(-3, 3, 3)) + rng.normal(scale=1e-6, size=(3, 3))
+            for _ in range(20)
+        ])
+        assert orthonormality_defect(stack) == max(orthonormality_defect(m) for m in stack)
 
 
 class TestDynamics:

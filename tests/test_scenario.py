@@ -370,6 +370,20 @@ SINGLE_FAULTS = [
     ({"mech": {"probe_times": [0.0, None]}}, "mech.probe_times[1] must be a number, got None"),
     ({"mech": {"t_end": 0}}, "mech.t_end must be > 0, got 0.0"),
     ({"mech": {"dt": -1e-3}}, "mech.dt must be > 0, got -0.001"),
+    # Finite numbers whose products in the trajectory constructors overflow.
+    ({"trajectory": {"u": 1e200, "v": 1e200}}, "trajectory: turn rate u*v must be finite, got inf"),
+    (
+        {"trajectory": {"segments": [_SEG, {"u": 1e200, "duration": 1e200}]}},
+        "trajectory.segments[1]: distance u*duration must be finite, got inf",
+    ),
+    (
+        {"trajectory": {"segments": [{"u": 1e200, "v": 1e200, "duration": 1.0}]}},
+        "trajectory.segments[0]: turn angle u*v*duration must be finite, got inf",
+    ),
+    (
+        {"trajectory": {"u": 1e200, "v_wobble": {"amplitude": 1e200}}},
+        "trajectory.v_wobble: peak turn rate |u|*(|v| + |amplitude|) must be finite, got inf",
+    ),
 ]
 
 

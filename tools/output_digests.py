@@ -12,10 +12,11 @@ reference, landmarks too far away to see, and the scenario parse paths no
 workload takes (split gain sections, absolute initial poses, a segment with
 default v, every mech field off its default, "probe_times": null, and a few
 documents that must be rejected).
-For each analysis OUT.json records the exit code, the stderr text and the
-sha256 of every file written to --out.  Two trees write byte-identical
-outputs on this set exactly when their OUT.json files agree; `diff` shows
-where they do not.
+For each analysis OUT.json records the exit code, the stderr text, the
+sha256 of every file written to --out and the metrics of the verdict report.
+Two trees write byte-identical outputs on this set exactly when their
+OUT.json files agree; `diff` shows where they do not, and names each metric
+that moved with its old and new value.
 
 perfbench/record_reference.py checks only the reference analyses' metrics,
 to a relative tolerance; this compares bytes.  The script reads perfbench/
@@ -102,7 +103,8 @@ def analyses():
 
 
 def digest(cli, command: str, doc, work: Path) -> dict:
-    """Run one analysis in a fresh directory; exit code, stderr, file digests."""
+    """Run one analysis in a fresh directory; exit code, stderr, file digests
+    and the report's metrics (empty when no report was written)."""
     argv = [command, "--out", str(work / "out")]
     if doc is not None:
         config = work / "config.json"
@@ -117,10 +119,14 @@ def digest(cli, command: str, doc, work: Path) -> dict:
             print(exc, file=sys.stderr)
     out = work / "out"
     files = {}
+    metrics = {}
     if out.is_dir():
         for path in sorted(out.iterdir()):
-            files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"exit": code, "stderr": err.getvalue(), "files": files}
+            data = path.read_bytes()
+            files[path.name] = hashlib.sha256(data).hexdigest()
+            if path.suffix == ".json":  # report.json, or eigs.json for eigs
+                metrics = json.loads(data)["metrics"]
+    return {"exit": code, "stderr": err.getvalue(), "files": files, "metrics": metrics}
 
 
 def main(argv=None) -> int:
