@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,15 +49,6 @@ DEPENDENT_DRIFT_FLOOR = 1e-2
 ENERGY_DRIFT_CAP = 1e-8
 LINEARIZATION_MATCH_CAP = 1e-4
 
-_DEFAULT_TOL = {
-    "simulate": 1e-3,
-    "eigs": 0.0,
-    "separation": 1e-6,
-    "invariance": 1e-6,
-    "ekf-compare": 1e-6,
-    "mech-lemma": 1e-6,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -64,16 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Invariant tracking and estimation analyses for a wheeled robot.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "simulate": "run the closed loop and write the time series plus a verdict",
-        "eigs": "design spectra and stability margins at the reference input",
-        "separation": "check the closed-loop linearization splits into the two designs",
-        "invariance": "check the error linearizations are frozen along the reference",
-        "ekf-compare": "contrast the invariant observer with an EKF on the same run",
-        "mech-lemma": "rigid-body probes: which force models keep the error field frozen",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON scenario file (defaults apply when omitted)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--dt", type=float, help="override the scenario step size")
@@ -82,7 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(args: argparse.Namespace) -> ParsedScenario:
+def _load_scenario(args: argparse.Namespace, section: Optional[str]) -> ParsedScenario:
+    """Read --config (the defaults when omitted), write --dt/--t-end into its
+    `section` (None: the top level), and parse it."""
     doc: dict = {}
     if args.config is not None:
         try:
@@ -92,28 +78,24 @@ def _load_scenario(args: argparse.Namespace) -> ParsedScenario:
             raise ScenarioError(f"cannot read config {args.config}: {err}") from err
         except json.JSONDecodeError as err:
             raise ScenarioError(f"config {args.config} is not valid JSON: {err}") from err
-    if isinstance(doc, dict):  # parse_scenario names any other document's fault
+    target = doc.setdefault(section, {}) if section and isinstance(doc, dict) else doc
+    if isinstance(target, dict):  # parse_scenario names any other document's fault
         if args.dt is not None:
-            doc["dt"] = args.dt
+            target["dt"] = args.dt
         if args.t_end is not None:
-            doc["t_end"] = args.t_end
+            target["t_end"] = args.t_end
     return parse_scenario(doc)
-
-
-def _tol(args: argparse.Namespace) -> float:
-    return args.tol if args.tol is not None else _DEFAULT_TOL[args.command]
 
 
 def _spectrum_rows(spec) -> list:
     return [[z.real, z.imag] for z in spec.values]
 
 
-def _cmd_simulate(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
+def _cmd_simulate(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
     res = simulate(parsed.scenario)
     reporting.write_text(out_dir / "timeseries.csv", reporting.timeseries_csv(res))
     final_eta = float(np.linalg.norm(res.tracking_errors[-1]))
     final_eps = float(np.linalg.norm(res.estimation_errors[-1]))
-    tol = _tol(args)
     metrics = {
         "final_tracking_error": final_eta,
         "final_estimation_error": final_eps,
@@ -137,9 +119,8 @@ def _separation_spectra(sc: Scenario, t: float):
     return ctrl, obs, combined, spectrum_match_distance(combined, ctrl.union(obs))
 
 
-def _cmd_eigs(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
+def _cmd_eigs(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
     ctrl, obs, combined, union_mismatch = _separation_spectra(parsed.scenario, 0.0)
-    tol = _tol(args)
     metrics = {
         "controller_abscissa": ctrl.max_real(),
         "observer_abscissa": obs.max_real(),
@@ -157,7 +138,7 @@ def _cmd_eigs(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, 
     return passed, metrics, {"stability_margin": tol}
 
 
-def _cmd_separation(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
+def _cmd_separation(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
     union_mismatch = _separation_spectra(sc, parsed.probe_times[0])[3]
 
@@ -174,7 +155,6 @@ def _cmd_separation(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
         )
         deviation = max(deviation, float(np.linalg.norm(mat - predicted)))
 
-    tol = _tol(args)
     metrics = {
         "spectrum_union_mismatch": union_mismatch,
         "linearization_match": deviation,
@@ -198,7 +178,7 @@ def _observer_and_loop_drift(sc: Scenario, times) -> tuple[float, float]:
     return obs_drift, loop_drift
 
 
-def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
+def _cmd_invariance(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
     times = parsed.probe_times
     ctrl_drift = time_invariance_probe(
@@ -208,7 +188,6 @@ def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
     input_variation = permanence_probe(
         [sc.trajectory.input(t) for t in _input_grid(sc.t_end)]
     )
-    tol = _tol(args)
     metrics = {
         "controller_drift": ctrl_drift,
         "observer_drift": obs_drift,
@@ -219,7 +198,7 @@ def _cmd_invariance(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
     return passed, metrics, {"linearization_drift": tol}
 
 
-def _cmd_ekf_compare(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
+def _cmd_ekf_compare(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
     ekf_drift = time_variance_probe(
         sc.trajectory,
@@ -231,7 +210,6 @@ def _cmd_ekf_compare(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool,
         p0=parsed.ekf_initial_covariance,
     )
     obs_drift, loop_drift = _observer_and_loop_drift(sc, parsed.probe_times)
-    tol = _tol(args)
     metrics = {
         "ekf_drift": ekf_drift,
         "observer_drift": obs_drift,
@@ -242,19 +220,19 @@ def _cmd_ekf_compare(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool,
     return passed, metrics, tolerances
 
 
-def _cmd_mech_lemma(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, dict, dict]:
+def _cmd_mech_lemma(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
     cfg = parsed.mech
     inertia = np.diag(cfg.inertia)
     eye = np.eye(3)
     xi_r = np.asarray(cfg.reference_velocity)
 
     damped = EpSystem(eye, xi_r, inertia, damping_force(cfg.damping))
-    velocity_drift = error_linearization_drift(damped, xi_r, cfg.probe_times)
+    velocity_drift = error_linearization_drift(damped, cfg.probe_times)
 
     tilted = EpSystem(
         eye, xi_r, inertia, gravity_gradient_force(cfg.force_strength, cfg.force_axis)
     )
-    attitude_drift = error_linearization_drift(tilted, xi_r, cfg.probe_times)
+    attitude_drift = error_linearization_drift(tilted, cfg.probe_times)
 
     free = EpSystem(eye, xi_r, inertia, None)
     times, attitudes, velocities = integrate_ep(free, lambda t: (0.0, 0.0, 0.0), cfg.t_end, cfg.dt)
@@ -262,7 +240,6 @@ def _cmd_mech_lemma(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
     energy_drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     defect = orthonormality_defect(attitudes)
 
-    tol = _tol(args)
     metrics = {
         "velocity_force_drift": velocity_drift,
         "attitude_force_drift": attitude_drift,
@@ -282,31 +259,47 @@ def _cmd_mech_lemma(parsed: ParsedScenario, args, out_dir: Path) -> tuple[bool, 
     return passed, metrics, tolerances
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "eigs": _cmd_eigs,
-    "separation": _cmd_separation,
-    "invariance": _cmd_invariance,
-    "ekf-compare": _cmd_ekf_compare,
-    "mech-lemma": _cmd_mech_lemma,
-}
+class _Command(NamedTuple):
+    """A command's help text, default verdict tolerance, handler, report file
+    name, and the scenario section its --dt/--t-end set (None: the top level)."""
 
-_REPORT_NAME = {"eigs": "eigs.json"}
+    help: str
+    tol: float
+    run: Callable[[ParsedScenario, float, Path], tuple[bool, dict, dict]]
+    report: str = "report.json"
+    section: Optional[str] = None
+
+
+_COMMANDS = {
+    "simulate": _Command("run the closed loop and write the time series plus a verdict",
+                         1e-3, _cmd_simulate),
+    "eigs": _Command("design spectra and stability margins at the reference input",
+                     0.0, _cmd_eigs, report="eigs.json"),
+    "separation": _Command("check the closed-loop linearization splits into the two designs",
+                           1e-6, _cmd_separation),
+    "invariance": _Command("check the error linearizations are frozen along the reference",
+                           1e-6, _cmd_invariance),
+    "ekf-compare": _Command("contrast the invariant observer with an EKF on the same run",
+                            1e-6, _cmd_ekf_compare),
+    "mech-lemma": _Command("rigid-body probes: which force models keep the error field frozen",
+                           1e-6, _cmd_mech_lemma, section="mech"),
+}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        parsed = _load_scenario(args)
+        command = _COMMANDS[args.command]
+        parsed = _load_scenario(args, command.section)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        passed, metrics, tolerances = _HANDLERS[args.command](parsed, args, out_dir)
+        tol = command.tol if args.tol is None else args.tol
+        passed, metrics, tolerances = command.run(parsed, tol, out_dir)
         report = reporting.verdict(
             args.command, passed, metrics, tolerances,
             reporting.scenario_digest(parsed.canonical),
         )
-        name = _REPORT_NAME.get(args.command, "report.json")
-        reporting.write_text(out_dir / name, reporting.json_text(report))
+        reporting.write_text(out_dir / command.report, reporting.json_text(report))
     except InvtrackError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

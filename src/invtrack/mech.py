@@ -11,7 +11,7 @@ attitude-independent.  The probe below measures that drift numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -127,19 +127,26 @@ def project_attitude(t: float, w: tuple) -> tuple:
     return (r00, r01, r02, r10, r11, r12, r20, r21, r22) + w[9:]
 
 
+def _flat(m: np.ndarray) -> tuple:
+    return tuple(np.asarray(m, dtype=float).ravel().tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class EpSystem:
     """Rigid body state and model: attitude, body velocity, inertia, force.
 
     force(attitude, velocity) returns a body-frame torque; None means the
     free body.  The inertia must be symmetric positive definite and the
-    attitude a proper rotation.
+    attitude a proper rotation.  Once validated, I and I^-1 are flattened
+    row-major into inertia_flat and inertia_inv_flat for ep_rate_values.
     """
 
     attitude: np.ndarray
     velocity: np.ndarray
     inertia: np.ndarray
     force: Optional[ForceModel] = None
+    inertia_flat: tuple = field(init=False, repr=False)
+    inertia_inv_flat: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         att = np.asarray(self.attitude, dtype=float)
@@ -156,6 +163,8 @@ class EpSystem:
             raise ValueError("inertia must be symmetric 3x3")
         if np.min(np.linalg.eigvalsh(ine)) <= 0.0:
             raise ValueError("inertia must be positive definite")
+        object.__setattr__(self, "inertia_flat", _flat(ine))
+        object.__setattr__(self, "inertia_inv_flat", _flat(np.linalg.inv(ine)))
 
 
 def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tuple:
@@ -186,10 +195,6 @@ def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tupl
     )
 
 
-def _flat(m: np.ndarray) -> tuple:
-    return tuple(np.asarray(m, dtype=float).ravel().tolist())
-
-
 def integrate_ep(
     s: EpSystem,
     u_fn: Callable[[float], tuple],
@@ -199,17 +204,15 @@ def integrate_ep(
     """Fixed-step RK4 on (attitude, velocity); attitude is re-projected onto
     the rotation group after every step (project_attitude) so the drift
     stays at roundoff level.  u_fn(t) gives the control torque as three
-    floats.  I and I^-1 are taken once; the force model, when there is one,
-    sees arrays at every stage.
+    floats.  I and I^-1 come flattened from s; the force model, when there
+    is one, sees arrays at every stage.
 
     Returns (times, attitudes (n, 3, 3), velocities (n, 3)).
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
 
-    inertia = _flat(s.inertia)
-    inertia_inv = _flat(np.linalg.inv(s.inertia))
-    force = s.force
+    inertia, inertia_inv, force = s.inertia_flat, s.inertia_inv_flat, s.force
 
     if force is None:
         def rate(t: float, w: tuple) -> tuple:
@@ -225,44 +228,35 @@ def integrate_ep(
     return np.asarray(times), w_rows[:, :9].reshape(-1, 3, 3), w_rows[:, 9:]
 
 
-def spin_feedforward(s: EpSystem, xi_r: np.ndarray, attitude_r: np.ndarray) -> np.ndarray:
-    """Torque holding the body at constant body velocity xi_r at a given attitude."""
-    xi_r = np.asarray(xi_r, dtype=float)
+def spin_feedforward(s: EpSystem, attitude_r: np.ndarray) -> np.ndarray:
+    """Torque holding the body at its own velocity s.velocity at attitude attitude_r."""
     rates = ep_rate_values(
-        (0.0,) * 9 + _flat(xi_r), _flat(s.inertia), _flat(np.linalg.inv(s.inertia)),
-        (0.0, 0.0, 0.0),
+        (0.0,) * 9 + _flat(s.velocity), s.inertia_flat, s.inertia_inv_flat, (0.0, 0.0, 0.0)
     )
     u = -(s.inertia @ np.array(rates[9:]))
     if s.force is not None:
-        u = u - s.force(attitude_r, xi_r)
+        u = u - s.force(attitude_r, s.velocity)
     return u
 
 
-def error_linearization_drift(
-    s: EpSystem,
-    xi_r: np.ndarray,
-    times,
-) -> float:
+def error_linearization_drift(s: EpSystem, times) -> float:
     """Drift of the linearized tracking-error dynamics along a steady spin.
 
-    The reference spins from the system's attitude at constant body velocity
-    xi_r under the matching feedforward torque.  The tracking error (relative
-    attitude in exponential coordinates, velocity difference) is linearized
-    at the origin by central differences at each sample time; the result is
-    the max pairwise Frobenius deviation.  Near zero when the force model
+    The reference spins from the system's attitude at its own constant body
+    velocity xi_r = s.velocity under the matching feedforward torque.  The
+    tracking error (relative attitude in exponential coordinates, velocity
+    difference) is linearized at the origin by central differences at each
+    sample time; the result is the max pairwise Frobenius deviation.  Near zero when the force model
     ignores attitude; order one when it does not.
     """
-    xi_r = np.asarray(xi_r, dtype=float)
     times = list(times)
     if len(times) < 2:
         raise ValueError("need at least two probe times")
-    inertia = _flat(s.inertia)
-    inertia_inv = _flat(np.linalg.inv(s.inertia))
-    force = s.force
+    xi_r, inertia, inertia_inv, force = s.velocity, s.inertia_flat, s.inertia_inv_flat, s.force
 
     def linearization(t: float) -> np.ndarray:
         att_r = s.attitude @ rotation_exp(t * xi_r)
-        u_r = spin_feedforward(s, xi_r, att_r)
+        u_r = spin_feedforward(s, att_r)
 
         def error_rate(w: np.ndarray) -> np.ndarray:
             eta = rotation_exp(w[:3])

@@ -133,11 +133,6 @@ def eigenvalues(matrix: np.ndarray) -> Spectrum:
     return Spectrum(tuple(complex(z) for z in np.linalg.eigvals(m)))
 
 
-def spectral_abscissa(matrix: np.ndarray) -> float:
-    """Largest real part over the spectrum; negative means asymptotically stable."""
-    return eigenvalues(matrix).max_real()
-
-
 def spectrum_match_distance(a: Spectrum, b: Spectrum) -> float:
     """Greedy minimal-distance multiset matching between two spectra.
 

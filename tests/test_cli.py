@@ -86,6 +86,25 @@ class TestVerdicts:
         assert report["metrics"]["attitude_force_drift"] >= 1e-2
         assert report["metrics"]["energy_drift"] <= 1e-8
 
+    def test_mech_lemma_flags_set_the_mech_section(self, tmp_path):
+        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+        argv = ["mech-lemma", "--out", str(flagged), "--t-end", "0.5", "--dt", "2e-3"]
+        assert main(argv) == 0
+        cfg = write_config(tmp_path, {"mech": {"t_end": 0.5, "dt": 2e-3}})
+        assert main(["mech-lemma", "--config", cfg, "--out", str(configured)]) == 0
+        assert (flagged / "report.json").read_bytes() == (configured / "report.json").read_bytes()
+
+    def test_mech_lemma_coarse_step_is_diagnosed(self, tmp_path, capsys):
+        assert main(["mech-lemma", "--out", str(tmp_path / "out"), "--dt", "1"]) == 2
+        assert "reduce dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mech", [None, 5, [1, 2]])
+    def test_mech_lemma_flags_on_non_object_mech(self, tmp_path, capsys, mech):
+        cfg = write_config(tmp_path, {"mech": mech})
+        out = tmp_path / "out"
+        assert main(["mech-lemma", "--config", cfg, "--out", str(out), "--dt", "0.01"]) == 2
+        assert capsys.readouterr().err == "error: mech must be an object\n"
+
 
 class TestReverseDriving:
     # u_r < 0 on the standard circle; simulate's reverse runs are covered in

@@ -1,6 +1,6 @@
 """Digest every output of the six CLI commands over a fixed scenario set.
 
-    python3 tools/output_digests.py SRC OUT.json
+    python3 tools/output_digests.py [--cheap] SRC OUT.json
 
 Imports invtrack from SRC (the src/ directory of any checkout) and runs, in
 process, each of the six commands on the default scenario, then each
@@ -17,6 +17,15 @@ sha256 of every file written to --out and the metrics of the verdict report.
 Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
+
+--cheap digests only the default and hand-written scenes (42 analyses, a
+few seconds).  Their digests are committed beside this script as
+output_digests.json, and tests/test_output_digests.py re-digests them on
+every test run; refresh that file with
+    python3 tools/output_digests.py --cheap src tools/output_digests.json
+in the same commit as any change that moves output bytes on purpose.  The
+bytes go through the host's libm and numpy's LAPACK, so digests recorded on
+one host may differ in the last bits on another.
 
 perfbench/record_reference.py checks only the reference analyses' metrics,
 to a relative tolerance; this compares bytes.  The script reads perfbench/
@@ -85,18 +94,21 @@ HAND_SCENES = (
 )
 
 
-def analyses():
-    """(label, command, document or None for the default) in run order."""
-    from workloads import WORKLOADS, scenarios
-
+def analyses(cheap: bool = False):
+    """(label, command, document or None for the default) in run order; with
+    cheap, only the default and hand-written scenes, not perfbench's."""
     for command in COMMANDS:
         yield f"default/{command}", command, None
-    for name, workload in WORKLOADS.items():
-        for i, (command, doc) in enumerate(workload.reference):
-            yield f"reference/{name}/{i}/{command}", command, doc
-    for name, workload in WORKLOADS.items():
-        for i, (command, doc) in enumerate(scenarios(workload, SEED)):
-            yield f"seed{SEED}/{name}/{i}/{command}", command, doc
+    if not cheap:
+        sys.path.insert(0, str(PERFBENCH))
+        from workloads import WORKLOADS, scenarios
+
+        for name, workload in WORKLOADS.items():
+            for i, (command, doc) in enumerate(workload.reference):
+                yield f"reference/{name}/{i}/{command}", command, doc
+        for name, workload in WORKLOADS.items():
+            for i, (command, doc) in enumerate(scenarios(workload, SEED)):
+                yield f"seed{SEED}/{name}/{i}/{command}", command, doc
     for name, commands, doc in HAND_SCENES:
         for command in commands:
             yield f"hand/{name}/{command}", command, doc
@@ -129,20 +141,45 @@ def digest(cli, command: str, doc, work: Path) -> dict:
     return {"exit": code, "stderr": err.getvalue(), "files": files, "metrics": metrics}
 
 
+def digest_all(cli, cheap: bool = False) -> dict:
+    """label -> digest record, over analyses(cheap)."""
+    records = {}
+    for label, command, doc in analyses(cheap):
+        with tempfile.TemporaryDirectory() as tmp:
+            records[label] = digest(cli, command, doc, Path(tmp))
+    return records
+
+
+def differences(old: dict, new: dict) -> list[str]:
+    """One line per analysis only one side has, and per exit code, stderr,
+    file hash or metric that moved, with its old and new value."""
+    lines = [f"{label}: only in the old digests" for label in old if label not in new]
+    lines += [f"{label}: only in the new digests" for label in new if label not in old]
+    for label in (label for label in old if label in new):
+        a, b = old[label], new[label]
+        moved = [(key, a[key], b[key]) for key in ("exit", "stderr") if a[key] != b[key]]
+        for part in ("files", "metrics"):
+            for name in sorted(a[part].keys() | b[part].keys()):
+                was, now = a[part].get(name), b[part].get(name)
+                if was != now:
+                    moved.append((f"{part[:-1]} {name}", was, now))
+        lines += [f"{label}: {what} {was!r} -> {now!r}" for what, was, now in moved]
+    return lines
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    cheap = args[:1] == ["--cheap"]
+    if cheap:
+        args = args[1:]
     if len(args) != 2:
-        print("usage: python3 tools/output_digests.py SRC OUT.json", file=sys.stderr)
+        print("usage: python3 tools/output_digests.py [--cheap] SRC OUT.json", file=sys.stderr)
         return 2
     src, dest = Path(args[0]).resolve(), Path(args[1])
     sys.path.insert(0, str(src))
-    sys.path.insert(0, str(PERFBENCH))
     from invtrack import cli
 
-    records = {}
-    for label, command, doc in analyses():
-        with tempfile.TemporaryDirectory() as tmp:
-            records[label] = digest(cli, command, doc, Path(tmp))
+    records = digest_all(cli, cheap)
     dest.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"{len(records)} analyses digested into {dest}")
     return 0
