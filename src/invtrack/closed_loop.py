@@ -27,7 +27,7 @@ from .controller import (
     relative_pose,
 )
 from .errors import DivergenceError, GeometryError
-from .numerics import integrate, jacobian_fd, max_pairwise_distance
+from .numerics import integrate, jacobian_fd, max_pairwise_distance, once_per_time
 from .observer import ObserverGains, obs_error_matrix, observer_field, observer_rate
 from .robot import LandmarkSet, dynamics, dynamics_values, measure, measure_values
 from .se2 import GroupElement
@@ -92,25 +92,12 @@ def _loop_rate(
     og: ObserverGains,
 ) -> tuple[Callable[[float, tuple], tuple], Callable[[float], tuple]]:
     """The coupled plant/observer/controller right-hand side on flat
-    (x, y, theta, xhat, yhat, thetahat) tuples, and its reference lookup.
-
-    reference(t) returns (x_r, y_r, theta_r, u_r, v_r) and remembers the
-    last time asked for, so the two midpoint stages of an RK4 step share
-    one trajectory query, and the end stage usually serves the sample row
-    at the step's end and the next step's first stage.
+    (x, y, theta, xhat, yhat, thetahat) tuples, and its reference lookup
+    reference(t) = (x_r, y_r, theta_r, u_r, v_r), queried once per time
+    (numerics.once_per_time), which also serves simulate's sample rows.
     """
     coords = lm.coords
-    last_t = math.nan
-    last_ref: tuple = ()
-
-    def reference(t: float) -> tuple:
-        nonlocal last_t, last_ref
-        if t != last_t:
-            g = traj.pose(t)
-            inp = traj.input(t)
-            last_t = t
-            last_ref = (g.x, g.y, g.theta, inp.u, inp.v)
-        return last_ref
+    reference = once_per_time(lambda t: (*traj.pose(t), *traj.input(t)))
 
     def rate(t: float, w: tuple) -> tuple:
         x, y, th, xh, yh, thh = w

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import integrate, max_pairwise_distance
-from .robot import LandmarkSet, RobotInput, dynamics_values, finite_input, measure
+from .numerics import integrate, max_pairwise_distance, once_per_time
+from .robot import LandmarkSet, RobotInput, dynamics_values, finite_input, measure_values
 from .se2 import GroupElement
 
 DEFAULT_PROCESS_NOISE = 1e-3
@@ -54,8 +54,8 @@ def riccati_values(
     r_inv: float,
 ) -> tuple:
     """Time derivative of (x_hat, P) under the continuous-time Riccati flow,
-    on the flat state (x, y, theta, P row-major), with Q = q I and
-    R^-1 = r_inv I.
+    on the flat state (x, y, theta, p00, p01, p02, p11, p12, p22) that holds
+    the upper triangle of the symmetric P, with Q = q I and R^-1 = r_inv I.
 
     y is the measurement, one value per landmark in coords.  Checks nothing.
 
@@ -63,7 +63,7 @@ def riccati_values(
     L = P S^T only ever meets the first two columns of P:
     L res = P[:, :2] (S^T res) and L H P = P[:, :2] (S^T H) P[:2, :].
     """
-    x, yy, th, p00, p01, p02, p10, p11, p12, p20, p21, p22 = w
+    x, yy, th, p00, p01, p02, p11, p12, p22 = w
     g0 = g1 = m00 = m01 = m10 = m11 = 0.0
     for (lx, ly), yi in zip(coords, y):
         hx = 2.0 * (x - lx)
@@ -80,34 +80,33 @@ def riccati_values(
     # A = P[:, :2] (S^T H), so L H P = A P[:2, :].
     a00 = p00 * m00 + p01 * m10
     a01 = p00 * m01 + p01 * m11
-    a10 = p10 * m00 + p11 * m10
-    a11 = p10 * m01 + p11 * m11
-    a20 = p20 * m00 + p21 * m10
-    a21 = p20 * m01 + p21 * m11
+    a10 = p01 * m00 + p11 * m10
+    a11 = p01 * m01 + p11 * m11
+    a20 = p02 * m00 + p12 * m10
+    a21 = p02 * m01 + p12 * m11
     # F has the single nonzero column f = (-u sin, u cos, 0) at index 2, so
     # (F P)_ij = f_i P_2j and (P F^T)_ij = P_i2 f_j.
     c, s, om = dynamics_values(th, u, v)
     f0 = -s
-    d00 = f0 * p20 + p02 * f0 + q - (a00 * p00 + a01 * p10)
-    d01 = f0 * p21 + p02 * c - (a00 * p01 + a01 * p11)
+    d00 = f0 * p02 + p02 * f0 + q - (a00 * p00 + a01 * p01)
+    d01 = f0 * p12 + p02 * c - (a00 * p01 + a01 * p11)
     d02 = f0 * p22 - (a00 * p02 + a01 * p12)
-    d10 = c * p20 + p12 * f0 - (a10 * p00 + a11 * p10)
-    d11 = c * p21 + p12 * c + q - (a10 * p01 + a11 * p11)
+    d10 = c * p02 + p12 * f0 - (a10 * p00 + a11 * p01)
+    d11 = c * p12 + p12 * c + q - (a10 * p01 + a11 * p11)
     d12 = c * p22 - (a10 * p02 + a11 * p12)
-    d20 = p22 * f0 - (a20 * p00 + a21 * p10)
+    d20 = p22 * f0 - (a20 * p00 + a21 * p01)
     d21 = p22 * c - (a20 * p01 + a21 * p11)
     d22 = q - (a20 * p02 + a21 * p12)
-    # Each off-diagonal pair gets one value, so RK4 keeps P exactly symmetric.
+    # d01 and d10 (and each other off-diagonal pair) agree up to rounding;
+    # their mean is the one rate of the entry P keeps for the pair.
     e01 = 0.5 * (d01 + d10)
     e02 = 0.5 * (d02 + d20)
     e12 = 0.5 * (d12 + d21)
     return (
         c - (p00 * g0 + p01 * g1),
-        s - (p10 * g0 + p11 * g1),
-        om - (p20 * g0 + p21 * g1),
-        d00, e01, e02,
-        e01, d11, e12,
-        e02, e12, d22,
+        s - (p01 * g0 + p11 * g1),
+        om - (p02 * g0 + p12 * g1),
+        d00, e01, e02, d11, e12, d22,
     )
 
 
@@ -117,21 +116,19 @@ PSD_FLOOR = -1e-9
 
 def keep_psd(t: float, w: tuple) -> tuple:
     """run_along_reference's post-step hook: w unchanged once its P, on the
-    flat state (x, y, theta, P row-major), has lambda_min(P) >= PSD_FLOOR.
+    flat state (x, y, theta, p00, p01, p02, p11, p12, p22), has
+    lambda_min(P) >= PSD_FLOOR.
 
     That holds exactly when every principal minor of A = P - PSD_FLOOR I is
-    >= 0; they are read on bare floats from the six distinct entries of the
-    exactly symmetric P.
+    >= 0; they are read on bare floats from w[3:9].
 
     Raises:
         DivergenceError: at t, when P has left the cone.
     """
-    a00 = w[3] - PSD_FLOOR
-    a11 = w[7] - PSD_FLOOR
-    a22 = w[11] - PSD_FLOOR
-    a01 = w[4]
-    a02 = w[5]
-    a12 = w[8]
+    a00, a01, a02, a11, a12, a22 = w[3:9]
+    a00 -= PSD_FLOOR
+    a11 -= PSD_FLOOR
+    a22 -= PSD_FLOOR
     m12 = a11 * a22 - a12 * a12
     if (
         a00 < 0.0 or a11 < 0.0 or a22 < 0.0 or m12 < 0.0
@@ -172,7 +169,8 @@ def run_along_reference(
     The estimate starts on the reference, so the run isolates how the
     covariance (and with it the gain) evolves along the path.  The noise
     levels are validated here, once; after every step P is checked to be
-    positive semidefinite.
+    positive semidefinite.  The flow carries the upper triangle of P, and
+    the returned run holds it expanded to full matrices.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
@@ -181,26 +179,21 @@ def run_along_reference(
             raise ValueError(f"noise level {name} must be positive and finite, got {level}")
     coords = lm.coords
     r_inv = 1.0 / r
-    # (u, v, y) at the last stage time asked for: the two midpoint stages of
-    # a step share one reference query, and the end stage usually serves
-    # the next step's first.
-    last_t = math.nan
-    last_uvy: tuple = ()
+
+    @once_per_time
+    def stage(t: float) -> tuple:
+        return (*finite_input(traj.input(t)), measure_values(traj.pose(t), lm))
 
     def rate(t: float, w: tuple) -> tuple:
-        nonlocal last_t, last_uvy
-        if t != last_t:
-            u, v = finite_input(traj.input(t))
-            last_uvy = (u, v, measure(traj.pose(t), lm).values)
-            last_t = t
-        u, v, y = last_uvy
+        u, v, y = stage(t)
         return riccati_values(w, u, v, coords, y, q, r_inv)
 
     g0 = traj.pose(0.0)
-    w0 = (g0.x, g0.y, g0.theta, p0, 0.0, 0.0, 0.0, p0, 0.0, 0.0, 0.0, p0)
-    times, states = integrate(rate, w0, 0.0, t_end, dt, keep_psd)
+    times, states = integrate(rate, (*g0, p0, 0.0, 0.0, p0, 0.0, p0), 0.0, t_end, dt, keep_psd)
     w_rows = np.asarray(states)
-    return EkfRun(np.asarray(times), w_rows[:, :3], w_rows[:, 3:].reshape(-1, 3, 3))
+    # Row-major P from (p00, p01, p02, p11, p12, p22).
+    covariances = w_rows[:, [3, 4, 5, 4, 6, 7, 5, 7, 8]].reshape(-1, 3, 3)
+    return EkfRun(np.asarray(times), w_rows[:, :3], covariances)
 
 
 def time_variance_probe(

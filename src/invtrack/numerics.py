@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -17,6 +17,7 @@ FD_STEP = 1e-6
 MAX_EIG_SIZE = 8
 
 VectorField = Callable[[float, tuple], Sequence[float]]
+T = TypeVar("T")
 
 
 def rk4_step(field: VectorField, t: float, x: tuple, h: float) -> tuple:
@@ -32,6 +33,23 @@ def rk4_step(field: VectorField, t: float, x: tuple, h: float) -> tuple:
         a + h6 * (b + 2.0 * (c + d) + e)
         for a, b, c, d, e in zip(x, k1, k2, k3, k4)
     ])
+
+
+def once_per_time(fn: Callable[[float], T]) -> Callable[[float], T]:
+    """fn, run again only when t differs from the previous call's: rk4_step
+    asks for its midpoint time twice in a row, and its end time is usually
+    the next step's start, so a stage-time lookup runs about twice per step."""
+    last_t = math.nan
+    last = None
+
+    def at(t: float) -> T:
+        nonlocal last_t, last
+        if t != last_t:
+            last = fn(t)
+            last_t = t
+        return last
+
+    return at
 
 
 def integrate(

@@ -173,8 +173,8 @@ _MECH = {
 
 
 def _finite_product(value: float, field: str, name: str) -> None:
-    # The trajectory constructors multiply the section's numbers; finite
-    # factors can still overflow.
+    # The run objects multiply the document's numbers; finite factors can
+    # still overflow.
     if not math.isfinite(value):
         raise ScenarioError(f"{field}: {name} must be finite, got {value}")
 
@@ -290,6 +290,15 @@ def parse_scenario(doc: dict) -> ParsedScenario:
     est0 = _initial(doc, "initial_estimate", "initial_estimate_error", pose0)
     canonical["initial_pose"] = list(pose0)
     canonical["initial_estimate"] = list(est0)
+    # Every range measurement squares a pose's offset to a landmark.
+    for field, (x, y, _) in (
+        ("trajectory.start", canonical["trajectory"]["start"]),
+        ("initial_pose", pose0),
+        ("initial_estimate", est0),
+    ):
+        for i, (lx, ly) in enumerate(coords):
+            dx, dy = x - lx, y - ly
+            _finite_product(dx * dx + dy * dy, field, f"squared range to landmarks[{i}]")
 
     t_end = canonical["t_end"] = _positive(doc.get("t_end", STANDARD_T_END), "t_end")
     dt = canonical["dt"] = _positive(doc.get("dt", STANDARD_DT), "dt")

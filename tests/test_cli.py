@@ -242,6 +242,27 @@ class TestFailureModes:
             "error: trajectory: turn rate u*v must be finite, got inf\n"
         )
 
+    @pytest.mark.parametrize(
+        "command", ["simulate", "eigs", "separation", "invariance", "ekf-compare"]
+    )
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"landmarks": [[1e160, 0], [0, 1e160], [-1e160, -1e160]]},
+            {"trajectory": {"start": [1e155, 0, 0]}},
+        ],
+        ids=["far-landmarks", "far-start"],
+    )
+    def test_overflowing_range_is_bad_input(self, tmp_path, capsys, command, doc):
+        # Finite coordinates whose squared range to a landmark is not.
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: trajectory.start: squared range to landmarks[0] must be finite, got inf\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
     def test_override_on_non_object_config(self, tmp_path, capsys, flag):
         cfg = write_config(tmp_path, [1, 2])

@@ -33,13 +33,22 @@ DEFAULT_NOISE = {
 }
 
 
+def _upper(P):
+    # The EKF state's six covariance entries (p00, p01, p02, p11, p12, p22).
+    return np.asarray(P)[np.triu_indices(3)].tolist()
+
+
+def _full(upper):
+    # The symmetric 3x3 matrix whose upper triangle is upper.
+    return np.asarray(upper)[[0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(3, 3)
+
+
 def _riccati(x_hat, P, inp, lm, y, q, r):
     # riccati_values on arrays: (x_hat rate (3,), P rate (3, 3)).
     rates = riccati_values(
-        (x_hat.x, x_hat.y, x_hat.theta, *np.asarray(P).ravel().tolist()), inp.u, inp.v,
-        lm.coords, y.values, q, 1.0 / r,
+        (x_hat.x, x_hat.y, x_hat.theta, *_upper(P)), inp.u, inp.v, lm.coords, y.values, q, 1.0 / r
     )
-    return np.array(rates[:3]), np.array(rates[3:]).reshape(3, 3)
+    return np.array(rates[:3]), _full(rates[3:])
 
 
 def _spd(draw, n, scale):
@@ -71,7 +80,7 @@ class TestState:
 
 
 def _guard_raises(P):
-    w = (0.0, 0.0, 0.0, *np.asarray(P).ravel().tolist())
+    w = (0.0, 0.0, 0.0, *_upper(P))
     try:
         assert keep_psd(0.0, w) is w
     except DivergenceError:
@@ -148,8 +157,8 @@ class TestField:
         got_x, got_p = _riccati(x_hat, P, inp, lm, y, q, r)
         assert_close(got_x, want_x)
         assert_close(got_p, want_p)
-        # P is exactly symmetric, and so is its rate: RK4 then keeps P
-        # exactly symmetric without re-symmetrizing.
+        # The rate holds one value per off-diagonal pair, so its expansion
+        # is symmetric by construction.
         assert np.array_equal(P, P.T)
         assert np.array_equal(got_p, got_p.T)
 
@@ -182,7 +191,15 @@ class TestField:
         _, states = integrate(field, (1.0,), 0.0, 60.0, 1e-2)
         assert abs(states[-1][0] - math.sqrt(q * r)) < 1e-8
 
+    def test_state_holds_the_upper_triangle(self):
+        # Nine components: the estimate and the six distinct entries of P.
+        g = GroupElement(0.5, -0.5, 0.8)
+        w = (g.x, g.y, g.theta, *_upper(np.eye(3) * 1e-2))
+        y = measure(g, STANDARD).values
+        assert len(w) == len(riccati_values(w, 1.0, 0.5, STANDARD.coords, y, 1e-3, 1e2)) == 9
+
     def test_covariance_rate_symmetric(self):
+        # Holds by construction on the expanded nine-entry rate.
         g = GroupElement(0.5, -0.5, 0.8)
         y = measure(GroupElement(0.52, -0.48, 0.81), STANDARD)
         _, pdot = _riccati(g, np.eye(3) * 1e-2, RobotInput(1.0, 0.5), STANDARD, y, 1e-3, 1e-2)

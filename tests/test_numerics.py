@@ -10,6 +10,7 @@ from invtrack.numerics import (
     integrate,
     jacobian_fd,
     max_pairwise_distance,
+    once_per_time,
     rk4_step,
     spectrum_match_distance,
 )
@@ -88,6 +89,45 @@ class TestIntegrate:
             integrate(lambda t, x: x, (1.0,), 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(lambda t, x: x, (1.0,), 1.0, 0.0, 0.1)
+
+
+class TestOncePerTime:
+    def test_one_call_per_run_of_equal_times(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return [t]  # a new object per call
+
+        at = once_per_time(fn)
+        times = (0.0, 0.5, 0.5, 1.0, 1.0, 1.0, 0.5, 0.0)
+        results = [at(t) for t in times]
+        assert calls == [0.0, 0.5, 1.0, 0.5, 0.0]
+        # Each result is the object fn returned, passed through unchanged.
+        assert [r[0] for r in results] == list(times)
+        assert results[1] is results[2] and results[3] is results[5]
+        assert results[6] is not results[1]
+
+    def test_three_stage_times_per_rk4_step(self):
+        calls = []
+        at = once_per_time(lambda t: calls.append(t) or t)
+        rk4_step(lambda t, x: (at(t),), 0.0, (0.0,), 0.5)
+        assert calls == [0.0, 0.25, 0.5]
+
+    def test_raising_call_is_not_kept(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            if len(calls) == 1:
+                raise ValueError("first call fails")
+            return t
+
+        at = once_per_time(fn)
+        with pytest.raises(ValueError):
+            at(1.0)
+        assert at(1.0) == 1.0
+        assert calls == [1.0, 1.0]
 
 
 class TestPairwiseDistance:

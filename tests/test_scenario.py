@@ -384,6 +384,23 @@ SINGLE_FAULTS = [
         {"trajectory": {"u": 1e200, "v_wobble": {"amplitude": 1e200}}},
         "trajectory.v_wobble: peak turn rate |u|*(|v| + |amplitude|) must be finite, got inf",
     ),
+    # Finite poses and landmarks whose squared range overflows.
+    (
+        {"landmarks": [[1e160, 0], [0, 1e160], [-1e160, -1e160]]},
+        "trajectory.start: squared range to landmarks[0] must be finite, got inf",
+    ),
+    (
+        {"trajectory": {"start": [1e155, 0, 0]}},
+        "trajectory.start: squared range to landmarks[0] must be finite, got inf",
+    ),
+    (
+        {"initial_pose": [0, -1e155, 0]},
+        "initial_pose: squared range to landmarks[0] must be finite, got inf",
+    ),
+    (
+        {"initial_estimate": [-1e155, 1e155, 0]},
+        "initial_estimate: squared range to landmarks[0] must be finite, got inf",
+    ),
 ]
 
 

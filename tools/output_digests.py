@@ -18,7 +18,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (42 analyses, a
+--cheap digests only the default and hand-written scenes (52 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -91,6 +91,9 @@ HAND_SCENES = (
     # mech.force_axis whose length underflows to 0 or overflows to inf.
     ("fault-axis-tiny", ("mech-lemma",), {"mech": {"force_axis": [1e-170, 1e-170, 0.0]}}),
     ("fault-axis-huge", ("mech-lemma",), {"mech": {"force_axis": [1e200, 1e200, 0.0]}}),
+    # Finite landmarks, or a finite start, whose squared range overflows.
+    ("fault-far-landmarks", PLANAR, {"landmarks": [[1e160, 0], [0, 1e160], [-1e160, -1e160]]}),
+    ("fault-far-start", PLANAR, {"trajectory": {"start": [1e155, 0, 0]}}),
 )
 
 
