@@ -15,7 +15,6 @@ from .closed_loop import (
     observer_error_field,
     separation_matrix,
     simulate,
-    time_invariance_probe,
 )
 from .controller import ControllerGains, TrackingError, ctrl_loop_matrix, feedback, tracking_error
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     LogBranchError,
     ScenarioError,
 )
+from .numerics import time_invariance_probe
 from .observer import ObserverGains, gain_matrix, obs_error_matrix, observer_field
 from .robot import LandmarkSet, Measurement, RobotInput, dynamics, invariance_residual, measure
 from .scenario import parse_scenario

@@ -9,6 +9,7 @@ Output files are byte-deterministic for a given scenario.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,11 +23,9 @@ from .closed_loop import (
     _input_grid,
     closed_loop_error_field,
     controller_error_field,
-    linearize_error_field,
     observer_error_field,
     separation_matrix,
     simulate,
-    time_invariance_probe,
 )
 from .controller import ctrl_loop_matrix
 from .ekf import time_variance_probe
@@ -39,7 +38,12 @@ from .mech import (
     integrate_ep,
     orthonormality_defect,
 )
-from .numerics import eigenvalues, spectrum_match_distance
+from .numerics import (
+    eigenvalues,
+    linearize_error_field,
+    spectrum_match_distance,
+    time_invariance_probe,
+)
 from .observer import obs_error_matrix
 from .scenario import ParsedScenario, parse_scenario
 from .trajectories import permanence_probe
@@ -50,6 +54,7 @@ ENERGY_DRIFT_CAP = 1e-8
 LINEARIZATION_MATCH_CAP = 1e-4
 
 
+@functools.cache  # built on the first call, then shared by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invtrack",

@@ -18,18 +18,12 @@ from typing import Callable
 import numpy as np
 
 from . import se2
-from .controller import (
-    ControllerGains,
-    TrackingError,
-    ctrl_loop_matrix,
-    feedback,
-    feedback_values,
-    relative_pose,
-)
+from .controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
 from .errors import DivergenceError, GeometryError
-from .numerics import integrate, jacobian_fd, max_pairwise_distance, once_per_time
-from .observer import ObserverGains, obs_error_matrix, observer_field, observer_rate
-from .robot import LandmarkSet, dynamics, dynamics_values, measure, measure_values
+from .numerics import ErrorField, integrate, once_per_time
+from .observer import ObserverGains, obs_error_matrix, observer_rate
+from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
+from .robot import LandmarkSet, dynamics_values, measure_values
 from .se2 import GroupElement
 from .trajectories import ReferenceTrajectory
 
@@ -85,6 +79,12 @@ class SimulationResult:
     inputs: np.ndarray           # (n, 2) applied (u, v)
 
 
+def _reference(traj: ReferenceTrajectory) -> Callable[[float], tuple]:
+    """reference(t) = (x_r, y_r, theta_r, u_r, v_r), queried once per time
+    (numerics.once_per_time) by every field below."""
+    return once_per_time(lambda t: (*traj.pose(t), *traj.input(t)))
+
+
 def _loop_rate(
     traj: ReferenceTrajectory,
     lm: LandmarkSet,
@@ -93,11 +93,10 @@ def _loop_rate(
 ) -> tuple[Callable[[float, tuple], tuple], Callable[[float], tuple]]:
     """The coupled plant/observer/controller right-hand side on flat
     (x, y, theta, xhat, yhat, thetahat) tuples, and its reference lookup
-    reference(t) = (x_r, y_r, theta_r, u_r, v_r), queried once per time
-    (numerics.once_per_time), which also serves simulate's sample rows.
+    (_reference), which also serves simulate's sample rows.
     """
     coords = lm.coords
-    reference = once_per_time(lambda t: (*traj.pose(t), *traj.input(t)))
+    reference = _reference(traj)
 
     def rate(t: float, w: tuple) -> tuple:
         x, y, th, xh, yh, thh = w
@@ -162,31 +161,20 @@ def simulate(sc: Scenario) -> SimulationResult:
     )
 
 
-@dataclass(frozen=True)
-class ErrorField:
-    """Time-dependent vector field on error coordinates, with its dimension."""
-
-    rate: Callable[[float, np.ndarray], np.ndarray]
-    dim: int
-
-    def __call__(self, t: float, w: np.ndarray) -> np.ndarray:
-        return self.rate(t, w)
-
-
 def controller_error_field(
     traj: ReferenceTrajectory,
     gains: ControllerGains,
 ) -> ErrorField:
     """Tracking-error dynamics under perfect state feedback (no observer)."""
+    reference = _reference(traj)
 
     def rate(t: float, w: np.ndarray) -> np.ndarray:
-        g_ref = traj.pose(t)
-        ref_inp = traj.input(t)
+        xr, yr, thr, ur, vr = reference(t)
+        g_ref = GroupElement(xr, yr, thr)
         g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
-        inp = feedback(TrackingError(w[0], w[1], w[2]), ref_inp.u, ref_inp.v, gains)
-        dref = dynamics(g_ref, ref_inp)
-        dg = dynamics(g, inp)
-        return np.asarray(se2.relative_rate(g_ref, dref, g, dg))
+        u, v = feedback_values(w[0], w[1], w[2], ur, vr, gains)
+        dg = dynamics_values(g.theta, u, v)
+        return np.asarray(se2.relative_rate(g_ref, dynamics_values(thr, ur, vr), g, dg))
 
     return ErrorField(rate, 3)
 
@@ -200,15 +188,16 @@ def observer_error_field(
 
     GeometryError is timestamped as in simulate().
     """
+    coords = lm.coords
+    reference = _reference(traj)
 
     def rate(t: float, w: np.ndarray) -> np.ndarray:
-        g = traj.pose(t)
-        inp = traj.input(t)
+        xr, yr, thr, ur, vr = reference(t)
+        g = GroupElement(xr, yr, thr)
         gh = se2.compose(g, GroupElement(w[0], w[1], w[2]))
-        y = measure(g, lm)
-        dg = dynamics(g, inp)
+        dg = dynamics_values(thr, ur, vr)
         try:
-            dgh = observer_field(gh, inp, lm, y, gains)
+            dgh = observer_rate(*gh, ur, vr, coords, measure_values(g, lm), gains)
         except GeometryError as err:
             raise _at_time(err, t) from err
         return np.asarray(se2.relative_rate(g, dg, gh, dgh))
@@ -242,23 +231,6 @@ def closed_loop_error_field(
         return np.asarray(deta + deps)
 
     return ErrorField(rate, 6)
-
-
-def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
-    """Finite-difference linearization of the field at the origin, per time."""
-    return [jacobian_fd(lambda w, _t=t: field(_t, w), np.zeros(field.dim)) for t in times]
-
-
-def time_invariance_probe(field: ErrorField, times) -> float:
-    """Max pairwise Frobenius deviation between linearizations along the run.
-
-    Near zero exactly when the linearized error dynamics are frozen in time;
-    the hallmark of an invariant design around a constant-input reference.
-    """
-    times = list(times)
-    if len(times) < 2:
-        raise ValueError("need at least two probe times")
-    return max_pairwise_distance(linearize_error_field(field, times))
 
 
 def separation_matrix(

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import integrate, jacobian_fd, max_pairwise_distance
+from .numerics import ErrorField, integrate, once_per_time, time_invariance_probe
 
 ForceModel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -245,34 +245,31 @@ def error_linearization_drift(s: EpSystem, times) -> float:
     The reference spins from the system's attitude at its own constant body
     velocity xi_r = s.velocity under the matching feedforward torque.  The
     tracking error (relative attitude in exponential coordinates, velocity
-    difference) is linearized at the origin by central differences at each
-    sample time; the result is the max pairwise Frobenius deviation.  Near zero when the force model
-    ignores attitude; order one when it does not.
+    difference) goes through numerics.time_invariance_probe, the reference
+    attitude and feedforward taken once per probe time.  Near zero when the
+    force model ignores attitude; order one when it does not.
     """
-    times = list(times)
-    if len(times) < 2:
-        raise ValueError("need at least two probe times")
     xi_r, inertia, inertia_inv, force = s.velocity, s.inertia_flat, s.inertia_inv_flat, s.force
 
-    def linearization(t: float) -> np.ndarray:
+    @once_per_time
+    def reference(t: float) -> tuple[np.ndarray, np.ndarray]:
         att_r = s.attitude @ rotation_exp(t * xi_r)
-        u_r = spin_feedforward(s, att_r)
+        return att_r, spin_feedforward(s, att_r)
 
-        def error_rate(w: np.ndarray) -> np.ndarray:
-            eta = rotation_exp(w[:3])
-            att = att_r @ eta
-            xi = xi_r + w[3:]
-            torque = u_r if force is None else force(att, xi) + u_r
-            rates = ep_rate_values(_flat(att) + _flat(xi), inertia, inertia_inv, _flat(torque))
-            # Relative attitude rate in the body frame of eta, then pulled
-            # back to exponential coordinates.
-            omega_rel = xi - eta.T @ xi_r
-            zeta_dot = inv_right_jacobian(w[:3]) @ omega_rel
-            return np.concatenate([zeta_dot, rates[9:]])
+    def rate(t: float, w: np.ndarray) -> np.ndarray:
+        att_r, u_r = reference(t)
+        eta = rotation_exp(w[:3])
+        att = att_r @ eta
+        xi = xi_r + w[3:]
+        torque = u_r if force is None else force(att, xi) + u_r
+        rates = ep_rate_values(_flat(att) + _flat(xi), inertia, inertia_inv, _flat(torque))
+        # Relative attitude rate in the body frame of eta, then pulled back
+        # to exponential coordinates.
+        omega_rel = xi - eta.T @ xi_r
+        zeta_dot = inv_right_jacobian(w[:3]) @ omega_rel
+        return np.concatenate([zeta_dot, rates[9:]])
 
-        return jacobian_fd(error_rate, np.zeros(6))
-
-    return max_pairwise_distance([linearization(t) for t in times])
+    return time_invariance_probe(ErrorField(rate, 6), times)
 
 
 def damping_force(coefficients) -> ForceModel:

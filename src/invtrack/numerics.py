@@ -1,4 +1,4 @@
-"""Fixed-step RK4 integration, finite-difference Jacobians, small dense spectra."""
+"""Fixed-step RK4, finite-difference Jacobians and linearization probes, small dense spectra."""
 
 from __future__ import annotations
 
@@ -117,6 +117,34 @@ def jacobian_fd(
     if not np.all(np.isfinite(jac)):
         raise ValueError("jacobian_fd produced non-finite entries")
     return jac
+
+
+@dataclass(frozen=True)
+class ErrorField:
+    """Time-dependent vector field on error coordinates, with its dimension."""
+
+    rate: Callable[[float, np.ndarray], np.ndarray]
+    dim: int
+
+    def __call__(self, t: float, w: np.ndarray) -> np.ndarray:
+        return self.rate(t, w)
+
+
+def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
+    """Finite-difference linearization of the field at the origin, per time."""
+    return [jacobian_fd(lambda w, _t=t: field(_t, w), np.zeros(field.dim)) for t in times]
+
+
+def time_invariance_probe(field: ErrorField, times) -> float:
+    """Max pairwise Frobenius deviation between linearizations along the run.
+
+    Near zero exactly when the linearized error dynamics are frozen in time;
+    the hallmark of an invariant design around a constant-input reference.
+    """
+    times = list(times)
+    if len(times) < 2:
+        raise ValueError("need at least two probe times")
+    return max_pairwise_distance(linearize_error_field(field, times))
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,19 @@ def parse_scenario(doc: dict) -> ParsedScenario:
         if any(t < 0.0 for t in canonical["probe_times"]):
             raise ScenarioError("probe_times entries must be >= 0")
 
+    # The reference stays within its path length up to the last time any
+    # analysis asks for; the ranges measured along it must stay finite too.
+    horizon = max(t_end, *canonical["probe_times"])
+    ref = canonical["trajectory"]
+    if "segments" in ref:
+        segs = ref["segments"]
+        reach = sum(abs(s["u"]) * s["duration"] for s in segs) + abs(segs[-1]["u"]) * horizon
+    else:
+        reach = abs(ref["u"]) * horizon
+    for i, (lx, ly) in enumerate(coords):
+        far = math.hypot(ref["start"][0] - lx, ref["start"][1] - ly) + reach
+        _finite_product(far * far, "trajectory", f"squared range to landmarks[{i}] along the run")
+
     ekf = canonical["ekf"] = _section(doc.get("ekf", {}), "ekf", _EKF)
     mech = canonical["mech"] = _section(doc.get("mech", {}), "mech", _MECH)
     mech_cfg = MechConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in mech.items()})

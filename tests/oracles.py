@@ -1,10 +1,10 @@
 """Reference forms that the package's bare-float cores are checked against.
 
-The closed-loop error field composed from the boxed public layers; the
-Riccati flow of riccati_values and the Euler-Poincare rates of
-ep_rate_values written as the textbook formulas, with 3x3 arrays,
-np.linalg.solve and np.cross, plus the runs that integrate them with
-numerics.integrate; the SVD projection onto SO(3) that project_attitude's
+The controller, observer and closed-loop error fields composed from the
+boxed public layers; the Riccati flow of riccati_values and the
+Euler-Poincare rates of ep_rate_values written as the textbook formulas,
+with 3x3 arrays, np.linalg.solve and np.cross, plus the runs that
+integrate them with numerics.integrate; the SVD projection onto SO(3) that project_attitude's
 polar iteration is held to; and IntegratedTrajectory's reference poses
 integrated by numerics.integrate on the unicycle field.
 """
@@ -14,12 +14,12 @@ import bisect
 import numpy as np
 
 from invtrack import se2
-from invtrack.closed_loop import ErrorField
-from invtrack.controller import feedback, tracking_error
+from invtrack.controller import TrackingError, feedback, tracking_error
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
 from invtrack.mech import hat
-from invtrack.numerics import integrate
+from invtrack.numerics import ErrorField, integrate
 from invtrack.observer import observer_field, output_error
+from invtrack.errors import GeometryError
 from invtrack.robot import dynamics, dynamics_values, finite_input, measure
 from invtrack.se2 import GroupElement
 from invtrack.trajectories import _POSE_STEP, IntegratedTrajectory
@@ -46,6 +46,42 @@ def composed_error_field(traj, lm, kg, og):
         return np.asarray(deta + deps)
 
     return ErrorField(rate, 6)
+
+
+def composed_controller_error_field(traj, gains):
+    """controller_error_field composed from the public layers: reference
+    pose and input per call, feedback and both dynamics boxed and checked."""
+
+    def rate(t, w):
+        g_ref = traj.pose(t)
+        ref_inp = traj.input(t)
+        g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
+        inp = feedback(TrackingError(w[0], w[1], w[2]), ref_inp.u, ref_inp.v, gains)
+        dref = dynamics(g_ref, ref_inp)
+        dg = dynamics(g, inp)
+        return np.asarray(se2.relative_rate(g_ref, dref, g, dg))
+
+    return ErrorField(rate, 3)
+
+
+def composed_observer_error_field(traj, lm, gains):
+    """observer_error_field composed from the public layers: a validated
+    Measurement, the boxed dynamics and observer_field; the Gram-cap
+    GeometryError carries the time as in the package."""
+
+    def rate(t, w):
+        g = traj.pose(t)
+        inp = traj.input(t)
+        gh = se2.compose(g, GroupElement(w[0], w[1], w[2]))
+        y = measure(g, lm)
+        dg = dynamics(g, inp)
+        try:
+            dgh = observer_field(gh, inp, lm, y, gains)
+        except GeometryError as err:
+            raise GeometryError(f"{err} (at t={t:.6g})") from err
+        return np.asarray(se2.relative_rate(g, dg, gh, dgh))
+
+    return ErrorField(rate, 3)
 
 
 def ekf_field_oracle(x_hat, P, inp, lm, y, Q, R):

@@ -13,11 +13,9 @@ from invtrack.cli import main as cli_main
 from invtrack.closed_loop import (
     closed_loop_error_field,
     controller_error_field,
-    linearize_error_field,
     observer_error_field,
     separation_matrix,
     simulate,
-    time_invariance_probe,
 )
 from invtrack.controller import ControllerGains, ctrl_loop_matrix
 from invtrack.ekf import time_variance_probe
@@ -28,7 +26,13 @@ from invtrack.mech import (
     gravity_gradient_force,
     integrate_ep,
 )
-from invtrack.numerics import Spectrum, eigenvalues, spectrum_match_distance
+from invtrack.numerics import (
+    Spectrum,
+    eigenvalues,
+    linearize_error_field,
+    spectrum_match_distance,
+    time_invariance_probe,
+)
 from invtrack.observer import (
     ObserverGains,
     body_frame_landmarks,

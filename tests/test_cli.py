@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from invtrack import cli
 from invtrack.cli import main
 from invtrack.ekf import run_along_reference, time_variance_probe
 from invtrack.reporting import CSV_COLUMNS
@@ -246,21 +247,30 @@ class TestFailureModes:
         "command", ["simulate", "eigs", "separation", "invariance", "ekf-compare"]
     )
     @pytest.mark.parametrize(
-        "doc",
+        "doc, message",
         [
-            {"landmarks": [[1e160, 0], [0, 1e160], [-1e160, -1e160]]},
-            {"trajectory": {"start": [1e155, 0, 0]}},
+            (
+                {"landmarks": [[1e160, 0], [0, 1e160], [-1e160, -1e160]]},
+                "trajectory.start: squared range to landmarks[0] must be finite, got inf",
+            ),
+            (
+                {"trajectory": {"start": [1e155, 0, 0]}},
+                "trajectory.start: squared range to landmarks[0] must be finite, got inf",
+            ),
+            (
+                {"trajectory": {"u": 1e300, "v": 0}},
+                "trajectory: squared range to landmarks[0] along the run must be finite, got inf",
+            ),
         ],
-        ids=["far-landmarks", "far-start"],
+        ids=["far-landmarks", "far-start", "far-reference"],
     )
-    def test_overflowing_range_is_bad_input(self, tmp_path, capsys, command, doc):
-        # Finite coordinates whose squared range to a landmark is not.
+    def test_overflowing_range_is_bad_input(self, tmp_path, capsys, command, doc, message):
+        # Finite coordinates whose squared range to a landmark is not, at the
+        # start or once the reference has travelled.
         out = tmp_path / "out"
         argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: trajectory.start: squared range to landmarks[0] must be finite, got inf\n"
-        )
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
@@ -270,6 +280,69 @@ class TestFailureModes:
         assert main(["eigs", "--config", cfg, "--out", str(out), flag, "0.01"]) == 2
         assert capsys.readouterr().err == "error: scenario document must be a JSON object\n"
         assert not out.exists()
+
+
+HELP_TOP = """\
+usage: invtrack [-h]
+                {simulate,eigs,separation,invariance,ekf-compare,mech-lemma}
+                ...
+
+Invariant tracking and estimation analyses for a wheeled robot.
+
+positional arguments:
+  {simulate,eigs,separation,invariance,ekf-compare,mech-lemma}
+    simulate            run the closed loop and write the time series plus a
+                        verdict
+    eigs                design spectra and stability margins at the reference
+                        input
+    separation          check the closed-loop linearization splits into the
+                        two designs
+    invariance          check the error linearizations are frozen along the
+                        reference
+    ekf-compare         contrast the invariant observer with an EKF on the
+                        same run
+    mech-lemma          rigid-body probes: which force models keep the error
+                        field frozen
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+HELP_OPTIONS = """
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON scenario file (defaults apply when omitted)
+  --out OUT        output directory
+  --dt DT          override the scenario step size
+  --t-end T_END    override the scenario horizon
+  --tol TOL        override the verdict tolerance
+"""
+
+
+def command_help(name):
+    pad = " " * len(f"usage: invtrack {name} ")
+    return (
+        f"usage: invtrack {name} [-h] [--config CONFIG] --out OUT [--dt DT]\n"
+        f"{pad}[--t-end T_END] [--tol TOL]\n" + HELP_OPTIONS
+    )
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    # The argparse tree is built on the first call and reused; --help, at a
+    # fixed width, prints what the per-call tree printed.
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    assert main(["eigs", "--out", str(tmp_path / "a")]) == 0
+    assert main(["separation", "--out", str(tmp_path / "b"), "--t-end", "1"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    helps = [([], HELP_TOP)] + [([name], command_help(name)) for name in cli._COMMANDS]
+    for argv, want in helps:
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == want
+    assert cli._build_parser.cache_info().misses == 1
 
 
 class TestDeterminism:

@@ -12,11 +12,9 @@ from invtrack.closed_loop import (
     _loop_rate,
     closed_loop_error_field,
     controller_error_field,
-    linearize_error_field,
     observer_error_field,
     separation_matrix,
     simulate,
-    time_invariance_probe,
 )
 from invtrack.controller import (
     ControllerGains,
@@ -26,7 +24,14 @@ from invtrack.controller import (
     tracking_error,
 )
 from invtrack.errors import DivergenceError, GeometryError
-from invtrack.numerics import eigenvalues, integrate, jacobian_fd, spectrum_match_distance
+from invtrack.numerics import (
+    eigenvalues,
+    integrate,
+    jacobian_fd,
+    linearize_error_field,
+    spectrum_match_distance,
+    time_invariance_probe,
+)
 from invtrack.observer import ObserverGains, obs_error_matrix, observer_field
 from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure_values, transform_landmarks
 from invtrack.se2 import GroupElement, IDENTITY
@@ -36,7 +41,11 @@ from invtrack.trajectories import (
     PiecewiseTrajectory,
     Segment,
 )
-from oracles import composed_error_field
+from oracles import (
+    composed_controller_error_field,
+    composed_error_field,
+    composed_observer_error_field,
+)
 from strategies import HEADINGS, floats, landmark_sets, signed
 
 KG = ControllerGains(1.0, 1.0, 1.0)
@@ -288,6 +297,12 @@ class TestFusedRate:
 
 
 ERRORS = st.tuples(floats(-0.5, 0.5), floats(-0.5, 0.5), floats(-0.5, 0.5))
+# Error headings also within 1e-6 of the +-pi wrap.
+WRAPPED_ERRORS = st.tuples(
+    floats(-0.5, 0.5), floats(-0.5, 0.5), st.one_of(floats(-0.5, 0.5), HEADINGS)
+)
+# A unit landmark triangle 5 km from every drawn reference: the Gram cap trips.
+FAR = LandmarkSet(((5000.0, 0.0), (5001.0, 0.0), (5000.0, 1.0)))
 
 
 class TestFusedErrorField:
@@ -320,6 +335,46 @@ class TestFusedErrorField:
             # Same arithmetic in the same order: equal, not merely close.
             assert np.array_equal(fused(s, w), want)
 
+    @given(
+        traj=references(),
+        kg=GAINS.map(lambda k: ControllerGains(*k)),
+        eta=WRAPPED_ERRORS,
+        t=floats(0.0, 3.0),
+        h=floats(1e-3, 0.1),
+    )
+    def test_controller_field_matches_composed(self, traj, kg, eta, t, h):
+        # controller_error_field runs on the bare-float cores; the boxed
+        # composition is its oracle, probed at one RK4 step's stage times.
+        core = controller_error_field(traj, kg)
+        oracle = composed_controller_error_field(traj, kg)
+        w = np.array(eta)
+        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+            assert np.array_equal(core(s, w), oracle(s, w))
+
+    @given(
+        traj=references(),
+        lm=st.one_of(landmark_sets(), st.just(FAR)),
+        og=GAINS.map(lambda k: ObserverGains(*k)),
+        eps=WRAPPED_ERRORS,
+        t=floats(0.0, 3.0),
+        h=floats(1e-3, 0.1),
+    )
+    def test_observer_field_matches_composed(self, traj, lm, og, eps, t, h):
+        # observer_error_field runs on the bare-float cores; the boxed
+        # composition is its oracle, down to the timestamped cap message.
+        core = observer_error_field(traj, lm, og)
+        oracle = composed_observer_error_field(traj, lm, og)
+        w = np.array(eps)
+        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+            try:
+                want = oracle(s, w)
+            except GeometryError as err:
+                with pytest.raises(GeometryError) as got:
+                    core(s, w)
+                assert str(got.value) == str(err)
+                continue
+            assert np.array_equal(core(s, w), want)
+
     def test_geometry_error_is_timestamped(self):
         # 5 km from a unit landmark triangle the Gram condition number is
         # past the cap; the fused field names the time, as simulate() does.
@@ -350,10 +405,18 @@ class TestFusedErrorField:
                 calls.append(t)
                 return super().pose(t)
 
-        # Twelve fd evaluations per probe time share one trajectory query.
+        # Every fd evaluation at a probe time (twelve in the closed loop, six
+        # in the controller and observer fields) shares one trajectory query.
         times = [0.0, 1.0, 2.5]
-        linearize_error_field(closed_loop_error_field(Counting(1.0, 0.5), STANDARD, KG, OG), times)
-        assert calls == times
+        traj = Counting(1.0, 0.5)
+        for field in (
+            closed_loop_error_field(traj, STANDARD, KG, OG),
+            controller_error_field(traj, KG),
+            observer_error_field(traj, STANDARD, OG),
+        ):
+            calls.clear()
+            linearize_error_field(field, times)
+            assert calls == times
 
 
 class TestSimulateRegimes:
@@ -432,7 +495,7 @@ class TestErrorFields:
 
     def test_probe_needs_two_times(self):
         traj = PermanentTrajectory(1.0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least two probe times"):
             time_invariance_probe(controller_error_field(traj, KG), [0.0])
 
 

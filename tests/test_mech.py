@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from invtrack import mech
 from invtrack.errors import DivergenceError
 from invtrack.mech import (
     PROJECTION_DEFECT_CAP,
@@ -310,5 +311,22 @@ class TestLinearizationDrift:
 
     def test_needs_two_times(self):
         s = EpSystem(EYE, self.XI_R, INERTIA)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least two probe times"):
             error_linearization_drift(s, [0.0])
+
+    def test_reference_attitude_once_per_probe_time(self, monkeypatch):
+        seen = []
+
+        def counting(s, attitude_r, _feedforward=spin_feedforward):
+            seen.append(attitude_r)
+            return _feedforward(s, attitude_r)
+
+        monkeypatch.setattr(mech, "spin_feedforward", counting)
+        s = EpSystem(EYE, self.XI_R, INERTIA, gravity_gradient_force(1.0, [0.0, 0.0, 1.0]))
+        times = [0.0, 1.0, 2.0]
+        error_linearization_drift(s, times)
+        # The twelve fd evaluations at a probe time share one reference
+        # attitude and one feedforward.
+        assert len(seen) == len(times)
+        for t, att_r in zip(times, seen):
+            assert np.array_equal(att_r, EYE @ rotation_exp(t * self.XI_R))

@@ -401,6 +401,20 @@ SINGLE_FAULTS = [
         {"initial_estimate": [-1e155, 1e155, 0]},
         "initial_estimate: squared range to landmarks[0] must be finite, got inf",
     ),
+    # A finite start whose reference travels out of range: its path length
+    # over max(t_end, largest probe time) bounds how far it gets.
+    (
+        {"trajectory": {"u": 1e300, "v": 0}},
+        "trajectory: squared range to landmarks[0] along the run must be finite, got inf",
+    ),
+    (
+        {"trajectory": {"segments": [_SEG, {"u": 1e150, "duration": 1e10}]}},
+        "trajectory: squared range to landmarks[0] along the run must be finite, got inf",
+    ),
+    (
+        {"trajectory": {"u": 1e150, "v": 0}, "t_end": 1.0, "probe_times": [0.0, 1e10]},
+        "trajectory: squared range to landmarks[0] along the run must be finite, got inf",
+    ),
 ]
 
 
@@ -409,6 +423,13 @@ def test_single_fault_message(doc, message):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(doc)
     assert str(info.value) == message
+
+
+def test_reach_within_range_parses():
+    # The last fault above with probe times inside t_end: 1e150 m of travel
+    # keeps every squared range finite.
+    doc = {"trajectory": {"u": 1e150, "v": 0}, "t_end": 1.0, "probe_times": [0.0, 1.0]}
+    assert parse_scenario(doc).canonical["trajectory"]["u"] == 1e150
 
 
 class TestForceAxis:

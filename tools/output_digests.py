@@ -18,7 +18,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (52 analyses, a
+--cheap digests only the default and hand-written scenes (57 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -94,6 +94,8 @@ HAND_SCENES = (
     # Finite landmarks, or a finite start, whose squared range overflows.
     ("fault-far-landmarks", PLANAR, {"landmarks": [[1e160, 0], [0, 1e160], [-1e160, -1e160]]}),
     ("fault-far-start", PLANAR, {"trajectory": {"start": [1e155, 0, 0]}}),
+    # A finite start whose reference travels out of range along the run.
+    ("fault-far-reference", PLANAR, {"trajectory": {"u": 1e300, "v": 0}}),
 )
 
 
