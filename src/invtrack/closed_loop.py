@@ -94,6 +94,9 @@ def _loop_rate(
     """The coupled plant/observer/controller right-hand side on flat
     (x, y, theta, xhat, yhat, thetahat) tuples, and its reference lookup
     (_reference), which also serves simulate's sample rows.
+
+    A stage state that is no longer finite raises DivergenceError at the
+    stage time, and a GeometryError is timestamped.
     """
     coords = lm.coords
     reference = _reference(traj)
@@ -101,14 +104,20 @@ def _loop_rate(
     def rate(t: float, w: tuple) -> tuple:
         x, y, th, xh, yh, thh = w
         xr, yr, thr, ur, vr = reference(t)
-        eta_x, eta_y, eta_th = relative_pose(xr, yr, thr, xh, yh, thh)
-        u, v = feedback_values(eta_x, eta_y, eta_th, ur, vr, kg)
         try:
+            eta_x, eta_y, eta_th = relative_pose(xr, yr, thr, xh, yh, thh)
+            u, v = feedback_values(eta_x, eta_y, eta_th, ur, vr, kg)
             dxh, dyh, dthh = observer_rate(
                 xh, yh, thh, u, v, coords, measure_values(GroupElement(x, y, th), lm), og
             )
         except GeometryError as err:
             raise _at_time(err, t) from err
+        except ValueError as err:
+            # An RK stage state can overflow before integrate sees the step
+            # (say a heading of inf in normalize_angle); w is checked only here.
+            if all(map(math.isfinite, w)):
+                raise
+            raise DivergenceError(t, "closed-loop state diverged") from err
         dx, dy, dth = dynamics_values(th, u, v)
         return (dx, dy, dth, dxh, dyh, dthh)
 
@@ -168,13 +177,13 @@ def controller_error_field(
     """Tracking-error dynamics under perfect state feedback (no observer)."""
     reference = _reference(traj)
 
-    def rate(t: float, w: np.ndarray) -> np.ndarray:
+    def rate(t: float, w: tuple) -> tuple:
         xr, yr, thr, ur, vr = reference(t)
         g_ref = GroupElement(xr, yr, thr)
         g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
         u, v = feedback_values(w[0], w[1], w[2], ur, vr, gains)
         dg = dynamics_values(g.theta, u, v)
-        return np.asarray(se2.relative_rate(g_ref, dynamics_values(thr, ur, vr), g, dg))
+        return se2.relative_rate(g_ref, dynamics_values(thr, ur, vr), g, dg)
 
     return ErrorField(rate, 3)
 
@@ -191,7 +200,7 @@ def observer_error_field(
     coords = lm.coords
     reference = _reference(traj)
 
-    def rate(t: float, w: np.ndarray) -> np.ndarray:
+    def rate(t: float, w: tuple) -> tuple:
         xr, yr, thr, ur, vr = reference(t)
         g = GroupElement(xr, yr, thr)
         gh = se2.compose(g, GroupElement(w[0], w[1], w[2]))
@@ -200,7 +209,7 @@ def observer_error_field(
             dgh = observer_rate(*gh, ur, vr, coords, measure_values(g, lm), gains)
         except GeometryError as err:
             raise _at_time(err, t) from err
-        return np.asarray(se2.relative_rate(g, dg, gh, dgh))
+        return se2.relative_rate(g, dg, gh, dgh)
 
     return ErrorField(rate, 3)
 
@@ -218,7 +227,7 @@ def closed_loop_error_field(
     """
     loop, reference = _loop_rate(traj, lm, kg, og)
 
-    def rate(t: float, w: np.ndarray) -> np.ndarray:
+    def rate(t: float, w: tuple) -> tuple:
         xr, yr, thr, ur, vr = reference(t)
         g_ref = GroupElement(xr, yr, thr)
         g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
@@ -228,7 +237,7 @@ def closed_loop_error_field(
         dref = dynamics_values(thr, ur, vr)
         deta = se2.relative_rate(g_ref, dref, g, dg)
         deps = se2.relative_rate(g, dg, gh, dgh)
-        return np.asarray(deta + deps)
+        return deta + deps
 
     return ErrorField(rate, 6)
 

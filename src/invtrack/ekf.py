@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import integrate, max_pairwise_distance, once_per_time
+from .numerics import integrate, max_pairwise_distance, once_per_time, probe_times
 from .robot import LandmarkSet, RobotInput, dynamics_values, finite_input, measure_values
 from .se2 import GroupElement
 
@@ -207,9 +207,7 @@ def time_variance_probe(
 ) -> float:
     """Max pairwise Frobenius distance between the world-frame linearized
     error dynamics F - L H, with L = P H^T / r, sampled along a run."""
-    times = sorted(float(t) for t in times)
-    if len(times) < 2:
-        raise ValueError("need at least two probe times")
+    times = probe_times(sorted(float(t) for t in times))
     run = run_along_reference(traj, lm, times[-1], dt, q, r, p0)
     mats = []
     for tq in times:

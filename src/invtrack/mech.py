@@ -19,44 +19,65 @@ import numpy as np
 from .errors import DivergenceError
 from .numerics import ErrorField, integrate, once_per_time, time_invariance_probe
 
-ForceModel = Callable[[np.ndarray, np.ndarray], np.ndarray]
+ForceModel = Callable[[tuple, tuple], tuple]
 
 SMALL_ROTATION = 1e-8
 
 
-def hat(w: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix with hat(w) @ v = w x v."""
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
+def _exp_like(x: float, y: float, z: float, p: float, q: float) -> tuple:
+    """I + p K + q K^2 row-major, K = hat((x, y, z)) the skew matrix with
+    K v = (x, y, z) x v; K^2 has entries x_i x_j off the diagonal."""
+    return (
+        1.0 - q * (y * y + z * z), -p * z + q * (x * y), p * y + q * (x * z),
+        p * z + q * (x * y), 1.0 - q * (x * x + z * z), -p * x + q * (y * z),
+        -p * y + q * (x * z), p * x + q * (y * z), 1.0 - q * (x * x + y * y),
     )
 
 
-def rotation_exp(w: np.ndarray) -> np.ndarray:
-    """Rodrigues formula with a series branch for small rotations."""
-    angle = float(np.linalg.norm(w))
-    K = hat(w)
+def rotation_exp_values(x: float, y: float, z: float) -> tuple:
+    """Bare-float core of rotation_exp: exp(hat(w)) row-major, by Rodrigues'
+    formula with a series branch below SMALL_ROTATION."""
+    angle = math.sqrt(x * x + y * y + z * z)
     if angle < SMALL_ROTATION:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    a = math.sin(angle) / angle
-    b = (1.0 - math.cos(angle)) / (angle * angle)
-    return np.eye(3) + a * K + b * (K @ K)
+        return _exp_like(x, y, z, 1.0, 0.5)
+    return _exp_like(
+        x, y, z, math.sin(angle) / angle, (1.0 - math.cos(angle)) / (angle * angle)
+    )
 
 
-def inv_right_jacobian(w: np.ndarray) -> np.ndarray:
-    """Maps body angular velocity to the rate of exponential coordinates."""
-    angle = float(np.linalg.norm(w))
-    K = hat(w)
+def inv_right_jacobian_values(x: float, y: float, z: float) -> tuple:
+    """J_r^-1(w) row-major: maps body angular velocity to the rate of the
+    exponential coordinates w, with a series coefficient below 1e-5."""
+    angle = math.sqrt(x * x + y * y + z * z)
     if angle < 1e-5:
         coeff = 1.0 / 12.0
     else:
         coeff = 1.0 / (angle * angle) - (1.0 + math.cos(angle)) / (
             2.0 * angle * math.sin(angle)
         )
-    return np.eye(3) + 0.5 * K + coeff * (K @ K)
+    return _exp_like(x, y, z, 0.5, coeff)
+
+
+def rotation_exp(w) -> np.ndarray:
+    """Rodrigues formula with a series branch for small rotations (3x3 array)."""
+    return np.array(rotation_exp_values(*map(float, w))).reshape(3, 3)
+
+
+def _matmul(a: tuple, b: tuple) -> tuple:
+    """Product of two 3x3 matrices held row-major in 9-tuples."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return (
+        a00 * b00 + a01 * b10 + a02 * b20,
+        a00 * b01 + a01 * b11 + a02 * b21,
+        a00 * b02 + a01 * b12 + a02 * b22,
+        a10 * b00 + a11 * b10 + a12 * b20,
+        a10 * b01 + a11 * b11 + a12 * b21,
+        a10 * b02 + a11 * b12 + a12 * b22,
+        a20 * b00 + a21 * b10 + a22 * b20,
+        a20 * b01 + a21 * b11 + a22 * b21,
+        a20 * b02 + a21 * b12 + a22 * b22,
+    )
 
 
 def orthonormality_defect(m: np.ndarray) -> float:
@@ -135,9 +156,10 @@ def _flat(m: np.ndarray) -> tuple:
 class EpSystem:
     """Rigid body state and model: attitude, body velocity, inertia, force.
 
-    force(attitude, velocity) returns a body-frame torque; None means the
-    free body.  The inertia must be symmetric positive definite and the
-    attitude a proper rotation.  Once validated, I and I^-1 are flattened
+    force(attitude, velocity) returns a body-frame torque, each a flat
+    tuple (attitude row-major, 9 floats; velocity and torque, 3); None
+    means the free body.  The inertia must be symmetric positive definite
+    and the attitude a proper rotation.  Once validated, I and I^-1 are flattened
     row-major into inertia_flat and inertia_inv_flat for ep_rate_values.
     """
 
@@ -205,7 +227,8 @@ def integrate_ep(
     the rotation group after every step (project_attitude) so the drift
     stays at roundoff level.  u_fn(t) gives the control torque as three
     floats.  I and I^-1 come flattened from s; the force model, when there
-    is one, sees arrays at every stage.
+    is one, sees each stage's flat attitude and velocity, as ep_rate_values
+    does.
 
     Returns (times, attitudes (n, 3, 3), velocities (n, 3)).
     """
@@ -219,8 +242,9 @@ def integrate_ep(
             return ep_rate_values(w, inertia, inertia_inv, u_fn(t))
     else:
         def rate(t: float, w: tuple) -> tuple:
-            torque = force(np.array(w[:9]).reshape(3, 3), np.array(w[9:])) + u_fn(t)
-            return ep_rate_values(w, inertia, inertia_inv, torque.tolist())
+            f0, f1, f2 = force(w[:9], w[9:])
+            u = u_fn(t)
+            return ep_rate_values(w, inertia, inertia_inv, (f0 + u[0], f1 + u[1], f2 + u[2]))
 
     w0 = s.attitude.ravel().tolist() + s.velocity.tolist()
     times, states = integrate(rate, w0, 0.0, t_end, dt, project_attitude)
@@ -228,72 +252,105 @@ def integrate_ep(
     return np.asarray(times), w_rows[:, :9].reshape(-1, 3, 3), w_rows[:, 9:]
 
 
-def spin_feedforward(s: EpSystem, attitude_r: np.ndarray) -> np.ndarray:
-    """Torque holding the body at its own velocity s.velocity at attitude attitude_r."""
-    rates = ep_rate_values(
-        (0.0,) * 9 + _flat(s.velocity), s.inertia_flat, s.inertia_inv_flat, (0.0, 0.0, 0.0)
-    )
-    u = -(s.inertia @ np.array(rates[9:]))
-    if s.force is not None:
-        u = u - s.force(attitude_r, s.velocity)
-    return u
+def spin_feedforward(s: EpSystem, attitude_r: tuple) -> tuple:
+    """Torque holding the body at its own velocity s.velocity at the
+    attitude attitude_r (row-major 9-tuple), as three floats."""
+    xi_r = _flat(s.velocity)
+    rates = ep_rate_values((0.0,) * 9 + xi_r, s.inertia_flat, s.inertia_inv_flat, (0.0, 0.0, 0.0))
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = s.inertia_flat
+    a0, a1, a2 = rates[9:]
+    u0 = -(i00 * a0 + i01 * a1 + i02 * a2)
+    u1 = -(i10 * a0 + i11 * a1 + i12 * a2)
+    u2 = -(i20 * a0 + i21 * a1 + i22 * a2)
+    if s.force is None:
+        return (u0, u1, u2)
+    f0, f1, f2 = s.force(attitude_r, xi_r)
+    return (u0 - f0, u1 - f1, u2 - f2)
+
+
+def tracking_error_field(s: EpSystem) -> ErrorField:
+    """Tracking-error dynamics of the body along its steady spin, on bare floats.
+
+    The reference spins from the system's attitude at its own constant body
+    velocity xi_r = s.velocity under the matching feedforward torque; the
+    error is the relative attitude in exponential coordinates and the
+    velocity difference.  The reference attitude and feedforward are taken
+    once per time (numerics.once_per_time).
+    """
+    inertia, inertia_inv, force = s.inertia_flat, s.inertia_inv_flat, s.force
+    attitude = _flat(s.attitude)
+    x0, x1, x2 = _flat(s.velocity)
+
+    @once_per_time
+    def reference(t: float) -> tuple[tuple, tuple]:
+        att_r = _matmul(attitude, rotation_exp_values(t * x0, t * x1, t * x2))
+        return att_r, spin_feedforward(s, att_r)
+
+    def rate(t: float, w: tuple) -> tuple:
+        att_r, u_r = reference(t)
+        z0, z1, z2, d0, d1, d2 = w
+        eta = e00, e01, e02, e10, e11, e12, e20, e21, e22 = rotation_exp_values(z0, z1, z2)
+        att = _matmul(att_r, eta)
+        xi = v0, v1, v2 = (x0 + d0, x1 + d1, x2 + d2)
+        if force is None:
+            torque = u_r
+        else:
+            f0, f1, f2 = force(att, xi)
+            torque = (f0 + u_r[0], f1 + u_r[1], f2 + u_r[2])
+        rates = ep_rate_values(att + xi, inertia, inertia_inv, torque)
+        # Relative attitude rate xi - eta^T xi_r in the body frame of eta,
+        # then pulled back to exponential coordinates by J_r^-1.
+        o0 = v0 - (e00 * x0 + e10 * x1 + e20 * x2)
+        o1 = v1 - (e01 * x0 + e11 * x1 + e21 * x2)
+        o2 = v2 - (e02 * x0 + e12 * x1 + e22 * x2)
+        j00, j01, j02, j10, j11, j12, j20, j21, j22 = inv_right_jacobian_values(z0, z1, z2)
+        return (
+            j00 * o0 + j01 * o1 + j02 * o2,
+            j10 * o0 + j11 * o1 + j12 * o2,
+            j20 * o0 + j21 * o1 + j22 * o2,
+        ) + rates[9:]
+
+    return ErrorField(rate, 6)
 
 
 def error_linearization_drift(s: EpSystem, times) -> float:
-    """Drift of the linearized tracking-error dynamics along a steady spin.
-
-    The reference spins from the system's attitude at its own constant body
-    velocity xi_r = s.velocity under the matching feedforward torque.  The
-    tracking error (relative attitude in exponential coordinates, velocity
-    difference) goes through numerics.time_invariance_probe, the reference
-    attitude and feedforward taken once per probe time.  Near zero when the
-    force model ignores attitude; order one when it does not.
+    """Drift of the linearized tracking-error dynamics along a steady spin:
+    numerics.time_invariance_probe of tracking_error_field(s).  Near zero
+    when the force model ignores attitude; order one when it does not.
     """
-    xi_r, inertia, inertia_inv, force = s.velocity, s.inertia_flat, s.inertia_inv_flat, s.force
-
-    @once_per_time
-    def reference(t: float) -> tuple[np.ndarray, np.ndarray]:
-        att_r = s.attitude @ rotation_exp(t * xi_r)
-        return att_r, spin_feedforward(s, att_r)
-
-    def rate(t: float, w: np.ndarray) -> np.ndarray:
-        att_r, u_r = reference(t)
-        eta = rotation_exp(w[:3])
-        att = att_r @ eta
-        xi = xi_r + w[3:]
-        torque = u_r if force is None else force(att, xi) + u_r
-        rates = ep_rate_values(_flat(att) + _flat(xi), inertia, inertia_inv, _flat(torque))
-        # Relative attitude rate in the body frame of eta, then pulled back
-        # to exponential coordinates.
-        omega_rel = xi - eta.T @ xi_r
-        zeta_dot = inv_right_jacobian(w[:3]) @ omega_rel
-        return np.concatenate([zeta_dot, rates[9:]])
-
-    return time_invariance_probe(ErrorField(rate, 6), times)
+    return time_invariance_probe(tracking_error_field(s), times)
 
 
 def damping_force(coefficients) -> ForceModel:
-    """Torque -D xi with positive diagonal D; drains kinetic energy, ignores attitude."""
+    """Torque -D xi with positive diagonal D; drains kinetic energy, ignores attitude.
+
+    The model maps (attitude row-major 9-tuple, velocity 3-tuple) to a
+    3-tuple torque."""
     d = np.asarray(coefficients, dtype=float)
     if d.shape != (3,) or np.any(d <= 0.0):
         raise ValueError("damping needs three positive coefficients")
+    n0, n1, n2 = (-d).tolist()
 
-    def force(att: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return -d * xi
+    def force(att: tuple, xi: tuple) -> tuple:
+        return (n0 * xi[0], n1 * xi[1], n2 * xi[2])
 
     return force
 
 
 def gravity_gradient_force(strength: float, body_axis) -> ForceModel:
-    """Pendulum-style torque strength * ((R^T e_z) x axis); depends on attitude."""
+    """Pendulum-style torque strength * ((R^T e_z) x axis); depends on attitude.
+
+    The model maps (attitude row-major 9-tuple, velocity 3-tuple) to a
+    3-tuple torque; R^T e_z is the attitude's last row."""
     axis = np.asarray(body_axis, dtype=float)
     norm = np.linalg.norm(axis)
     if norm == 0.0:
         raise ValueError("body_axis must be nonzero")
-    axis = axis / norm
-    e_z = np.array([0.0, 0.0, 1.0])
+    a0, a1, a2 = (axis / norm).tolist()
+    k = float(strength)
 
-    def force(att: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return strength * np.cross(att.T @ e_z, axis)
+    def force(att: tuple, xi: tuple) -> tuple:
+        r20, r21, r22 = att[6:9]
+        return (k * (r21 * a2 - r22 * a1), k * (r22 * a0 - r20 * a2), k * (r20 * a1 - r21 * a0))
 
     return force

@@ -8,7 +8,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, InvtrackError
 
 FD_STEP = 1e-6
 
@@ -100,20 +100,24 @@ def max_pairwise_distance(mats: Sequence[np.ndarray]) -> float:
 
 
 def jacobian_fd(
-    fn: Callable[[np.ndarray], Sequence[float]],
+    fn: Callable[[tuple], Sequence[float]],
     point: Sequence[float],
 ) -> np.ndarray:
     """Central-difference Jacobian of fn at point (step FD_STEP), one column
-    per coordinate."""
-    p = np.asarray(point, dtype=float)
+    per coordinate.
+
+    fn sees each shifted point as a tuple of floats.  The array is C-ordered,
+    as np.column_stack builds it: np.linalg.norm sums a difference of two
+    Jacobians in memory order, so a transposed layout moves drifts at roundoff.
+    """
+    p = tuple(map(float, point))
+    h2 = 2.0 * FD_STEP
     cols = []
-    for j in range(p.size):
-        dp = np.zeros_like(p)
-        dp[j] = FD_STEP
-        hi = np.asarray(fn(p + dp), dtype=float)
-        lo = np.asarray(fn(p - dp), dtype=float)
-        cols.append((hi - lo) / (2.0 * FD_STEP))
-    jac = np.column_stack(cols)
+    for j, pj in enumerate(p):
+        hi = fn(p[:j] + (pj + FD_STEP,) + p[j + 1:])
+        lo = fn(p[:j] + (pj - FD_STEP,) + p[j + 1:])
+        cols.append([(a - b) / h2 for a, b in zip(hi, lo)])
+    jac = np.array(list(zip(*cols)), dtype=float)
     if not np.all(np.isfinite(jac)):
         raise ValueError("jacobian_fd produced non-finite entries")
     return jac
@@ -123,16 +127,40 @@ def jacobian_fd(
 class ErrorField:
     """Time-dependent vector field on error coordinates, with its dimension."""
 
-    rate: Callable[[float, np.ndarray], np.ndarray]
+    rate: Callable[[float, tuple], Sequence[float]]
     dim: int
 
-    def __call__(self, t: float, w: np.ndarray) -> np.ndarray:
+    def __call__(self, t: float, w: tuple) -> Sequence[float]:
         return self.rate(t, w)
 
 
 def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
-    """Finite-difference linearization of the field at the origin, per time."""
-    return [jacobian_fd(lambda w, _t=t: field(_t, w), np.zeros(field.dim)) for t in times]
+    """Finite-difference linearization of the field at the origin, per time.
+
+    Raises:
+        DivergenceError: at a probe time where the linearization is not
+            finite: jacobian_fd found a non-finite entry, or the field
+            raised a ValueError (say a math domain error) on its way there.
+    """
+    origin = (0.0,) * field.dim
+    mats = []
+    for t in times:
+        try:
+            mats.append(jacobian_fd(lambda w: field(t, w), origin))
+        except ValueError as err:
+            if isinstance(err, InvtrackError):
+                raise
+            raise DivergenceError(t, "error-field linearization is not finite") from err
+    return mats
+
+
+def probe_times(times) -> list:
+    """times as a list, checked to hold the two probe times that a drift
+    between linearizations needs."""
+    times = list(times)
+    if len(times) < 2:
+        raise ValueError("need at least two probe times")
+    return times
 
 
 def time_invariance_probe(field: ErrorField, times) -> float:
@@ -141,10 +169,7 @@ def time_invariance_probe(field: ErrorField, times) -> float:
     Near zero exactly when the linearized error dynamics are frozen in time;
     the hallmark of an invariant design around a constant-input reference.
     """
-    times = list(times)
-    if len(times) < 2:
-        raise ValueError("need at least two probe times")
-    return max_pairwise_distance(linearize_error_field(field, times))
+    return max_pairwise_distance(linearize_error_field(field, probe_times(times)))
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,27 @@
 """Reference forms that the package's bare-float cores are checked against.
 
 The controller, observer and closed-loop error fields composed from the
-boxed public layers; the Riccati flow of riccati_values and the
+boxed public layers; jacobian_fd's numpy body, one array per shifted point;
+the Riccati flow of riccati_values and the
 Euler-Poincare rates of ep_rate_values written as the textbook formulas,
 with 3x3 arrays, np.linalg.solve and np.cross, plus the runs that
 integrate them with numerics.integrate; the SVD projection onto SO(3) that project_attitude's
-polar iteration is held to; and IntegratedTrajectory's reference poses
-integrated by numerics.integrate on the unicycle field.
+polar iteration is held to; hat, Rodrigues' formula, J_r^-1, the force
+models and the rigid body's tracking-error field on 3x3 arrays, and that
+field's linearization in closed form; and IntegratedTrajectory's reference
+poses integrated by numerics.integrate on the unicycle field.
 """
 
 import bisect
+import math
 
 import numpy as np
 
 from invtrack import se2
 from invtrack.controller import TrackingError, feedback, tracking_error
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
-from invtrack.mech import hat
-from invtrack.numerics import ErrorField, integrate
+from invtrack.mech import SMALL_ROTATION, ep_rate_values
+from invtrack.numerics import FD_STEP, ErrorField, integrate
 from invtrack.observer import observer_field, output_error
 from invtrack.errors import GeometryError
 from invtrack.robot import dynamics, dynamics_values, finite_input, measure
@@ -84,6 +88,23 @@ def composed_observer_error_field(traj, lm, gains):
     return ErrorField(rate, 3)
 
 
+def jacobian_fd_oracle(fn, point):
+    """jacobian_fd's numpy body: fn sees each shifted point as an array, and
+    np.column_stack gathers the columns."""
+    p = np.asarray(point, dtype=float)
+    cols = []
+    for j in range(p.size):
+        dp = np.zeros_like(p)
+        dp[j] = FD_STEP
+        hi = np.asarray(fn(p + dp), dtype=float)
+        lo = np.asarray(fn(p - dp), dtype=float)
+        cols.append((hi - lo) / (2.0 * FD_STEP))
+    jac = np.column_stack(cols)
+    if not np.all(np.isfinite(jac)):
+        raise ValueError("jacobian_fd produced non-finite entries")
+    return jac
+
+
 def ekf_field_oracle(x_hat, P, inp, lm, y, Q, R):
     F, H = ekf_jacobians(x_hat, inp, lm)
     L = P @ np.linalg.solve(R, H).T
@@ -126,9 +147,63 @@ def project_rotation(m):
     return r
 
 
+def _flat(m):
+    return tuple(np.asarray(m, dtype=float).ravel().tolist())
+
+
+def hat(w):
+    """Skew-symmetric matrix with hat(w) @ v = w x v."""
+    return np.array(
+        [
+            [0.0, -w[2], w[1]],
+            [w[2], 0.0, -w[0]],
+            [-w[1], w[0], 0.0],
+        ]
+    )
+
+
+def rotation_exp_oracle(w):
+    """Rodrigues formula on arrays, with a series branch for small rotations."""
+    angle = float(np.linalg.norm(w))
+    K = hat(w)
+    if angle < SMALL_ROTATION:
+        return np.eye(3) + K + 0.5 * (K @ K)
+    a = math.sin(angle) / angle
+    b = (1.0 - math.cos(angle)) / (angle * angle)
+    return np.eye(3) + a * K + b * (K @ K)
+
+
+def inv_right_jacobian(w):
+    """Maps body angular velocity to the rate of exponential coordinates."""
+    angle = float(np.linalg.norm(w))
+    K = hat(w)
+    if angle < 1e-5:
+        coeff = 1.0 / 12.0
+    else:
+        coeff = 1.0 / (angle * angle) - (1.0 + math.cos(angle)) / (
+            2.0 * angle * math.sin(angle)
+        )
+    return np.eye(3) + 0.5 * K + coeff * (K @ K)
+
+
+def damping_oracle(coefficients):
+    """Torque -D xi on arrays."""
+    d = np.asarray(coefficients, dtype=float)
+    return lambda att, xi: -d * xi
+
+
+def gravity_gradient_oracle(strength, body_axis):
+    """Torque strength * ((R^T e_z) x axis) on arrays, axis normalized."""
+    axis = np.asarray(body_axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    e_z = np.array([0.0, 0.0, 1.0])
+    return lambda att, xi: strength * np.cross(att.T @ e_z, axis)
+
+
 def ep_dynamics_oracle(attitude, velocity, inertia, force, u):
+    """force is a package force model, called on flat tuples."""
     att_dot = attitude @ hat(velocity)
-    torque = u if force is None else force(attitude, velocity) + u
+    torque = u if force is None else np.array(force(_flat(attitude), _flat(velocity))) + u
     gyro = np.linalg.solve(inertia, np.cross(inertia @ velocity, velocity))
     return att_dot, gyro + np.linalg.solve(inertia, torque)
 
@@ -151,6 +226,55 @@ def ep_oracle_run(s, u_fn, t_end, dt):
     times, states = integrate(rate, w0, 0.0, t_end, dt, reproject)
     rows = np.asarray(states)
     return np.asarray(times), rows[:, :9].reshape(-1, 3, 3), rows[:, 9:]
+
+
+def ep_error_field_oracle(s, force):
+    """mech.tracking_error_field on arrays: the reference attitude by the
+    numpy Rodrigues formula, the feedforward as I (I^-1 (I xi_r) x xi_r)
+    plus the force, and J_r^-1 as a 3x3 array.  force is a model on
+    arrays (damping_oracle, gravity_gradient_oracle) or None."""
+    xi_r = s.velocity
+    inertia, inertia_inv = _flat(s.inertia), _flat(np.linalg.inv(s.inertia))
+
+    def feedforward(att_r):
+        rates = ep_rate_values((0.0,) * 9 + _flat(xi_r), inertia, inertia_inv, (0.0, 0.0, 0.0))
+        u = -(s.inertia @ np.array(rates[9:]))
+        return u if force is None else u - force(att_r, xi_r)
+
+    def rate(t, w):
+        w = np.asarray(w, dtype=float)
+        att_r = s.attitude @ rotation_exp_oracle(t * xi_r)
+        u_r = feedforward(att_r)
+        eta = rotation_exp_oracle(w[:3])
+        att = att_r @ eta
+        xi = xi_r + w[3:]
+        torque = u_r if force is None else force(att, xi) + u_r
+        rates = ep_rate_values(_flat(att) + _flat(xi), inertia, inertia_inv, _flat(torque))
+        omega_rel = xi - eta.T @ xi_r
+        zeta_dot = inv_right_jacobian(w[:3]) @ omega_rel
+        return np.concatenate([zeta_dot, rates[9:]])
+
+    return ErrorField(rate, 6)
+
+
+def ep_error_matrix(s, t, damping=None, strength=0.0, axis=(0.0, 0.0, 1.0)):
+    """The rigid body's tracking-error linearization at time t in closed form:
+    A(t) = [[-hat(xi_r), I3],
+            [-s I^-1 hat(a) hat(R_r(t)^T e_z), I^-1 (hat(I xi_r) - hat(xi_r) I - D)]]
+    with R_r(t) = R_0 exp(t xi_r), a the unit force axis, s the force
+    strength and D the damping (zero when None)."""
+    xi_r = s.velocity
+    inertia_inv = np.linalg.inv(s.inertia)
+    a = np.asarray(axis, dtype=float)
+    a = a / np.linalg.norm(a)
+    d = np.zeros((3, 3)) if damping is None else np.diag(damping)
+    att_r = s.attitude @ rotation_exp_oracle(t * xi_r)
+    out = np.zeros((6, 6))
+    out[:3, :3] = -hat(xi_r)
+    out[:3, 3:] = np.eye(3)
+    out[3:, :3] = -strength * inertia_inv @ hat(a) @ hat(att_r.T @ np.array([0.0, 0.0, 1.0]))
+    out[3:, 3:] = inertia_inv @ (hat(s.inertia @ xi_r) - hat(xi_r) @ s.inertia - d)
+    return out
 
 
 class IntegratedTrajectoryOracle(IntegratedTrajectory):
@@ -177,6 +301,10 @@ class IntegratedTrajectoryOracle(IntegratedTrajectory):
 
 
 def assert_close(got, want, rtol=1e-12):
-    """Largest entry-wise difference within rtol of the largest oracle entry."""
+    """Largest entry-wise difference within rtol of the largest oracle entry,
+    plus 16 units of the subnormal spacing: below 2^-1022 floats round to a
+    fixed absolute grid, so oracle entries near 1e-315 can differ in their
+    last subnormal bits however small rtol is."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+    underflow = 16 * np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)) + underflow

@@ -273,6 +273,24 @@ class TestFailureModes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("simulate", "closed-loop state diverged at t=0.0005"),
+            ("separation", "error-field linearization is not finite at t=0"),
+            ("invariance", "error-field linearization is not finite at t=0"),
+            ("ekf-compare", "error-field linearization is not finite at t=0"),
+        ],
+    )
+    def test_huge_gain_is_a_named_divergence(self, tmp_path, capsys, command, message):
+        # k1 = 1e300 is a valid gain, but the loop leaves float range inside
+        # its first step (a stage heading of inf), and the error fields at
+        # the first probe time have non-finite rates.
+        config = write_config(tmp_path, {"gains": {"k1": 1e300}})
+        argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--t-end", "0.05"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
     def test_override_on_non_object_config(self, tmp_path, capsys, flag):
         cfg = write_config(tmp_path, [1, 2])

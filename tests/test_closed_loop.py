@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from oracles import (
     composed_controller_error_field,
     composed_error_field,
     composed_observer_error_field,
+    jacobian_fd_oracle,
 )
 from strategies import HEADINGS, floats, landmark_sets, signed
 
@@ -279,6 +281,25 @@ class TestFusedRate:
             # Same arithmetic in the same order: equal, not merely close.
             assert fused(s, w) == want
 
+    def test_non_finite_stage_state_is_a_divergence(self):
+        # An RK stage can carry a heading of inf before integrate checks the
+        # step; the rate names the stage time instead of a math domain error.
+        rate, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG)
+        with pytest.raises(DivergenceError) as info:
+            rate(0.25, (0.0, 0.0, 0.0, 0.0, 0.0, math.inf))
+        assert str(info.value) == "closed-loop state diverged at t=0.25"
+        assert info.value.time == 0.25
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_value_error_on_a_finite_state_is_kept(self):
+        class NanInput(PermanentTrajectory):
+            def input(self, t):
+                return (math.nan, 0.5)
+
+        rate, _ = _loop_rate(NanInput(1.0, 0.5), STANDARD, KG, OG)
+        with pytest.raises(ValueError, match="reference input must be finite"):
+            rate(0.25, (0.0,) * 6)
+
     def test_reference_lookup_once_per_stage_time(self):
         calls = []
 
@@ -374,6 +395,34 @@ class TestFusedErrorField:
                 assert str(got.value) == str(err)
                 continue
             assert np.array_equal(core(s, w), want)
+
+    @given(
+        traj=references(),
+        lm=landmark_sets(),
+        kg=GAINS.map(lambda k: ControllerGains(*k)),
+        og=GAINS.map(lambda k: ObserverGains(*k)),
+        eta=st.one_of(st.just((0.0, 0.0, 0.0)), ERRORS),
+        eps=st.one_of(st.just((0.0, 0.0, 0.0)), ERRORS),
+        t=floats(0.0, 3.0),
+    )
+    def test_jacobian_matches_numpy_body(self, traj, lm, kg, og, eta, eps, t):
+        # jacobian_fd on tuples gives the numpy body's array bit for bit and
+        # in the same C order, on all three error fields, at the origin (the
+        # probes' point) and off it.
+        for field, point in (
+            (controller_error_field(traj, kg), eta),
+            (observer_error_field(traj, lm, og), eps),
+            (closed_loop_error_field(traj, lm, kg, og), eta + eps),
+        ):
+            try:
+                want = jacobian_fd_oracle(lambda w: field(t, w), np.array(point))
+            except GeometryError as err:
+                with pytest.raises(GeometryError, match=re.escape(str(err))):
+                    jacobian_fd(lambda w: field(t, w), point)
+                continue
+            got = jacobian_fd(lambda w: field(t, w), point)
+            assert got.flags.c_contiguous and got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_geometry_error_is_timestamped(self):
         # 5 km from a unit landmark triangle the Gram condition number is

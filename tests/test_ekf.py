@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from invtrack import ekf
 from invtrack.ekf import (
     DEFAULT_INITIAL_COVARIANCE,
     DEFAULT_MEASUREMENT_NOISE,
@@ -284,6 +285,14 @@ class TestErrorMatrix:
         F, H = ekf_jacobians(IDENTITY, RobotInput(0.0, 0.0), STANDARD)
         m = F - np.zeros((3, 3)) @ H
         assert np.max(np.abs(m)) == 0.0
+
+    def test_probe_count_is_checked_before_the_run(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the filter ran")
+
+        monkeypatch.setattr(ekf, "run_along_reference", no_run)
+        with pytest.raises(ValueError, match="need at least two probe times"):
+            time_variance_probe(PermanentTrajectory(1.0, 0.5), STANDARD, [0.5])
 
     def test_time_variance_along_circle(self):
         traj = PermanentTrajectory(1.0, 0.5)

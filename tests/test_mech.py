@@ -9,20 +9,35 @@ from invtrack import mech
 from invtrack.errors import DivergenceError
 from invtrack.mech import (
     PROJECTION_DEFECT_CAP,
+    SMALL_ROTATION,
     EpSystem,
     damping_force,
     ep_rate_values,
     error_linearization_drift,
     gravity_gradient_force,
-    hat,
     integrate_ep,
-    inv_right_jacobian,
+    inv_right_jacobian_values,
     orthonormality_defect,
     project_attitude,
     rotation_exp,
+    rotation_exp_values,
     spin_feedforward,
+    tracking_error_field,
 )
-from oracles import assert_close, ep_dynamics_oracle, ep_oracle_run, project_rotation
+from invtrack.numerics import linearize_error_field
+from oracles import (
+    assert_close,
+    damping_oracle,
+    ep_dynamics_oracle,
+    ep_error_field_oracle,
+    ep_error_matrix,
+    ep_oracle_run,
+    gravity_gradient_oracle,
+    hat,
+    inv_right_jacobian,
+    project_rotation,
+    rotation_exp_oracle,
+)
 from strategies import floats
 
 EPS = np.finfo(float).eps
@@ -31,6 +46,10 @@ INERTIA = np.diag([1.0, 2.0, 3.0])
 EYE = np.eye(3)
 # Symmetric positive definite with nonzero products of inertia.
 FULL_INERTIA = np.array([[1.2, 0.1, -0.2], [0.1, 2.0, 0.3], [-0.2, 0.3, 2.9]])
+
+
+def _flat(m):
+    return tuple(np.asarray(m, dtype=float).ravel().tolist())
 
 
 def _ep_rates(attitude, velocity, inertia, torque):
@@ -62,6 +81,22 @@ def inertias(draw):
     b = np.array(draw(st.lists(floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3)
     return draw(floats(0.1, 5.0)) * (b @ b.T + 3.0 * np.eye(3))
 
+
+# Unit directions scaled to lengths below SMALL_ROTATION, just above it,
+# across J_r^-1's 1e-5 series switch, and up to 3.
+_DIRECTIONS = _vectors(-1.0, 1.0).filter(lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: v / np.linalg.norm(v)
+)
+ROTATION_VECTORS = st.builds(
+    lambda d, mag: d * mag,
+    _DIRECTIONS,
+    st.one_of(
+        floats(0.0, 0.9 * SMALL_ROTATION),
+        floats(1.1 * SMALL_ROTATION, 1e-7),
+        floats(5e-6, 2e-5),
+        floats(0.0, 3.0),
+    ),
+)
 
 FORCES = st.one_of(
     st.none(),
@@ -192,7 +227,7 @@ class TestDynamics:
     def test_ep_rate_values_match_oracle(self, inertia, force, zeta, xi, u):
         att = rotation_exp(zeta)
         want_att, want_vel = ep_dynamics_oracle(att, xi, inertia, force, u)
-        torque = u if force is None else force(att, xi) + u
+        torque = u if force is None else np.array(force(_flat(att), _flat(xi))) + u
         got_att, got_vel = _ep_rates(att, xi, inertia, torque)
         assert_close(got_att, want_att)
         assert_close(got_vel, want_vel)
@@ -326,7 +361,133 @@ class TestLinearizationDrift:
         times = [0.0, 1.0, 2.0]
         error_linearization_drift(s, times)
         # The twelve fd evaluations at a probe time share one reference
-        # attitude and one feedforward.
+        # attitude (a row-major 9-tuple) and one feedforward.
         assert len(seen) == len(times)
         for t, att_r in zip(times, seen):
-            assert np.array_equal(att_r, EYE @ rotation_exp(t * self.XI_R))
+            assert np.array_equal(np.reshape(att_r, (3, 3)), EYE @ rotation_exp(t * self.XI_R))
+
+
+# Force parameters: (kind, damping D, strength s, axis a), kind None for the free body.
+FORCE_PARAMS = st.one_of(
+    st.just((None, None, 0.0, (0.0, 0.0, 1.0))),
+    _vectors(0.1, 1.0).map(lambda d: ("damping", d, 0.0, (0.0, 0.0, 1.0))),
+    st.builds(
+        lambda s, a: ("gravity", None, s, a),
+        floats(0.1, 2.0),
+        _vectors(-1.0, 1.0).filter(lambda a: np.linalg.norm(a) > 0.1),
+    ),
+)
+
+
+def _force_pair(kind, damping, strength, axis):
+    # The package's force model and its numpy form.
+    if kind == "damping":
+        return damping_force(damping), damping_oracle(damping)
+    if kind == "gravity":
+        return gravity_gradient_force(strength, axis), gravity_gradient_oracle(strength, axis)
+    return None, None
+
+
+def _field_scale(s, damping, strength):
+    # Size of the terms that the velocity rate sums and cancels: the
+    # gyroscopic term through I and I^-1 at velocities up to |xi_r| + 1,
+    # the force and the damping.
+    inertia_inv = np.linalg.inv(s.inertia)
+    gyro = np.max(np.abs(s.inertia)) * np.max(np.abs(inertia_inv)) * (
+        2.0 + np.max(np.abs(s.velocity))
+    ) ** 2
+    d = 0.0 if damping is None else float(np.max(damping))
+    return 1.0 + gyro + strength * np.max(np.abs(inertia_inv)) + d
+
+
+class TestFloatCores:
+    @given(w=ROTATION_VECTORS)
+    def test_rotation_exp_matches_numpy_form(self, w):
+        # The entries are at most 1 and the two forms differ only in how
+        # K @ K is summed: within 8 ulp of 1 (largest seen: 3).
+        got = np.array(rotation_exp_values(*w)).reshape(3, 3)
+        assert np.max(np.abs(got - rotation_exp_oracle(w))) <= 8 * EPS
+        assert np.array_equal(rotation_exp(w), got)
+
+    @given(w=ROTATION_VECTORS)
+    def test_inv_right_jacobian_matches_numpy_form(self, w):
+        # coeff * K @ K grows like |w|^2: within 8 ulp of 1 + |w|^2 (largest seen: 2).
+        got = np.array(inv_right_jacobian_values(*w)).reshape(3, 3)
+        assert np.max(np.abs(got - inv_right_jacobian(w))) <= 8 * EPS * (1.0 + float(w @ w))
+
+    @given(damping=_vectors(0.1, 1.0), zeta=_vectors(-3.0, 3.0), xi=_vectors(-2.0, 2.0))
+    def test_damping_matches_minus_d_xi(self, damping, zeta, xi):
+        # The same products in the same order: equal, tolerance 0.
+        got = damping_force(damping)(_flat(rotation_exp(zeta)), _flat(xi))
+        assert isinstance(got, tuple) and len(got) == 3
+        assert np.array_equal(got, -damping * xi)
+
+    @given(
+        strength=floats(0.1, 2.0),
+        axis=_vectors(-1.0, 1.0).filter(lambda a: np.linalg.norm(a) > 0.1),
+        zeta=_vectors(-3.0, 3.0),
+        xi=_vectors(-2.0, 2.0),
+    )
+    def test_gravity_gradient_matches_cross_product(self, strength, axis, zeta, xi):
+        # R^T e_z is R's last row and np.cross takes the same two products
+        # per entry: equal, tolerance 0.
+        att = rotation_exp(zeta)
+        got = gravity_gradient_force(strength, axis)(_flat(att), _flat(xi))
+        want = strength * np.cross(att.T @ np.array([0.0, 0.0, 1.0]), axis / np.linalg.norm(axis))
+        assert isinstance(got, tuple) and len(got) == 3
+        assert np.array_equal(got, want)
+
+
+class TestTrackingErrorField:
+    @given(
+        inertia=inertias(),
+        xi_r=_vectors(-2.0, 2.0),
+        force=FORCE_PARAMS,
+        zeta0=_vectors(-3.0, 3.0),
+        zeta=ROTATION_VECTORS,
+        dxi=_vectors(-1.0, 1.0),
+        t=floats(0.0, 4.0),
+    )
+    def test_matches_numpy_field(self, inertia, xi_r, force, zeta0, zeta, dxi, t):
+        # The float field against its numpy body (Rodrigues, J_r^-1 and the
+        # force on 3x3 arrays), within 8 ulp of the size of the cancelling
+        # velocity-rate terms (largest seen: 0.65).
+        kind, damping, strength, axis = force
+        model, oracle_model = _force_pair(*force)
+        s = EpSystem(rotation_exp(zeta0), xi_r, inertia, model)
+        w = _flat(zeta) + _flat(dxi)
+        got = tracking_error_field(s)(t, w)
+        want = ep_error_field_oracle(s, oracle_model)(t, w)
+        assert isinstance(got, tuple) and len(got) == 6
+        assert np.max(np.abs(np.array(got) - want)) <= 8 * EPS * _field_scale(s, damping, strength)
+
+    @given(
+        inertia=inertias(),
+        xi_r=_vectors(-2.0, 2.0),
+        force=FORCE_PARAMS.filter(lambda f: f[0] is not None),
+        zeta0=_vectors(-3.0, 3.0),
+    )
+    def test_linearization_matches_closed_form(self, inertia, xi_r, force, zeta0):
+        # The fd linearization at each probe time is A(t) of ep_error_matrix,
+        # for the damped body (A frozen) and the tilted one (A turns with
+        # R_r(t)); fd truncation and roundoff stay within 1e-9 of the term
+        # size (largest seen: 4.6e-11).
+        kind, damping, strength, axis = force
+        s = EpSystem(rotation_exp(zeta0), xi_r, inertia, _force_pair(*force)[0])
+        times = [0.0, 0.7, 1.9]
+        scale = _field_scale(s, damping, strength)
+        for t, m in zip(times, linearize_error_field(tracking_error_field(s), times)):
+            a = ep_error_matrix(s, t, damping, strength, axis)
+            assert np.max(np.abs(m - a)) <= 1e-9 * scale
+
+    def test_default_bodies_match_closed_form(self):
+        # mech-lemma's default bodies at its default probe times.
+        xi_r = np.array([0.4, 1.0, -0.6])
+        times = [0.0, 1.0, 2.0, 3.0]
+        for force, args in (
+            (damping_force([0.5, 0.4, 0.3]), ([0.5, 0.4, 0.3], 0.0, (0.0, 0.0, 1.0))),
+            (gravity_gradient_force(1.0, [0.0, 0.0, 1.0]), (None, 1.0, (0.0, 0.0, 1.0))),
+        ):
+            s = EpSystem(EYE, xi_r, INERTIA, force)
+            for t, m in zip(times, linearize_error_field(tracking_error_field(s), times)):
+                assert np.max(np.abs(m - ep_error_matrix(s, t, *args))) < 1e-9

@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from invtrack.errors import DivergenceError
+from invtrack.errors import DivergenceError, GeometryError
 from invtrack.numerics import (
+    ErrorField,
     Spectrum,
     eigenvalues,
     integrate,
     jacobian_fd,
+    linearize_error_field,
     max_pairwise_distance,
     once_per_time,
+    probe_times,
     rk4_step,
     spectrum_match_distance,
+    time_invariance_probe,
 )
 
 
@@ -156,6 +160,51 @@ class TestJacobian:
     def test_rejects_non_finite_output(self):
         with pytest.raises(ValueError):
             jacobian_fd(lambda x: np.array([float("nan")]), np.array([0.0]))
+
+    def test_fn_sees_float_tuples_and_the_result_is_c_ordered(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return (x[0] * x[1], x[0] + 2.0 * x[1], 3.0 * x[0])
+
+        jac = jacobian_fd(fn, np.array([0.5, -2.0]))
+        assert len(seen) == 4
+        assert all(type(x) is tuple and all(type(c) is float for c in x) for x in seen)
+        assert seen[0] == (0.5 + 1e-6, -2.0) and seen[3] == (0.5, -2.0 - 1e-6)
+        assert jac.shape == (3, 2) and jac.dtype == np.float64 and jac.flags.c_contiguous
+        assert np.max(np.abs(jac - [[-2.0, 0.5], [1.0, 2.0], [3.0, 0.0]])) < 1e-9
+
+
+class TestProbes:
+    def test_probe_times_needs_two(self):
+        with pytest.raises(ValueError, match="need at least two probe times"):
+            probe_times([0.0])
+        with pytest.raises(ValueError, match="need at least two probe times"):
+            time_invariance_probe(ErrorField(lambda t, w: w, 1), iter([0.0]))
+        assert probe_times(iter([0.0, 1.0])) == [0.0, 1.0]
+
+    def test_non_finite_linearization_names_the_probe_time(self):
+        # Finite at t = 0, a rate of inf * w past t = 1.
+        field = ErrorField(lambda t, w: (w[0] * (math.inf if t > 1.0 else 2.0),), 1)
+        with pytest.raises(DivergenceError) as info:
+            linearize_error_field(field, [0.0, 2.5])
+        assert str(info.value) == "error-field linearization is not finite at t=2.5"
+        assert info.value.time == 2.5
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_value_error_inside_the_field_names_the_probe_time(self):
+        field = ErrorField(lambda t, w: (math.log(w[0] + 1.0 - t),), 1)
+        with pytest.raises(DivergenceError, match=r"not finite at t=1\.5$") as info:
+            linearize_error_field(field, [0.0, 1.5])
+        assert "math domain error" in str(info.value.__cause__)
+
+    def test_package_errors_pass_through(self):
+        def rate(t, w):
+            raise GeometryError("condition number 1e+09 exceeds 1.000e+08 (at t=0)")
+
+        with pytest.raises(GeometryError, match=r"^condition number"):
+            linearize_error_field(ErrorField(rate, 2), [0.0, 1.0])
 
 
 class TestSpectrum:

@@ -18,7 +18,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (57 analyses, a
+--cheap digests only the default and hand-written scenes (62 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -96,6 +96,9 @@ HAND_SCENES = (
     ("fault-far-start", PLANAR, {"trajectory": {"start": [1e155, 0, 0]}}),
     # A finite start whose reference travels out of range along the run.
     ("fault-far-reference", PLANAR, {"trajectory": {"u": 1e300, "v": 0}}),
+    # A gain so large that the loop leaves float range within one step, and
+    # the error fields at the first probe time.
+    ("fault-huge-gain", PLANAR, {"gains": {"k1": 1e300}, "t_end": 0.05}),
 )
 
 
