@@ -254,14 +254,14 @@ def integrate_ep(
 
 def spin_feedforward(s: EpSystem, attitude_r: tuple) -> tuple:
     """Torque holding the body at its own velocity s.velocity at the
-    attitude attitude_r (row-major 9-tuple), as three floats."""
-    xi_r = _flat(s.velocity)
-    rates = ep_rate_values((0.0,) * 9 + xi_r, s.inertia_flat, s.inertia_inv_flat, (0.0, 0.0, 0.0))
+    attitude attitude_r (row-major 9-tuple), as three floats: the negated
+    gyroscopic torque -(I xi_r) x xi_r, less the force."""
+    xi_r = a, b, c = _flat(s.velocity)
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = s.inertia_flat
-    a0, a1, a2 = rates[9:]
-    u0 = -(i00 * a0 + i01 * a1 + i02 * a2)
-    u1 = -(i10 * a0 + i11 * a1 + i12 * a2)
-    u2 = -(i20 * a0 + i21 * a1 + i22 * a2)
+    m0 = i00 * a + i01 * b + i02 * c
+    m1 = i10 * a + i11 * b + i12 * c
+    m2 = i20 * a + i21 * b + i22 * c
+    u0, u1, u2 = m2 * b - m1 * c, m0 * c - m2 * a, m1 * a - m0 * b
     if s.force is None:
         return (u0, u1, u2)
     f0, f1, f2 = s.force(attitude_r, xi_r)

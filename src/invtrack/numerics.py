@@ -8,7 +8,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DivergenceError, InvtrackError
+from .errors import DivergenceError
 
 FD_STEP = 1e-6
 
@@ -99,17 +99,11 @@ def max_pairwise_distance(mats: Sequence[np.ndarray]) -> float:
     return worst
 
 
-def jacobian_fd(
-    fn: Callable[[tuple], Sequence[float]],
-    point: Sequence[float],
-) -> np.ndarray:
-    """Central-difference Jacobian of fn at point (step FD_STEP), one column
-    per coordinate.
-
-    fn sees each shifted point as a tuple of floats.  The array is C-ordered,
-    as np.column_stack builds it: np.linalg.norm sums a difference of two
-    Jacobians in memory order, so a transposed layout moves drifts at roundoff.
-    """
+def _fd_matrix(fn: Callable[[tuple], Sequence[float]], point: Sequence[float]) -> np.ndarray:
+    # jacobian_fd's array, its entries unchecked.  fn sees each shifted
+    # point as a tuple of floats.  The array is C-ordered, as np.column_stack
+    # builds it: np.linalg.norm sums a difference of two Jacobians in memory
+    # order, so a transposed layout moves drifts at roundoff.
     p = tuple(map(float, point))
     h2 = 2.0 * FD_STEP
     cols = []
@@ -117,7 +111,21 @@ def jacobian_fd(
         hi = fn(p[:j] + (pj + FD_STEP,) + p[j + 1:])
         lo = fn(p[:j] + (pj - FD_STEP,) + p[j + 1:])
         cols.append([(a - b) / h2 for a, b in zip(hi, lo)])
-    jac = np.array(list(zip(*cols)), dtype=float)
+    return np.array(list(zip(*cols)), dtype=float)
+
+
+def jacobian_fd(
+    fn: Callable[[tuple], Sequence[float]],
+    point: Sequence[float],
+) -> np.ndarray:
+    """Central-difference Jacobian of fn at point (step FD_STEP), one column
+    per coordinate, as a C-ordered array; fn sees each shifted point as a
+    tuple of floats.
+
+    Raises:
+        ValueError: an entry is not finite.
+    """
+    jac = _fd_matrix(fn, point)
     if not np.all(np.isfinite(jac)):
         raise ValueError("jacobian_fd produced non-finite entries")
     return jac
@@ -138,19 +146,16 @@ def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
     """Finite-difference linearization of the field at the origin, per time.
 
     Raises:
-        DivergenceError: at a probe time where the linearization is not
-            finite: jacobian_fd found a non-finite entry, or the field
-            raised a ValueError (say a math domain error) on its way there.
+        DivergenceError: at a probe time where the linearization has a
+            non-finite entry.
     """
     origin = (0.0,) * field.dim
     mats = []
     for t in times:
-        try:
-            mats.append(jacobian_fd(lambda w: field(t, w), origin))
-        except ValueError as err:
-            if isinstance(err, InvtrackError):
-                raise
-            raise DivergenceError(t, "error-field linearization is not finite") from err
+        jac = _fd_matrix(lambda w: field(t, w), origin)
+        if not np.all(np.isfinite(jac)):
+            raise DivergenceError(t, "error-field linearization is not finite")
+        mats.append(jac)
     return mats
 
 

@@ -301,10 +301,6 @@ class IntegratedTrajectoryOracle(IntegratedTrajectory):
 
 
 def assert_close(got, want, rtol=1e-12):
-    """Largest entry-wise difference within rtol of the largest oracle entry,
-    plus 16 units of the subnormal spacing: below 2^-1022 floats round to a
-    fixed absolute grid, so oracle entries near 1e-315 can differ in their
-    last subnormal bits however small rtol is."""
+    """Largest entry-wise difference within rtol of the largest oracle entry."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    underflow = 16 * np.finfo(float).smallest_subnormal
-    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)) + underflow
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))

@@ -191,13 +191,13 @@ class TestProbes:
             linearize_error_field(field, [0.0, 2.5])
         assert str(info.value) == "error-field linearization is not finite at t=2.5"
         assert info.value.time == 2.5
-        assert isinstance(info.value.__cause__, ValueError)
 
-    def test_value_error_inside_the_field_names_the_probe_time(self):
+    def test_value_error_inside_the_field_passes_through(self):
+        # Only a non-finite linearization is a divergence; a ValueError the
+        # field raises is the field's own.
         field = ErrorField(lambda t, w: (math.log(w[0] + 1.0 - t),), 1)
-        with pytest.raises(DivergenceError, match=r"not finite at t=1\.5$") as info:
+        with pytest.raises(ValueError, match="^math domain error$"):
             linearize_error_field(field, [0.0, 1.5])
-        assert "math domain error" in str(info.value.__cause__)
 
     def test_package_errors_pass_through(self):
         def rate(t, w):
