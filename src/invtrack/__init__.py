@@ -16,7 +16,7 @@ from .closed_loop import (
     separation_matrix,
     simulate,
 )
-from .controller import ControllerGains, TrackingError, ctrl_loop_matrix, feedback, tracking_error
+from .controller import ControllerGains, ctrl_loop_matrix
 from .errors import (
     DegenerateReferenceError,
     DivergenceError,
@@ -60,14 +60,12 @@ __all__ = [
     "Segment",
     "SimulationResult",
     "TangentVector",
-    "TrackingError",
     "closed_loop_error_field",
     "compose",
     "controller_error_field",
     "ctrl_loop_matrix",
     "dynamics",
     "exp",
-    "feedback",
     "gain_matrix",
     "invariance_residual",
     "inverse",
@@ -81,7 +79,6 @@ __all__ = [
     "separation_matrix",
     "simulate",
     "time_invariance_probe",
-    "tracking_error",
     "transport_tangent",
     "__version__",
 ]

@@ -240,7 +240,7 @@ def _cmd_mech_lemma(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[
     attitude_drift = error_linearization_drift(tilted, cfg.probe_times)
 
     free = EpSystem(eye, xi_r, inertia, None)
-    times, attitudes, velocities = integrate_ep(free, lambda t: (0.0, 0.0, 0.0), cfg.t_end, cfg.dt)
+    times, attitudes, velocities = integrate_ep(free, cfg.t_end, cfg.dt)
     energies = 0.5 * np.einsum("ni,ij,nj->n", velocities, inertia, velocities)
     energy_drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     defect = orthonormality_defect(attitudes)

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import se2
 from .errors import DegenerateReferenceError
-from .robot import RobotInput
-from .se2 import GroupElement
 
 
 @dataclass(frozen=True)
@@ -36,28 +33,16 @@ class ControllerGains:
                 raise ValueError(f"gain {name} must be positive and finite, got {val}")
 
 
-class TrackingError(NamedTuple):
-    """Components of inverse(g_ref) * g: position error in the reference frame."""
-
-    eta_x: float
-    eta_y: float
-    eta_theta: float
-
-
 def relative_pose(
     xr: float, yr: float, thr: float, x: float, y: float, th: float
 ) -> tuple[float, float, float]:
-    """Bare-float core of tracking_error: inverse(g_ref) * g, heading wrapped."""
+    """Invariant tracking error inverse(g_ref) * g of the pose (x, y, th)
+    against the reference (xr, yr, thr), heading wrapped to (-pi, pi]."""
     c = math.cos(thr)
     s = math.sin(thr)
     dx = x - xr
     dy = y - yr
     return (dx * c + dy * s, -dx * s + dy * c, se2.normalize_angle(th - thr))
-
-
-def tracking_error(g_ref: GroupElement, g: GroupElement) -> TrackingError:
-    """Invariant tracking error with heading difference wrapped to (-pi, pi]."""
-    return TrackingError(*relative_pose(g_ref.x, g_ref.y, g_ref.theta, g.x, g.y, g.theta))
 
 
 def feedback_values(
@@ -68,7 +53,12 @@ def feedback_values(
     v_r: float,
     gains: ControllerGains,
 ) -> tuple[float, float]:
-    """Bare-float core of feedback: the applied (u, v) for the error eta.
+    """Tracking feedback: the applied (u, v) for the error eta, which is the
+    reference input exactly when eta = 0.
+
+    sign(u_r) multiplies the odd terms so the same gains work driving
+    forward or in reverse.  A reference with u_r = 0 never moves and the
+    heading error is then uncontrollable, so it is rejected outright.
 
     Raises:
         ValueError: non-finite reference input.
@@ -88,21 +78,6 @@ def feedback_values(
         - sgn * gains.k3 * eta_theta
     )
     return (u, v)
-
-
-def feedback(
-    eta: TrackingError,
-    u_r: float,
-    v_r: float,
-    gains: ControllerGains,
-) -> RobotInput:
-    """Tracking feedback; returns the reference input exactly when eta = 0.
-
-    sign(u_r) multiplies the odd terms so the same gains work driving
-    forward or in reverse.  A reference with u_r = 0 never moves and the
-    heading error is then uncontrollable, so it is rejected outright.
-    """
-    return RobotInput(*feedback_values(eta.eta_x, eta.eta_y, eta.eta_theta, u_r, v_r, gains))
 
 
 def ctrl_loop_matrix(u_r: float, v_r: float, gains: ControllerGains) -> np.ndarray:

@@ -217,18 +217,12 @@ def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tupl
     )
 
 
-def integrate_ep(
-    s: EpSystem,
-    u_fn: Callable[[float], tuple],
-    t_end: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on (attitude, velocity); attitude is re-projected onto
-    the rotation group after every step (project_attitude) so the drift
-    stays at roundoff level.  u_fn(t) gives the control torque as three
-    floats.  I and I^-1 come flattened from s; the force model, when there
-    is one, sees each stage's flat attitude and velocity, as ep_rate_values
-    does.
+def integrate_ep(s: EpSystem, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-step RK4 on (attitude, velocity) under the body's force model
+    alone (no torque when it has none); attitude is re-projected onto the
+    rotation group after every step (project_attitude) so the drift stays
+    at roundoff level.  I and I^-1 come flattened from s; the force model
+    sees each stage's flat attitude and velocity, as ep_rate_values does.
 
     Returns (times, attitudes (n, 3, 3), velocities (n, 3)).
     """
@@ -239,12 +233,10 @@ def integrate_ep(
 
     if force is None:
         def rate(t: float, w: tuple) -> tuple:
-            return ep_rate_values(w, inertia, inertia_inv, u_fn(t))
+            return ep_rate_values(w, inertia, inertia_inv, (0.0, 0.0, 0.0))
     else:
         def rate(t: float, w: tuple) -> tuple:
-            f0, f1, f2 = force(w[:9], w[9:])
-            u = u_fn(t)
-            return ep_rate_values(w, inertia, inertia_inv, (f0 + u[0], f1 + u[1], f2 + u[2]))
+            return ep_rate_values(w, inertia, inertia_inv, force(w[:9], w[9:]))
 
     w0 = s.attitude.ravel().tolist() + s.velocity.tolist()
     times, states = integrate(rate, w0, 0.0, t_end, dt, project_attitude)

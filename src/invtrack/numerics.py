@@ -99,38 +99,6 @@ def max_pairwise_distance(mats: Sequence[np.ndarray]) -> float:
     return worst
 
 
-def _fd_matrix(fn: Callable[[tuple], Sequence[float]], point: Sequence[float]) -> np.ndarray:
-    # jacobian_fd's array, its entries unchecked.  fn sees each shifted
-    # point as a tuple of floats.  The array is C-ordered, as np.column_stack
-    # builds it: np.linalg.norm sums a difference of two Jacobians in memory
-    # order, so a transposed layout moves drifts at roundoff.
-    p = tuple(map(float, point))
-    h2 = 2.0 * FD_STEP
-    cols = []
-    for j, pj in enumerate(p):
-        hi = fn(p[:j] + (pj + FD_STEP,) + p[j + 1:])
-        lo = fn(p[:j] + (pj - FD_STEP,) + p[j + 1:])
-        cols.append([(a - b) / h2 for a, b in zip(hi, lo)])
-    return np.array(list(zip(*cols)), dtype=float)
-
-
-def jacobian_fd(
-    fn: Callable[[tuple], Sequence[float]],
-    point: Sequence[float],
-) -> np.ndarray:
-    """Central-difference Jacobian of fn at point (step FD_STEP), one column
-    per coordinate, as a C-ordered array; fn sees each shifted point as a
-    tuple of floats.
-
-    Raises:
-        ValueError: an entry is not finite.
-    """
-    jac = _fd_matrix(fn, point)
-    if not np.all(np.isfinite(jac)):
-        raise ValueError("jacobian_fd produced non-finite entries")
-    return jac
-
-
 @dataclass(frozen=True)
 class ErrorField:
     """Time-dependent vector field on error coordinates, with its dimension."""
@@ -143,16 +111,26 @@ class ErrorField:
 
 
 def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
-    """Finite-difference linearization of the field at the origin, per time.
+    """Central-difference Jacobian of the field at the origin (step FD_STEP),
+    one column per coordinate, per time.  The field sees each shifted point
+    as a tuple of floats.  Each matrix is C-ordered, as np.column_stack
+    builds it: np.linalg.norm sums a difference of two Jacobians in memory
+    order, so a transposed layout moves drifts at roundoff.
 
     Raises:
         DivergenceError: at a probe time where the linearization has a
             non-finite entry.
     """
-    origin = (0.0,) * field.dim
+    rate, origin = field.rate, (0.0,) * field.dim
+    h2 = 2.0 * FD_STEP
     mats = []
     for t in times:
-        jac = _fd_matrix(lambda w: field(t, w), origin)
+        cols = []
+        for j in range(field.dim):
+            hi = rate(t, origin[:j] + (FD_STEP,) + origin[j + 1:])
+            lo = rate(t, origin[:j] + (-FD_STEP,) + origin[j + 1:])
+            cols.append([(a - b) / h2 for a, b in zip(hi, lo)])
+        jac = np.array(list(zip(*cols)), dtype=float)
         if not np.all(np.isfinite(jac)):
             raise DivergenceError(t, "error-field linearization is not finite")
         mats.append(jac)

@@ -128,7 +128,11 @@ def _force_axis(value, field: str) -> list[float]:
 def _probe_times(value, field: str) -> list[float]:
     if not isinstance(value, list) or len(value) < 2:
         raise ScenarioError(f"{field} must be a list of at least 2 numbers")
-    return [_require_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
+    times = [_require_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
+    # A drift between linearizations at one time only is 0 whatever the field.
+    if len(set(times)) < 2:
+        raise ScenarioError(f"{field} must hold at least 2 distinct times")
+    return times
 
 
 def _object(value, field: str, allowed) -> dict:

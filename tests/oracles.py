@@ -1,15 +1,20 @@
 """Reference forms that the package's bare-float cores are checked against.
 
 The controller, observer and closed-loop error fields composed from the
-boxed public layers; jacobian_fd's numpy body, one array per shifted point;
-the Riccati flow of riccati_values and the
-Euler-Poincare rates of ep_rate_values written as the textbook formulas,
-with 3x3 arrays, np.linalg.solve and np.cross, plus the runs that
-integrate them with numerics.integrate; the SVD projection onto SO(3) that project_attitude's
-polar iteration is held to; hat, Rodrigues' formula, J_r^-1, the force
+public layers, each value boxed (the tracking error and the feedback from
+their cores relative_pose and feedback_values, the input as a RobotInput);
+a central-difference Jacobian on numpy arrays, one array per shifted point,
+which numerics.linearize_error_field gives bit for bit at the origin and
+the other fd checks of closed forms use; the Riccati flow of
+riccati_values and the Euler-Poincare rates of ep_rate_values written as
+the textbook formulas, with 3x3 arrays, np.linalg.solve and np.cross, plus
+the runs that integrate them with numerics.integrate; the SVD projection
+onto SO(3) that project_attitude's polar iteration is held to; hat, Rodrigues' formula, J_r^-1, the force
 models and the rigid body's tracking-error field on 3x3 arrays, and that
-field's linearization in closed form; and IntegratedTrajectory's reference
-poses integrated by numerics.integrate on the unicycle field.
+field's linearization in closed form; IntegratedTrajectory's reference
+poses integrated by numerics.integrate on the unicycle field; and the
+relative check that the property tests hold the cores to, with its grid
+bound where the oracle is subnormal.
 """
 
 import bisect
@@ -18,15 +23,21 @@ import math
 import numpy as np
 
 from invtrack import se2
-from invtrack.controller import TrackingError, feedback, tracking_error
+from invtrack.controller import feedback_values, relative_pose
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
 from invtrack.mech import SMALL_ROTATION, ep_rate_values
 from invtrack.numerics import FD_STEP, ErrorField, integrate
 from invtrack.observer import observer_field, output_error
 from invtrack.errors import GeometryError
-from invtrack.robot import dynamics, dynamics_values, finite_input, measure
+from invtrack.robot import RobotInput, dynamics, dynamics_values, finite_input, measure
 from invtrack.se2 import GroupElement
 from invtrack.trajectories import _POSE_STEP, IntegratedTrajectory
+
+
+def boxed_feedback(eta, ref_inp, gains):
+    """feedback_values on the error eta and the reference input ref_inp,
+    boxed in a RobotInput."""
+    return RobotInput(*feedback_values(*eta, ref_inp.u, ref_inp.v, gains))
 
 
 def composed_error_field(traj, lm, kg, og):
@@ -39,8 +50,7 @@ def composed_error_field(traj, lm, kg, og):
         ref_inp = traj.input(t)
         g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
         gh = se2.compose(g, GroupElement(w[3], w[4], w[5]))
-        eta_hat = tracking_error(g_ref, gh)
-        inp = feedback(eta_hat, ref_inp.u, ref_inp.v, kg)
+        inp = boxed_feedback(relative_pose(*g_ref, *gh), ref_inp, kg)
         y = measure(g, lm)
         dref = dynamics(g_ref, ref_inp)
         dg = dynamics(g, inp)
@@ -60,7 +70,7 @@ def composed_controller_error_field(traj, gains):
         g_ref = traj.pose(t)
         ref_inp = traj.input(t)
         g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
-        inp = feedback(TrackingError(w[0], w[1], w[2]), ref_inp.u, ref_inp.v, gains)
+        inp = boxed_feedback(w[:3], ref_inp, gains)
         dref = dynamics(g_ref, ref_inp)
         dg = dynamics(g, inp)
         return np.asarray(se2.relative_rate(g_ref, dref, g, dg))
@@ -89,8 +99,8 @@ def composed_observer_error_field(traj, lm, gains):
 
 
 def jacobian_fd_oracle(fn, point):
-    """jacobian_fd's numpy body: fn sees each shifted point as an array, and
-    np.column_stack gathers the columns."""
+    """Central-difference Jacobian of fn at point (step FD_STEP): fn sees
+    each shifted point as an array, and np.column_stack gathers the columns."""
     p = np.asarray(point, dtype=float)
     cols = []
     for j in range(p.size):
@@ -101,7 +111,7 @@ def jacobian_fd_oracle(fn, point):
         cols.append((hi - lo) / (2.0 * FD_STEP))
     jac = np.column_stack(cols)
     if not np.all(np.isfinite(jac)):
-        raise ValueError("jacobian_fd produced non-finite entries")
+        raise ValueError("fd Jacobian has non-finite entries")
     return jac
 
 
@@ -208,14 +218,14 @@ def ep_dynamics_oracle(attitude, velocity, inertia, force, u):
     return att_dot, gyro + np.linalg.solve(inertia, torque)
 
 
-def ep_oracle_run(s, u_fn, t_end, dt):
-    """integrate_ep with ep_dynamics_oracle as the right-hand side:
-    (times, attitudes (n, 3, 3), velocities (n, 3))."""
+def ep_oracle_run(s, t_end, dt):
+    """integrate_ep with ep_dynamics_oracle as the right-hand side, under
+    the body's force model alone: (times, attitudes (n, 3, 3), velocities
+    (n, 3))."""
 
     def rate(t, w):
         att_dot, vel_dot = ep_dynamics_oracle(
-            np.array(w[:9]).reshape(3, 3), np.array(w[9:]), s.inertia, s.force,
-            np.asarray(u_fn(t), dtype=float),
+            np.array(w[:9]).reshape(3, 3), np.array(w[9:]), s.inertia, s.force, np.zeros(3)
         )
         return att_dot.ravel().tolist() + vel_dot.tolist()
 
@@ -304,3 +314,15 @@ def assert_close(got, want, rtol=1e-12):
     """Largest entry-wise difference within rtol of the largest oracle entry."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def assert_rates_close(got, want):
+    """assert_close, except where the oracle's largest entry is subnormal:
+    rates near 1e-315 (products of values near 1e-158) lie on a fixed grid
+    of 2^-1074 where no relative bound can hold, so there the bound is 16
+    grid steps.  An all-zero oracle still needs an exactly zero result."""
+    want = np.asarray(want, dtype=float)
+    if 0.0 < np.max(np.abs(want)) < np.finfo(float).tiny:
+        assert np.max(np.abs(np.asarray(got) - want)) <= 16 * np.finfo(float).smallest_subnormal
+    else:
+        assert_close(got, want)

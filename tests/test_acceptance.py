@@ -239,7 +239,7 @@ def test_criterion_8_rigid_body_probes():
     tilted = EpSystem(eye, xi_r, inertia, gravity_gradient_force(1.0, [0.0, 0.0, 1.0]))
     drifting = error_linearization_drift(tilted, times)
     free = EpSystem(eye, xi_r, inertia)
-    _, _, velocities = integrate_ep(free, lambda t: np.zeros(3), 10.0, 1e-3)
+    _, _, velocities = integrate_ep(free, 10.0, 1e-3)
     energies = 0.5 * np.einsum("ni,ij,nj->n", velocities, inertia, velocities)
     energy_drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     ok = frozen < 1e-6 and drifting > 1e-2 and energy_drift < 1e-8

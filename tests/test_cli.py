@@ -291,6 +291,23 @@ class TestFailureModes:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            (command, {"probe_times": [0.0, 0.0]}, "probe_times")
+            for command in ("simulate", "eigs", "separation", "invariance", "ekf-compare")
+        ]
+        + [("mech-lemma", {"mech": {"probe_times": [1.0, 1.0]}}, "mech.probe_times")],
+    )
+    def test_repeated_probe_time_is_bad_input(self, tmp_path, capsys, command, doc, field):
+        # Linearizations at one time only cannot drift: a named scenario
+        # fault, not a traceback (ekf-compare) or a drift of 0 (the others).
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {field} must hold at least 2 distinct times\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
     def test_override_on_non_object_config(self, tmp_path, capsys, flag):
         cfg = write_config(tmp_path, [1, 2])

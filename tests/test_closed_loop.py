@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -17,18 +16,11 @@ from invtrack.closed_loop import (
     separation_matrix,
     simulate,
 )
-from invtrack.controller import (
-    ControllerGains,
-    TrackingError,
-    ctrl_loop_matrix,
-    feedback,
-    tracking_error,
-)
+from invtrack.controller import ControllerGains, ctrl_loop_matrix, relative_pose
 from invtrack.errors import DivergenceError, GeometryError
 from invtrack.numerics import (
     eigenvalues,
     integrate,
-    jacobian_fd,
     linearize_error_field,
     spectrum_match_distance,
     time_invariance_probe,
@@ -43,6 +35,7 @@ from invtrack.trajectories import (
     Segment,
 )
 from oracles import (
+    boxed_feedback,
     composed_controller_error_field,
     composed_error_field,
     composed_observer_error_field,
@@ -194,8 +187,7 @@ def composed_rate(traj, lm, kg, og):
         gh = GroupElement(w[3], w[4], w[5])
         g_ref = traj.pose(t)
         ref_inp = traj.input(t)
-        eta_hat = tracking_error(g_ref, gh)
-        inp = feedback(eta_hat, ref_inp.u, ref_inp.v, kg)
+        inp = boxed_feedback(relative_pose(*g_ref, *gh), ref_inp, kg)
         y = measure_values(g, lm)
         dg = dynamics(g, inp)
         try:
@@ -222,9 +214,9 @@ def composed_simulate(sc):
         g_ref = traj.pose(t)
         ref_inp = traj.input(t)
         refs.append(g_ref)
-        etas.append(tracking_error(g_ref, g))
-        epss.append(tracking_error(g, gh))
-        inputs.append(feedback(tracking_error(g_ref, gh), ref_inp.u, ref_inp.v, kg))
+        etas.append(relative_pose(*g_ref, *g))
+        epss.append(relative_pose(*g, *gh))
+        inputs.append(boxed_feedback(relative_pose(*g_ref, *gh), ref_inp, kg))
     w_rows = np.asarray(states)
     return SimulationResult(
         np.asarray(times), w_rows[:, 0:3], w_rows[:, 3:6], np.asarray(refs),
@@ -398,29 +390,29 @@ class TestFusedErrorField:
 
     @given(
         traj=references(),
-        lm=landmark_sets(),
+        lm=st.one_of(landmark_sets(), st.just(FAR)),
         kg=GAINS.map(lambda k: ControllerGains(*k)),
         og=GAINS.map(lambda k: ObserverGains(*k)),
-        eta=st.one_of(st.just((0.0, 0.0, 0.0)), ERRORS),
-        eps=st.one_of(st.just((0.0, 0.0, 0.0)), ERRORS),
         t=floats(0.0, 3.0),
     )
-    def test_jacobian_matches_numpy_body(self, traj, lm, kg, og, eta, eps, t):
-        # jacobian_fd on tuples gives the numpy body's array bit for bit and
-        # in the same C order, on all three error fields, at the origin (the
-        # probes' point) and off it.
-        for field, point in (
-            (controller_error_field(traj, kg), eta),
-            (observer_error_field(traj, lm, og), eps),
-            (closed_loop_error_field(traj, lm, kg, og), eta + eps),
+    def test_jacobian_matches_numpy_body(self, traj, lm, kg, og, t):
+        # linearize_error_field on tuples gives the numpy fd body's array at
+        # the origin bit for bit and in the same C order, on all three error
+        # fields, and raises the same timestamped GeometryError.
+        for field in (
+            controller_error_field(traj, kg),
+            observer_error_field(traj, lm, og),
+            closed_loop_error_field(traj, lm, kg, og),
         ):
             try:
-                want = jacobian_fd_oracle(lambda w: field(t, w), np.array(point))
+                want = jacobian_fd_oracle(lambda w: field(t, w), np.zeros(field.dim))
             except GeometryError as err:
-                with pytest.raises(GeometryError, match=re.escape(str(err))):
-                    jacobian_fd(lambda w: field(t, w), point)
+                with pytest.raises(GeometryError) as got:
+                    linearize_error_field(field, [t])
+                assert str(got.value) == str(err)
+                assert str(err).endswith(f" (at t={t:.6g})")
                 continue
-            got = jacobian_fd(lambda w: field(t, w), point)
+            (got,) = linearize_error_field(field, [t])
             assert got.flags.c_contiguous and got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -570,8 +562,7 @@ class TestSeparation:
         traj = PermanentTrajectory(1.0, 0.5)
         field = closed_loop_error_field(traj, STANDARD, KG, OG)
         predicted = separation_matrix(1.0, 0.5, KG, OG)
-        for t in (0.0, math.pi / 2, math.pi):
-            jac = jacobian_fd(lambda w, _t=t: field(_t, w), np.zeros(6))
+        for jac in linearize_error_field(field, (0.0, math.pi / 2, math.pi)):
             assert np.max(np.abs(jac - predicted)) < 1e-4
 
     def test_cross_block_matches_fd_of_feedback(self):
@@ -582,11 +573,10 @@ class TestSeparation:
             dref = dynamics(IDENTITY, RobotInput(u_r, v_r))
 
             def through_estimate(e):
-                inp = feedback(TrackingError(e[0], e[1], e[2]), u_r, v_r, kg)
-                dg = dynamics(IDENTITY, inp)
+                dg = dynamics(IDENTITY, boxed_feedback(e, RobotInput(u_r, v_r), kg))
                 return np.asarray(se2.relative_rate(IDENTITY, dref, IDENTITY, dg))
 
-            return jacobian_fd(through_estimate, np.zeros(3))
+            return jacobian_fd_oracle(through_estimate, np.zeros(3))
 
         rng = np.random.default_rng(61)
         for _ in range(200):

@@ -5,19 +5,18 @@ import pytest
 
 from invtrack import se2
 from invtrack.closed_loop import controller_error_field
-from invtrack.controller import (
-    ControllerGains,
-    TrackingError,
-    ctrl_loop_matrix,
-    feedback,
-    tracking_error,
-)
+from invtrack.controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
 from invtrack.errors import DegenerateReferenceError
-from invtrack.numerics import eigenvalues, jacobian_fd
+from invtrack.numerics import eigenvalues, linearize_error_field
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
+from oracles import jacobian_fd_oracle
 
 GAINS = ControllerGains(1.0, 1.0, 1.0)
+
+
+def tracking_error(g_ref, g):
+    return relative_pose(*g_ref, *g)
 
 
 class TestGains:
@@ -31,11 +30,11 @@ class TestGains:
 class TestTrackingError:
     def test_zero_on_reference(self):
         g = GroupElement(1.0, -2.0, 0.7)
-        assert tracking_error(g, g) == TrackingError(0.0, 0.0, 0.0)
+        assert tracking_error(g, g) == (0.0, 0.0, 0.0)
 
     def test_identity_reference(self):
         eta = tracking_error(IDENTITY, GroupElement(1.0, 2.0, 0.3))
-        assert eta == TrackingError(1.0, 2.0, 0.3)
+        assert eta == (1.0, 2.0, 0.3)
 
     def test_invariant_under_left_translation(self):
         rng = np.random.default_rng(31)
@@ -45,40 +44,35 @@ class TestTrackingError:
             g = GroupElement(*rng.uniform(-4, 4, 3))
             base = tracking_error(gr, g)
             moved = tracking_error(se2.compose(g0, gr), se2.compose(g0, g))
-            assert abs(base.eta_x - moved.eta_x) < 1e-12
-            assert abs(base.eta_y - moved.eta_y) < 1e-12
-            assert abs(se2.normalize_angle(base.eta_theta - moved.eta_theta)) < 1e-12
+            assert abs(base[0] - moved[0]) < 1e-12
+            assert abs(base[1] - moved[1]) < 1e-12
+            assert abs(se2.normalize_angle(base[2] - moved[2])) < 1e-12
 
     def test_matches_group_route(self):
         gr = GroupElement(2.0, -1.0, 1.1)
         g = GroupElement(2.5, -0.4, 0.8)
         via_ops = se2.compose(se2.inverse(gr), g)
         eta = tracking_error(gr, g)
-        assert abs(eta.eta_x - via_ops.x) < 1e-14
-        assert abs(eta.eta_y - via_ops.y) < 1e-14
-        assert abs(eta.eta_theta - via_ops.theta) < 1e-14
+        assert abs(eta[0] - via_ops.x) < 1e-14
+        assert abs(eta[1] - via_ops.y) < 1e-14
+        assert abs(eta[2] - via_ops.theta) < 1e-14
 
 
 class TestFeedback:
     def test_pure_feedforward_at_zero_error(self):
-        inp = feedback(TrackingError(0.0, 0.0, 0.0), 1.0, 0.5, GAINS)
-        assert inp.u == 1.0 and inp.v == 0.5
+        assert feedback_values(0.0, 0.0, 0.0, 1.0, 0.5, GAINS) == (1.0, 0.5)
 
     def test_hand_computed_case(self):
-        inp = feedback(TrackingError(0.1, 0.2, 0.05), 1.0, 0.0, GAINS)
-        assert abs(inp.u - 0.9) < 1e-15
-        assert abs(inp.v - (-0.25)) < 1e-15
+        u, v = feedback_values(0.1, 0.2, 0.05, 1.0, 0.0, GAINS)
+        assert abs(u - 0.9) < 1e-15
+        assert abs(v - (-0.25)) < 1e-15
 
     def test_linear_coefficients_by_fd(self):
         # The feedback law's partials at zero error are the stated linear
         # coefficients; checked against the closed-loop matrix columns.
         u_r, v_r = 1.0, 0.5
 
-        def fb(e):
-            inp = feedback(TrackingError(e[0], e[1], e[2]), u_r, v_r, GAINS)
-            return np.array([inp.u, inp.v])
-
-        jac = jacobian_fd(fb, np.zeros(3))
+        jac = jacobian_fd_oracle(lambda e: feedback_values(*e, u_r, v_r, GAINS), np.zeros(3))
         assert abs(jac[0, 0] - (-abs(u_r) * GAINS.k1)) < 1e-9
         assert abs(jac[0, 1] - (-u_r * v_r)) < 1e-9
         assert abs(jac[0, 2]) < 1e-9
@@ -87,11 +81,10 @@ class TestFeedback:
 
     def test_degenerate_reference(self):
         with pytest.raises(DegenerateReferenceError):
-            feedback(TrackingError(0.1, 0.0, 0.0), 0.0, 0.5, GAINS)
+            feedback_values(0.1, 0.0, 0.0, 0.0, 0.5, GAINS)
 
     def test_reverse_reference_speed(self):
-        inp = feedback(TrackingError(0.0, 0.0, 0.0), -1.0, 0.2, GAINS)
-        assert inp.u == -1.0 and inp.v == 0.2
+        assert feedback_values(0.0, 0.0, 0.0, -1.0, 0.2, GAINS) == (-1.0, 0.2)
 
 
 class TestLoopMatrix:
@@ -113,8 +106,7 @@ class TestLoopMatrix:
         for u_r, v_r in ((1.0, 0.5), (1.0, 0.0), (-0.8, 0.3)):
             traj = PermanentTrajectory(u_r, v_r)
             field = controller_error_field(traj, GAINS)
-            for t in (0.0, 1.3):
-                jac = jacobian_fd(lambda e, _t=t: field(_t, e), np.zeros(3))
+            for jac in linearize_error_field(field, (0.0, 1.3)):
                 assert np.max(np.abs(jac - ctrl_loop_matrix(u_r, v_r, GAINS))) < 1e-5
 
     def test_stable_for_various_gains(self):

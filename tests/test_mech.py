@@ -27,6 +27,7 @@ from invtrack.mech import (
 from invtrack.numerics import linearize_error_field
 from oracles import (
     assert_close,
+    assert_rates_close,
     damping_oracle,
     ep_dynamics_oracle,
     ep_error_field_oracle,
@@ -35,6 +36,7 @@ from oracles import (
     gravity_gradient_oracle,
     hat,
     inv_right_jacobian,
+    jacobian_fd_oracle,
     project_rotation,
     rotation_exp_oracle,
 )
@@ -60,19 +62,6 @@ def _ep_rates(attitude, velocity, inertia, torque):
         tuple(np.linalg.inv(inertia).ravel().tolist()), tuple(np.asarray(torque).tolist()),
     )
     return np.array(rates[:9]).reshape(3, 3), np.array(rates[9:])
-
-
-def _assert_velocity_rates_close(got, want):
-    # assert_close, except where the oracle's largest entry is subnormal:
-    # velocities near 1e-158 give gyroscopic rates near 1e-315, where floats
-    # lie on a fixed grid of 2^-1074 and no relative bound can hold, so
-    # there the bound is 16 grid steps.  An all-zero oracle still needs an
-    # exactly zero result.
-    want = np.asarray(want, dtype=float)
-    if 0.0 < np.max(np.abs(want)) < np.finfo(float).tiny:
-        assert np.max(np.abs(np.asarray(got) - want)) <= 16 * np.finfo(float).smallest_subnormal
-    else:
-        assert_close(got, want)
 
 
 def vee(m):
@@ -217,7 +206,7 @@ class TestProjection:
         # rotation group by more than the cap, and the run stops there.
         s = EpSystem(EYE, np.array([0.4, 1.0, -0.6]), INERTIA)
         with pytest.raises(DivergenceError, match="reduce dt") as info:
-            integrate_ep(s, lambda t: (0.0, 0.0, 0.0), 4.0, 1.0)
+            integrate_ep(s, 4.0, 1.0)
         assert info.value.time == 1.0
 
     def test_defect_of_a_stack_is_the_max_over_members(self):
@@ -251,10 +240,10 @@ class TestDynamics:
         torque = u if force is None else np.array(force(_flat(att), _flat(xi))) + u
         got_att, got_vel = _ep_rates(att, xi, inertia, torque)
         assert_close(got_att, want_att)
-        _assert_velocity_rates_close(got_vel, want_vel)
+        assert_rates_close(got_vel, want_vel)
         # With no torque the velocity rate is the gyroscopic term alone.
         _, gyro = _ep_rates(att, xi, inertia, np.zeros(3))
-        _assert_velocity_rates_close(gyro, np.linalg.solve(inertia, np.cross(inertia @ xi, xi)))
+        assert_rates_close(gyro, np.linalg.solve(inertia, np.cross(inertia @ xi, xi)))
 
     @pytest.mark.parametrize(
         "force", [None, damping_force([0.5, 0.4, 0.3]), gravity_gradient_force(1.0, [0.3, 0.0, 1.0])]
@@ -262,12 +251,8 @@ class TestDynamics:
     def test_matches_oracle_run(self, force):
         s = EpSystem(rotation_exp(np.array([0.3, -0.5, 1.1])), np.array([0.4, 1.0, -0.6]),
                      FULL_INERTIA, force)
-
-        def u_fn(t):
-            return np.array([0.1 * math.sin(t), -0.2, 0.05 * t])
-
-        times, attitudes, velocities = integrate_ep(s, u_fn, 0.2, 1e-3)
-        want_t, want_att, want_vel = ep_oracle_run(s, u_fn, 0.2, 1e-3)
+        times, attitudes, velocities = integrate_ep(s, 0.2, 1e-3)
+        want_t, want_att, want_vel = ep_oracle_run(s, 0.2, 1e-3)
         assert times.tolist() == want_t.tolist()
         assert_close(attitudes, want_att)
         assert_close(velocities, want_vel)
@@ -295,24 +280,29 @@ class TestDynamics:
     def test_free_body_conserves_energy(self):
         s = EpSystem(EYE, np.array([0.4, 1.0, -0.6]), INERTIA)
         e0 = kinetic_energy(s)
-        times, attitudes, velocities = integrate_ep(s, lambda t: np.zeros(3), 10.0, 1e-3)
+        times, attitudes, velocities = integrate_ep(s, 10.0, 1e-3)
         energies = 0.5 * np.einsum("ni,ij,nj->n", velocities, INERTIA, velocities)
         assert np.max(np.abs(energies - e0)) / e0 < 1e-8
         assert max(orthonormality_defect(a) for a in attitudes[:: 500]) < 1e-9
 
     def test_damped_body_loses_energy(self):
         s = EpSystem(EYE, np.array([0.4, 1.0, -0.6]), INERTIA, damping_force([0.5, 0.4, 0.3]))
-        _, _, velocities = integrate_ep(s, lambda t: np.zeros(3), 5.0, 1e-3)
+        _, _, velocities = integrate_ep(s, 5.0, 1e-3)
         energies = 0.5 * np.einsum("ni,ij,nj->n", velocities, INERTIA, velocities)
         assert np.all(np.diff(energies) < 0.0)
 
     def test_feedforward_holds_spin(self):
         # Damping ignores attitude, so one constant torque keeps the body at
-        # xi_r exactly; the integrator should agree to roundoff.
+        # xi_r exactly; the integrator should agree to roundoff.  The torque
+        # rides on the damping as one force model.
         xi_r = np.array([0.4, 1.0, -0.6])
-        s = EpSystem(EYE, xi_r, INERTIA, damping_force([0.5, 0.4, 0.3]))
-        u_r = spin_feedforward(s, EYE)
-        _, _, velocities = integrate_ep(s, lambda t: u_r, 2.0, 1e-3)
+        damping = damping_force([0.5, 0.4, 0.3])
+        u_r = spin_feedforward(EpSystem(EYE, xi_r, INERTIA, damping), _flat(EYE))
+
+        def held(att, xi):
+            return tuple(f + u for f, u in zip(damping(att, xi), u_r))
+
+        _, _, velocities = integrate_ep(EpSystem(EYE, xi_r, INERTIA, held), 2.0, 1e-3)
         assert np.max(np.abs(velocities - xi_r)) < 1e-9
 
     def test_feedforward_free_body_principal_axis(self):
@@ -500,6 +490,24 @@ class TestTrackingErrorField:
         for t, m in zip(times, linearize_error_field(tracking_error_field(s), times)):
             a = ep_error_matrix(s, t, damping, strength, axis)
             assert np.max(np.abs(m - a)) <= 1e-9 * scale
+
+    @given(
+        inertia=inertias(),
+        xi_r=_vectors(-2.0, 2.0),
+        force=FORCE_PARAMS.filter(lambda f: f[0] is not None),
+        zeta0=_vectors(-3.0, 3.0),
+        t=floats(0.0, 4.0),
+    )
+    def test_linearization_matches_numpy_body(self, inertia, xi_r, force, zeta0, t):
+        # linearize_error_field on tuples gives the numpy fd body's array at
+        # the origin bit for bit and in the same C order, for the damped and
+        # the tilted body.
+        s = EpSystem(rotation_exp(zeta0), xi_r, inertia, _force_pair(*force)[0])
+        field = tracking_error_field(s)
+        want = jacobian_fd_oracle(lambda w: field(t, w), np.zeros(6))
+        (got,) = linearize_error_field(field, [t])
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_default_bodies_match_closed_form(self):
         # mech-lemma's default bodies at its default probe times.

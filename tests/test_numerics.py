@@ -9,7 +9,6 @@ from invtrack.numerics import (
     Spectrum,
     eigenvalues,
     integrate,
-    jacobian_fd,
     linearize_error_field,
     max_pairwise_distance,
     once_per_time,
@@ -143,35 +142,42 @@ class TestPairwiseDistance:
         assert max_pairwise_distance([np.eye(3)]) == 0.0
 
 
+def _shifted(fn, point):
+    # An ErrorField whose linearization at the origin is fn's Jacobian at
+    # point: fn is taken at point + w.
+    return ErrorField(lambda t, w: fn(tuple(p + c for p, c in zip(point, w))), len(point))
+
+
 class TestJacobian:
     def test_linear_map_exact(self):
         m = np.array([[1.0, 2.0], [-3.0, 0.5]])
-        jac = jacobian_fd(lambda x: m @ x, np.array([0.3, -0.7]))
+        (jac,) = linearize_error_field(_shifted(lambda x: m @ x, (0.3, -0.7)), [0.0])
         assert np.max(np.abs(jac - m)) < 1e-10
 
     def test_scalar_square(self):
-        jac = jacobian_fd(lambda x: np.array([x[0] ** 2]), np.array([3.0]))
+        (jac,) = linearize_error_field(_shifted(lambda x: (x[0] ** 2,), (3.0,)), [0.0])
         assert abs(jac[0, 0] - 6.0) < 1e-6
 
     def test_sine_at_origin(self):
-        jac = jacobian_fd(lambda x: np.array([math.sin(x[0])]), np.array([0.0]))
+        (jac,) = linearize_error_field(ErrorField(lambda t, w: (math.sin(w[0]),), 1), [0.0])
         assert abs(jac[0, 0] - 1.0) < 1e-10
 
     def test_rejects_non_finite_output(self):
-        with pytest.raises(ValueError):
-            jacobian_fd(lambda x: np.array([float("nan")]), np.array([0.0]))
+        with pytest.raises(DivergenceError, match="^error-field linearization is not finite"):
+            linearize_error_field(ErrorField(lambda t, w: (float("nan"),), 1), [0.0])
 
     def test_fn_sees_float_tuples_and_the_result_is_c_ordered(self):
         seen = []
 
-        def fn(x):
-            seen.append(x)
-            return (x[0] * x[1], x[0] + 2.0 * x[1], 3.0 * x[0])
+        def rate(t, w):
+            seen.append(w)
+            x0, x1 = 0.5 + w[0], -2.0 + w[1]
+            return (x0 * x1, x0 + 2.0 * x1, 3.0 * x0)
 
-        jac = jacobian_fd(fn, np.array([0.5, -2.0]))
+        (jac,) = linearize_error_field(ErrorField(rate, 2), [0.0])
         assert len(seen) == 4
-        assert all(type(x) is tuple and all(type(c) is float for c in x) for x in seen)
-        assert seen[0] == (0.5 + 1e-6, -2.0) and seen[3] == (0.5, -2.0 - 1e-6)
+        assert all(type(w) is tuple and all(type(c) is float for c in w) for w in seen)
+        assert seen == [(1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6), (0.0, -1e-6)]
         assert jac.shape == (3, 2) and jac.dtype == np.float64 and jac.flags.c_contiguous
         assert np.max(np.abs(jac - [[-2.0, 0.5], [1.0, 2.0], [3.0, 0.0]])) < 1e-9
 

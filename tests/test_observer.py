@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from invtrack import se2
 from invtrack.closed_loop import observer_error_field
-from invtrack.controller import tracking_error
+from invtrack.controller import relative_pose
 from invtrack.errors import GeometryError
-from invtrack.numerics import eigenvalues, jacobian_fd
+from invtrack.numerics import eigenvalues, linearize_error_field
 from invtrack.observer import (
     MAX_CONDITION,
     ObserverGains,
@@ -23,6 +23,7 @@ from invtrack.observer import (
 from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure, transform_landmarks
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
+from oracles import jacobian_fd_oracle
 from strategies import HEADINGS, floats, landmark_sets, signed
 
 GAINS = ObserverGains(1.0, 1.0, 1.0)
@@ -119,7 +120,7 @@ class TestOutputError:
             x_hat = se2.compose(x, GroupElement(e[0], e[1], 0.0))
             return output_error(x_hat, STANDARD, y)
 
-        jac = jacobian_fd(out_err, np.zeros(2))
+        jac = jacobian_fd_oracle(out_err, np.zeros(2))
         assert np.max(np.abs(jac - (-2.0 * bf.coords.T))) < 1e-6
 
 
@@ -275,10 +276,10 @@ class TestObserverField:
         h = 1e-6
         dx = dynamics(x, inp)
         dxh = observer_field(x_hat, inp, STANDARD, y, GAINS)
-        e0 = tracking_error(x, x_hat)
+        e0 = relative_pose(*x, *x_hat)
         x1 = GroupElement(x.x + h * dx[0], x.y + h * dx[1], x.theta + h * dx[2])
         xh1 = GroupElement(x_hat.x + h * dxh[0], x_hat.y + h * dxh[1], x_hat.theta + h * dxh[2])
-        e1 = tracking_error(x1, xh1)
+        e1 = relative_pose(*x1, *xh1)
         n0 = sum(c * c for c in e0)
         n1 = sum(c * c for c in e1)
         assert n1 < n0
@@ -320,8 +321,7 @@ class TestErrorMatrix:
         for u_r, v_r in ((1.0, 0.5), (1.0, 0.0), (-0.7, 0.4)):
             traj = PermanentTrajectory(u_r, v_r)
             field = observer_error_field(traj, STANDARD, GAINS)
-            for t in (0.0, 0.9):
-                jac = jacobian_fd(lambda e, _t=t: field(_t, e), np.zeros(3))
+            for jac in linearize_error_field(field, (0.0, 0.9)):
                 assert np.max(np.abs(jac - obs_error_matrix(u_r, v_r, GAINS))) < 1e-5
 
     def test_matrix_is_landmark_free(self):
@@ -330,5 +330,5 @@ class TestErrorMatrix:
         lm = LandmarkSet(((1.0, 3.0), (-2.0, 0.5), (4.0, -1.0), (0.0, -3.0)))
         traj = PermanentTrajectory(1.0, 0.5)
         field = observer_error_field(traj, lm, GAINS)
-        jac = jacobian_fd(lambda e: field(0.0, e), np.zeros(3))
+        (jac,) = linearize_error_field(field, [0.0])
         assert np.max(np.abs(jac - obs_error_matrix(1.0, 0.5, GAINS))) < 1e-5

@@ -415,6 +415,10 @@ SINGLE_FAULTS = [
         {"trajectory": {"u": 1e150, "v": 0}, "t_end": 1.0, "probe_times": [0.0, 1e10]},
         "trajectory: squared range to landmarks[0] along the run must be finite, got inf",
     ),
+    # Probe times at one instant only: any drift between them reads 0.
+    ({"probe_times": [0.0, 0.0]}, "probe_times must hold at least 2 distinct times"),
+    ({"probe_times": [0.5, 0.5, 0.5]}, "probe_times must hold at least 2 distinct times"),
+    ({"mech": {"probe_times": [1.0, 1.0]}}, "mech.probe_times must hold at least 2 distinct times"),
 ]
 
 

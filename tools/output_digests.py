@@ -18,7 +18,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (62 analyses, a
+--cheap digests only the default and hand-written scenes (68 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -99,6 +99,9 @@ HAND_SCENES = (
     # A gain so large that the loop leaves float range within one step, and
     # the error fields at the first probe time.
     ("fault-huge-gain", PLANAR, {"gains": {"k1": 1e300}, "t_end": 0.05}),
+    # Probe times at one instant only, for the planar and the rigid-body probes.
+    ("fault-probe-repeat", PLANAR, {"probe_times": [0.0, 0.0]}),
+    ("fault-mech-probe-repeat", ("mech-lemma",), {"mech": {"probe_times": [1.0, 1.0]}}),
 )
 
 
