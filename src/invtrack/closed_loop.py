@@ -80,9 +80,9 @@ class SimulationResult:
 
 
 def _reference(traj: ReferenceTrajectory) -> Callable[[float], tuple]:
-    """reference(t) = (x_r, y_r, theta_r, u_r, v_r), queried once per time
-    (numerics.once_per_time) by every field below."""
-    return once_per_time(lambda t: (*traj.pose(t), *traj.input(t)))
+    """reference(t) = traj.sample(t) = (x_r, y_r, theta_r, u_r, v_r), queried
+    once per time (numerics.once_per_time) by every field below."""
+    return once_per_time(traj.sample)
 
 
 def _loop_rate(
@@ -108,7 +108,7 @@ def _loop_rate(
             eta_x, eta_y, eta_th = relative_pose(xr, yr, thr, xh, yh, thh)
             u, v = feedback_values(eta_x, eta_y, eta_th, ur, vr, kg)
             dxh, dyh, dthh = observer_rate(
-                xh, yh, thh, u, v, coords, measure_values(GroupElement(x, y, th), lm), og
+                xh, yh, thh, u, v, coords, measure_values(x, y, coords), og
             )
         except GeometryError as err:
             raise _at_time(err, t) from err
@@ -206,7 +206,7 @@ def observer_error_field(
         gh = se2.compose(g, GroupElement(w[0], w[1], w[2]))
         dg = dynamics_values(thr, ur, vr)
         try:
-            dgh = observer_rate(*gh, ur, vr, coords, measure_values(g, lm), gains)
+            dgh = observer_rate(*gh, ur, vr, coords, measure_values(xr, yr, coords), gains)
         except GeometryError as err:
             raise _at_time(err, t) from err
         return se2.relative_rate(g, dg, gh, dgh)

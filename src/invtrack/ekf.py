@@ -182,7 +182,10 @@ def run_along_reference(
 
     @once_per_time
     def stage(t: float) -> tuple:
-        return (*finite_input(traj.input(t)), measure_values(traj.pose(t), lm))
+        x, y, _, u, v = traj.sample(t)
+        if not (math.isfinite(u) and math.isfinite(v)):
+            finite_input(RobotInput(u, v))
+        return (u, v, measure_values(x, y, coords))
 
     def rate(t: float, w: tuple) -> tuple:
         u, v, y = stage(t)

@@ -88,16 +88,16 @@ def dynamics(g: GroupElement, inp: RobotInput) -> tuple[float, float, float]:
     return dynamics_values(g.theta, u, v)
 
 
-def measure_values(g: GroupElement, lm: LandmarkSet) -> tuple[float, ...]:
-    """Squared distances as a bare tuple; the unvalidated core of measure()."""
-    x, y = g.x, g.y
+def measure_values(x: float, y: float, coords: tuple) -> tuple[float, ...]:
+    """Squared distances from (x, y) to each landmark in coords, as a bare
+    tuple; the unvalidated core of measure()."""
     # tuple([...]) rather than tuple(genexpr): same values, no generator frame.
-    return tuple([(x - lx) ** 2 + (y - ly) ** 2 for lx, ly in lm.coords])
+    return tuple([(x - lx) ** 2 + (y - ly) ** 2 for lx, ly in coords])
 
 
 def measure(g: GroupElement, lm: LandmarkSet) -> Measurement:
     """Squared distance from the robot position to every landmark."""
-    return Measurement(measure_values(g, lm))
+    return Measurement(measure_values(g.x, g.y, lm.coords))
 
 
 def transform_landmarks(g0: GroupElement, lm: LandmarkSet) -> LandmarkSet:

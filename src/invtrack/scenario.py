@@ -22,7 +22,7 @@ from .controller import ControllerGains
 from .ekf import DEFAULT_INITIAL_COVARIANCE, DEFAULT_MEASUREMENT_NOISE, DEFAULT_PROCESS_NOISE
 from .errors import GeometryError, ScenarioError
 from .observer import ObserverGains
-from .robot import LandmarkSet, RobotInput
+from .robot import LandmarkSet
 from .se2 import GroupElement
 from .trajectories import (
     IntegratedTrajectory,
@@ -225,8 +225,8 @@ def _reference(section: dict) -> ReferenceTrajectory:
         return PermanentTrajectory(u, v, start)
     amp, rate = section["v_wobble"]["amplitude"], section["v_wobble"]["angular_rate"]
 
-    def input_fn(t: float, _u=u, _v=v, _a=amp, _r=rate) -> RobotInput:
-        return RobotInput(_u, _v + _a * math.sin(_r * t))
+    def input_fn(t: float, _u=u, _v=v, _a=amp, _r=rate) -> tuple[float, float]:
+        return (_u, _v + _a * math.sin(_r * t))
 
     return IntegratedTrajectory(input_fn, start)
 

@@ -292,7 +292,7 @@ class IntegratedTrajectoryOracle(IntegratedTrajectory):
     unicycle field, four input calls per step, from the nearest knot."""
 
     def _rate(self, t, w):
-        u, v = finite_input(self._input_fn(t))
+        u, v = finite_input(RobotInput(*self._input_fn(t)))
         return dynamics_values(w[2], u, v)
 
     def pose(self, t):

@@ -188,7 +188,7 @@ def composed_rate(traj, lm, kg, og):
         g_ref = traj.pose(t)
         ref_inp = traj.input(t)
         inp = boxed_feedback(relative_pose(*g_ref, *gh), ref_inp, kg)
-        y = measure_values(g, lm)
+        y = measure_values(g.x, g.y, lm.coords)
         dg = dynamics(g, inp)
         try:
             dgh = observer_field(gh, inp, lm, y, og)
@@ -285,8 +285,8 @@ class TestFusedRate:
 
     def test_value_error_on_a_finite_state_is_kept(self):
         class NanInput(PermanentTrajectory):
-            def input(self, t):
-                return (math.nan, 0.5)
+            def sample(self, t):
+                return (*super().sample(t)[:3], math.nan, 0.5)
 
         rate, _ = _loop_rate(NanInput(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(ValueError, match="reference input must be finite"):
@@ -296,9 +296,9 @@ class TestFusedRate:
         calls = []
 
         class Counting(PermanentTrajectory):
-            def pose(self, t):
+            def sample(self, t):
                 calls.append(t)
-                return super().pose(t)
+                return super().sample(t)
 
         # dt = 1/8 keeps every stage time exact, so each step's end stage
         # also serves the sample row and the next step's first stage: one
@@ -442,9 +442,9 @@ class TestFusedErrorField:
         calls = []
 
         class Counting(PermanentTrajectory):
-            def pose(self, t):
+            def sample(self, t):
                 calls.append(t)
-                return super().pose(t)
+                return super().sample(t)
 
         # Every fd evaluation at a probe time (twelve in the closed loop, six
         # in the controller and observer fields) shares one trajectory query.

@@ -173,8 +173,8 @@ class TestField:
         # riccati_values checks nothing: the run's stages reject a
         # non-finite input before calling it, here from the first stage on.
         class InfiniteSteering(PermanentTrajectory):
-            def input(self, t):
-                return RobotInput(self.u, math.inf)
+            def sample(self, t):
+                return (*super().sample(t)[:3], self.u, math.inf)
 
         with pytest.raises(ValueError, match="input has non-finite components"):
             run_along_reference(
@@ -231,8 +231,9 @@ class TestRun:
 
     def test_non_finite_reference_input_rejected(self):
         class NanInput(PermanentTrajectory):
-            def input(self, t):
-                return RobotInput(math.nan, self.v) if t > 0.01 else super().input(t)
+            def sample(self, t):
+                x, y, th, u, v = super().sample(t)
+                return (x, y, th, math.nan if t > 0.01 else u, v)
 
         traj = NanInput(1.0, 0.5)
         with pytest.raises(ValueError, match="input has non-finite components"):
@@ -263,9 +264,9 @@ class TestRun:
         calls = []
 
         class Counting(PermanentTrajectory):
-            def pose(self, t):
+            def sample(self, t):
                 calls.append(t)
-                return super().pose(t)
+                return super().sample(t)
 
         # dt = 2^-10 keeps every stage time exact, so each step's end stage
         # also serves the next step's first: the initial pose, one lookup at

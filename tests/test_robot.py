@@ -92,7 +92,7 @@ class TestMeasure:
 
     def test_measure_values_matches_measure(self):
         g = GroupElement(0.3, -0.8, 0.2)
-        assert measure_values(g, STANDARD) == measure(g, STANDARD).values
+        assert measure_values(g.x, g.y, STANDARD.coords) == measure(g, STANDARD).values
 
 
 class TestAction:

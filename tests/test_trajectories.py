@@ -194,6 +194,25 @@ def query_times(draw):
     return times
 
 
+# An input profile's two return forms: boxed, and the bare pair a scenario's
+# v_wobble profile returns.
+PROFILES = [RobotInput, lambda u, v: (u, v)]
+NON_FINITE = r"^input has non-finite components: RobotInput\(u=1\.0, v=inf\)$"
+
+
+def assert_one_bad_stage(bad):
+    """A query over 10 steps whose input is non-finite only at time bad
+    fails with the same words in the fused step and in the oracle, for
+    either profile form."""
+    for profile in PROFILES:
+        def input_fn(t):
+            return profile(1.0, math.inf if t == bad else 0.5)
+
+        for cls in (IntegratedTrajectory, IntegratedTrajectoryOracle):
+            with pytest.raises(ValueError, match=NON_FINITE):
+                cls(input_fn).pose(0.01)
+
+
 class TestFusedPose:
     @given(
         u=signed(0.2, 3.0),
@@ -226,23 +245,33 @@ class TestFusedPose:
 
         # The second query starts from the first one's knot, whose end-stage
         # input it reuses: 20 steps, one call at t = 0, then two per step.
+        # Each query's end stage is also the input it samples.
         traj = IntegratedTrajectory(counting)
         traj.pose(0.01)
         traj.pose(0.02)
         assert len(calls) == 1 + 2 * 20
         assert len(set(calls)) == len(calls)
+        # A knot hit reuses the last end stage only at the same time.
+        traj.sample(0.02)
+        assert len(calls) == 1 + 2 * 20
+        traj.sample(0.01)
+        assert calls[-1] == 0.01 and len(calls) == 2 + 2 * 20
 
     def test_non_finite_input_at_a_midpoint_stage_only(self):
         ta, te = 2 * _POSE_STEP, 3 * _POSE_STEP
-        mid = ta + 0.5 * (te - ta)
+        assert_one_bad_stage(ta + 0.5 * (te - ta))
 
-        def input_fn(t):
-            return RobotInput(1.0, math.inf if t == mid else 0.5)
+    @pytest.mark.parametrize("bad", [0.0, 3 * _POSE_STEP], ids=["first", "end"])
+    def test_non_finite_input_at_the_first_or_an_end_stage_only(self, bad):
+        # The first step's first stage, or the third step's end stage, which
+        # the fourth step's first stage reuses.
+        assert_one_bad_stage(bad)
 
-        message = r"^input has non-finite components: RobotInput\(u=1\.0, v=inf\)$"
-        for cls in (IntegratedTrajectory, IntegratedTrajectoryOracle):
-            with pytest.raises(ValueError, match=message):
-                cls(input_fn).pose(0.01)
+    @pytest.mark.parametrize("profile", PROFILES, ids=["robot-input", "bare-pair"])
+    def test_non_finite_input_sampled_at_a_knot(self, profile):
+        traj = IntegratedTrajectory(lambda t: profile(1.0, math.inf))
+        with pytest.raises(ValueError, match=NON_FINITE):
+            traj.sample(0.0)
 
     def test_overflow_raises_divergence_at_the_step_end(self):
         # Finite inputs whose speed overflows the position on the fourth
@@ -256,6 +285,76 @@ class TestFusedPose:
                 cls(input_fn).pose(0.01)
             times.append(err.value.time)
         assert times == [4 * _POSE_STEP, 4 * _POSE_STEP]
+
+
+def bits(values):
+    """The exact bit pattern of each value: 0.0 and -0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def reference_factories(draw):
+    """A zero-argument builder of a permanent, piecewise or integrated
+    (v_wobble) reference, so that two copies can see the same queries."""
+    start = GroupElement(draw(floats(-5.0, 5.0)), draw(floats(-5.0, 5.0)), draw(HEADINGS))
+    u, v = draw(signed(0.2, 3.0)), draw(st.one_of(st.just(0.0), floats(-1.0, 1.0)))
+    kind = draw(st.sampled_from(("permanent", "piecewise", "integrated")))
+    if kind == "permanent":
+        return lambda: PermanentTrajectory(u, v, start)
+    if kind == "piecewise":
+        # Legs short enough that query_times() crosses the switches.
+        legs = tuple(draw(st.lists(
+            st.builds(Segment, signed(0.2, 3.0), floats(-1.0, 1.0), floats(0.02, 0.2)),
+            min_size=1, max_size=4,
+        )))
+        return lambda: PiecewiseTrajectory(legs, start)
+    input_fn = wobble(u, v, draw(floats(0.1, 0.5)), draw(floats(0.5, 2.0)))
+    return lambda: IntegratedTrajectory(input_fn, start)
+
+
+class TestSample:
+    @given(make=reference_factories(), times=query_times())
+    def test_sample_is_pose_then_input(self, make, times):
+        sampled, boxed = make(), make()
+        for t in times:
+            assert bits(sampled.sample(t)) == bits((*boxed.pose(t), *boxed.input(t)))
+
+    @given(
+        u=signed(0.2, 3.0),
+        v=st.one_of(st.just(0.0), floats(-1.0, 1.0)),
+        amplitude=floats(0.1, 0.5),
+        rate=floats(0.5, 2.0),
+        theta=HEADINGS,
+        times=query_times(),
+    )
+    def test_bare_pair_profile_matches_robot_input_profile(self, u, v, amplitude, rate, theta, times):
+        boxed_fn = wobble(u, v, amplitude, rate)
+
+        def bare_fn(t):
+            return tuple(boxed_fn(t))
+
+        start = GroupElement(0.5, -0.5, theta)
+        boxed = IntegratedTrajectory(boxed_fn, start)
+        bare = IntegratedTrajectory(bare_fn, start)
+        for t in times:
+            assert bits(bare.sample(t)) == bits(boxed.sample(t))
+        assert bare._times == boxed._times
+        assert [bits(k) for k in bare._knots] == [bits(k) for k in boxed._knots]
+
+    @given(
+        x=st.integers(-5, 5),
+        y=st.integers(-5, 5),
+        theta=st.integers(-3, 3),
+        build=st.sampled_from((
+            lambda start: PermanentTrajectory(1.0, 0.5, start),
+            lambda start: PiecewiseTrajectory((Segment(1.0, 0.5, 1.0),), start),
+            lambda start: IntegratedTrajectory(wobble(1.0, 0.5, 0.3, 1.0), start),
+        )),
+    )
+    def test_pose_at_zero_is_floats_for_an_integer_start(self, x, y, theta, build):
+        pose = build(GroupElement(x, y, theta)).pose(0.0)
+        assert [type(c) for c in pose] == [float, float, float]
+        assert pose == (x, y, theta)
 
 
 class TestPermanenceProbe:
