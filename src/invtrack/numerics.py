@@ -20,19 +20,47 @@ VectorField = Callable[[float, tuple], Sequence[float]]
 T = TypeVar("T")
 
 
+def _compile_rk4_step(n: int) -> Callable:
+    """rk4_step on states of length n, as straight-line code."""
+
+    def each(term: str) -> str:
+        return "".join(term.format(i=i) + ", " for i in range(n))
+
+    # The operations and their order are the byte contract, held by a test
+    # to a per-component loop: stage points x + hh*k (x + h*k for the last),
+    # result x + h/6*(k1 + 2*(k2 + k3) + k4).
+    source = (
+        "def step(field, t, x, h):\n"
+        "    hh = 0.5 * h\n"
+        f"    ({each('x{i}')}) = x\n"
+        f"    ({each('a{i}')}) = field(t, x)\n"
+        f"    ({each('b{i}')}) = field(t + hh, ({each('x{i} + hh * a{i}')}))\n"
+        f"    ({each('c{i}')}) = field(t + hh, ({each('x{i} + hh * b{i}')}))\n"
+        f"    ({each('d{i}')}) = field(t + h, ({each('x{i} + h * c{i}')}))\n"
+        "    h6 = h / 6.0\n"
+        f"    return ({each('x{i} + h6 * (a{i} + 2.0 * (b{i} + c{i}) + d{i})')})\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<rk4_step n={n}>", "exec"), namespace)
+    return namespace["step"]
+
+
+_RK4_STEPS: dict[int, Callable] = {}
+
+
 def rk4_step(field: VectorField, t: float, x: tuple, h: float) -> tuple:
-    """One classical Runge-Kutta step of size h on a flat tuple of floats."""
-    hh = 0.5 * h
-    k1 = field(t, x)
-    # tuple([...]) rather than tuple(genexpr): same values, no generator frame.
-    k2 = field(t + hh, tuple([a + hh * b for a, b in zip(x, k1)]))
-    k3 = field(t + hh, tuple([a + hh * b for a, b in zip(x, k2)]))
-    k4 = field(t + h, tuple([a + h * b for a, b in zip(x, k3)]))
-    h6 = h / 6.0
-    return tuple([
-        a + h6 * (b + 2.0 * (c + d) + e)
-        for a, b, c, d, e in zip(x, k1, k2, k3, k4)
-    ])
+    """One classical Runge-Kutta step of size h on a flat tuple of floats.
+
+    The step runs as straight-line code, compiled on the first step of each
+    state length (as dataclasses builds __init__): a per-component loop spent
+    about as long on its own bookkeeping as a small field on its physics.
+    A field that returns more or fewer components than x has raises ValueError.
+    """
+    try:
+        step = _RK4_STEPS[len(x)]
+    except KeyError:
+        step = _RK4_STEPS[len(x)] = _compile_rk4_step(len(x))
+    return step(field, t, x, h)
 
 
 def once_per_time(fn: Callable[[float], T]) -> Callable[[float], T]:

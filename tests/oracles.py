@@ -5,11 +5,13 @@ public layers, each value boxed (the tracking error and the feedback from
 their cores relative_pose and feedback_values, the input as a RobotInput);
 a central-difference Jacobian on numpy arrays, one array per shifted point,
 which numerics.linearize_error_field gives bit for bit at the origin and
-the other fd checks of closed forms use; the Riccati flow of
-riccati_values and the Euler-Poincare rates of ep_rate_values written as
-the textbook formulas, with 3x3 arrays, np.linalg.solve and np.cross, plus
-the runs that integrate them with numerics.integrate; the SVD projection
-onto SO(3) that project_attitude's polar iteration is held to; hat, Rodrigues' formula, J_r^-1, the force
+the other fd checks of closed forms use; numerics.rk4_step as the
+per-component loop over zip that the generated straight-line step is held
+to bit for bit; the Riccati flow of riccati_values and the Euler-Poincare
+rates of ep_rate_values written as the textbook formulas, with 3x3 arrays,
+np.linalg.solve and np.cross, plus the runs that integrate them with
+numerics.integrate; the SVD projection onto SO(3) that project_attitude's
+polar iteration is held to; hat, Rodrigues' formula, J_r^-1, the force
 models and the rigid body's tracking-error field on 3x3 arrays, and that
 field's linearization in closed form; IntegratedTrajectory's reference
 poses integrated by numerics.integrate on the unicycle field; and the
@@ -96,6 +98,21 @@ def composed_observer_error_field(traj, lm, gains):
         return np.asarray(se2.relative_rate(g, dg, gh, dgh))
 
     return ErrorField(rate, 3)
+
+
+def rk4_step_oracle(field, t, x, h):
+    """numerics.rk4_step as a loop over the components: the same operations
+    in the same order, so the generated step must give the same bits."""
+    hh = 0.5 * h
+    k1 = field(t, x)
+    k2 = field(t + hh, tuple([a + hh * b for a, b in zip(x, k1)]))
+    k3 = field(t + hh, tuple([a + hh * b for a, b in zip(x, k2)]))
+    k4 = field(t + h, tuple([a + h * b for a, b in zip(x, k3)]))
+    h6 = h / 6.0
+    return tuple([
+        a + h6 * (b + 2.0 * (c + d) + e)
+        for a, b, c, d, e in zip(x, k1, k2, k3, k4)
+    ])
 
 
 def jacobian_fd_oracle(fn, point):

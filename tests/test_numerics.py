@@ -1,8 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from invtrack import numerics
 from invtrack.errors import DivergenceError, GeometryError
 from invtrack.numerics import (
     ErrorField,
@@ -17,6 +21,9 @@ from invtrack.numerics import (
     spectrum_match_distance,
     time_invariance_probe,
 )
+
+from oracles import rk4_step_oracle
+from strategies import floats
 
 
 class TestIntegrate:
@@ -92,6 +99,95 @@ class TestIntegrate:
             integrate(lambda t, x: x, (1.0,), 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(lambda t, x: x, (1.0,), 1.0, 0.0, 0.1)
+
+
+# Thirds of drawn floats have full mantissas, so that any change in the order
+# of the step's operations moves bits.
+_MESSY = floats(-3e3, 3e3).map(lambda v: v / 3.0)
+_ODD = st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324))
+
+
+@st.composite
+def _values(draw, n):
+    """n values, up to two of them a signed zero, NaN, an infinity or the
+    smallest subnormal: the generated step must give the oracle's bits."""
+    values = draw(st.lists(_MESSY, min_size=n, max_size=n))
+    if n:
+        for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), _ODD), max_size=2)):
+            values[i] = v
+    return values
+
+
+def _bits(values):
+    # Every NaN reads as one value: CPython's float add picks which NaN
+    # operand to return differently once the interpreter specializes the
+    # instruction, so the same line of code can flip a NaN's sign bit.
+    return [b"nan" if v != v else struct.pack("d", v) for v in values]
+
+
+@st.composite
+def _recording_fields(draw, n):
+    """A field whose rates mix the state, the time and drawn constants, in
+    the container the draw picks, and which records every (t, x) it sees."""
+    wrap = draw(st.sampled_from((tuple, list, np.array)))
+    coef, bias = draw(_values(n)), draw(_values(n))
+    seen = []
+
+    def field(t, x):
+        seen.append((t, x))
+        return wrap([c * x[(i + 1) % n] + b * t for i, (c, b) in enumerate(zip(coef, bias))])
+
+    return field, seen
+
+
+class TestRk4Step:
+    @given(data=st.data(), n=st.integers(0, 12), t=_MESSY,
+           h=st.one_of(floats(3e-9, 3.0).map(lambda v: v / 3.0), st.sampled_from((0.1, 0.3, 1e-3))))
+    def test_matches_the_per_component_loop_bit_for_bit(self, data, n, t, h):
+        x = tuple(data.draw(_values(n)))
+        field, seen = data.draw(_recording_fields(n))
+        with np.errstate(all="ignore"):  # numpy scalars warn on NaN and inf
+            got = rk4_step(field, t, x, h)
+            got_seen = list(seen)
+            seen.clear()
+            want = rk4_step_oracle(field, t, x, h)
+        assert type(got) is tuple and _bits(got) == _bits(want)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        # The field sees the same four stage times and points, bit for bit.
+        assert [_bits((s,) + p) for s, p in got_seen] == [_bits((s,) + p) for s, p in seen]
+
+    def test_empty_state(self):
+        calls = []
+        assert rk4_step(lambda t, x: calls.append(t) or [], 0.0, (), 0.5) == ()
+        assert calls == [0.0, 0.25, 0.25, 0.5]
+
+    @pytest.mark.parametrize("rates", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_field_of_the_wrong_length_is_rejected(self, rates):
+        with pytest.raises(ValueError):
+            rk4_step(lambda t, x: rates, 0.0, (0.0, 0.0, 0.0), 0.1)
+
+    def test_field_errors_pass_through(self):
+        err = ValueError("the field's own fault")
+
+        def field(t, x):
+            raise err
+
+        with pytest.raises(ValueError) as caught:
+            rk4_step(field, 0.0, (0.0, 0.0), 0.1)
+        assert caught.value is err
+
+    def test_integrate_steps_through_the_module_global(self, monkeypatch):
+        # Per-layer tracing counts numerics.rk4_step by replacing the global.
+        calls = []
+
+        def counted(field, t, x, h):
+            calls.append(t)
+            return rk4_step(field, t, x, h)
+
+        monkeypatch.setattr(numerics, "rk4_step", counted)
+        times, _ = integrate(lambda t, x: (1.0, -x[0]), (0.0, 1.0), 0.05, 0.25, 0.03)
+        assert len(calls) == len(times) - 1
+        assert calls == times[:-1]
 
 
 class TestOncePerTime:
