@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -205,14 +206,15 @@ def _cmd_invariance(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[
 
 def _cmd_ekf_compare(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
     sc = parsed.scenario
+    noise = parsed.canonical["ekf"]
     ekf_drift = time_variance_probe(
         sc.trajectory,
         sc.landmarks,
         parsed.probe_times,
         dt=sc.dt,
-        q=parsed.ekf_process_noise,
-        r=parsed.ekf_measurement_noise,
-        p0=parsed.ekf_initial_covariance,
+        q=noise["process_noise"],
+        r=noise["measurement_noise"],
+        p0=noise["initial_covariance"],
     )
     obs_drift, loop_drift = _observer_and_loop_drift(sc, parsed.probe_times)
     metrics = {
@@ -226,21 +228,21 @@ def _cmd_ekf_compare(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple
 
 
 def _cmd_mech_lemma(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
-    cfg = parsed.mech
-    inertia = np.diag(cfg.inertia)
+    cfg = parsed.canonical["mech"]
+    inertia = np.diag(cfg["inertia"])
     eye = np.eye(3)
-    xi_r = np.asarray(cfg.reference_velocity)
+    xi_r = np.asarray(cfg["reference_velocity"])
 
-    damped = EpSystem(eye, xi_r, inertia, damping_force(cfg.damping))
-    velocity_drift = error_linearization_drift(damped, cfg.probe_times)
+    damped = EpSystem(eye, xi_r, inertia, damping_force(cfg["damping"]))
+    velocity_drift = error_linearization_drift(damped, cfg["probe_times"])
 
     tilted = EpSystem(
-        eye, xi_r, inertia, gravity_gradient_force(cfg.force_strength, cfg.force_axis)
+        eye, xi_r, inertia, gravity_gradient_force(cfg["force_strength"], cfg["force_axis"])
     )
-    attitude_drift = error_linearization_drift(tilted, cfg.probe_times)
+    attitude_drift = error_linearization_drift(tilted, cfg["probe_times"])
 
     free = EpSystem(eye, xi_r, inertia, None)
-    times, attitudes, velocities = integrate_ep(free, cfg.t_end, cfg.dt)
+    times, attitudes, velocities = integrate_ep(free, cfg["t_end"], cfg["dt"])
     energies = 0.5 * np.einsum("ni,ij,nj->n", velocities, inertia, velocities)
     energy_drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     defect = orthonormality_defect(attitudes)
@@ -295,10 +297,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         command = _COMMANDS[args.command]
+        tol = command.tol if args.tol is None else args.tol
+        if not 0.0 <= tol < math.inf:
+            raise ScenarioError(f"--tol must be finite and >= 0, got {tol}")
         parsed = _load_scenario(args, command.section)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        tol = command.tol if args.tol is None else args.tol
         passed, metrics, tolerances = command.run(parsed, tol, out_dir)
         report = reporting.verdict(
             args.command, passed, metrics, tolerances,

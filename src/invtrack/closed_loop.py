@@ -79,12 +79,6 @@ class SimulationResult:
     inputs: np.ndarray           # (n, 2) applied (u, v)
 
 
-def _reference(traj: ReferenceTrajectory) -> Callable[[float], tuple]:
-    """reference(t) = traj.sample(t) = (x_r, y_r, theta_r, u_r, v_r), queried
-    once per time (numerics.once_per_time) by every field below."""
-    return once_per_time(traj.sample)
-
-
 def _loop_rate(
     traj: ReferenceTrajectory,
     lm: LandmarkSet,
@@ -93,13 +87,15 @@ def _loop_rate(
 ) -> tuple[Callable[[float, tuple], tuple], Callable[[float], tuple]]:
     """The coupled plant/observer/controller right-hand side on flat
     (x, y, theta, xhat, yhat, thetahat) tuples, and its reference lookup
-    (_reference), which also serves simulate's sample rows.
+    reference(t) = traj.sample(t) = (x_r, y_r, theta_r, u_r, v_r), queried
+    once per time, which also serves simulate's sample rows.
 
-    A stage state that is no longer finite raises DivergenceError at the
-    stage time, and a GeometryError is timestamped.
+    A ValueError raises DivergenceError at the stage time unless the stage
+    state is finite and the reference is not (bad input), and a
+    GeometryError is timestamped.
     """
     coords = lm.coords
-    reference = _reference(traj)
+    reference = once_per_time(traj.sample)
 
     def rate(t: float, w: tuple) -> tuple:
         x, y, th, xh, yh, thh = w
@@ -114,9 +110,12 @@ def _loop_rate(
             raise _at_time(err, t) from err
         except ValueError as err:
             # An RK stage state can overflow before integrate sees the step
-            # (say a heading of inf in normalize_angle); w is checked only here.
+            # (say a heading of inf in normalize_angle), and a huge gain can
+            # overflow the applied input of a finite one; w is checked only here.
             if all(map(math.isfinite, w)):
-                raise
+                if not all(map(math.isfinite, (xr, yr, thr, ur, vr))):
+                    raise
+                raise DivergenceError(t, "closed-loop input diverged") from err
             raise DivergenceError(t, "closed-loop state diverged") from err
         dx, dy, dth = dynamics_values(th, u, v)
         return (dx, dy, dth, dxh, dyh, dthh)
@@ -175,7 +174,7 @@ def controller_error_field(
     gains: ControllerGains,
 ) -> ErrorField:
     """Tracking-error dynamics under perfect state feedback (no observer)."""
-    reference = _reference(traj)
+    reference = once_per_time(traj.sample)
 
     def rate(t: float, w: tuple) -> tuple:
         xr, yr, thr, ur, vr = reference(t)
@@ -198,7 +197,7 @@ def observer_error_field(
     GeometryError is timestamped as in simulate().
     """
     coords = lm.coords
-    reference = _reference(traj)
+    reference = once_per_time(traj.sample)
 
     def rate(t: float, w: tuple) -> tuple:
         xr, yr, thr, ur, vr = reference(t)

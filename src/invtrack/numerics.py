@@ -166,11 +166,12 @@ def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
 
 
 def probe_times(times) -> list:
-    """times as a list, checked to hold the two probe times that a drift
-    between linearizations needs."""
+    """times as a list, checked to hold the two distinct probe times that a
+    drift between linearizations needs: at one time only it is 0 whatever
+    the field."""
     times = list(times)
-    if len(times) < 2:
-        raise ValueError("need at least two probe times")
+    if len(set(times)) < 2:
+        raise ValueError("need at least two probe times that differ")
     return times
 
 

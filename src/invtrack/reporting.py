@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,8 @@ def _emit(obj, indent: int, pieces: list) -> None:
     elif isinstance(obj, int):
         pieces.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"JSON has no value for the float {obj}")
         pieces.append(format_float(obj))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
@@ -85,7 +88,8 @@ def _emit(obj, indent: int, pieces: list) -> None:
 
 
 def json_text(obj) -> str:
-    """Serialize to deterministic JSON with a trailing newline."""
+    """Serialize to deterministic JSON with a trailing newline; a NaN or
+    infinite float, which JSON cannot hold, raises ValueError."""
     pieces: list = []
     _emit(obj, 0, pieces)
     pieces.append("\n")

@@ -4,8 +4,8 @@ The shipped default is the standard test case: unit-speed circle with
 steering ratio 0.5, three well-spread landmarks, all gains 1, thirty
 seconds at millisecond steps.  Validation errors always name the offending
 field.  Each section is validated once, straight into its canonical form
-(defaults filled in, numbers as floats, sequences as lists), and the run
-objects are built from that canonical form.
+(defaults filled in, numbers as floats, sequences as lists); the planar run
+is built from it, and the commands read the rest of it as it stands.
 """
 
 from __future__ import annotations
@@ -57,30 +57,17 @@ _TOP_KEYS = {
 
 
 @dataclass(frozen=True)
-class MechConfig:
-    """Settings for the rigid-body probe command."""
-
-    inertia: tuple[float, float, float]
-    reference_velocity: tuple[float, float, float]
-    damping: tuple[float, float, float]
-    force_strength: float
-    force_axis: tuple[float, float, float]
-    probe_times: tuple[float, ...]
-    t_end: float
-    dt: float
-
-
-@dataclass(frozen=True)
 class ParsedScenario:
-    """Scenario plus command options and the canonical document they came from."""
+    """The planar run and the canonical document it was built from; the
+    EKF and rigid-body commands read their sections of that document."""
 
     scenario: Scenario
-    probe_times: tuple[float, ...]
-    ekf_process_noise: float
-    ekf_measurement_noise: float
-    ekf_initial_covariance: float
-    mech: MechConfig
     canonical: dict
+
+    @property
+    def probe_times(self) -> list[float]:
+        """The document's probe times (canonical["probe_times"], not a copy)."""
+        return self.canonical["probe_times"]
 
 
 def _require_number(value, field: str, positive: bool = False, nonzero: bool = False) -> float:
@@ -327,16 +314,18 @@ def parse_scenario(doc: dict) -> ParsedScenario:
         far = math.hypot(ref["start"][0] - lx, ref["start"][1] - ly) + reach
         _finite_product(far * far, "trajectory", f"squared range to landmarks[{i}] along the run")
 
-    ekf = canonical["ekf"] = _section(doc.get("ekf", {}), "ekf", _EKF)
+    canonical["ekf"] = _section(doc.get("ekf", {}), "ekf", _EKF)
     mech = canonical["mech"] = _section(doc.get("mech", {}), "mech", _MECH)
-    mech_cfg = MechConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in mech.items()})
+    # mech-lemma's energy drift is relative to the reference kinetic energy.
+    energy = 0.5 * sum(i * x * x for i, x in zip(mech["inertia"], mech["reference_velocity"]))
+    if not 0.0 < energy < math.inf:
+        raise ScenarioError(
+            f"mech.reference_velocity: kinetic energy must be finite and > 0, got {energy}"
+        )
 
     try:
         scenario = Scenario(trajectory, landmarks, kg, og, pose0, est0, t_end, dt)
     except ValueError as err:
         raise ScenarioError(str(err)) from err
 
-    return ParsedScenario(
-        scenario, tuple(canonical["probe_times"]), ekf["process_noise"],
-        ekf["measurement_noise"], ekf["initial_covariance"], mech_cfg, canonical,
-    )
+    return ParsedScenario(scenario, canonical)

@@ -127,9 +127,10 @@ class TestReverseDriving:
         assert read_report(out)["metrics"]["ekf_drift"] > 0.1
         parsed = parse_scenario(doc)
         sc = parsed.scenario
-        q = parsed.ekf_process_noise
-        r = parsed.ekf_measurement_noise
-        p0 = parsed.ekf_initial_covariance
+        noise = parsed.canonical["ekf"]
+        q = noise["process_noise"]
+        r = noise["measurement_noise"]
+        p0 = noise["initial_covariance"]
         run = run_along_reference(sc.trajectory, sc.landmarks, 0.48, sc.dt, q=q, r=r, p0=p0)
         times, estimates, covariances = ekf_oracle_run(
             sc.trajectory, sc.landmarks, 0.48, sc.dt,
@@ -290,6 +291,42 @@ class TestFailureModes:
         argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--t-end", "0.05"]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"gains": {"k1": 1e308}, "initial_tracking_error": [10, 0, 0]},
+            {"gains": {"k2": 1e308}, "initial_tracking_error": [0, 10, 0]},
+        ],
+        ids=["k1", "k2"],
+    )
+    def test_overflowing_input_is_a_named_divergence(self, tmp_path, capsys, doc):
+        # The state is finite, but the feedback's (u, v) overflows on it.
+        out = tmp_path / "out"
+        config = write_config(tmp_path, dict(doc, t_end=0.01))
+        argv = ["simulate", "--config", config, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: closed-loop input diverged at t=0\n"
+        assert list(out.iterdir()) == []
+
+    def test_body_at_rest_is_bad_input(self, tmp_path, capsys):
+        # energy_drift divides by the reference kinetic energy, here 0.
+        doc = {"mech": {"reference_velocity": [0, 0, 0]}}
+        out = tmp_path / "out"
+        argv = ["mech-lemma", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: mech.reference_velocity: kinetic energy must be finite and > 0, got 0.0\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        out = tmp_path / "out"
+        assert main(["eigs", "--out", str(out), f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --tol must be finite and >= 0, got {float(tol)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, doc, field",

@@ -292,6 +292,18 @@ class TestFusedRate:
         with pytest.raises(ValueError, match="reference input must be finite"):
             rate(0.25, (0.0,) * 6)
 
+    def test_overflowing_input_of_a_finite_state_is_a_divergence(self):
+        # The state and the reference are finite, but a huge gain overflows
+        # the feedback's (u, v) on an estimate 10 m ahead of the reference
+        # (which starts at the origin), and the observer rejects that input.
+        kg = ControllerGains(1e308, 1.0, 1.0)
+        rate, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, kg, OG)
+        with pytest.raises(DivergenceError) as info:
+            rate(0.0, (10.0, 0.0, 0.0, 10.0, 0.0, 0.0))
+        assert str(info.value) == "closed-loop input diverged at t=0"
+        assert info.value.time == 0.0
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_reference_lookup_once_per_stage_time(self):
         calls = []
 

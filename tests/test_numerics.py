@@ -285,6 +285,14 @@ class TestProbes:
         with pytest.raises(ValueError, match="need at least two probe times"):
             time_invariance_probe(ErrorField(lambda t, w: w, 1), iter([0.0]))
         assert probe_times(iter([0.0, 1.0])) == [0.0, 1.0]
+        # At one time only the drift is 0 whatever the field, frozen or not.
+        changing = ErrorField(lambda t, w: (t * w[0],), 1)
+        for times in ([2.0, 2.0], [0.0, -0.0], [1.5, 1.5, 1.5]):
+            with pytest.raises(ValueError, match="need at least two probe times that differ"):
+                probe_times(times)
+            with pytest.raises(ValueError, match="need at least two probe times that differ"):
+                time_invariance_probe(changing, times)
+        assert probe_times([0.0, 0.0, 1.0]) == [0.0, 0.0, 1.0]
 
     def test_non_finite_linearization_names_the_probe_time(self):
         # Finite at t = 0, a rate of inf * w past t = 1.

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from invtrack.closed_loop import SimulationResult
-from invtrack.reporting import CSV_COLUMNS, format_float, timeseries_csv
+from invtrack.reporting import CSV_COLUMNS, format_float, json_text, timeseries_csv
 
 
 def per_value_csv(result) -> str:
@@ -37,3 +38,17 @@ class TestTimeseriesCsv:
         text = timeseries_csv(res)
         assert text == per_value_csv(res)
         assert "-0," in text and "nan" in text and "4.9406564584124654e-324" in text
+
+
+class TestJsonText:
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")]
+    )
+    def test_non_finite_float_is_rejected(self, value):
+        # JSON has no NaN or Infinity; a report must not hold one.
+        with pytest.raises(ValueError, match="JSON has no value for the float"):
+            json_text({"metrics": {"drift": [0.5, value]}})
+
+    def test_extreme_finite_floats_are_kept(self):
+        text = json_text([-0.0, 5e-324, 1e308])
+        assert text == "[\n  -0,\n  4.9406564584124654e-324,\n  1e+308\n]\n"

@@ -45,21 +45,25 @@ class TestDefaults:
         assert np.allclose(p.probe_times, [0.0, math.pi / 2, math.pi, 1.5 * math.pi])
 
     def test_ekf_defaults(self):
-        p = parse_scenario({})
-        assert p.ekf_process_noise == 1e-3
-        assert p.ekf_measurement_noise == 1e-2
-        assert p.ekf_initial_covariance == 1e-2
+        ekf = parse_scenario({}).canonical["ekf"]
+        assert ekf["process_noise"] == 1e-3
+        assert ekf["measurement_noise"] == 1e-2
+        assert ekf["initial_covariance"] == 1e-2
 
     def test_mech_defaults(self):
-        m = parse_scenario({}).mech
-        assert m.inertia == (1.0, 2.0, 3.0)
-        assert m.reference_velocity == (0.4, 1.0, -0.6)
-        assert m.damping == (0.5, 0.4, 0.3)
-        assert m.force_strength == 1.0
-        assert m.force_axis == (0.0, 0.0, 1.0)
-        assert m.probe_times == (0.0, 1.0, 2.0)
-        assert m.t_end == 10.0
-        assert m.dt == 1e-3
+        m = parse_scenario({}).canonical["mech"]
+        assert m["inertia"] == [1.0, 2.0, 3.0]
+        assert m["reference_velocity"] == [0.4, 1.0, -0.6]
+        assert m["damping"] == [0.5, 0.4, 0.3]
+        assert m["force_strength"] == 1.0
+        assert m["force_axis"] == [0.0, 0.0, 1.0]
+        assert m["probe_times"] == [0.0, 1.0, 2.0]
+        assert m["t_end"] == 10.0
+        assert m["dt"] == 1e-3
+
+    def test_probe_times_are_the_canonical_list(self):
+        p = parse_scenario({"probe_times": [0.0, 0.5]})
+        assert p.probe_times is p.canonical["probe_times"]
 
 
 class TestTrajectories:
@@ -419,6 +423,20 @@ SINGLE_FAULTS = [
     ({"probe_times": [0.0, 0.0]}, "probe_times must hold at least 2 distinct times"),
     ({"probe_times": [0.5, 0.5, 0.5]}, "probe_times must hold at least 2 distinct times"),
     ({"mech": {"probe_times": [1.0, 1.0]}}, "mech.probe_times must hold at least 2 distinct times"),
+    # A reference kinetic energy of 0, by rest or underflow, or of inf:
+    # mech-lemma's energy drift is relative to it.
+    (
+        {"mech": {"reference_velocity": [0, 0, 0]}},
+        "mech.reference_velocity: kinetic energy must be finite and > 0, got 0.0",
+    ),
+    (
+        {"mech": {"reference_velocity": [0, 1e-200, 0]}},
+        "mech.reference_velocity: kinetic energy must be finite and > 0, got 0.0",
+    ),
+    (
+        {"mech": {"inertia": [1, 2, 1e300], "reference_velocity": [0, 0, 1e5]}},
+        "mech.reference_velocity: kinetic energy must be finite and > 0, got inf",
+    ),
 ]
 
 
@@ -447,8 +465,8 @@ class TestForceAxis:
                 parse_scenario({"mech": {"force_axis": axis}})
 
     def test_tiny_but_representable_axis_accepted(self):
-        axis = parse_scenario({"mech": {"force_axis": [1e-150, 0.0, 0.0]}}).mech.force_axis
-        assert axis == (1e-150, 0.0, 0.0)
+        p = parse_scenario({"mech": {"force_axis": [1e-150, 0.0, 0.0]}})
+        assert p.canonical["mech"]["force_axis"] == [1e-150, 0.0, 0.0]
 
 
 # Documents whose canonical form must parse back to itself: the README's
@@ -494,4 +512,3 @@ def test_canonical_is_a_fixed_point(doc):
     assert again.canonical == p.canonical
     assert scenario_digest(again.canonical) == scenario_digest(p.canonical)
     assert again.probe_times == p.probe_times
-    assert again.mech == p.mech

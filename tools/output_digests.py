@@ -18,7 +18,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (68 analyses, a
+--cheap digests only the default and hand-written scenes (72 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -102,6 +102,15 @@ HAND_SCENES = (
     # Probe times at one instant only, for the planar and the rigid-body probes.
     ("fault-probe-repeat", PLANAR, {"probe_times": [0.0, 0.0]}),
     ("fault-mech-probe-repeat", ("mech-lemma",), {"mech": {"probe_times": [1.0, 1.0]}}),
+    # A finite state on which a huge gain overflows the feedback's (u, v).
+    ("fault-input-overflow-k1", ("simulate",),
+     {"gains": {"k1": 1e308}, "initial_tracking_error": [10, 0, 0], "t_end": 0.01}),
+    ("fault-input-overflow-k2", ("simulate",),
+     {"gains": {"k2": 1e308}, "initial_tracking_error": [0, 10, 0], "t_end": 0.01}),
+    # A reference kinetic energy of 0: a body at rest, or one that underflows.
+    ("fault-mech-rest", ("mech-lemma",), {"mech": {"reference_velocity": [0, 0, 0]}}),
+    ("fault-mech-energy-underflow", ("mech-lemma",),
+     {"mech": {"reference_velocity": [1e-200, 0, 0]}}),
 )
 
 
