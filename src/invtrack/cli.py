@@ -159,7 +159,8 @@ def _cmd_separation(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[
         predicted = separation_matrix(
             inp.u, inp.v, sc.controller_gains, sc.observer_gains
         )
-        deviation = max(deviation, float(np.linalg.norm(mat - predicted)))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, which main names
+            deviation = max(deviation, float(np.linalg.norm(mat - predicted)))
 
     metrics = {
         "spectrum_union_mismatch": union_mismatch,
@@ -304,11 +305,21 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         passed, metrics, tolerances = command.run(parsed, tol, out_dir)
-        report = reporting.verdict(
-            args.command, passed, metrics, tolerances,
-            reporting.scenario_digest(parsed.canonical),
-        )
-        reporting.write_text(out_dir / command.report, reporting.json_text(report))
+        report = {  # this key order is part of the byte contract
+            "command": args.command,
+            "pass": passed,
+            "metrics": metrics,
+            "tolerances": tolerances,
+            "scenario_digest": reporting.scenario_digest(parsed.canonical),
+        }
+        try:
+            text = reporting.json_text(report)
+        except ValueError:  # a NaN or inf, which JSON cannot hold: name its metric
+            name = next(k for k, v in metrics.items() if not np.isfinite(v).all())
+            raise InvtrackError(
+                f"{args.command}: metric {name} is not finite, got {metrics[name]}"
+            ) from None
+        reporting.write_text(out_dir / command.report, text)
     except InvtrackError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -91,8 +91,8 @@ def _loop_rate(
     once per time, which also serves simulate's sample rows.
 
     A ValueError raises DivergenceError at the stage time unless the stage
-    state is finite and the reference is not (bad input), and a
-    GeometryError is timestamped.
+    state is finite and the reference is not (bad input), an OverflowError
+    always raises it, and a GeometryError is timestamped.
     """
     coords = lm.coords
     reference = once_per_time(traj.sample)
@@ -116,6 +116,10 @@ def _loop_rate(
                 if not all(map(math.isfinite, (xr, yr, thr, ur, vr))):
                     raise
                 raise DivergenceError(t, "closed-loop input diverged") from err
+            raise DivergenceError(t, "closed-loop state diverged") from err
+        except OverflowError as err:
+            # A finite stage coordinate past ~1.3e154, squared by ** 2 in
+            # measure_values, which raises where x * x would give inf.
             raise DivergenceError(t, "closed-loop state diverged") from err
         dx, dy, dth = dynamics_values(th, u, v)
         return (dx, dy, dth, dxh, dyh, dthh)

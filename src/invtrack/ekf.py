@@ -169,8 +169,10 @@ def run_along_reference(
     The estimate starts on the reference, so the run isolates how the
     covariance (and with it the gain) evolves along the path.  The noise
     levels are validated here, once; after every step P is checked to be
-    positive semidefinite.  The flow carries the upper triangle of P, and
-    the returned run holds it expanded to full matrices.
+    positive semidefinite, and a stage estimate that squares out of float
+    range raises DivergenceError at the stage time.  The flow carries the
+    upper triangle of P, and the returned run holds it expanded to full
+    matrices.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
@@ -189,7 +191,10 @@ def run_along_reference(
 
     def rate(t: float, w: tuple) -> tuple:
         u, v, y = stage(t)
-        return riccati_values(w, u, v, coords, y, q, r_inv)
+        try:
+            return riccati_values(w, u, v, coords, y, q, r_inv)
+        except OverflowError as err:  # an estimate past ~1.3e154, squared by ** 2
+            raise DivergenceError(t, "EKF state diverged") from err
 
     g0 = traj.pose(0.0)
     times, states = integrate(rate, (*g0, p0, 0.0, 0.0, p0, 0.0, p0), 0.0, t_end, dt, keep_psd)

@@ -119,11 +119,13 @@ def integrate(
 
 
 def max_pairwise_distance(mats: Sequence[np.ndarray]) -> float:
-    """Largest Frobenius norm of the difference between any two matrices."""
+    """Largest Frobenius norm of the difference between any two matrices;
+    inf, with no numpy warning, when a norm overflows."""
     worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, float(np.linalg.norm(mats[i] - mats[j])))
+    with np.errstate(over="ignore"):
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                worst = max(worst, float(np.linalg.norm(mats[i] - mats[j])))
     return worst
 
 

@@ -40,11 +40,6 @@ CSV_COLUMNS = (
 FLOAT_FORMAT = "%.17g"
 
 
-def format_float(value: float) -> str:
-    """Shortest decimal form that round-trips a double."""
-    return FLOAT_FORMAT % value
-
-
 def _emit(obj, indent: int, pieces: list) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -80,7 +75,7 @@ def _emit(obj, indent: int, pieces: list) -> None:
     elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"JSON has no value for the float {obj}")
-        pieces.append(format_float(obj))
+        pieces.append(FLOAT_FORMAT % obj)
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
     else:
@@ -99,16 +94,6 @@ def json_text(obj) -> str:
 def scenario_digest(canonical: dict) -> str:
     """sha256 over the canonical scenario document."""
     return hashlib.sha256(json_text(canonical).encode("utf-8")).hexdigest()
-
-
-def verdict(command: str, passed: bool, metrics: dict, tolerances: dict, digest: str) -> dict:
-    return {
-        "command": command,
-        "pass": passed,
-        "metrics": metrics,
-        "tolerances": tolerances,
-        "scenario_digest": digest,
-    }
 
 
 def timeseries_csv(result) -> str:

@@ -322,6 +322,14 @@ def parse_scenario(doc: dict) -> ParsedScenario:
         raise ScenarioError(
             f"mech.reference_velocity: kinetic energy must be finite and > 0, got {energy}"
         )
+    # The reference spin at probe time t is rotation_exp_values(t * xi_r),
+    # which squares its angle as below; the largest |t| squares the most.
+    t = max(map(abs, mech["probe_times"]))
+    a, b, c = (t * x for x in mech["reference_velocity"])
+    _finite_product(
+        a * a + b * b + c * c, "mech",
+        f"squared spin angle |t*reference_velocity|^2 at probe time {t}",
+    )
 
     try:
         scenario = Scenario(trajectory, landmarks, kg, og, pose0, est0, t_end, dt)

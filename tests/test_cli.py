@@ -320,6 +320,78 @@ class TestFailureModes:
         )
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "mech, probe_time",
+        [({"reference_velocity": [1.2e154, 0, 0]}, "2.0"), ({"probe_times": [0, 1e160]}, "1e+160")],
+        ids=["fast-spin", "late-probe"],
+    )
+    def test_overflowing_spin_angle_is_bad_input(self, tmp_path, capsys, mech, probe_time):
+        # The reference attitude at the last probe time is the exponential
+        # of an angle whose square leaves float range (math.sin(inf) raised).
+        doc = {"mech": dict(mech, t_end=0.01)}
+        out = tmp_path / "out"
+        argv = ["mech-lemma", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: mech: squared spin angle |t*reference_velocity|^2 at probe time "
+            f"{probe_time} must be finite, got inf\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, doc, metric",
+        [
+            ("mech-lemma", {"mech": {"force_strength": 1e308, "t_end": 0.01}},
+             "attitude_force_drift"),
+            ("mech-lemma", {"mech": {"inertia": [1e-300, 1, 1], "t_end": 0.01}},
+             "attitude_force_drift"),
+            ("invariance", {"gains": {"l1": 1e300}}, "observer_drift"),
+            ("ekf-compare", {"gains": {"l1": 1e300}}, "observer_drift"),
+            ("separation", {"gains": {"l2": 1e300}}, "linearization_match"),
+        ],
+        ids=["strong-force", "light-body", "invariance-l1", "ekf-compare-l1", "separation-l2"],
+    )
+    def test_non_finite_metric_is_named(self, tmp_path, capsys, command, doc, metric):
+        # Finite Jacobians whose difference has a Frobenius norm past float
+        # range: exit 2 with the metric's name, no report and no numpy warning.
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command}: metric {metric} is not finite, got inf\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("simulate",
+             {"trajectory": {"u": 1, "v": 0}, "gains": {"k1": k1},
+              "initial_tracking_error": [0.1, 0, 0], "t_end": 0.01},
+             "closed-loop state diverged at t=0.0005")
+            for k1 in (1e300, 1e200, 1e170)
+        ]
+        + [
+            ("ekf-compare", {"ekf": {"process_noise": q}, "probe_times": [0, 0.01]},
+             "EKF state diverged at t=0.0005")
+            for q in (1e300, 1e200)
+        ],
+        ids=["k1-1e300", "k1-1e200", "k1-1e170", "q-1e300", "q-1e200"],
+    )
+    def test_squared_stage_overflow_is_a_named_divergence(
+        self, tmp_path, capsys, command, doc, message
+    ):
+        # A finite stage coordinate past ~1.3e154 makes ** 2 raise
+        # OverflowError in the measurement; that is a divergence, not a crash.
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
     def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
         out = tmp_path / "out"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invtrack.closed_loop import SimulationResult
-from invtrack.reporting import CSV_COLUMNS, format_float, json_text, timeseries_csv
+from invtrack.reporting import CSV_COLUMNS, FLOAT_FORMAT, json_text, timeseries_csv
 
 
 def per_value_csv(result) -> str:
@@ -18,7 +18,7 @@ def per_value_csv(result) -> str:
             *result.estimation_errors[i],
             *result.inputs[i],
         )
-        lines.append(",".join(format_float(v) for v in row))
+        lines.append(",".join(FLOAT_FORMAT % v for v in row))
     lines.append("")
     return "\n".join(lines)
 

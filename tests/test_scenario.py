@@ -437,6 +437,13 @@ SINGLE_FAULTS = [
         {"mech": {"inertia": [1, 2, 1e300], "reference_velocity": [0, 0, 1e5]}},
         "mech.reference_velocity: kinetic energy must be finite and > 0, got inf",
     ),
+    # A reference spin angle |t*xi_r| whose square leaves float range at the
+    # largest |probe time|, negative ones included.
+    (
+        {"mech": {"probe_times": [-1e160, 0]}},
+        "mech: squared spin angle |t*reference_velocity|^2 at probe time 1e+160"
+        " must be finite, got inf",
+    ),
 ]
 
 
@@ -452,6 +459,12 @@ def test_reach_within_range_parses():
     # keeps every squared range finite.
     doc = {"trajectory": {"u": 1e150, "v": 0}, "t_end": 1.0, "probe_times": [0.0, 1.0]}
     assert parse_scenario(doc).canonical["trajectory"]["u"] == 1e150
+
+
+def test_spin_angle_within_range_parses():
+    # The spin-angle fault above at 1e150 s: the squared angle is about 1.5e300.
+    doc = {"mech": {"probe_times": [-1e150, 0]}}
+    assert parse_scenario(doc).canonical["mech"]["probe_times"] == [-1e150, 0.0]
 
 
 class TestForceAxis:

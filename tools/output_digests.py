@@ -18,7 +18,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (72 analyses, a
+--cheap digests only the default and hand-written scenes (84 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -55,6 +55,7 @@ PLANAR = ("simulate", "eigs", "separation", "invariance", "ekf-compare")
 
 _NOISE = {"process_noise": 1.7e-3, "measurement_noise": 2.3e-2, "initial_covariance": 5e-3}
 _SHORT = {"t_end": 2.0, "probe_times": [0.0, 0.25, 0.5, 0.75]}
+_OFF_LINE = {"trajectory": {"u": 1, "v": 0}, "initial_tracking_error": [0.1, 0, 0], "t_end": 0.01}
 HAND_SCENES = (
     ("noise", PLANAR, {"ekf": _NOISE, **_SHORT}),
     ("noise-reverse-wrap", PLANAR,
@@ -111,6 +112,26 @@ HAND_SCENES = (
     ("fault-mech-rest", ("mech-lemma",), {"mech": {"reference_velocity": [0, 0, 0]}}),
     ("fault-mech-energy-underflow", ("mech-lemma",),
      {"mech": {"reference_velocity": [1e-200, 0, 0]}}),
+    # A reference spin angle whose square leaves float range by the last probe.
+    ("fault-mech-fast-spin", ("mech-lemma",),
+     {"mech": {"reference_velocity": [1.2e154, 0, 0], "t_end": 0.01}}),
+    ("fault-mech-late-probe", ("mech-lemma",),
+     {"mech": {"probe_times": [0, 1e160], "t_end": 0.01}}),
+    # Finite Jacobians whose difference has a Frobenius norm past float range.
+    ("fault-mech-strong-force", ("mech-lemma",),
+     {"mech": {"force_strength": 1e308, "t_end": 0.01}}),
+    ("fault-mech-light-body", ("mech-lemma",),
+     {"mech": {"inertia": [1e-300, 1, 1], "t_end": 0.01}}),
+    ("fault-huge-l1", ("invariance", "ekf-compare"), {"gains": {"l1": 1e300}}),
+    ("fault-huge-l2", ("separation",), {"gains": {"l2": 1e300}}),
+    # A finite stage coordinate whose square overflows (** 2 raises).
+    ("fault-square-k1-1e300", ("simulate",), {**_OFF_LINE, "gains": {"k1": 1e300}}),
+    ("fault-square-k1-1e200", ("simulate",), {**_OFF_LINE, "gains": {"k1": 1e200}}),
+    ("fault-square-k1-1e170", ("simulate",), {**_OFF_LINE, "gains": {"k1": 1e170}}),
+    ("fault-square-q-1e300", ("ekf-compare",),
+     {"ekf": {"process_noise": 1e300}, "probe_times": [0, 0.01]}),
+    ("fault-square-q-1e200", ("ekf-compare",),
+     {"ekf": {"process_noise": 1e200}, "probe_times": [0, 0.01]}),
 )
 
 
