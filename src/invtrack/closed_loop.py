@@ -159,7 +159,9 @@ def simulate(sc: Scenario) -> SimulationResult:
 
     w0 = tuple(map(float, sc.initial_pose + sc.initial_estimate))
     record(0.0, w0)
-    times, states = integrate(rate, w0, 0.0, sc.t_end, sc.dt, after_step)
+    times, states = integrate(
+        rate, w0, 0.0, sc.t_end, sc.dt, after_step, state="closed-loop state"
+    )
     w_rows = np.asarray(states)
     samples = np.asarray(rows)
     return SimulationResult(

@@ -197,7 +197,8 @@ def run_along_reference(
             raise DivergenceError(t, "EKF state diverged") from err
 
     g0 = traj.pose(0.0)
-    times, states = integrate(rate, (*g0, p0, 0.0, 0.0, p0, 0.0, p0), 0.0, t_end, dt, keep_psd)
+    w0 = (*g0, p0, 0.0, 0.0, p0, 0.0, p0)
+    times, states = integrate(rate, w0, 0.0, t_end, dt, keep_psd, state="EKF state")
     w_rows = np.asarray(states)
     # Row-major P from (p00, p01, p02, p11, p12, p22).
     covariances = w_rows[:, [3, 4, 5, 4, 6, 7, 5, 7, 8]].reshape(-1, 3, 3)

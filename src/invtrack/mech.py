@@ -239,7 +239,7 @@ def integrate_ep(s: EpSystem, t_end: float, dt: float) -> tuple[np.ndarray, np.n
             return ep_rate_values(w, inertia, inertia_inv, force(w[:9], w[9:]))
 
     w0 = s.attitude.ravel().tolist() + s.velocity.tolist()
-    times, states = integrate(rate, w0, 0.0, t_end, dt, project_attitude)
+    times, states = integrate(rate, w0, 0.0, t_end, dt, project_attitude, state="rigid-body state")
     w_rows = np.asarray(states)
     return np.asarray(times), w_rows[:, :9].reshape(-1, 3, 3), w_rows[:, 9:]
 

@@ -8,9 +8,14 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, ScenarioError
 
 FD_STEP = 1e-6
+
+# The most RK4 steps one fixed-step grid may take.  simulate keeps about
+# 1 KB per step, so the cap bounds a run near 1 GB; the default scenario
+# takes 30 000 steps.
+MAX_STEPS = 1_000_000
 
 # Dense eigenvalue extraction is only meant for the small matrices that show
 # up here (3x3 error systems, 6x6 separation blocks).
@@ -80,6 +85,23 @@ def once_per_time(fn: Callable[[float], T]) -> Callable[[float], T]:
     return at
 
 
+def step_count(t0: float, t1: float, dt: float) -> int:
+    """Steps n = ceil((t1 - t0)/dt - 1e-9) of the grid t0 + i*dt (i < n)
+    closed by t1 itself, so the last step may be short.
+
+    Raises:
+        ScenarioError: when n is not finite or exceeds MAX_STEPS, before
+            anything is allocated.
+    """
+    steps = (t1 - t0) / dt - 1e-9
+    if not steps <= MAX_STEPS:
+        raise ScenarioError(
+            f"integration over [{t0:.6g}, {t1:.6g}] at step {dt!r} needs {steps:.9g} "
+            f"RK4 steps, more than the cap of {MAX_STEPS}"
+        )
+    return int(math.ceil(steps))
+
+
 def integrate(
     field: VectorField,
     x0: Sequence[float],
@@ -87,23 +109,26 @@ def integrate(
     t1: float,
     dt: float,
     after_step: Callable[[float, tuple], tuple] | None = None,
+    state: str = "state",
 ) -> tuple[list[float], list[tuple]]:
     """Integrate xdot = field(t, x) from t0 to t1 with fixed-step RK4.
 
-    The grid is t0 + i*dt for i < n = ceil((t1 - t0)/dt - 1e-9), closed by
-    t1 itself, so the last step may be short and the last time is exactly t1.
+    The grid is t0 + i*dt for i < n = step_count(t0, t1, dt), closed by t1
+    itself, so the last step may be short and the last time is exactly t1.
     after_step(t, x) runs once after each step, with t the step's end time,
     and the state it returns is carried forward.  Returns (times, states)
     with states[i] the state at times[i], including t0.
 
     Raises:
-        DivergenceError: a state component became NaN/Inf.
+        ScenarioError: the grid needs more than MAX_STEPS steps.
+        DivergenceError: a state component became NaN/Inf; its message
+            reads "<state> diverged".
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t1 < t0:
         raise ValueError(f"t1 must be >= t0, got [{t0}, {t1}]")
-    n = int(math.ceil((t1 - t0) / dt - 1e-9))
+    n = step_count(t0, t1, dt)
     times = [t0 + i * dt for i in range(n)] + [t1]
     x = tuple(float(c) for c in x0)
     states = [x]
@@ -111,7 +136,7 @@ def integrate(
         t = times[i + 1]
         x = rk4_step(field, times[i], x, t - times[i])
         if not all(map(math.isfinite, x)):
-            raise DivergenceError(t)
+            raise DivergenceError(t, f"{state} diverged")
         if after_step is not None:
             x = after_step(t, x)
         states.append(x)

@@ -21,6 +21,7 @@ from typing import Callable, Protocol, Sequence
 
 from . import se2
 from .errors import DivergenceError
+from .numerics import step_count
 from .robot import RobotInput, finite_input
 from .se2 import IDENTITY, GroupElement, TangentVector
 
@@ -204,7 +205,7 @@ class IntegratedTrajectory:
             input_fn = self._input_fn
             cos = math.cos
             sin = math.sin
-            n = int(math.ceil((t - t0) / _POSE_STEP - 1e-9))
+            n = step_count(t0, t, _POSE_STEP)
             ta = t0
             for k in range(1, n + 1):
                 te = t0 + k * _POSE_STEP if k < n else t

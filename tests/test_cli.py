@@ -6,11 +6,23 @@ import pytest
 from invtrack import cli
 from invtrack.cli import main
 from invtrack.ekf import run_along_reference, time_variance_probe
+from invtrack.errors import ScenarioError
 from invtrack.reporting import CSV_COLUMNS
 from invtrack.scenario import parse_scenario
 from oracles import assert_close, ekf_oracle_run
+from test_output_digests import output_digests
 
 VERDICT_KEYS = ("command", "pass", "metrics", "tolerances", "scenario_digest")
+
+
+def fault_cases():
+    """(command, document, error line) of every fault in tools/output_digests.py."""
+    for name, commands, doc in output_digests.HAND_SCENES:
+        lines = output_digests.FAULTS.get(name, {})
+        for command in commands:
+            line = lines if isinstance(lines, str) else lines.get(command)
+            if line is not None:
+                yield pytest.param(command, doc, line, id=f"{name}/{command}")
 
 
 def write_config(tmp_path, doc):
@@ -231,166 +243,28 @@ class TestFailureModes:
         assert main(["eigs", "--config", cfg, "--out", str(out)]) == 2
         assert "unknown field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command", ["simulate", "eigs", "separation", "invariance", "ekf-compare"]
-    )
-    def test_overflowing_turn_rate_is_bad_input(self, tmp_path, capsys, command):
-        # u and v are finite, their product is not: a named scenario fault.
-        config = write_config(tmp_path, {"trajectory": {"u": 1e200, "v": 1e200}})
-        out = tmp_path / "out"
-        argv = [command, "--config", config, "--out", str(out), "--t-end", "0.01"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: trajectory: turn rate u*v must be finite, got inf\n"
-        )
-
-    @pytest.mark.parametrize(
-        "command", ["simulate", "eigs", "separation", "invariance", "ekf-compare"]
-    )
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            (
-                {"landmarks": [[1e160, 0], [0, 1e160], [-1e160, -1e160]]},
-                "trajectory.start: squared range to landmarks[0] must be finite, got inf",
-            ),
-            (
-                {"trajectory": {"start": [1e155, 0, 0]}},
-                "trajectory.start: squared range to landmarks[0] must be finite, got inf",
-            ),
-            (
-                {"trajectory": {"u": 1e300, "v": 0}},
-                "trajectory: squared range to landmarks[0] along the run must be finite, got inf",
-            ),
-        ],
-        ids=["far-landmarks", "far-start", "far-reference"],
-    )
-    def test_overflowing_range_is_bad_input(self, tmp_path, capsys, command, doc, message):
-        # Finite coordinates whose squared range to a landmark is not, at the
-        # start or once the reference has travelled.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, doc, message", fault_cases())
+    def test_documented_fault(self, tmp_path, capsys, command, doc, message):
+        # Exit 2 with the scene's one error line and no warning; nothing
+        # written: no --out when the document does not parse, an empty one
+        # when the run fails.
         out = tmp_path / "out"
         argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        try:
+            parse_scenario(doc)
+        except ScenarioError:
+            assert not out.exists()
+        else:
+            assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize(
-        "command, message",
-        [
-            ("simulate", "closed-loop state diverged at t=0.0005"),
-            ("separation", "error-field linearization is not finite at t=0"),
-            ("invariance", "error-field linearization is not finite at t=0"),
-            ("ekf-compare", "error-field linearization is not finite at t=0"),
-        ],
-    )
-    def test_huge_gain_is_a_named_divergence(self, tmp_path, capsys, command, message):
-        # k1 = 1e300 is a valid gain, but the loop leaves float range inside
-        # its first step (a stage heading of inf), and the error fields at
-        # the first probe time have non-finite rates.
-        config = write_config(tmp_path, {"gains": {"k1": 1e300}})
-        argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--t-end", "0.05"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"gains": {"k1": 1e308}, "initial_tracking_error": [10, 0, 0]},
-            {"gains": {"k2": 1e308}, "initial_tracking_error": [0, 10, 0]},
-        ],
-        ids=["k1", "k2"],
-    )
-    def test_overflowing_input_is_a_named_divergence(self, tmp_path, capsys, doc):
-        # The state is finite, but the feedback's (u, v) overflows on it.
-        out = tmp_path / "out"
-        config = write_config(tmp_path, dict(doc, t_end=0.01))
-        argv = ["simulate", "--config", config, "--out", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "error: closed-loop input diverged at t=0\n"
-        assert list(out.iterdir()) == []
-
-    def test_body_at_rest_is_bad_input(self, tmp_path, capsys):
-        # energy_drift divides by the reference kinetic energy, here 0.
-        doc = {"mech": {"reference_velocity": [0, 0, 0]}}
-        out = tmp_path / "out"
-        argv = ["mech-lemma", "--config", write_config(tmp_path, doc), "--out", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: mech.reference_velocity: kinetic energy must be finite and > 0, got 0.0\n"
-        )
-        assert not out.exists()
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "mech, probe_time",
-        [({"reference_velocity": [1.2e154, 0, 0]}, "2.0"), ({"probe_times": [0, 1e160]}, "1e+160")],
-        ids=["fast-spin", "late-probe"],
-    )
-    def test_overflowing_spin_angle_is_bad_input(self, tmp_path, capsys, mech, probe_time):
-        # The reference attitude at the last probe time is the exponential
-        # of an angle whose square leaves float range (math.sin(inf) raised).
-        doc = {"mech": dict(mech, t_end=0.01)}
-        out = tmp_path / "out"
-        argv = ["mech-lemma", "--config", write_config(tmp_path, doc), "--out", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: mech: squared spin angle |t*reference_velocity|^2 at probe time "
-            f"{probe_time} must be finite, got inf\n"
-        )
-        assert not out.exists()
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "command, doc, metric",
-        [
-            ("mech-lemma", {"mech": {"force_strength": 1e308, "t_end": 0.01}},
-             "attitude_force_drift"),
-            ("mech-lemma", {"mech": {"inertia": [1e-300, 1, 1], "t_end": 0.01}},
-             "attitude_force_drift"),
-            ("invariance", {"gains": {"l1": 1e300}}, "observer_drift"),
-            ("ekf-compare", {"gains": {"l1": 1e300}}, "observer_drift"),
-            ("separation", {"gains": {"l2": 1e300}}, "linearization_match"),
-        ],
-        ids=["strong-force", "light-body", "invariance-l1", "ekf-compare-l1", "separation-l2"],
-    )
-    def test_non_finite_metric_is_named(self, tmp_path, capsys, command, doc, metric):
-        # Finite Jacobians whose difference has a Frobenius norm past float
-        # range: exit 2 with the metric's name, no report and no numpy warning.
-        out = tmp_path / "out"
-        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: {command}: metric {metric} is not finite, got inf\n"
-        )
-        assert list(out.iterdir()) == []
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "command, doc, message",
-        [
-            ("simulate",
-             {"trajectory": {"u": 1, "v": 0}, "gains": {"k1": k1},
-              "initial_tracking_error": [0.1, 0, 0], "t_end": 0.01},
-             "closed-loop state diverged at t=0.0005")
-            for k1 in (1e300, 1e200, 1e170)
-        ]
-        + [
-            ("ekf-compare", {"ekf": {"process_noise": q}, "probe_times": [0, 0.01]},
-             "EKF state diverged at t=0.0005")
-            for q in (1e300, 1e200)
-        ],
-        ids=["k1-1e300", "k1-1e200", "k1-1e170", "q-1e300", "q-1e200"],
-    )
-    def test_squared_stage_overflow_is_a_named_divergence(
-        self, tmp_path, capsys, command, doc, message
-    ):
-        # A finite stage coordinate past ~1.3e154 makes ** 2 raise
-        # OverflowError in the measurement; that is a divergence, not a crash.
-        out = tmp_path / "out"
-        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(out.iterdir()) == []
+    def test_every_fault_scene_has_one_error_line(self):
+        commands = {name: set(cmds) for name, cmds, _ in output_digests.HAND_SCENES}
+        assert set(output_digests.FAULTS) == {n for n in commands if n.startswith("fault-")}
+        for name, message in output_digests.FAULTS.items():
+            assert isinstance(message, str) or set(message) <= commands[name]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
     def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
@@ -398,23 +272,6 @@ class TestFailureModes:
         assert main(["eigs", "--out", str(out), f"--tol={tol}"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: --tol must be finite and >= 0, got {float(tol)}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command, doc, field",
-        [
-            (command, {"probe_times": [0.0, 0.0]}, "probe_times")
-            for command in ("simulate", "eigs", "separation", "invariance", "ekf-compare")
-        ]
-        + [("mech-lemma", {"mech": {"probe_times": [1.0, 1.0]}}, "mech.probe_times")],
-    )
-    def test_repeated_probe_time_is_bad_input(self, tmp_path, capsys, command, doc, field):
-        # Linearizations at one time only cannot drift: a named scenario
-        # fault, not a traceback (ekf-compare) or a drift of 0 (the others).
-        out = tmp_path / "out"
-        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {field} must hold at least 2 distinct times\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invtrack import numerics
-from invtrack.errors import DivergenceError, GeometryError
+from invtrack.errors import DivergenceError, GeometryError, ScenarioError
 from invtrack.numerics import (
     ErrorField,
     Spectrum,
@@ -19,6 +19,7 @@ from invtrack.numerics import (
     probe_times,
     rk4_step,
     spectrum_match_distance,
+    step_count,
     time_invariance_probe,
 )
 
@@ -99,6 +100,48 @@ class TestIntegrate:
             integrate(lambda t, x: x, (1.0,), 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(lambda t, x: x, (1.0,), 1.0, 0.0, 0.1)
+
+    def test_divergence_names_the_state(self):
+        with pytest.raises(DivergenceError, match=r"^EKF state diverged at t=0\.25$"):
+            integrate(lambda t, x: (math.inf,), (0.0,), 0.0, 1.0, 0.25, state="EKF state")
+        with pytest.raises(DivergenceError, match=r"^state diverged at t=0\.25$"):
+            integrate(lambda t, x: (math.inf,), (0.0,), 0.0, 1.0, 0.25)
+
+    @pytest.mark.parametrize("dt", [5e-324, 1e-300, 1e-9])
+    def test_too_many_steps_fail_before_the_first(self, dt):
+        def never(t, x):
+            raise AssertionError("no step may run")
+
+        with pytest.raises(ScenarioError, match=r"^integration over \[0, 1\] at step "):
+            integrate(never, (0.0,), 0.0, 1.0, dt)
+
+
+class TestStepCount:
+    def test_ceil_of_the_step_ratio_less_1e_9(self):
+        assert step_count(0.0, 0.25, 0.1) == 3  # a short last step
+        assert step_count(0.0, 0.3, 0.1) == 3  # 0.3 / 0.1 = 2.9999999999999996
+        assert step_count(0.0, 1.0 + 1e-12, 0.1) == 10  # a sliver joins the last step
+        assert step_count(2.0, 2.0, 0.1) == 0
+        assert step_count(0.0, 1000.0, 1e-3) == numerics.MAX_STEPS
+
+    @pytest.mark.parametrize(
+        "t0, t1, dt, steps",
+        [
+            (0.0, 0.01, 5e-324, "inf"),
+            (0.0, 1.0, 1e-300, "1e+300"),
+            (0.0, 1e9, 1e-3, "1e+12"),
+            (0.0, 4.7e12, 1e-3, "4.7e+15"),
+            (0.0, math.nan, 1e-3, "nan"),
+            (0.0, 1000.002, 1e-3, "1000002"),
+        ],
+    )
+    def test_refuses_a_count_past_the_cap(self, t0, t1, dt, steps):
+        with pytest.raises(ScenarioError) as err:
+            step_count(t0, t1, dt)
+        assert str(err.value) == (
+            f"integration over [{t0:.6g}, {t1:.6g}] at step {dt!r} needs {steps} RK4 steps, "
+            f"more than the cap of {numerics.MAX_STEPS}"
+        )
 
 
 # Thirds of drawn floats have full mantissas, so that any change in the order

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invtrack import se2
-from invtrack.errors import DivergenceError
+from invtrack.errors import DivergenceError, ScenarioError
 from invtrack.numerics import integrate
 from invtrack.robot import RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY, TangentVector
@@ -285,6 +285,15 @@ class TestFusedPose:
                 cls(input_fn).pose(0.01)
             times.append(err.value.time)
         assert times == [4 * _POSE_STEP, 4 * _POSE_STEP]
+
+    def test_too_many_steps_fail_before_the_first(self):
+        # 1e12 steps of 1 ms from the knot at 0: refused at once, with no
+        # input read past the start.
+        seen = []
+        traj = IntegratedTrajectory(lambda t: seen.append(t) or (1.0, 0.5))
+        with pytest.raises(ScenarioError, match=r"needs 1e\+12 RK4 steps"):
+            traj.sample(1e9)
+        assert seen == []
 
 
 def bits(values):

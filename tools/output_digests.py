@@ -10,15 +10,18 @@ the workloads do not: non-default EKF noise levels, reverse driving across
 the heading wrap (on a closed-form and an integrated reference), a piecewise
 reference, landmarks too far away to see, and the scenario parse paths no
 workload takes (split gain sections, absolute initial poses, a segment with
-default v, every mech field off its default, "probe_times": null, and a few
-documents that must be rejected).
+default v, every mech field off its default, "probe_times": null), then the
+fault scenes: every documented bad input, each written here once.  FAULTS
+gives the exact error line each fault scene's commands print, and
+tests/test_cli.py runs every one of them through the CLI, so a new fault
+costs one scene and one FAULTS row.
 For each analysis OUT.json records the exit code, the stderr text, the
 sha256 of every file written to --out and the metrics of the verdict report.
 Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (84 analyses, a
+--cheap digests only the default and hand-written scenes (105 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -132,7 +135,73 @@ HAND_SCENES = (
      {"ekf": {"process_noise": 1e300}, "probe_times": [0, 0.01]}),
     ("fault-square-q-1e200", ("ekf-compare",),
      {"ekf": {"process_noise": 1e200}, "probe_times": [0, 0.01]}),
+    # Finite u and v whose product, the turn rate, is not.
+    ("fault-turn-rate", PLANAR, {"trajectory": {"u": 1e200, "v": 1e200}, "t_end": 0.01}),
+    # A state that leaves float range in one step of numerics.integrate.
+    ("fault-ekf-tiny-noise", ("ekf-compare",),
+     {"ekf": {"measurement_noise": 1e-300}, "probe_times": [0, 0.01]}),
+    ("fault-ekf-huge-covariance", ("ekf-compare",),
+     {"ekf": {"initial_covariance": 1e300}, "probe_times": [0, 0.01]}),
+    ("fault-mech-heavy-body", ("mech-lemma",), {"mech": {"inertia": [1e300, 1, 1], "t_end": 0.01}}),
+    # A subnormal step: the RK4 step count is not finite.
+    ("fault-subnormal-dt", ("simulate", "ekf-compare"), {"dt": 5e-324, "t_end": 0.01}),
+    ("fault-mech-subnormal-dt", ("mech-lemma",), {"mech": {"dt": 5e-324, "t_end": 0.01}}),
+    # A reference speed below the feedback's 1e-12 floor.
+    ("fault-slow", PLANAR, {"trajectory": {"u": 1e-13}}),
+    ("fault-slow-segment", PLANAR, {"trajectory": {"segments": [{"u": 1e-13, "duration": 1.0}]}}),
 )
+
+_RANGE = "squared range to landmarks[0]"
+_LOOP_DIVERGED = "closed-loop state diverged at t=0.0005"
+_NOT_LINEAR = "error-field linearization is not finite at t=0"
+_SUBNORMAL = "at step 5e-324 needs inf RK4 steps, more than the cap of 1000000"
+# The stderr line, after "error: ", of every command of each fault scene
+# (or, in a dict, of each command named; the others run to a verdict).
+# tests/test_cli.py runs each of them and checks that it exits 2 with this
+# line and writes nothing.
+FAULTS = {
+    "fault-gains": "gains.k2 must be > 0, got 0.0",
+    "fault-segment": "unknown field trajectory.segments[0].'w'",
+    "fault-mech": "mech.damping entries must be > 0",
+    "fault-axis-tiny": "mech.force_axis length must be finite and > 0, got 0.0",
+    "fault-axis-huge": "mech.force_axis length must be finite and > 0, got inf",
+    "fault-far-landmarks": f"trajectory.start: {_RANGE} must be finite, got inf",
+    "fault-far-start": f"trajectory.start: {_RANGE} must be finite, got inf",
+    "fault-far-reference": f"trajectory: {_RANGE} along the run must be finite, got inf",
+    "fault-huge-gain": {"simulate": _LOOP_DIVERGED, "separation": _NOT_LINEAR,
+                        "invariance": _NOT_LINEAR, "ekf-compare": _NOT_LINEAR},
+    "fault-probe-repeat": "probe_times must hold at least 2 distinct times",
+    "fault-mech-probe-repeat": "mech.probe_times must hold at least 2 distinct times",
+    "fault-input-overflow-k1": "closed-loop input diverged at t=0",
+    "fault-input-overflow-k2": "closed-loop input diverged at t=0",
+    "fault-mech-rest":
+        "mech.reference_velocity: kinetic energy must be finite and > 0, got 0.0",
+    "fault-mech-energy-underflow":
+        "mech.reference_velocity: kinetic energy must be finite and > 0, got 0.0",
+    "fault-mech-fast-spin": "mech: squared spin angle |t*reference_velocity|^2 "
+                            "at probe time 2.0 must be finite, got inf",
+    "fault-mech-late-probe": "mech: squared spin angle |t*reference_velocity|^2 "
+                             "at probe time 1e+160 must be finite, got inf",
+    "fault-mech-strong-force": "mech-lemma: metric attitude_force_drift is not finite, got inf",
+    "fault-mech-light-body": "mech-lemma: metric attitude_force_drift is not finite, got inf",
+    "fault-huge-l1": {"invariance": "invariance: metric observer_drift is not finite, got inf",
+                      "ekf-compare": "ekf-compare: metric observer_drift is not finite, got inf"},
+    "fault-huge-l2": "separation: metric linearization_match is not finite, got inf",
+    "fault-square-k1-1e300": _LOOP_DIVERGED,
+    "fault-square-k1-1e200": _LOOP_DIVERGED,
+    "fault-square-k1-1e170": _LOOP_DIVERGED,
+    "fault-square-q-1e300": "EKF state diverged at t=0.0005",
+    "fault-square-q-1e200": "EKF state diverged at t=0.0005",
+    "fault-turn-rate": "trajectory: turn rate u*v must be finite, got inf",
+    "fault-ekf-tiny-noise": "EKF state diverged at t=0.001",
+    "fault-ekf-huge-covariance": "EKF state diverged at t=0.001",
+    "fault-mech-heavy-body": "rigid-body state diverged at t=0.001",
+    "fault-subnormal-dt": {"simulate": f"integration over [0, 0.01] {_SUBNORMAL}",
+                           "ekf-compare": f"integration over [0, 9.42478] {_SUBNORMAL}"},
+    "fault-mech-subnormal-dt": f"integration over [0, 0.01] {_SUBNORMAL}",
+    "fault-slow": "reference input u vanishes near t=0",
+    "fault-slow-segment": "reference input u vanishes near t=0",
+}
 
 
 def analyses(cheap: bool = False):
