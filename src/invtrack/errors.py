@@ -5,10 +5,6 @@ class InvtrackError(Exception):
     """Base class for errors raised by this package."""
 
 
-class LogBranchError(InvtrackError, ValueError):
-    """Group logarithm evaluated on the branch cut (heading of exactly pi)."""
-
-
 class DivergenceError(InvtrackError, ArithmeticError):
     """Integration produced a non-finite or unbounded state.
 

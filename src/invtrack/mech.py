@@ -35,8 +35,8 @@ def _exp_like(x: float, y: float, z: float, p: float, q: float) -> tuple:
 
 
 def rotation_exp_values(x: float, y: float, z: float) -> tuple:
-    """Bare-float core of rotation_exp: exp(hat(w)) row-major, by Rodrigues'
-    formula with a series branch below SMALL_ROTATION."""
+    """exp(hat(w)) row-major, by Rodrigues' formula with a series branch
+    below SMALL_ROTATION."""
     angle = math.sqrt(x * x + y * y + z * z)
     if angle < SMALL_ROTATION:
         return _exp_like(x, y, z, 1.0, 0.5)
@@ -56,11 +56,6 @@ def inv_right_jacobian_values(x: float, y: float, z: float) -> tuple:
             2.0 * angle * math.sin(angle)
         )
     return _exp_like(x, y, z, 0.5, coeff)
-
-
-def rotation_exp(w) -> np.ndarray:
-    """Rodrigues formula with a series branch for small rotations (3x3 array)."""
-    return np.array(rotation_exp_values(*map(float, w))).reshape(3, 3)
 
 
 def _matmul(a: tuple, b: tuple) -> tuple:
@@ -218,25 +213,26 @@ def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tupl
 
 
 def integrate_ep(s: EpSystem, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on (attitude, velocity) under the body's force model
-    alone (no torque when it has none); attitude is re-projected onto the
-    rotation group after every step (project_attitude) so the drift stays
-    at roundoff level.  I and I^-1 come flattened from s; the force model
-    sees each stage's flat attitude and velocity, as ep_rate_values does.
+    """Fixed-step RK4 on (attitude, velocity) of the free body (no force
+    model, no torque); attitude is re-projected onto the rotation group
+    after every step (project_attitude) so the drift stays at roundoff
+    level.  I and I^-1 come flattened from s.
 
     Returns (times, attitudes (n, 3, 3), velocities (n, 3)).
+
+    Raises:
+        ValueError: s has a force model; its tracking error goes through
+            tracking_error_field instead.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
+    if s.force is not None:
+        raise ValueError(f"integrate_ep integrates the free body only, got force model {s.force!r}")
 
-    inertia, inertia_inv, force = s.inertia_flat, s.inertia_inv_flat, s.force
+    inertia, inertia_inv = s.inertia_flat, s.inertia_inv_flat
 
-    if force is None:
-        def rate(t: float, w: tuple) -> tuple:
-            return ep_rate_values(w, inertia, inertia_inv, (0.0, 0.0, 0.0))
-    else:
-        def rate(t: float, w: tuple) -> tuple:
-            return ep_rate_values(w, inertia, inertia_inv, force(w[:9], w[9:]))
+    def rate(t: float, w: tuple) -> tuple:
+        return ep_rate_values(w, inertia, inertia_inv, (0.0, 0.0, 0.0))
 
     w0 = s.attitude.ravel().tolist() + s.velocity.tolist()
     times, states = integrate(rate, w0, 0.0, t_end, dt, project_attitude, state="rigid-body state")

@@ -161,9 +161,6 @@ class ErrorField:
     rate: Callable[[float, tuple], Sequence[float]]
     dim: int
 
-    def __call__(self, t: float, w: tuple) -> Sequence[float]:
-        return self.rate(t, w)
-
 
 def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
     """Central-difference Jacobian of the field at the origin (step FD_STEP),

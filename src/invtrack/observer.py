@@ -89,16 +89,6 @@ def body_frame_landmarks(x_hat: GroupElement, lm: LandmarkSet) -> BodyFrameLandm
     return BodyFrameLandmarks(cols)
 
 
-def output_error(x_hat: GroupElement, lm: LandmarkSet, y: Measurement) -> np.ndarray:
-    """Predicted minus measured squared ranges, one entry per landmark."""
-    if len(y) != len(lm):
-        raise ValueError(f"measurement length {len(y)} != landmark count {len(lm)}")
-    out = np.empty(len(lm))
-    for i, (lx, ly) in enumerate(lm.coords):
-        out[i] = (x_hat.x - lx) ** 2 + (x_hat.y - ly) ** 2 - y.values[i]
-    return out
-
-
 def _weights(u: float, v: float, gains: ObserverGains) -> np.ndarray:
     # 3x2 weight matrix pairing the two Gram-normalized output directions
     # with the three error components.  The (3, 2) entry must be +u*l3: it

@@ -66,9 +66,6 @@ class Measurement:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"measurement entry {i} must be finite and >= 0, got {v}")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def dynamics_values(theta: float, u: float, v: float) -> tuple[float, float, float]:
     """Bare-float core of dynamics(): no input check."""

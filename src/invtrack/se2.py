@@ -10,12 +10,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import LogBranchError
-
 TAU = 2.0 * math.pi
 
-# Below this heading magnitude the exp/log coefficient functions switch to
-# their series expansions; the direct formulas lose precision near 0.
+# Below this heading magnitude the exp coefficient functions switch to their
+# series expansions; the direct formulas lose precision near 0.
 SMALL_ANGLE = 1e-7
 
 
@@ -62,17 +60,6 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     )
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    """Group inverse, compose(g, inverse(g)) = identity."""
-    c = math.cos(g.theta)
-    s = math.sin(g.theta)
-    return GroupElement(
-        -g.x * c - g.y * s,
-        g.x * s - g.y * c,
-        normalize_angle(-g.theta),
-    )
-
-
 def exp(xi: TangentVector) -> GroupElement:
     """Exponential map: pose reached after unit time at constant body velocity xi."""
     _check_finite_tangent(xi)
@@ -88,31 +75,6 @@ def exp(xi: TangentVector) -> GroupElement:
         a * xi.vx - b * xi.vy,
         b * xi.vx + a * xi.vy,
         normalize_angle(w),
-    )
-
-
-def log(g: GroupElement) -> TangentVector:
-    """Principal logarithm, the inverse of exp for headings strictly inside (-pi, pi).
-
-    Raises:
-        LogBranchError: heading is exactly pi, where the logarithm is not unique.
-    """
-    th = normalize_angle(g.theta)
-    if not math.isfinite(th) or not (math.isfinite(g.x) and math.isfinite(g.y)):
-        raise ValueError(f"group element has non-finite components: {g}")
-    if abs(th) == math.pi:
-        raise LogBranchError(
-            "log undefined for heading of exactly pi; perturb or reject the input"
-        )
-    if abs(th) < SMALL_ANGLE:
-        d = 1.0 - th * th / 12.0
-    else:
-        d = th * math.sin(th) / (2.0 * (1.0 - math.cos(th)))
-    h = 0.5 * th
-    return TangentVector(
-        d * g.x + h * g.y,
-        -h * g.x + d * g.y,
-        th,
     )
 
 

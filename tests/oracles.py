@@ -1,22 +1,28 @@
-"""Reference forms that the package's bare-float cores are checked against.
+"""Reference forms that the package's bare-float cores are checked against,
+and the forms that only tests use.
 
-The controller, observer and closed-loop error fields composed from the
-public layers, each value boxed (the tracking error and the feedback from
-their cores relative_pose and feedback_values, the input as a RobotInput);
-a central-difference Jacobian on numpy arrays, one array per shifted point,
+The SE(2) inverse and principal log (ValueError at heading +-pi), the
+squared-range output error and the numpy rotation_exp that builds the test
+attitudes: no command reaches them, so they live here rather than in the
+package (tools/output_digests.py --unreached keeps it that way). The
+controller, observer and closed-loop error fields composed from the public
+layers, each value boxed (the tracking error and the feedback from their
+cores relative_pose and feedback_values, the input as a RobotInput); a
+central-difference Jacobian on numpy arrays, one array per shifted point,
 which numerics.linearize_error_field gives bit for bit at the origin and
 the other fd checks of closed forms use; numerics.rk4_step as the
 per-component loop over zip that the generated straight-line step is held
 to bit for bit; the Riccati flow of riccati_values and the Euler-Poincare
 rates of ep_rate_values written as the textbook formulas, with 3x3 arrays,
 np.linalg.solve and np.cross, plus the runs that integrate them with
-numerics.integrate; the SVD projection onto SO(3) that project_attitude's
-polar iteration is held to; hat, Rodrigues' formula, J_r^-1, the force
-models and the rigid body's tracking-error field on 3x3 arrays, and that
-field's linearization in closed form; IntegratedTrajectory's reference
-poses integrated by numerics.integrate on the unicycle field; and the
-relative check that the property tests hold the cores to, with its grid
-bound where the oracle is subnormal.
+numerics.integrate (the rigid-body run also under a force model, which
+mech.integrate_ep refuses); the SVD projection onto SO(3) that
+project_attitude's polar iteration is held to; hat, Rodrigues' formula,
+J_r^-1, the force models and the rigid body's tracking-error field on 3x3
+arrays, and that field's linearization in closed form;
+IntegratedTrajectory's reference poses integrated by numerics.integrate on
+the unicycle field; and the relative check that the property tests hold the
+cores to, with its grid bound where the oracle is subnormal.
 """
 
 import bisect
@@ -27,13 +33,56 @@ import numpy as np
 from invtrack import se2
 from invtrack.controller import feedback_values, relative_pose
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
-from invtrack.mech import SMALL_ROTATION, ep_rate_values
+from invtrack.mech import SMALL_ROTATION, ep_rate_values, rotation_exp_values
 from invtrack.numerics import FD_STEP, ErrorField, integrate
-from invtrack.observer import observer_field, output_error
+from invtrack.observer import observer_field
 from invtrack.errors import GeometryError
 from invtrack.robot import RobotInput, dynamics, dynamics_values, finite_input, measure
-from invtrack.se2 import GroupElement
+from invtrack.se2 import SMALL_ANGLE, GroupElement, TangentVector
 from invtrack.trajectories import _POSE_STEP, IntegratedTrajectory
+
+
+def inverse(g):
+    """Group inverse, compose(g, inverse(g)) = identity."""
+    c = math.cos(g.theta)
+    s = math.sin(g.theta)
+    return GroupElement(
+        -g.x * c - g.y * s,
+        g.x * s - g.y * c,
+        se2.normalize_angle(-g.theta),
+    )
+
+
+def log(g):
+    """Principal logarithm, the inverse of se2.exp for headings strictly
+    inside (-pi, pi); ValueError at a heading of exactly pi, where the
+    logarithm is not unique."""
+    th = se2.normalize_angle(g.theta)
+    if not math.isfinite(th) or not (math.isfinite(g.x) and math.isfinite(g.y)):
+        raise ValueError(f"group element has non-finite components: {g}")
+    if abs(th) == math.pi:
+        raise ValueError("log undefined for heading of exactly pi; perturb or reject the input")
+    if abs(th) < SMALL_ANGLE:
+        d = 1.0 - th * th / 12.0
+    else:
+        d = th * math.sin(th) / (2.0 * (1.0 - math.cos(th)))
+    h = 0.5 * th
+    return TangentVector(
+        d * g.x + h * g.y,
+        -h * g.x + d * g.y,
+        th,
+    )
+
+
+def output_error(x_hat, lm, y):
+    """Predicted minus measured squared ranges (y a Measurement), one entry
+    per landmark."""
+    if len(y.values) != len(lm):
+        raise ValueError(f"measurement length {len(y.values)} != landmark count {len(lm)}")
+    out = np.empty(len(lm))
+    for i, (lx, ly) in enumerate(lm.coords):
+        out[i] = (x_hat.x - lx) ** 2 + (x_hat.y - ly) ** 2 - y.values[i]
+    return out
 
 
 def boxed_feedback(eta, ref_inp, gains):
@@ -189,6 +238,11 @@ def hat(w):
     )
 
 
+def rotation_exp(w):
+    """mech.rotation_exp_values as a 3x3 array: the attitudes the tests build."""
+    return np.array(rotation_exp_values(*map(float, w))).reshape(3, 3)
+
+
 def rotation_exp_oracle(w):
     """Rodrigues formula on arrays, with a series branch for small rotations."""
     angle = float(np.linalg.norm(w))
@@ -237,8 +291,8 @@ def ep_dynamics_oracle(attitude, velocity, inertia, force, u):
 
 def ep_oracle_run(s, t_end, dt):
     """integrate_ep with ep_dynamics_oracle as the right-hand side, under
-    the body's force model alone: (times, attitudes (n, 3, 3), velocities
-    (n, 3))."""
+    the body's force model alone, which integrate_ep refuses when there is
+    one: (times, attitudes (n, 3, 3), velocities (n, 3))."""
 
     def rate(t, w):
         att_dot, vel_dot = ep_dynamics_oracle(

@@ -346,8 +346,8 @@ class TestFusedErrorField:
         # the layer-by-layer composition is its oracle.  Probed at the stage
         # times of one RK4 step, so the shared reference memo is hit and
         # missed as in a run.
-        fused = closed_loop_error_field(traj, lm, kg, og)
-        oracle = composed_error_field(traj, lm, kg, og)
+        fused = closed_loop_error_field(traj, lm, kg, og).rate
+        oracle = composed_error_field(traj, lm, kg, og).rate
         w = np.array(eta + eps)
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
             try:
@@ -370,8 +370,8 @@ class TestFusedErrorField:
     def test_controller_field_matches_composed(self, traj, kg, eta, t, h):
         # controller_error_field runs on the bare-float cores; the boxed
         # composition is its oracle, probed at one RK4 step's stage times.
-        core = controller_error_field(traj, kg)
-        oracle = composed_controller_error_field(traj, kg)
+        core = controller_error_field(traj, kg).rate
+        oracle = composed_controller_error_field(traj, kg).rate
         w = np.array(eta)
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
             assert np.array_equal(core(s, w), oracle(s, w))
@@ -387,8 +387,8 @@ class TestFusedErrorField:
     def test_observer_field_matches_composed(self, traj, lm, og, eps, t, h):
         # observer_error_field runs on the bare-float cores; the boxed
         # composition is its oracle, down to the timestamped cap message.
-        core = observer_error_field(traj, lm, og)
-        oracle = composed_observer_error_field(traj, lm, og)
+        core = observer_error_field(traj, lm, og).rate
+        oracle = composed_observer_error_field(traj, lm, og).rate
         w = np.array(eps)
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
             try:
@@ -417,7 +417,7 @@ class TestFusedErrorField:
             closed_loop_error_field(traj, lm, kg, og),
         ):
             try:
-                want = jacobian_fd_oracle(lambda w: field(t, w), np.zeros(field.dim))
+                want = jacobian_fd_oracle(lambda w: field.rate(t, w), np.zeros(field.dim))
             except GeometryError as err:
                 with pytest.raises(GeometryError) as got:
                     linearize_error_field(field, [t])
@@ -434,9 +434,9 @@ class TestFusedErrorField:
         traj = PermanentTrajectory(1.0, 0.0, GroupElement(5000.0, 0.0, 0.0))
         lm = LandmarkSet(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(GeometryError) as want:
-            composed_error_field(traj, lm, KG, OG)(0.25, np.zeros(6))
+            composed_error_field(traj, lm, KG, OG).rate(0.25, np.zeros(6))
         with pytest.raises(GeometryError) as got:
-            closed_loop_error_field(traj, lm, KG, OG)(0.25, np.zeros(6))
+            closed_loop_error_field(traj, lm, KG, OG).rate(0.25, np.zeros(6))
         assert str(got.value) == f"{want.value} (at t=0.25)"
 
     def test_observer_field_geometry_error_is_timestamped(self):
@@ -445,9 +445,9 @@ class TestFusedErrorField:
         traj = PermanentTrajectory(1.0, 0.0, GroupElement(5000.0, 0.0, 0.0))
         lm = LandmarkSet(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(GeometryError) as want:
-            composed_error_field(traj, lm, KG, OG)(0.25, np.zeros(6))
+            composed_error_field(traj, lm, KG, OG).rate(0.25, np.zeros(6))
         with pytest.raises(GeometryError) as got:
-            observer_error_field(traj, lm, OG)(0.25, np.zeros(3))
+            observer_error_field(traj, lm, OG).rate(0.25, np.zeros(3))
         assert str(got.value) == f"{want.value} (at t=0.25)"
 
     def test_one_reference_lookup_per_probe_time(self):
@@ -517,7 +517,7 @@ class TestErrorFields:
             observer_error_field(traj, STANDARD, OG),
             closed_loop_error_field(traj, STANDARD, KG, OG),
         ):
-            out = field(0.7, np.zeros(field.dim))
+            out = field.rate(0.7, np.zeros(field.dim))
             assert np.max(np.abs(out)) < 1e-12
 
     def test_probe_small_on_permanent(self):

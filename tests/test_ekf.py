@@ -18,7 +18,6 @@ from invtrack.ekf import (
     time_variance_probe,
 )
 from invtrack.errors import DivergenceError
-from invtrack.mech import rotation_exp
 from invtrack.numerics import integrate
 from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure
 from invtrack.se2 import GroupElement, IDENTITY
@@ -29,6 +28,7 @@ from oracles import (
     ekf_field_oracle,
     ekf_oracle_run,
     jacobian_fd_oracle,
+    rotation_exp,
 )
 from strategies import HEADINGS, floats, landmark_sets, signed
 

@@ -18,12 +18,11 @@ from invtrack.observer import (
     obs_error_matrix,
     observer_field,
     gram_condition,
-    output_error,
 )
 from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure, transform_landmarks
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
-from oracles import jacobian_fd_oracle
+from oracles import jacobian_fd_oracle, output_error
 from strategies import HEADINGS, floats, landmark_sets, signed
 
 GAINS = ObserverGains(1.0, 1.0, 1.0)

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from invtrack import cli
@@ -32,6 +34,19 @@ def test_cheap_subset_matches_committed_digests():
     committed = json.loads(COMMITTED.read_text(encoding="utf-8"))
     moved = output_digests.differences(committed, output_digests.digest_all(cli, cheap=True))
     assert not moved, "outputs differ from tools/output_digests.json:\n" + "\n".join(moved)
+
+
+def test_unreached_functions_are_exactly_the_held_ones():
+    """Every src/invtrack function that no hand-written scene enters has a
+    holder in HELD, and every HELD entry is still such a function: a form
+    only the tests use belongs in tests/oracles.py.  The trace runs in a
+    fresh interpreter, where no cache was filled before it started."""
+    src = TOOL.parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, str(TOOL), "--unreached", str(src)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert set(out.split()) == set(output_digests.HELD)
 
 
 def test_differences_names_each_moved_metric_and_file():

@@ -1,6 +1,7 @@
 """Digest every output of the six CLI commands over a fixed scenario set.
 
     python3 tools/output_digests.py [--cheap] SRC OUT.json
+    python3 tools/output_digests.py --unreached SRC
 
 Imports invtrack from SRC (the src/ directory of any checkout) and runs, in
 process, each of the six commands on the default scenario, then each
@@ -30,6 +31,13 @@ in the same commit as any change that moves output bytes on purpose.  The
 bytes go through the host's libm and numpy's LAPACK, so digests recorded on
 one host may differ in the last bits on another.
 
+--unreached traces the hand-written scenes instead (sys.settrace, in this
+fresh interpreter) and prints each function of SRC/invtrack that they never
+enter, as module.qualname.  HELD names the holder of each such function,
+and tests/test_output_digests.py checks that the printed set is exactly
+HELD's keys: a form that only tests use goes to tests/oracles.py, not into
+the package.
+
 perfbench/record_reference.py checks only the reference analyses' metrics,
 to a relative tolerance; this compares bytes.  The script reads perfbench/
 and changes nothing there.
@@ -45,10 +53,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import inspect  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -204,6 +214,37 @@ FAULTS = {
 }
 
 
+# Each src/invtrack function that no HAND_SCENES analysis enters, with what
+# holds it in the package although no command reaches it.
+# tests/test_output_digests.py checks that `--unreached` prints exactly these
+# names, so a new unreached function fails until it is held here or moved to
+# tests/oracles.py, and so does an entry whose function is gone or reached.
+_MATRIX_OBSERVER = "criterion 7: the observer's gain in matrix form, L (-2 I^T) = W"
+_BOXED_ROBOT = "criterion 1: the boxed model whose equivariance the criterion checks"
+_PROTOCOL = "the ReferenceTrajectory protocol that every reference implements"
+HELD = {
+    "observer.BodyFrameLandmarks.condition_number": _MATRIX_OBSERVER,
+    "observer.BodyFrameLandmarks.gram": _MATRIX_OBSERVER,
+    "observer._weights": _MATRIX_OBSERVER,
+    "observer.body_frame_landmarks": _MATRIX_OBSERVER,
+    "observer.gain_matrix": _MATRIX_OBSERVER,
+    # Also read as closed_loop.observer_field by perfbench's tracer test.
+    "observer.observer_field": _MATRIX_OBSERVER,
+    "robot.Measurement.__post_init__": _BOXED_ROBOT,
+    "robot.act": _BOXED_ROBOT,
+    "robot.dynamics": _BOXED_ROBOT,
+    "robot.invariance_residual": _BOXED_ROBOT,
+    "robot.measure": _BOXED_ROBOT,
+    "robot.transform_landmarks": _BOXED_ROBOT,
+    "se2.transport_tangent": _BOXED_ROBOT,
+    # The CLI's parse checks never let a non-finite input reach it.
+    "robot.finite_input": "names a non-finite input from a profile that a library caller supplies",
+    "trajectories.ReferenceTrajectory.input": _PROTOCOL,
+    "trajectories.ReferenceTrajectory.pose": _PROTOCOL,
+    "trajectories.ReferenceTrajectory.sample": _PROTOCOL,
+}
+
+
 def analyses(cheap: bool = False):
     """(label, command, document or None for the default) in run order; with
     cheap, only the default and hand-written scenes, not perfbench's."""
@@ -277,13 +318,63 @@ def differences(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def _functions(code, prefix: str):
+    """(key, qualified name under prefix) of every function compiled into
+    code, nested ones included; key is the (file, first line) that the
+    trace reports."""
+    for const in code.co_consts:
+        # Comprehensions and lambdas belong to the function they sit in.
+        if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
+            continue
+        name = f"{prefix}.{const.co_name}"
+        if const.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class body
+            yield (const.co_filename, const.co_firstlineno), name
+            yield from _functions(const, f"{name}.<locals>")
+        else:
+            yield from _functions(const, name)
+
+
+def unreached(src: Path) -> list[str]:
+    """module.qualname of each function in SRC/invtrack that the HAND_SCENES
+    analyses never enter, sorted.  Traces from before the package is
+    imported, so run it in a fresh interpreter: a process that has already
+    filled a cache (cli._build_parser, numerics' RK4 steps) skips the
+    function that fills it."""
+    entered = set()
+
+    def trace(frame, event, arg):  # called on each Python call only
+        entered.add(frame.f_code)
+
+    sys.path.insert(0, str(src))
+    sys.settrace(trace)
+    try:
+        from invtrack import cli
+
+        for _, commands, doc in HAND_SCENES:
+            for command in commands:
+                with tempfile.TemporaryDirectory() as tmp:
+                    digest(cli, command, doc, Path(tmp))
+    finally:
+        sys.settrace(None)
+    seen = {(code.co_filename, code.co_firstlineno) for code in entered}
+    names = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        names.update(name for key, name in _functions(code, path.stem) if key not in seen)
+    return sorted(names)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2 and args[0] == "--unreached":
+        print("\n".join(unreached(Path(args[1]).resolve())))
+        return 0
     cheap = args[:1] == ["--cheap"]
     if cheap:
         args = args[1:]
     if len(args) != 2:
-        print("usage: python3 tools/output_digests.py [--cheap] SRC OUT.json", file=sys.stderr)
+        print("usage: python3 tools/output_digests.py [--cheap] SRC OUT.json\n"
+              "       python3 tools/output_digests.py --unreached SRC", file=sys.stderr)
         return 2
     src, dest = Path(args[0]).resolve(), Path(args[1])
     sys.path.insert(0, str(src))
