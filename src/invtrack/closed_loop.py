@@ -19,7 +19,7 @@ import numpy as np
 
 from . import se2
 from .controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
-from .errors import DivergenceError, GeometryError
+from .errors import DegenerateReferenceError, DivergenceError, GeometryError
 from .numerics import ErrorField, integrate, once_per_time
 from .observer import ObserverGains, obs_error_matrix, observer_rate
 from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
@@ -37,9 +37,10 @@ def _input_grid(t_end: float) -> list[float]:
     return [t_end * k / 256.0 for k in range(257)]
 
 
-def _at_time(err: GeometryError, t: float) -> GeometryError:
-    """err with the time at which the error field raised it appended."""
-    return GeometryError(f"{err} (at t={t:.6g})")
+def _at_time(err: ValueError, t: float) -> ValueError:
+    """err, as its own class, with the time at which the error field raised
+    it appended."""
+    return type(err)(f"{err} (at t={t:.6g})")
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,10 @@ def _loop_rate(
     reference(t) = traj.sample(t) = (x_r, y_r, theta_r, u_r, v_r), queried
     once per time, which also serves simulate's sample rows.
 
-    A ValueError raises DivergenceError at the stage time unless the stage
-    state is finite and the reference is not (bad input), an OverflowError
-    always raises it, and a GeometryError is timestamped.
+    A GeometryError or a DegenerateReferenceError (u_r = 0) is timestamped.
+    Any other ValueError raises DivergenceError at the stage time unless the
+    stage state is finite and the reference is not (bad input), and an
+    OverflowError always raises it.
     """
     coords = lm.coords
     reference = once_per_time(traj.sample)
@@ -106,7 +108,7 @@ def _loop_rate(
             dxh, dyh, dthh = observer_rate(
                 xh, yh, thh, u, v, coords, measure_values(x, y, coords), og
             )
-        except GeometryError as err:
+        except (GeometryError, DegenerateReferenceError) as err:
             raise _at_time(err, t) from err
         except ValueError as err:
             # An RK stage state can overflow before integrate sees the step

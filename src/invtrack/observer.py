@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .robot import LandmarkSet, Measurement, RobotInput
+from .robot import LandmarkSet, RobotInput
 from .se2 import GroupElement
 
 # Reject the correction when the 2x2 Gram matrix of body-frame landmark
@@ -46,13 +46,6 @@ class BodyFrameLandmarks:
     """Landmark coordinates seen from the estimated pose, one column each."""
 
     coords: np.ndarray  # shape (2, p)
-
-    def gram(self) -> np.ndarray:
-        return self.coords @ self.coords.T
-
-    def condition_number(self) -> float:
-        g = self.gram()
-        return gram_condition(g[0, 0], g[0, 1], g[1, 1])
 
 
 def gram_condition(a: float, b: float, d: float) -> float:
@@ -89,21 +82,6 @@ def body_frame_landmarks(x_hat: GroupElement, lm: LandmarkSet) -> BodyFrameLandm
     return BodyFrameLandmarks(cols)
 
 
-def _weights(u: float, v: float, gains: ObserverGains) -> np.ndarray:
-    # 3x2 weight matrix pairing the two Gram-normalized output directions
-    # with the three error components.  The (3, 2) entry must be +u*l3: it
-    # makes the heading row of the linearized error system damp e_y, and the
-    # opposite sign turns the (e_y, e_theta) block into a saddle.
-    au = abs(u)
-    return np.array(
-        [
-            [au * gains.l1, u * v],
-            [-u * v, au * gains.l2],
-            [0.0, u * gains.l3],
-        ]
-    )
-
-
 def gain_matrix(
     bf: BodyFrameLandmarks,
     inp: RobotInput,
@@ -117,9 +95,22 @@ def gain_matrix(
     Raises:
         GeometryError: Gram matrix condition number reaches MAX_CONDITION.
     """
-    _check_condition(bf.condition_number())
-    gram_inv = np.linalg.inv(bf.gram())
-    return -0.5 * _weights(inp.u, inp.v, gains) @ gram_inv @ bf.coords
+    gram = bf.coords @ bf.coords.T
+    _check_condition(gram_condition(gram[0, 0], gram[0, 1], gram[1, 1]))
+    # 3x2 weight matrix pairing the two Gram-normalized output directions
+    # with the three error components.  The (3, 2) entry must be +u*l3: it
+    # makes the heading row of the linearized error system damp e_y, and the
+    # opposite sign turns the (e_y, e_theta) block into a saddle.
+    u, v = inp
+    au = abs(u)
+    weights = np.array(
+        [
+            [au * gains.l1, u * v],
+            [-u * v, au * gains.l2],
+            [0.0, u * gains.l3],
+        ]
+    )
+    return -0.5 * weights @ np.linalg.inv(gram) @ bf.coords
 
 
 def observer_rate(
@@ -176,15 +167,15 @@ def observer_field(
     x_hat: GroupElement,
     inp: RobotInput,
     lm: LandmarkSet,
-    y: Measurement | Sequence[float],
+    values: Sequence[float],
     gains: ObserverGains,
 ) -> tuple[float, float, float]:
-    """Estimate derivative: model flow plus the body-frame output correction.
+    """Estimate derivative: model flow plus the body-frame output correction,
+    given the measured squared ranges, one per landmark.
 
     Equals the plain model dynamics whenever the estimate reproduces the
-    measurement exactly.  y may be a Measurement or any float sequence.
+    measurement exactly.
     """
-    values = y.values if isinstance(y, Measurement) else y
     if len(values) != len(lm):
         raise ValueError(f"measurement length {len(values)} != landmark count {len(lm)}")
     return observer_rate(x_hat.x, x_hat.y, x_hat.theta, inp.u, inp.v, lm.coords, values, gains)

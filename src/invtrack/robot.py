@@ -1,5 +1,8 @@
-"""Wheeled robot model: unicycle kinematics, squared-range landmark outputs,
-and the left-translation symmetry that both observer and controller exploit.
+"""Wheeled robot model: unicycle kinematics and squared-range landmark
+outputs as bare-float cores, and the residual that certifies their
+left-translation symmetry, which both observer and controller exploit: a
+left translation moves the pose and the landmarks and leaves the body-frame
+input and the range outputs unchanged.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import numpy as np
 
 from . import se2
 from .errors import GeometryError
-from .se2 import GroupElement, TangentVector
+from .se2 import GroupElement
 
 # A landmark set is collinear when the smallest singular value of the
 # centered coordinates falls below this fraction of the largest.
@@ -53,20 +56,6 @@ class LandmarkSet:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Squared distances to each landmark, in m^2."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        for i, v in enumerate(vals):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"measurement entry {i} must be finite and >= 0, got {v}")
-
-
 def dynamics_values(theta: float, u: float, v: float) -> tuple[float, float, float]:
     """Bare-float core of dynamics(): no input check."""
     return (u * math.cos(theta), u * math.sin(theta), u * v)
@@ -87,35 +76,9 @@ def dynamics(g: GroupElement, inp: RobotInput) -> tuple[float, float, float]:
 
 def measure_values(x: float, y: float, coords: tuple) -> tuple[float, ...]:
     """Squared distances from (x, y) to each landmark in coords, as a bare
-    tuple; the unvalidated core of measure()."""
+    tuple with no check."""
     # tuple([...]) rather than tuple(genexpr): same values, no generator frame.
     return tuple([(x - lx) ** 2 + (y - ly) ** 2 for lx, ly in coords])
-
-
-def measure(g: GroupElement, lm: LandmarkSet) -> Measurement:
-    """Squared distance from the robot position to every landmark."""
-    return Measurement(measure_values(g.x, g.y, lm.coords))
-
-
-def transform_landmarks(g0: GroupElement, lm: LandmarkSet) -> LandmarkSet:
-    """Rotate and translate every landmark by the planar transformation g0."""
-    c = math.cos(g0.theta)
-    s = math.sin(g0.theta)
-    return LandmarkSet(
-        tuple((lx * c - ly * s + g0.x, lx * s + ly * c + g0.y) for lx, ly in lm.coords)
-    )
-
-
-def act(
-    g0: GroupElement,
-    g: GroupElement,
-    inp: RobotInput,
-    lm: LandmarkSet,
-    y: Measurement,
-) -> tuple[GroupElement, RobotInput, LandmarkSet, Measurement]:
-    """Apply the symmetry: left-translate the state, move the landmarks,
-    leave the body-frame input and the range outputs untouched."""
-    return (se2.compose(g0, g), inp, transform_landmarks(g0, lm), y)
 
 
 def invariance_residual(
@@ -129,16 +92,17 @@ def invariance_residual(
     Exactly zero in real arithmetic; a nonzero value beyond roundoff means
     the model and the group action are out of step.
     """
-    y_base = measure(g, lm)
-    moved_g, moved_inp, moved_lm, _ = act(g0, g, inp, lm, y_base)
-    f_moved = dynamics(moved_g, moved_inp)
-    f_base = dynamics(g, inp)
-    f_transported = se2.transport_tangent(g0, TangentVector(*f_base))
-    dyn_res = max(
-        abs(f_moved[0] - f_transported.vx),
-        abs(f_moved[1] - f_transported.vy),
-        abs(f_moved[2] - f_transported.omega),
-    )
-    y_moved = measure(moved_g, moved_lm)
-    out_res = max(abs(a - b) for a, b in zip(y_moved.values, y_base.values))
+    u, v = finite_input(inp)
+    c = math.cos(g0.theta)
+    s = math.sin(g0.theta)
+    moved = se2.compose(g0, g)
+    # The base velocity rotated by g0.theta must be the moved pose's velocity.
+    fx, fy, fth = dynamics_values(g.theta, u, v)
+    mx, my, mth = dynamics_values(moved.theta, u, v)
+    dyn_res = max(abs(mx - (fx * c - fy * s)), abs(my - (fx * s + fy * c)), abs(mth - fth))
+    # Landmarks rotated by g0.theta, then translated, are seen at unchanged ranges.
+    moved_coords = [(lx * c - ly * s + g0.x, lx * s + ly * c + g0.y) for lx, ly in lm.coords]
+    y_base = measure_values(g.x, g.y, lm.coords)
+    y_moved = measure_values(moved.x, moved.y, moved_coords)
+    out_res = max(abs(a - b) for a, b in zip(y_moved, y_base))
     return max(dyn_res, out_res)

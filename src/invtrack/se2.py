@@ -78,21 +78,6 @@ def exp(xi: TangentVector) -> GroupElement:
     )
 
 
-def transport_tangent(g: GroupElement, xi: TangentVector) -> TangentVector:
-    """Push a tangent vector through left translation by g.
-
-    Rotates the (vx, vy) block by g.theta; omega is unchanged.
-    """
-    _check_finite_tangent(xi)
-    c = math.cos(g.theta)
-    s = math.sin(g.theta)
-    return TangentVector(
-        xi.vx * c - xi.vy * s,
-        xi.vx * s + xi.vy * c,
-        xi.omega,
-    )
-
-
 def relative_rate(
     a: GroupElement,
     a_rate: tuple[float, float, float],

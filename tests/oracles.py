@@ -2,10 +2,12 @@
 and the forms that only tests use.
 
 The SE(2) inverse and principal log (ValueError at heading +-pi), the
-squared-range output error and the numpy rotation_exp that builds the test
-attitudes: no command reaches them, so they live here rather than in the
-package (tools/output_digests.py --unreached keeps it that way). The
-controller, observer and closed-loop error fields composed from the public
+squared-range output error, the numpy rotation_exp that builds the test
+attitudes, and the scene helpers measure (a pose's squared ranges, the
+measure_values tuple) and transform_landmarks (a landmark set moved by a
+planar transformation): no command reaches them, so they live here rather
+than in the package (tools/output_digests.py --unreached keeps it that
+way). The controller, observer and closed-loop error fields composed from the public
 layers, each value boxed (the tracking error and the feedback from their
 cores relative_pose and feedback_values, the input as a RobotInput); a
 central-difference Jacobian on numpy arrays, one array per shifted point,
@@ -37,7 +39,14 @@ from invtrack.mech import SMALL_ROTATION, ep_rate_values, rotation_exp_values
 from invtrack.numerics import FD_STEP, ErrorField, integrate
 from invtrack.observer import observer_field
 from invtrack.errors import GeometryError
-from invtrack.robot import RobotInput, dynamics, dynamics_values, finite_input, measure
+from invtrack.robot import (
+    LandmarkSet,
+    RobotInput,
+    dynamics,
+    dynamics_values,
+    finite_input,
+    measure_values,
+)
 from invtrack.se2 import SMALL_ANGLE, GroupElement, TangentVector
 from invtrack.trajectories import _POSE_STEP, IntegratedTrajectory
 
@@ -74,14 +83,30 @@ def log(g):
     )
 
 
+def measure(g, lm):
+    """Squared ranges from the pose g to every landmark of lm, the scene's
+    measurement as the tuple measure_values gives."""
+    return measure_values(g.x, g.y, lm.coords)
+
+
+def transform_landmarks(g0, lm):
+    """The landmark set moved by g0: each landmark rotated by g0.theta, then
+    translated by (g0.x, g0.y)."""
+    c = math.cos(g0.theta)
+    s = math.sin(g0.theta)
+    return LandmarkSet(
+        tuple((lx * c - ly * s + g0.x, lx * s + ly * c + g0.y) for lx, ly in lm.coords)
+    )
+
+
 def output_error(x_hat, lm, y):
-    """Predicted minus measured squared ranges (y a Measurement), one entry
-    per landmark."""
-    if len(y.values) != len(lm):
-        raise ValueError(f"measurement length {len(y.values)} != landmark count {len(lm)}")
+    """Predicted minus measured squared ranges (y one float per landmark),
+    one entry per landmark."""
+    if len(y) != len(lm):
+        raise ValueError(f"measurement length {len(y)} != landmark count {len(lm)}")
     out = np.empty(len(lm))
     for i, (lx, ly) in enumerate(lm.coords):
-        out[i] = (x_hat.x - lx) ** 2 + (x_hat.y - ly) ** 2 - y.values[i]
+        out[i] = (x_hat.x - lx) ** 2 + (x_hat.y - ly) ** 2 - y[i]
     return out
 
 
@@ -130,8 +155,8 @@ def composed_controller_error_field(traj, gains):
 
 
 def composed_observer_error_field(traj, lm, gains):
-    """observer_error_field composed from the public layers: a validated
-    Measurement, the boxed dynamics and observer_field; the Gram-cap
+    """observer_error_field composed from the public layers: the measured
+    ranges, the boxed dynamics and observer_field; the Gram-cap
     GeometryError carries the time as in the package."""
 
     def rate(t, w):

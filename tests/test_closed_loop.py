@@ -17,7 +17,7 @@ from invtrack.closed_loop import (
     simulate,
 )
 from invtrack.controller import ControllerGains, ctrl_loop_matrix, relative_pose
-from invtrack.errors import DivergenceError, GeometryError
+from invtrack.errors import DegenerateReferenceError, DivergenceError, GeometryError
 from invtrack.numerics import (
     eigenvalues,
     integrate,
@@ -26,7 +26,7 @@ from invtrack.numerics import (
     time_invariance_probe,
 )
 from invtrack.observer import ObserverGains, obs_error_matrix, observer_field
-from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure_values, transform_landmarks
+from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure_values
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import (
     IntegratedTrajectory,
@@ -40,6 +40,7 @@ from oracles import (
     composed_error_field,
     composed_observer_error_field,
     jacobian_fd_oracle,
+    transform_landmarks,
 )
 from strategies import HEADINGS, floats, landmark_sets, signed
 
@@ -163,6 +164,17 @@ class TestSimulate:
             dt=0.01,
         )
         with pytest.raises(GeometryError, match=r"\(at t=0\.8[56]\)"):
+            simulate(sc)
+
+    def test_zero_speed_leg_names_the_time(self):
+        # A stop shorter than t_end/256 slips between the Scenario's input
+        # checks; the feedback's u_r = 0 error then keeps its class and gains
+        # the time, and is not reported as a divergence.
+        traj = PiecewiseTrajectory(
+            (Segment(1.0, 0.0, 0.05), Segment(0.0, 0.0, 0.002), Segment(1.0, 0.0, 10.0))
+        )
+        sc = standard_scenario(trajectory=traj, t_end=2.0, dt=1e-3)
+        with pytest.raises(DegenerateReferenceError, match=r"u_r != 0 \(at t=0\.05\)$"):
             simulate(sc)
 
     def test_divergence_box_reports_time(self):

@@ -19,7 +19,7 @@ from invtrack.ekf import (
 )
 from invtrack.errors import DivergenceError
 from invtrack.numerics import integrate
-from invtrack.robot import LandmarkSet, RobotInput, dynamics, measure
+from invtrack.robot import LandmarkSet, RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
 from oracles import (
@@ -28,6 +28,7 @@ from oracles import (
     ekf_field_oracle,
     ekf_oracle_run,
     jacobian_fd_oracle,
+    measure,
     rotation_exp,
 )
 from strategies import HEADINGS, floats, landmark_sets, signed
@@ -53,7 +54,7 @@ def _full(upper):
 def _riccati(x_hat, P, inp, lm, y, q, r):
     # riccati_values on arrays: (x_hat rate (3,), P rate (3, 3)).
     rates = riccati_values(
-        (x_hat.x, x_hat.y, x_hat.theta, *_upper(P)), inp.u, inp.v, lm.coords, y.values, q, 1.0 / r
+        (x_hat.x, x_hat.y, x_hat.theta, *_upper(P)), inp.u, inp.v, lm.coords, y, q, 1.0 / r
     )
     return np.array(rates[:3]), _full(rates[3:])
 
@@ -147,7 +148,7 @@ class TestJacobians:
                 return np.asarray(dynamics(GroupElement(w[0], w[1], w[2]), inp))
 
             def output(w):
-                return np.asarray(measure(GroupElement(w[0], w[1], w[2]), STANDARD).values)
+                return np.asarray(measure(GroupElement(w[0], w[1], w[2]), STANDARD))
 
             point = np.array([g.x, g.y, g.theta])
             assert np.max(np.abs(jacobian_fd_oracle(model, point) - F)) < 1e-6
@@ -202,7 +203,7 @@ class TestField:
         # Nine components: the estimate and the six distinct entries of P.
         g = GroupElement(0.5, -0.5, 0.8)
         w = (g.x, g.y, g.theta, *_upper(np.eye(3) * 1e-2))
-        y = measure(g, STANDARD).values
+        y = measure(g, STANDARD)
         assert len(w) == len(riccati_values(w, 1.0, 0.5, STANDARD.coords, y, 1e-3, 1e2)) == 9
 
     def test_covariance_rate_symmetric(self):

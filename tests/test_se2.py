@@ -139,34 +139,6 @@ class TestLog:
         assert abs(xi.vy + 2.0) < 1e-9
 
 
-class TestTransport:
-    def test_identity_frame(self):
-        xi = TangentVector(1.0, 2.0, 3.0)
-        assert se2.transport_tangent(IDENTITY, xi) == xi
-
-    def test_quarter_turn(self):
-        out = se2.transport_tangent(GroupElement(0, 0, math.pi / 2), TangentVector(1, 0, 0))
-        assert abs(out.vx) < 1e-15 and abs(out.vy - 1.0) < 1e-15 and out.omega == 0.0
-
-    def test_translation_does_not_matter(self):
-        xi = TangentVector(0.3, -0.4, 0.9)
-        a = se2.transport_tangent(GroupElement(5.0, -7.0, 1.1), xi)
-        b = se2.transport_tangent(GroupElement(0.0, 0.0, 1.1), xi)
-        assert a == b
-
-    @given(
-        a=ELEMENTS,
-        b=ELEMENTS,
-        xi=st.builds(TangentVector, floats(-2.0, 2.0), floats(-2.0, 2.0), floats(-2.0, 2.0)),
-    )
-    def test_action_composition(self, a, b, xi):
-        lhs = se2.transport_tangent(se2.compose(a, b), xi)
-        rhs = se2.transport_tangent(a, se2.transport_tangent(b, xi))
-        assert abs(lhs.vx - rhs.vx) < 1e-12
-        assert abs(lhs.vy - rhs.vy) < 1e-12
-        assert lhs.omega == rhs.omega
-
-
 class TestNormalizeAngle:
     @pytest.mark.parametrize(
         "raw,expected",

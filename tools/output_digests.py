@@ -215,28 +215,20 @@ FAULTS = {
 
 
 # Each src/invtrack function that no HAND_SCENES analysis enters, with what
-# holds it in the package although no command reaches it.
+# holds it in the package although no command reaches it.  Criteria 1 and 7
+# compute on the cores the commands run, so no helper is held for them alone.
 # tests/test_output_digests.py checks that `--unreached` prints exactly these
 # names, so a new unreached function fails until it is held here or moved to
 # tests/oracles.py, and so does an entry whose function is gone or reached.
-_MATRIX_OBSERVER = "criterion 7: the observer's gain in matrix form, L (-2 I^T) = W"
-_BOXED_ROBOT = "criterion 1: the boxed model whose equivariance the criterion checks"
+_GAIN_IDENTITY = "criterion 7: the observer's gain in matrix form, L (-2 I^T) = W"
 _PROTOCOL = "the ReferenceTrajectory protocol that every reference implements"
 HELD = {
-    "observer.BodyFrameLandmarks.condition_number": _MATRIX_OBSERVER,
-    "observer.BodyFrameLandmarks.gram": _MATRIX_OBSERVER,
-    "observer._weights": _MATRIX_OBSERVER,
-    "observer.body_frame_landmarks": _MATRIX_OBSERVER,
-    "observer.gain_matrix": _MATRIX_OBSERVER,
+    "observer.body_frame_landmarks": _GAIN_IDENTITY,
+    "observer.gain_matrix": _GAIN_IDENTITY,
     # Also read as closed_loop.observer_field by perfbench's tracer test.
-    "observer.observer_field": _MATRIX_OBSERVER,
-    "robot.Measurement.__post_init__": _BOXED_ROBOT,
-    "robot.act": _BOXED_ROBOT,
-    "robot.dynamics": _BOXED_ROBOT,
-    "robot.invariance_residual": _BOXED_ROBOT,
-    "robot.measure": _BOXED_ROBOT,
-    "robot.transform_landmarks": _BOXED_ROBOT,
-    "se2.transport_tangent": _BOXED_ROBOT,
+    "observer.observer_field": "the boxed observer field that the composed error-field oracles use",
+    "robot.dynamics": "criterion 2 and the tests: the boxed model field, input checked",
+    "robot.invariance_residual": "criterion 1: the equivariance of the cores simulate integrates",
     # The CLI's parse checks never let a non-finite input reach it.
     "robot.finite_input": "names a non-finite input from a profile that a library caller supplies",
     "trajectories.ReferenceTrajectory.input": _PROTOCOL,
