@@ -20,7 +20,7 @@ import numpy as np
 from . import se2
 from .controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
 from .errors import DegenerateReferenceError, DivergenceError, GeometryError
-from .numerics import ErrorField, integrate, once_per_time
+from .numerics import ErrorField, inline_cores, integrate, once_per_time
 from .observer import ObserverGains, obs_error_matrix, observer_rate
 from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
 from .robot import LandmarkSet, dynamics_values, measure_values
@@ -80,34 +80,23 @@ class SimulationResult:
     inputs: np.ndarray           # (n, 2) applied (u, v)
 
 
-def _loop_rate(
-    traj: ReferenceTrajectory,
-    lm: LandmarkSet,
-    kg: ControllerGains,
-    og: ObserverGains,
-) -> tuple[Callable[[float, tuple], tuple], Callable[[float], tuple]]:
-    """The coupled plant/observer/controller right-hand side on flat
-    (x, y, theta, xhat, yhat, thetahat) tuples, and its reference lookup
-    reference(t) = traj.sample(t) = (x_r, y_r, theta_r, u_r, v_r), queried
-    once per time, which also serves simulate's sample rows.
-
-    A GeometryError or a DegenerateReferenceError (u_r = 0) is timestamped.
-    Any other ValueError raises DivergenceError at the stage time unless the
-    stage state is finite and the reference is not (bad input), and an
-    OverflowError always raises it.
-    """
-    coords = lm.coords
-    reference = once_per_time(traj.sample)
-
-    def rate(t: float, w: tuple) -> tuple:
+# The closed-loop right-hand side as source, for p landmarks: the landmark
+# coordinates unpacked as lx0, ly0, ..., the stage state and reference
+# unpacked, the five core calls, the handlers that name a failure, and the
+# return.  Compiled as it stands it is the hand-written rate that
+# tests/oracles.py keeps as loop_rate_oracle.  bind(reference, coords, kg, og)
+# returns the rate of one run.
+_LOOP_TEMPLATE = """
+def bind(reference, coords, kg, og):
+    ({landmarks}) = coords
+    def rate(t, w):
         x, y, th, xh, yh, thh = w
         xr, yr, thr, ur, vr = reference(t)
         try:
             eta_x, eta_y, eta_th = relative_pose(xr, yr, thr, xh, yh, thh)
             u, v = feedback_values(eta_x, eta_y, eta_th, ur, vr, kg)
-            dxh, dyh, dthh = observer_rate(
-                xh, yh, thh, u, v, coords, measure_values(x, y, coords), og
-            )
+            values = measure_values(x, y, coords)
+            dxh, dyh, dthh = observer_rate(xh, yh, thh, u, v, coords, values, og)
         except (GeometryError, DegenerateReferenceError) as err:
             raise _at_time(err, t) from err
         except ValueError as err:
@@ -125,8 +114,53 @@ def _loop_rate(
             raise DivergenceError(t, "closed-loop state diverged") from err
         dx, dy, dth = dynamics_values(th, u, v)
         return (dx, dy, dth, dxh, dyh, dthh)
+    return rate
+"""
+_CORES = (relative_pose, feedback_values, measure_values, observer_rate, dynamics_values)
+_LOOP_RATES: dict[int, Callable] = {}
 
-    return rate, reference
+
+def _loop_rate(
+    traj: ReferenceTrajectory,
+    lm: LandmarkSet,
+    kg: ControllerGains,
+    og: ObserverGains,
+) -> tuple[Callable[[float, tuple], tuple], Callable[[float], tuple]]:
+    """The coupled plant/observer/controller right-hand side on flat
+    (x, y, theta, xhat, yhat, thetahat) tuples, and its reference lookup
+    reference(t) = traj.sample(t) = (x_r, y_r, theta_r, u_r, v_r), queried
+    once per time, which also serves simulate's sample rows.
+
+    A GeometryError or a DegenerateReferenceError (u_r = 0) is timestamped.
+    Any other ValueError raises DivergenceError at the stage time unless the
+    stage state is finite and the reference is not (bad input), and an
+    OverflowError always raises it.
+
+    The rate is _LOOP_TEMPLATE with its five core calls (relative_pose,
+    feedback_values, measure_values, observer_rate and dynamics_values)
+    replaced by the cores' own statements.  numerics.inline_cores generates
+    it on the first call for each landmark count p, and _LOOP_RATES caches
+    it (never at import or parse time).  The inliner's contract: a core is a
+    docstring, straight-line statements and raise-guards ending in one
+    return; parameters become the caller's names and locals get a per-call
+    suffix; globals come from the core's own module, and a clash is refused;
+    the landmark loops unroll over (lx0, ly0), (lx1, ly1), ...; a core that
+    breaks the contract raises InlineError, with no fallback.  The rate runs
+    the same float operations and raises in the same order as the calls, so
+    tests hold it bit for bit to loop_rate_oracle in tests/oracles.py, the
+    hand-written rate that the template compiles to without inlining.
+    """
+    coords = lm.coords
+    p = len(coords)
+    try:
+        bind = _LOOP_RATES[p]
+    except KeyError:
+        landmarks = "".join(f"(lx{i}, ly{i}), " for i in range(p))
+        bind = _LOOP_RATES[p] = inline_cores(
+            _LOOP_TEMPLATE.format(landmarks=landmarks), _CORES, globals(), f"<loop_rate p={p}>"
+        )
+    reference = once_per_time(traj.sample)
+    return bind(reference, coords, kg, og), reference
 
 
 def simulate(sc: Scenario) -> SimulationResult:

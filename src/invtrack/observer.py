@@ -41,13 +41,6 @@ class ObserverGains:
                 raise ValueError(f"gain {name} must be positive and finite, got {val}")
 
 
-@dataclass(frozen=True, eq=False)
-class BodyFrameLandmarks:
-    """Landmark coordinates seen from the estimated pose, one column each."""
-
-    coords: np.ndarray  # shape (2, p)
-
-
 def gram_condition(a: float, b: float, d: float) -> float:
     """Condition number of the symmetric 2x2 Gram matrix [[a, b], [b, d]].
 
@@ -69,8 +62,9 @@ def _check_condition(cond: float) -> None:
         )
 
 
-def body_frame_landmarks(x_hat: GroupElement, lm: LandmarkSet) -> BodyFrameLandmarks:
-    """Rotate each landmark offset into the estimated body frame."""
+def body_frame_landmarks(x_hat: GroupElement, lm: LandmarkSet) -> np.ndarray:
+    """Landmark coordinates seen from the estimated pose, shape (2, p): each
+    landmark offset rotated into the estimated body frame, one column each."""
     c = math.cos(x_hat.theta)
     s = math.sin(x_hat.theta)
     cols = np.empty((2, len(lm)))
@@ -79,15 +73,16 @@ def body_frame_landmarks(x_hat: GroupElement, lm: LandmarkSet) -> BodyFrameLandm
         dy = ly - x_hat.y
         cols[0, i] = dx * c + dy * s
         cols[1, i] = -dx * s + dy * c
-    return BodyFrameLandmarks(cols)
+    return cols
 
 
 def gain_matrix(
-    bf: BodyFrameLandmarks,
+    bf: np.ndarray,
     inp: RobotInput,
     gains: ObserverGains,
 ) -> np.ndarray:
-    """Output-injection gain L = -1/2 * W (I I^T)^-1 I, shape (3, p).
+    """Output-injection gain L = -1/2 * W (I I^T)^-1 I, shape (3, p), for the
+    body-frame landmark coordinates I = bf of shape (2, p).
 
     Satisfies L @ (-2 I^T) = W for every estimate and landmark set, which is
     what pins the linearized error dynamics to a constant matrix.
@@ -95,7 +90,7 @@ def gain_matrix(
     Raises:
         GeometryError: Gram matrix condition number reaches MAX_CONDITION.
     """
-    gram = bf.coords @ bf.coords.T
+    gram = bf @ bf.T
     _check_condition(gram_condition(gram[0, 0], gram[0, 1], gram[1, 1]))
     # 3x2 weight matrix pairing the two Gram-normalized output directions
     # with the three error components.  The (3, 2) entry must be +u*l3: it
@@ -110,7 +105,7 @@ def gain_matrix(
             [0.0, u * gains.l3],
         ]
     )
-    return -0.5 * weights @ np.linalg.inv(gram) @ bf.coords
+    return -0.5 * weights @ np.linalg.inv(gram) @ bf
 
 
 def observer_rate(

@@ -24,10 +24,10 @@ HEADINGS = st.one_of(
 
 
 @st.composite
-def landmark_sets(draw, max_count=12):
+def landmark_sets(draw, max_count=12, min_count=3):
     # Jittered, evenly spread bearings leave every angular gap below pi, so
     # the centre lies inside the hull and the set is never collinear.
-    count = draw(st.integers(3, max_count))
+    count = draw(st.integers(min_count, max_count))
     step = 2.0 * math.pi / count
     cx, cy = draw(floats(-5.0, 5.0)), draw(floats(-5.0, 5.0))
     pts = []

@@ -224,7 +224,7 @@ def test_criterion_7_gain_identity():
                 [0.0, inp.u * og.l3],
             ]
         )
-        worst = max(worst, float(np.max(np.abs(L @ (-2.0 * bf.coords.T) - weights))))
+        worst = max(worst, float(np.max(np.abs(L @ (-2.0 * bf.T) - weights))))
     ok = worst < 1e-10
     report(7, "gain identity", ok, f"defect={worst:.3e}")
 

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invtrack import se2
+from invtrack import closed_loop, se2
 from invtrack.closed_loop import (
     Scenario,
     SimulationResult,
@@ -20,6 +23,7 @@ from invtrack.controller import ControllerGains, ctrl_loop_matrix, relative_pose
 from invtrack.errors import DegenerateReferenceError, DivergenceError, GeometryError
 from invtrack.numerics import (
     eigenvalues,
+    inline_cores,
     integrate,
     linearize_error_field,
     spectrum_match_distance,
@@ -35,11 +39,13 @@ from invtrack.trajectories import (
     Segment,
 )
 from oracles import (
+    bits,
     boxed_feedback,
     composed_controller_error_field,
     composed_error_field,
     composed_observer_error_field,
     jacobian_fd_oracle,
+    loop_rate_oracle,
     transform_landmarks,
 )
 from strategies import HEADINGS, floats, landmark_sets, signed
@@ -257,6 +263,54 @@ def references(draw):
 GAINS = st.tuples(floats(0.2, 5.0), floats(0.2, 5.0), floats(0.2, 5.0))
 
 
+def _outcome(rate, t, w):
+    """rate(t, w) as the bits of its result, or as the class, message, time
+    and cause class of what it raised."""
+    try:
+        return ("ok", bits(rate(t, w)))
+    except (ValueError, ArithmeticError) as err:
+        return (type(err), str(err), getattr(err, "time", None), type(err.__cause__))
+
+
+class _NanInput(PermanentTrajectory):
+    def sample(self, t):
+        return (*super().sample(t)[:3], math.nan, 0.5)
+
+
+_ORIGIN = (0.0,) * 6
+# Each way the loop rate fails: (traj, landmarks, kg, og, t, w) and the
+# class and message it raises.
+ERROR_PATHS = {
+    "ill-conditioned-gram": (
+        PermanentTrajectory(1.0, 0.5),
+        LandmarkSet(((5000.0, 0.0), (5001.0, 0.0), (5000.0, 1.0))), KG, OG, 0.25, _ORIGIN,
+        (GeometryError, "body-frame landmark Gram matrix is ill-conditioned: condition "
+                        "number 1.125e+08 exceeds 1.000e+08 (at t=0.25)"),
+    ),
+    "u_r-zero": (
+        PiecewiseTrajectory((Segment(0.0, 0.0, 1.0),)), STANDARD, KG, OG, 0.5, _ORIGIN,
+        (DegenerateReferenceError, "feedback requires u_r != 0 (at t=0.5)"),
+    ),
+    "nan-reference-input": (
+        _NanInput(1.0, 0.5), STANDARD, KG, OG, 0.25, _ORIGIN,
+        (ValueError, "reference input must be finite, got (nan, 0.5)"),
+    ),
+    "input-overflow": (
+        PermanentTrajectory(1.0, 0.5), STANDARD, ControllerGains(1e308, 1.0, 1.0), OG, 0.0,
+        (10.0, 0.0, 0.0, 10.0, 0.0, 0.0),
+        (DivergenceError, "closed-loop input diverged at t=0"),
+    ),
+    "inf-stage-heading": (
+        PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG, 0.25, (0.0,) * 5 + (math.inf,),
+        (DivergenceError, "closed-loop state diverged at t=0.25"),
+    ),
+    "coordinate-past-1.3e154": (
+        PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG, 0.25, (2e154,) + (0.0,) * 5,
+        (DivergenceError, "closed-loop state diverged at t=0.25"),
+    ),
+}
+
+
 class TestFusedRate:
     @given(
         traj=references(),
@@ -283,7 +337,67 @@ class TestFusedRate:
                 assert str(got.value) == str(err)
                 continue
             # Same arithmetic in the same order: equal, not merely close.
-            assert fused(s, w) == want
+            assert bits(fused(s, w)) == bits(want)
+
+    @pytest.mark.parametrize("p", range(3, 13))
+    @given(
+        data=st.data(),
+        traj=references(),
+        kg=GAINS.map(lambda k: ControllerGains(*k)),
+        og=GAINS.map(lambda k: ObserverGains(*k)),
+        pose=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
+        est=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
+        t=floats(0.0, 3.0),
+        h=floats(1e-3, 0.1),
+    )
+    def test_generated_rate_is_the_oracle_bit_for_bit(self, p, data, traj, kg, og, pose, est, t, h):
+        # Every landmark count that landmark_sets draws gets its own
+        # generated rate; each must be the hand-written five calls exactly.
+        lm = data.draw(landmark_sets(p, p))
+        fused, _ = _loop_rate(traj, lm, kg, og)
+        oracle, _ = loop_rate_oracle(traj, lm, kg, og)
+        w = pose + est
+        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+            assert _outcome(fused, s, w) == _outcome(oracle, s, w)
+
+    @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+    def test_error_paths_match_the_oracle(self, case):
+        traj, lm, kg, og, t, w, want = ERROR_PATHS[case]
+        rate, _ = _loop_rate(traj, lm, kg, og)
+        oracle, _ = loop_rate_oracle(traj, lm, kg, og)
+        got = _outcome(rate, t, w)
+        assert got == _outcome(oracle, t, w)
+        assert got[:2] == want
+
+    def test_generated_once_per_landmark_count(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args[-1])
+            return inline_cores(*args)
+
+        monkeypatch.setattr(closed_loop, "inline_cores", counted)
+        monkeypatch.setattr(closed_loop, "_LOOP_RATES", {})
+        traj = PermanentTrajectory(1.0, 0.5)
+        square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
+        rates = [_loop_rate(traj, lm, KG, OG)[0] for lm in (STANDARD, FAR, square, STANDARD)]
+        assert built == ["<loop_rate p=3>", "<loop_rate p=4>"]
+        assert rates[0].__code__ is rates[1].__code__ is rates[3].__code__
+
+    def test_not_generated_at_import_or_parse(self):
+        # setup_s covers importing the CLI and parsing a scenario: neither
+        # may pay for a generated rate.
+        code = (
+            "import invtrack.cli\n"
+            "from invtrack import closed_loop\n"
+            "from invtrack.scenario import parse_scenario\n"
+            "parse_scenario({})\n"
+            "print(len(closed_loop._LOOP_RATES))\n"
+        )
+        src = os.path.dirname(os.path.dirname(closed_loop.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "0\n"
 
     def test_non_finite_stage_state_is_a_divergence(self):
         # An RK stage can carry a heading of inf before integrate checks the
@@ -296,11 +410,7 @@ class TestFusedRate:
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_value_error_on_a_finite_state_is_kept(self):
-        class NanInput(PermanentTrajectory):
-            def sample(self, t):
-                return (*super().sample(t)[:3], math.nan, 0.5)
-
-        rate, _ = _loop_rate(NanInput(1.0, 0.5), STANDARD, KG, OG)
+        rate, _ = _loop_rate(_NanInput(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(ValueError, match="reference input must be finite"):
             rate(0.25, (0.0,) * 6)
 
