@@ -20,7 +20,7 @@ import numpy as np
 from . import se2
 from .controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
 from .errors import DegenerateReferenceError, DivergenceError, GeometryError
-from .numerics import ErrorField, inline_cores, integrate, once_per_time
+from .numerics import ErrorField, integrate, once_per_time
 from .observer import ObserverGains, obs_error_matrix, observer_rate
 from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
 from .robot import LandmarkSet, dynamics_values, measure_values
@@ -138,7 +138,7 @@ def _loop_rate(
 
     The rate is _LOOP_TEMPLATE with its five core calls (relative_pose,
     feedback_values, measure_values, observer_rate and dynamics_values)
-    replaced by the cores' own statements.  numerics.inline_cores generates
+    replaced by the cores' own statements.  inline.inline_cores generates
     it on the first call for each landmark count p, and _LOOP_RATES caches
     it (never at import or parse time).  The inliner's contract: a core is a
     docstring, straight-line statements and raise-guards ending in one
@@ -155,6 +155,8 @@ def _loop_rate(
     try:
         bind = _LOOP_RATES[p]
     except KeyError:
+        from .inline import inline_cores  # on first use: not compiled at import
+
         landmarks = "".join(f"(lx{i}, ly{i}), " for i in range(p))
         bind = _LOOP_RATES[p] = inline_cores(
             _LOOP_TEMPLATE.format(landmarks=landmarks), _CORES, globals(), f"<loop_rate p={p}>"

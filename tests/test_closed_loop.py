@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invtrack import closed_loop, se2
+from invtrack import closed_loop, inline, se2
 from invtrack.closed_loop import (
     Scenario,
     SimulationResult,
@@ -23,7 +23,6 @@ from invtrack.controller import ControllerGains, ctrl_loop_matrix, relative_pose
 from invtrack.errors import DegenerateReferenceError, DivergenceError, GeometryError
 from invtrack.numerics import (
     eigenvalues,
-    inline_cores,
     integrate,
     linearize_error_field,
     spectrum_match_distance,
@@ -371,12 +370,13 @@ class TestFusedRate:
 
     def test_generated_once_per_landmark_count(self, monkeypatch):
         built = []
+        generate = inline.inline_cores
 
         def counted(*args):
             built.append(args[-1])
-            return inline_cores(*args)
+            return generate(*args)
 
-        monkeypatch.setattr(closed_loop, "inline_cores", counted)
+        monkeypatch.setattr(inline, "inline_cores", counted)
         monkeypatch.setattr(closed_loop, "_LOOP_RATES", {})
         traj = PermanentTrajectory(1.0, 0.5)
         square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
@@ -388,16 +388,17 @@ class TestFusedRate:
         # setup_s covers importing the CLI and parsing a scenario: neither
         # may pay for a generated rate.
         code = (
+            "import sys\n"
             "import invtrack.cli\n"
             "from invtrack import closed_loop\n"
             "from invtrack.scenario import parse_scenario\n"
             "parse_scenario({})\n"
-            "print(len(closed_loop._LOOP_RATES))\n"
+            "print(len(closed_loop._LOOP_RATES), 'invtrack.inline' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(closed_loop.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout == "0\n"
+        assert out.stdout == "0 False\n"
 
     def test_non_finite_stage_state_is_a_divergence(self):
         # An RK stage can carry a heading of inf before integrate checks the
