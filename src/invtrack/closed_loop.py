@@ -116,6 +116,8 @@ def bind(reference, coords, kg, og):
         return (dx, dy, dth, dxh, dyh, dthh)
     return rate
 """
+# The cores themselves, taken at import: a tracer that later rebinds these
+# names to timing wrappers must not hand the inliner a wrapper's source.
 _CORES = (relative_pose, feedback_values, measure_values, observer_rate, dynamics_values)
 _LOOP_RATES: dict[int, Callable] = {}
 

@@ -43,7 +43,10 @@ def _inlined(core):
 
 class TestInlineCores:
     def test_inlines_a_straight_line_core(self):
-        assert _inlined(_scaled)(3.0)(2.0) == _scaled(2.0, 3.0)
+        f = _inlined(_scaled)(3.0)
+        assert f(2.0) == _scaled(2.0, 3.0)
+        # The core's statements, not a call: f reads OFFSET and never _scaled.
+        assert "OFFSET" in f.__code__.co_names and "_scaled" not in f.__code__.co_names
 
     @pytest.mark.parametrize("core, rule", [
         (_two_returns, "must end in its one return"),
