@@ -9,6 +9,7 @@ importing the package and parsing a scenario never compile it.
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 from typing import Callable
 
@@ -56,18 +57,25 @@ def _bind(target: ast.expr, spec, names: dict, where: str) -> None:
         _bind(t, s, names, where)
 
 
+@functools.cache
+def _definition(core: Callable) -> ast.FunctionDef:
+    """The core's parsed source, read once per process: every pass copies
+    from it through _renamed and none changes it."""
+    return ast.parse(inspect.getsource(core)).body[0]
+
+
 class _Inliner(ast.NodeTransformer):
     """inline_cores' pass over the template, one statement at a time."""
 
-    def __init__(self, cores, namespace: dict, taken: set):
+    def __init__(self, cores, reads: dict, taken: set):
         self.cores = {core.__name__: core for core in cores}
-        self.namespace = namespace
+        self.reads = reads  # global name -> the module dict it is read from
         self.taken = taken  # the names the template binds, and those generated
         self.sequences: dict[str, list] = {}  # name -> its elements' names
         self.calls = 0
 
     def fresh(self, name: str) -> str:
-        if name in self.taken or name in self.namespace:
+        if name in self.taken or name in self.reads:
             raise InlineError(f"generated name {name!r} is already in use")
         self.taken.add(name)
         return name
@@ -92,7 +100,7 @@ class _Inliner(ast.NodeTransformer):
 
     def _inline(self, core: Callable, args: list, target: ast.expr) -> list:
         where = f"{core.__module__}.{core.__qualname__}"
-        fn = ast.parse(inspect.getsource(core)).body[0]
+        fn = _definition(core)
         params = [p.arg for p in fn.args.args]
         if len(params) != len(args) or fn.args.vararg or fn.args.kwonlyargs or fn.args.kwarg:
             raise InlineError(f"{where}: the call must pass each parameter by position")
@@ -107,7 +115,7 @@ class _Inliner(ast.NodeTransformer):
         value = ret.value
         if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "tuple" and value.args:
             value = value.args[0]
-        comprehension = isinstance(value, (ast.ListComp, ast.GeneratorExp))
+        comprehension = isinstance(value, ast.ListComp)
         checked = stmts + [value.elt if comprehension else ret.value]
         if any(isinstance(n, _BARRED) for s in checked for n in ast.walk(s)):
             raise InlineError(f"{where}: a lambda, comprehension, := or yield binds or defers")
@@ -130,8 +138,8 @@ class _Inliner(ast.NodeTransformer):
                 continue
             clash = name in self.taken
             if name in core.__globals__:
-                obj = core.__globals__[name]
-                clash = clash or self.namespace.setdefault(name, obj) is not obj
+                read = self.reads.setdefault(name, core.__globals__)
+                clash = clash or read[name] is not core.__globals__[name]
             if clash:
                 raise InlineError(f"{where}: global name {name!r} clashes with another's")
         out = self._block(stmts, names, where)
@@ -168,8 +176,10 @@ class _Inliner(ast.NodeTransformer):
 
     def _passes(self, target: ast.expr, it: ast.expr, names: dict, where: str):
         """The names of each unrolled pass of `for target in it`, where it is
-        an unrolled sequence or a zip of them."""
-        zipped = isinstance(it, ast.Call) and getattr(it.func, "id", None) == "zip"
+        an unrolled sequence or a zip of two."""
+        zipped = (
+            isinstance(it, ast.Call) and getattr(it.func, "id", None) == "zip" and len(it.args) == 2
+        )
         seqs = [self.sequences.get(names.get(getattr(q, "id", None)))
                 for q in (it.args if zipped else [it])]
         if None in seqs:
@@ -185,16 +195,21 @@ def inline_cores(template: str, cores, env: dict, filename: str) -> Callable:
     `targets = core(names...)` replaced by that core's own statements.
 
     A core is inlined only when it is a docstring, straight-line statements
-    (assignments, expression statements, raise-guards `if c: raise ...`, and
-    loops over unrolled sequences) and exactly one final return; anything
-    else raises InlineError, as does a name that a core reads as a global
-    and the template binds, or that another core or the template reads as a
-    different object.  Parameters become the caller's names, each local
-    gets the call's suffix, and a core's globals come from its own
-    __globals__ (the template's from env).  A template statement
-    `(a0, b0), (a1, b1), ... = seq` unrolls every loop over seq, and a
-    comprehension that a core returns over it, by those names.  The float
-    operations and the raises run in the same order as the calls would.
+    (assignments, expression statements such as a check call, raise-guards
+    `if c: raise ...`, and loops over an unrolled sequence or a zip of two)
+    and exactly one final return; anything else raises InlineError, as does
+    a name that a core reads as a global and the template binds, or that
+    another core or the template reads as a different object.  Parameters
+    become the caller's names and each local gets the call's suffix.  A
+    template statement `(a0, b0), (a1, b1), ... = seq` unrolls every loop
+    over seq, and a list comprehension that a core returns over it, by
+    those names.  The float operations and the raises run in the same order
+    as the calls would.
+
+    Each global the generated code reads is looked up in its own module (a
+    core's __globals__, the template's env) every time the returned outer
+    function runs, not once at generation: a name rebound in between, say
+    to a tracer's wrapper, reaches the functions it returns from then on.
     """
     module = ast.parse(template)
     (outer,) = module.body
@@ -205,10 +220,18 @@ def inline_cores(template: str, cores, env: dict, filename: str) -> Callable:
             taken.add(n.id)
         elif isinstance(n, (ast.FunctionDef, ast.ExceptHandler)):
             taken.add(n.name)
-    namespace = {
-        n.id: env[n.id] for n in ast.walk(outer)
+    reads = {
+        n.id: env for n in ast.walk(outer)
         if isinstance(n, ast.Name) and n.id in env and n.id not in taken
     }
-    _Inliner(cores, namespace, taken).visit(outer)
+    inliner = _Inliner(cores, reads, taken)
+    inliner.visit(outer)
+    loaded = {n.id for n in ast.walk(outer) if isinstance(n, ast.Name)}
+    modules = {name: reads[name] for name in sorted(reads.keys() & loaded)}
+    lookup = inliner.fresh("_modules")
+    outer.body[:0] = ast.parse(
+        "".join(f"{name} = {lookup}[{name!r}][{name!r}]\n" for name in modules)
+    ).body
+    namespace = {lookup: modules}
     exec(compile(ast.unparse(module), filename, "exec"), namespace)
     return namespace[outer.name]

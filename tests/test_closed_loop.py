@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invtrack import closed_loop, inline, se2
+from invtrack import closed_loop, inline, observer, se2
 from invtrack.closed_loop import (
     Scenario,
     SimulationResult,
@@ -358,6 +358,47 @@ class TestFusedRate:
         w = pose + est
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
             assert _outcome(fused, s, w) == _outcome(oracle, s, w)
+
+    @given(
+        data=st.data(),
+        traj=references(),
+        pose=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
+        est=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
+        t=floats(0.0, 3.0),
+    )
+    def test_past_the_unroll_cap_the_template_calls_the_cores(self, data, traj, pose, est, t):
+        # Larger sets share one rate: the template compiled with its calls.
+        cap = closed_loop._UNROLL_MAX
+        rates = []
+        for p in (cap + 1, cap + 8):
+            lm = data.draw(landmark_sets(p, p))
+            rate, _ = _loop_rate(traj, lm, KG, OG)
+            oracle, _ = loop_rate_oracle(traj, lm, KG, OG)
+            assert _outcome(rate, t, pose + est) == _outcome(oracle, t, pose + est)
+            rates.append(rate)
+        assert rates[0].__code__ is rates[1].__code__
+        assert "observer_rate" in rates[0].__code__.co_freevars
+
+    def test_a_rebound_global_reaches_the_next_run(self, monkeypatch):
+        # A wrapper installed after generation (as a tracer installs one) is
+        # called by the next run's rate, and no longer once it is removed.
+        traj = PermanentTrajectory(1.0, 0.5)
+        _loop_rate(traj, STANDARD, KG, OG)
+        calls = []
+        original = observer.gram_condition
+
+        def counted(a, b, d):
+            calls.append((a, b, d))
+            return original(a, b, d)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(observer, "gram_condition", counted)
+            rate, _ = _loop_rate(traj, STANDARD, KG, OG)
+            rate(0.0, _ORIGIN)
+        assert len(calls) == 1
+        rate, _ = _loop_rate(traj, STANDARD, KG, OG)
+        rate(0.0, _ORIGIN)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
     def test_error_paths_match_the_oracle(self, case):

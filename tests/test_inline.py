@@ -1,3 +1,4 @@
+import sys
 import types
 
 import pytest
@@ -46,7 +47,13 @@ class TestInlineCores:
         f = _inlined(_scaled)(3.0)
         assert f(2.0) == _scaled(2.0, 3.0)
         # The core's statements, not a call: f reads OFFSET and never _scaled.
-        assert "OFFSET" in f.__code__.co_names and "_scaled" not in f.__code__.co_names
+        assert "OFFSET" in f.__code__.co_freevars
+        assert "_scaled" not in f.__code__.co_names + f.__code__.co_freevars
+
+    def test_globals_are_read_when_the_outer_function_runs(self, monkeypatch):
+        bind = _inlined(_scaled)
+        monkeypatch.setattr(sys.modules[__name__], "OFFSET", 2.0)
+        assert bind(3.0)(2.0) == 8.0
 
     @pytest.mark.parametrize("core, rule", [
         (_two_returns, "must end in its one return"),
