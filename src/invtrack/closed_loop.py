@@ -80,12 +80,14 @@ class SimulationResult:
     inputs: np.ndarray           # (n, 2) applied (u, v)
 
 
-# The closed-loop right-hand side as source, for p landmarks: the landmark
-# coordinates unpacked as lx0, ly0, ... (or bound to _ when the loops are not
-# unrolled), the stage state and reference unpacked, the five core calls,
-# the handlers that name a failure, and the return.  Compiled as it stands
-# it is the hand-written rate that tests/oracles.py keeps as
-# loop_rate_oracle.  bind(reference, coords, kg, og) returns the rate of one run.
+# The closed-loop right-hand side and simulate's sample row as source, for
+# p landmarks: the landmark coordinates unpacked as lx0, ly0, ... (or bound
+# to _ when the loops are not unrolled); in rate the stage state and
+# reference unpacked, the five core calls, the handlers that name a failure,
+# and the return; in row the reference pose, eta, eps and the applied input
+# at a sample time.  Compiled as it stands it is the hand-written pair that
+# tests/oracles.py keeps as loop_rate_oracle.  bind(reference, coords, kg,
+# og) returns the (rate, row) of one run.
 _LOOP_TEMPLATE = """
 def bind(reference, coords, kg, og):
     {landmarks} = coords
@@ -114,15 +116,23 @@ def bind(reference, coords, kg, og):
             raise DivergenceError(t, "closed-loop state diverged") from err
         dx, dy, dth = dynamics_values(th, u, v)
         return (dx, dy, dth, dxh, dyh, dthh)
-    return rate
+    def row(t, w):
+        x, y, th, xh, yh, thh = w
+        xr, yr, thr, ur, vr = reference(t)
+        eta_x, eta_y, eta_th = relative_pose(xr, yr, thr, x, y, th)
+        eps_x, eps_y, eps_th = relative_pose(x, y, th, xh, yh, thh)
+        etah_x, etah_y, etah_th = relative_pose(xr, yr, thr, xh, yh, thh)
+        u, v = feedback_values(etah_x, etah_y, etah_th, ur, vr, kg)
+        return (xr, yr, thr, eta_x, eta_y, eta_th, eps_x, eps_y, eps_th, u, v)
+    return rate, row
 """
 # The cores themselves, taken at import: a tracer that later rebinds these
 # names to timing wrappers must not hand the inliner a wrapper's source.
 _CORES = (relative_pose, feedback_values, measure_values, observer_rate, dynamics_values)
 # The most landmarks whose loops are unrolled.  Generation time and code size
 # grow with p (at p = 1000: 0.6 s and 59 MB of peak RSS, for a rate under 15%
-# faster), so a larger set runs the template with its core calls, one
-# compiled rate for every such p, cached under the key None.
+# faster), so a larger set runs the template with its core calls, compiled
+# once for every such p and cached under the key None.
 _UNROLL_MAX = 32
 _LOOP_RATES: dict[int | None, Callable] = {}
 
@@ -132,18 +142,20 @@ def _loop_rate(
     lm: LandmarkSet,
     kg: ControllerGains,
     og: ObserverGains,
-) -> tuple[Callable[[float, tuple], tuple], Callable[[float], tuple]]:
+) -> tuple[Callable[[float, tuple], tuple], Callable[[float, tuple], tuple], Callable]:
     """The coupled plant/observer/controller right-hand side on flat
-    (x, y, theta, xhat, yhat, thetahat) tuples, and its reference lookup
-    reference(t) = traj.sample(t) = (x_r, y_r, theta_r, u_r, v_r), queried
-    once per time, which also serves simulate's sample rows.
+    (x, y, theta, xhat, yhat, thetahat) tuples, simulate's sample row
+    row(t, w) = (x_r, y_r, theta_r, eta, eps, u, v) of the same run, and
+    their reference lookup reference(t) = traj.sample(t) =
+    (x_r, y_r, theta_r, u_r, v_r), queried once per time.
 
-    A GeometryError or a DegenerateReferenceError (u_r = 0) is timestamped.
-    Any other ValueError raises DivergenceError at the stage time unless the
-    stage state is finite and the reference is not (bad input), and an
-    OverflowError always raises it.
+    In the rate, a GeometryError or a DegenerateReferenceError (u_r = 0) is
+    timestamped.  Any other ValueError raises DivergenceError at the stage
+    time unless the stage state is finite and the reference is not (bad
+    input), and an OverflowError always raises it.  The row raises what its
+    core calls raise.
 
-    The rate is _LOOP_TEMPLATE with its five core calls (relative_pose,
+    The pair is _LOOP_TEMPLATE with its core calls (relative_pose,
     feedback_values, measure_values, observer_rate and dynamics_values)
     replaced by the cores' own statements.  inline.inline_cores generates
     it on the first call for each landmark count p up to _UNROLL_MAX, and
@@ -152,12 +164,12 @@ def _loop_rate(
     a core is a docstring, straight-line statements and raise-guards ending
     in one return; parameters become the caller's names and locals get a
     per-call suffix; globals come from the core's own module, read each
-    time a run binds its rate, and a clash is refused; the landmark loops
+    time a run binds its pair, and a clash is refused; the landmark loops
     unroll over (lx0, ly0), (lx1, ly1), ...; a core that breaks the
-    contract raises InlineError, with no fallback.  The rate runs the same
-    float operations and raises in the same order as the calls, so tests
-    hold it bit for bit to loop_rate_oracle in tests/oracles.py, the
-    hand-written rate that the template compiles to without inlining.
+    contract raises InlineError, with no fallback.  Both run the same float
+    operations and raise in the same order as the calls, so tests hold them
+    bit for bit to loop_rate_oracle in tests/oracles.py, the hand-written
+    pair that the template compiles to without inlining.
     """
     coords = lm.coords
     p = len(coords)
@@ -175,7 +187,7 @@ def _loop_rate(
             _LOOP_TEMPLATE.format(landmarks=landmarks), cores, globals(), f"<loop_rate p={key}>"
         )
     reference = once_per_time(traj.sample)
-    return bind(reference, coords, kg, og), reference
+    return (*bind(reference, coords, kg, og), reference)
 
 
 def simulate(sc: Scenario) -> SimulationResult:
@@ -186,30 +198,17 @@ def simulate(sc: Scenario) -> SimulationResult:
     leaves a 1e6 box and with GeometryError (timestamped) when the landmark
     geometry degenerates as seen from the estimate.
     """
-    kg = sc.controller_gains
-    rate, reference = _loop_rate(sc.trajectory, sc.landmarks, kg, sc.observer_gains)
-    rows = []
-
-    def record(t: float, w: tuple) -> tuple:
-        # One sample row: reference pose, eta, eps and the applied input.
-        x, y, th, xh, yh, thh = w
-        xr, yr, thr, ur, vr = reference(t)
-        rows.append(
-            (xr, yr, thr)
-            + relative_pose(xr, yr, thr, x, y, th)
-            + relative_pose(x, y, th, xh, yh, thh)
-            + feedback_values(*relative_pose(xr, yr, thr, xh, yh, thh), ur, vr, kg)
-        )
-        return w
+    rate, row, _ = _loop_rate(sc.trajectory, sc.landmarks, sc.controller_gains, sc.observer_gains)
+    w0 = tuple(map(float, sc.initial_pose + sc.initial_estimate))
+    rows = [row(0.0, w0)]
 
     def after_step(t: float, w: tuple) -> tuple:
         for comp in w:
             if not abs(comp) <= DIVERGENCE_LIMIT:
                 raise DivergenceError(t, "closed-loop state diverged")
-        return record(t, w)
+        rows.append(row(t, w))
+        return w
 
-    w0 = tuple(map(float, sc.initial_pose + sc.initial_estimate))
-    record(0.0, w0)
     times, states = integrate(
         rate, w0, 0.0, sc.t_end, sc.dt, after_step, state="closed-loop state"
     )
@@ -281,7 +280,7 @@ def closed_loop_error_field(
 
     GeometryError is timestamped as in simulate().
     """
-    loop, reference = _loop_rate(traj, lm, kg, og)
+    loop, _, reference = _loop_rate(traj, lm, kg, og)
 
     def rate(t: float, w: tuple) -> tuple:
         xr, yr, thr, ur, vr = reference(t)

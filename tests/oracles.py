@@ -179,9 +179,10 @@ def composed_observer_error_field(traj, lm, gains):
 
 
 def loop_rate_oracle(traj, lm, kg, og):
-    """closed_loop._loop_rate as it was written by hand, five core calls:
-    the (rate, reference) pair that the generated rate must match bit for
-    bit, raising the same errors in the same order."""
+    """closed_loop._loop_rate as it was written by hand: the rate's five
+    core calls and simulate's sample row, returned as (rate, row, reference).
+    The generated rate and row must match them bit for bit, raising the
+    same errors in the same order."""
     coords = lm.coords
     reference = once_per_time(traj.sample)
 
@@ -212,7 +213,18 @@ def loop_rate_oracle(traj, lm, kg, og):
         dx, dy, dth = dynamics_values(th, u, v)
         return (dx, dy, dth, dxh, dyh, dthh)
 
-    return rate, reference
+    def row(t: float, w: tuple) -> tuple:
+        # One sample row: reference pose, eta, eps and the applied input.
+        x, y, th, xh, yh, thh = w
+        xr, yr, thr, ur, vr = reference(t)
+        return (
+            (xr, yr, thr)
+            + relative_pose(xr, yr, thr, x, y, th)
+            + relative_pose(x, y, th, xh, yh, thh)
+            + feedback_values(*relative_pose(xr, yr, thr, xh, yh, thh), ur, vr, kg)
+        )
+
+    return rate, row, reference
 
 
 def bits(values):

@@ -324,7 +324,7 @@ class TestFusedRate:
     def test_matches_composed_rate(self, traj, lm, kg, og, pose, est, t, h):
         # The stage times of one RK4 step, so the memoized reference lookup
         # is hit and missed in the order simulate() meets it.
-        fused, _ = _loop_rate(traj, lm, kg, og)
+        fused, _, _ = _loop_rate(traj, lm, kg, og)
         oracle = composed_rate(traj, lm, kg, og)
         w = pose + est
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
@@ -351,13 +351,14 @@ class TestFusedRate:
     )
     def test_generated_rate_is_the_oracle_bit_for_bit(self, p, data, traj, kg, og, pose, est, t, h):
         # Every landmark count that landmark_sets draws gets its own
-        # generated rate; each must be the hand-written five calls exactly.
+        # generated rate and row; each must be the hand-written calls exactly.
         lm = data.draw(landmark_sets(p, p))
-        fused, _ = _loop_rate(traj, lm, kg, og)
-        oracle, _ = loop_rate_oracle(traj, lm, kg, og)
+        fused, row, _ = _loop_rate(traj, lm, kg, og)
+        oracle, oracle_row, _ = loop_rate_oracle(traj, lm, kg, og)
         w = pose + est
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
             assert _outcome(fused, s, w) == _outcome(oracle, s, w)
+        assert _outcome(row, t + h, w) == _outcome(oracle_row, t + h, w)
 
     @given(
         data=st.data(),
@@ -372,9 +373,10 @@ class TestFusedRate:
         rates = []
         for p in (cap + 1, cap + 8):
             lm = data.draw(landmark_sets(p, p))
-            rate, _ = _loop_rate(traj, lm, KG, OG)
-            oracle, _ = loop_rate_oracle(traj, lm, KG, OG)
+            rate, row, _ = _loop_rate(traj, lm, KG, OG)
+            oracle, oracle_row, _ = loop_rate_oracle(traj, lm, KG, OG)
             assert _outcome(rate, t, pose + est) == _outcome(oracle, t, pose + est)
+            assert _outcome(row, t, pose + est) == _outcome(oracle_row, t, pose + est)
             rates.append(rate)
         assert rates[0].__code__ is rates[1].__code__
         assert "observer_rate" in rates[0].__code__.co_freevars
@@ -393,21 +395,23 @@ class TestFusedRate:
 
         with monkeypatch.context() as patch:
             patch.setattr(observer, "gram_condition", counted)
-            rate, _ = _loop_rate(traj, STANDARD, KG, OG)
+            rate, _, _ = _loop_rate(traj, STANDARD, KG, OG)
             rate(0.0, _ORIGIN)
         assert len(calls) == 1
-        rate, _ = _loop_rate(traj, STANDARD, KG, OG)
+        rate, _, _ = _loop_rate(traj, STANDARD, KG, OG)
         rate(0.0, _ORIGIN)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
     def test_error_paths_match_the_oracle(self, case):
         traj, lm, kg, og, t, w, want = ERROR_PATHS[case]
-        rate, _ = _loop_rate(traj, lm, kg, og)
-        oracle, _ = loop_rate_oracle(traj, lm, kg, og)
+        rate, row, _ = _loop_rate(traj, lm, kg, og)
+        oracle, oracle_row, _ = loop_rate_oracle(traj, lm, kg, og)
         got = _outcome(rate, t, w)
         assert got == _outcome(oracle, t, w)
         assert got[:2] == want
+        # The row calls two of the cores at the same time and state.
+        assert _outcome(row, t, w) == _outcome(oracle_row, t, w)
 
     def test_generated_once_per_landmark_count(self, monkeypatch):
         built = []
@@ -444,7 +448,7 @@ class TestFusedRate:
     def test_non_finite_stage_state_is_a_divergence(self):
         # An RK stage can carry a heading of inf before integrate checks the
         # step; the rate names the stage time instead of a math domain error.
-        rate, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG)
+        rate, _, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(DivergenceError) as info:
             rate(0.25, (0.0, 0.0, 0.0, 0.0, 0.0, math.inf))
         assert str(info.value) == "closed-loop state diverged at t=0.25"
@@ -452,7 +456,7 @@ class TestFusedRate:
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_value_error_on_a_finite_state_is_kept(self):
-        rate, _ = _loop_rate(_NanInput(1.0, 0.5), STANDARD, KG, OG)
+        rate, _, _ = _loop_rate(_NanInput(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(ValueError, match="reference input must be finite"):
             rate(0.25, (0.0,) * 6)
 
@@ -461,7 +465,7 @@ class TestFusedRate:
         # the feedback's (u, v) on an estimate 10 m ahead of the reference
         # (which starts at the origin), and the observer rejects that input.
         kg = ControllerGains(1e308, 1.0, 1.0)
-        rate, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, kg, OG)
+        rate, _, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, kg, OG)
         with pytest.raises(DivergenceError) as info:
             rate(0.0, (10.0, 0.0, 0.0, 10.0, 0.0, 0.0))
         assert str(info.value) == "closed-loop input diverged at t=0"
