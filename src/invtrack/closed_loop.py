@@ -80,17 +80,18 @@ class SimulationResult:
     inputs: np.ndarray           # (n, 2) applied (u, v)
 
 
-# The closed-loop right-hand side and simulate's sample row as source, for
-# p landmarks: the landmark coordinates unpacked as lx0, ly0, ... (or bound
-# to _ when the loops are not unrolled); in rate the stage state and
-# reference unpacked, the five core calls, the handlers that name a failure,
-# and the return; in row the reference pose, eta, eps and the applied input
-# at a sample time.  Compiled as it stands it is the hand-written pair that
-# tests/oracles.py keeps as loop_rate_oracle.  bind(reference, coords, kg,
-# og) returns the (rate, row) of one run.
-_LOOP_TEMPLATE = """
-def bind(reference, coords, kg, og):
-    {landmarks} = coords
+def _loop_pair(reference, coords, kg, og):
+    """The closed-loop right-hand side rate(t, w) on flat (x, y, theta,
+    xhat, yhat, thetahat) tuples and simulate's sample row row(t, w) =
+    (x_r, y_r, theta_r, eta, eps, u, v) of one run, written with the five
+    core calls.
+
+    In the rate, a GeometryError or a DegenerateReferenceError (u_r = 0) is
+    timestamped.  Any other ValueError raises DivergenceError at the stage
+    time unless the stage state is finite and the reference is not (bad
+    input), and an OverflowError always raises it.  The row raises what its
+    core calls raise.
+    """
     def rate(t, w):
         x, y, th, xh, yh, thh = w
         xr, yr, thr, ur, vr = reference(t)
@@ -116,6 +117,7 @@ def bind(reference, coords, kg, og):
             raise DivergenceError(t, "closed-loop state diverged") from err
         dx, dy, dth = dynamics_values(th, u, v)
         return (dx, dy, dth, dxh, dyh, dthh)
+
     def row(t, w):
         x, y, th, xh, yh, thh = w
         xr, yr, thr, ur, vr = reference(t)
@@ -124,17 +126,18 @@ def bind(reference, coords, kg, og):
         etah_x, etah_y, etah_th = relative_pose(xr, yr, thr, xh, yh, thh)
         u, v = feedback_values(etah_x, etah_y, etah_th, ur, vr, kg)
         return (xr, yr, thr, eta_x, eta_y, eta_th, eps_x, eps_y, eps_th, u, v)
+
     return rate, row
-"""
+
+
 # The cores themselves, taken at import: a tracer that later rebinds these
 # names to timing wrappers must not hand the inliner a wrapper's source.
 _CORES = (relative_pose, feedback_values, measure_values, observer_rate, dynamics_values)
 # The most landmarks whose loops are unrolled.  Generation time and code size
 # grow with p (at p = 1000: 0.6 s and 59 MB of peak RSS, for a rate under 15%
-# faster), so a larger set runs the template with its core calls, compiled
-# once for every such p and cached under the key None.
+# faster), so a larger set runs _loop_pair as it stands.
 _UNROLL_MAX = 32
-_LOOP_RATES: dict[int | None, Callable] = {}
+_LOOP_RATES: dict[int, Callable] = {}
 
 
 def _loop_rate(
@@ -143,49 +146,26 @@ def _loop_rate(
     kg: ControllerGains,
     og: ObserverGains,
 ) -> tuple[Callable[[float, tuple], tuple], Callable[[float, tuple], tuple], Callable]:
-    """The coupled plant/observer/controller right-hand side on flat
-    (x, y, theta, xhat, yhat, thetahat) tuples, simulate's sample row
-    row(t, w) = (x_r, y_r, theta_r, eta, eps, u, v) of the same run, and
-    their reference lookup reference(t) = traj.sample(t) =
-    (x_r, y_r, theta_r, u_r, v_r), queried once per time.
+    """_loop_pair's rate and row for one run, and their reference lookup
+    reference(t) = traj.sample(t) = (x_r, y_r, theta_r, u_r, v_r), queried
+    once per time.
 
-    In the rate, a GeometryError or a DegenerateReferenceError (u_r = 0) is
-    timestamped.  Any other ValueError raises DivergenceError at the stage
-    time unless the stage state is finite and the reference is not (bad
-    input), and an OverflowError always raises it.  The row raises what its
-    core calls raise.
-
-    The pair is _LOOP_TEMPLATE with its core calls (relative_pose,
-    feedback_values, measure_values, observer_rate and dynamics_values)
-    replaced by the cores' own statements.  inline.inline_cores generates
-    it on the first call for each landmark count p up to _UNROLL_MAX, and
-    _LOOP_RATES caches it (never at import or parse time); past that count
-    the template is compiled with its calls, once.  The inliner's contract:
-    a core is a docstring, straight-line statements and raise-guards ending
-    in one return; parameters become the caller's names and locals get a
-    per-call suffix; globals come from the core's own module, read each
-    time a run binds its pair, and a clash is refused; the landmark loops
-    unroll over (lx0, ly0), (lx1, ly1), ...; a core that breaks the
-    contract raises InlineError, with no fallback.  Both run the same float
-    operations and raise in the same order as the calls, so tests hold them
-    bit for bit to loop_rate_oracle in tests/oracles.py, the hand-written
-    pair that the template compiles to without inlining.
+    For each landmark count p up to _UNROLL_MAX, inline.inline_cores
+    generates _loop_pair with its core calls inlined and the landmark loops
+    unrolled, on the first call for that p (never at import or parse time),
+    and _LOOP_RATES caches it.
     """
     coords = lm.coords
     p = len(coords)
-    key = p if p <= _UNROLL_MAX else None
-    try:
-        bind = _LOOP_RATES[key]
-    except KeyError:
+    if p > _UNROLL_MAX:
+        bind = _loop_pair
+    elif p in _LOOP_RATES:
+        bind = _LOOP_RATES[p]
+    else:
         from .inline import inline_cores  # on first use: not compiled at import
 
-        if key is None:
-            landmarks, cores = "_", ()
-        else:
-            landmarks, cores = "".join(f"(lx{i}, ly{i}), " for i in range(p)), _CORES
-        bind = _LOOP_RATES[key] = inline_cores(
-            _LOOP_TEMPLATE.format(landmarks=landmarks), cores, globals(), f"<loop_rate p={key}>"
-        )
+        unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]}
+        bind = _LOOP_RATES[p] = inline_cores(_loop_pair, _CORES, unrolled)
     reference = once_per_time(traj.sample)
     return (*bind(reference, coords, kg, og), reference)
 

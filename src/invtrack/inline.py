@@ -1,5 +1,5 @@
-"""Code generation by inlining: a source template compiled with each call of
-a bare-float core replaced by the core's own statements.
+"""Code generation by inlining: a template function recompiled with each
+call of a bare-float core replaced by the core's own statements.
 
 closed_loop generates its right-hand side here, once per landmark count.
 It imports this module on that first generation, not with the package, so
@@ -82,13 +82,6 @@ class _Inliner(ast.NodeTransformer):
 
     def visit_Assign(self, node):
         value = node.value
-        if isinstance(value, ast.Name) and isinstance(node.targets[0], ast.Tuple):
-            # (a0, b0), (a1, b1), ... = seq: seq is unrolled over these names.
-            self.sequences[value.id] = [
-                tuple(n.id for n in e.elts) if isinstance(e, ast.Tuple) else e.id
-                for e in node.targets[0].elts
-            ]
-            return node
         if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) in self.cores):
             return node
         if len(node.targets) != 1 or value.keywords or not all(
@@ -190,9 +183,10 @@ class _Inliner(ast.NodeTransformer):
             yield inner
 
 
-def inline_cores(template: str, cores, env: dict, filename: str) -> Callable:
-    """The function that template defines, compiled with every statement
-    `targets = core(names...)` replaced by that core's own statements.
+def inline_cores(template: Callable, cores, unrolled: dict[str, list]) -> Callable:
+    """template, a function of module-level source, recompiled with every
+    statement `targets = core(names...)` replaced by that core's own
+    statements.
 
     A core is inlined only when it is a docstring, straight-line statements
     (assignments, expression statements such as a check call, raise-guards
@@ -200,19 +194,22 @@ def inline_cores(template: str, cores, env: dict, filename: str) -> Callable:
     and exactly one final return; anything else raises InlineError, as does
     a name that a core reads as a global and the template binds, or that
     another core or the template reads as a different object.  Parameters
-    become the caller's names and each local gets the call's suffix.  A
-    template statement `(a0, b0), (a1, b1), ... = seq` unrolls every loop
-    over seq, and a list comprehension that a core returns over it, by
+    become the caller's names and each local gets the call's suffix.
+    unrolled maps a parameter of template to the names of its elements, each
+    a name or a tuple of names, say {"coords": [("lx0", "ly0"), ...]}: the
+    generated function unpacks it into them, and every loop over it, and a
+    list comprehension that a core returns over it, runs once per element on
     those names.  The float operations and the raises run in the same order
     as the calls would.
 
     Each global the generated code reads is looked up in its own module (a
-    core's __globals__, the template's env) every time the returned outer
+    core's __globals__, the template's) every time the returned outer
     function runs, not once at generation: a name rebound in between, say
     to a tracer's wrapper, reaches the functions it returns from then on.
     """
-    module = ast.parse(template)
+    module = ast.parse(inspect.getsource(template))
     (outer,) = module.body
+    env = template.__globals__
     # The names the template binds, and the globals it reads from env.
     taken = {a.arg for n in ast.walk(outer) if isinstance(n, ast.arguments) for a in n.args}
     for n in ast.walk(outer):
@@ -225,13 +222,23 @@ def inline_cores(template: str, cores, env: dict, filename: str) -> Callable:
         if isinstance(n, ast.Name) and n.id in env and n.id not in taken
     }
     inliner = _Inliner(cores, reads, taken)
+    unpack = []
+    for seq, elements in unrolled.items():
+        for element in elements:
+            for name in (element,) if isinstance(element, str) else element:
+                inliner.fresh(name)
+        inliner.sequences[seq] = elements
+        target = _name_expr(elements, ast.Store())
+        unpack.append(ast.Assign([target], ast.Name(seq, ast.Load()), lineno=0))
     inliner.visit(outer)
     loaded = {n.id for n in ast.walk(outer) if isinstance(n, ast.Name)}
     modules = {name: reads[name] for name in sorted(reads.keys() & loaded)}
     lookup = inliner.fresh("_modules")
-    outer.body[:0] = ast.parse(
+    lookups = ast.parse(
         "".join(f"{name} = {lookup}[{name!r}][{name!r}]\n" for name in modules)
     ).body
+    start = 0 if ast.get_docstring(outer) is None else 1
+    outer.body[start:start] = lookups + unpack
     namespace = {lookup: modules}
-    exec(compile(ast.unparse(module), filename, "exec"), namespace)
+    exec(compile(ast.unparse(module), f"<inlined {template.__qualname__}>", "exec"), namespace)
     return namespace[outer.name]

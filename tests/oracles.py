@@ -14,10 +14,9 @@ central-difference Jacobian on numpy arrays, one array per shifted point,
 which numerics.linearize_error_field gives bit for bit at the origin and
 the other fd checks of closed forms use; numerics.rk4_step as the
 per-component loop over zip that the generated straight-line step is held
-to bit for bit, and closed_loop's rate as the five core calls that the
-generated, inlined rate is held to bit for bit (with bits, which compares
-floats by their bytes); the Riccati flow of riccati_values and the Euler-Poincare
-rates of ep_rate_values written as the textbook formulas, with 3x3 arrays,
+to bit for bit (with bits, which compares floats by their bytes); the
+Riccati flow of riccati_values and the Euler-Poincare rates of
+ep_rate_values written as the textbook formulas, with 3x3 arrays,
 np.linalg.solve and np.cross, plus the runs that integrate them with
 numerics.integrate (the rigid-body run also under a force model, which
 mech.integrate_ep refuses); the SVD projection onto SO(3) that
@@ -36,13 +35,12 @@ import struct
 import numpy as np
 
 from invtrack import se2
-from invtrack.closed_loop import _at_time
 from invtrack.controller import feedback_values, relative_pose
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
 from invtrack.mech import SMALL_ROTATION, ep_rate_values, rotation_exp_values
-from invtrack.numerics import FD_STEP, ErrorField, integrate, once_per_time
-from invtrack.observer import observer_field, observer_rate
-from invtrack.errors import DegenerateReferenceError, DivergenceError, GeometryError
+from invtrack.numerics import FD_STEP, ErrorField, integrate
+from invtrack.observer import observer_field
+from invtrack.errors import GeometryError
 from invtrack.robot import (
     LandmarkSet,
     RobotInput,
@@ -176,55 +174,6 @@ def composed_observer_error_field(traj, lm, gains):
         return np.asarray(se2.relative_rate(g, dg, gh, dgh))
 
     return ErrorField(rate, 3)
-
-
-def loop_rate_oracle(traj, lm, kg, og):
-    """closed_loop._loop_rate as it was written by hand: the rate's five
-    core calls and simulate's sample row, returned as (rate, row, reference).
-    The generated rate and row must match them bit for bit, raising the
-    same errors in the same order."""
-    coords = lm.coords
-    reference = once_per_time(traj.sample)
-
-    def rate(t: float, w: tuple) -> tuple:
-        x, y, th, xh, yh, thh = w
-        xr, yr, thr, ur, vr = reference(t)
-        try:
-            eta_x, eta_y, eta_th = relative_pose(xr, yr, thr, xh, yh, thh)
-            u, v = feedback_values(eta_x, eta_y, eta_th, ur, vr, kg)
-            dxh, dyh, dthh = observer_rate(
-                xh, yh, thh, u, v, coords, measure_values(x, y, coords), og
-            )
-        except (GeometryError, DegenerateReferenceError) as err:
-            raise _at_time(err, t) from err
-        except ValueError as err:
-            # An RK stage state can overflow before integrate sees the step
-            # (say a heading of inf in normalize_angle), and a huge gain can
-            # overflow the applied input of a finite one; w is checked only here.
-            if all(map(math.isfinite, w)):
-                if not all(map(math.isfinite, (xr, yr, thr, ur, vr))):
-                    raise
-                raise DivergenceError(t, "closed-loop input diverged") from err
-            raise DivergenceError(t, "closed-loop state diverged") from err
-        except OverflowError as err:
-            # A finite stage coordinate past ~1.3e154, squared by ** 2 in
-            # measure_values, which raises where x * x would give inf.
-            raise DivergenceError(t, "closed-loop state diverged") from err
-        dx, dy, dth = dynamics_values(th, u, v)
-        return (dx, dy, dth, dxh, dyh, dthh)
-
-    def row(t: float, w: tuple) -> tuple:
-        # One sample row: reference pose, eta, eps and the applied input.
-        x, y, th, xh, yh, thh = w
-        xr, yr, thr, ur, vr = reference(t)
-        return (
-            (xr, yr, thr)
-            + relative_pose(xr, yr, thr, x, y, th)
-            + relative_pose(x, y, th, xh, yh, thh)
-            + feedback_values(*relative_pose(xr, yr, thr, xh, yh, thh), ur, vr, kg)
-        )
-
-    return rate, row, reference
 
 
 def bits(values):

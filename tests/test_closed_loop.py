@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from invtrack import closed_loop, inline, observer, se2
@@ -25,6 +25,7 @@ from invtrack.numerics import (
     eigenvalues,
     integrate,
     linearize_error_field,
+    once_per_time,
     spectrum_match_distance,
     time_invariance_probe,
 )
@@ -44,7 +45,6 @@ from oracles import (
     composed_error_field,
     composed_observer_error_field,
     jacobian_fd_oracle,
-    loop_rate_oracle,
     transform_landmarks,
 )
 from strategies import HEADINGS, floats, landmark_sets, signed
@@ -260,6 +260,16 @@ def references(draw):
 
 
 GAINS = st.tuples(floats(0.2, 5.0), floats(0.2, 5.0), floats(0.2, 5.0))
+# The fd linearization's noise floor, relative to max|A|.  Over 3000 random
+# draws of test_linearization_is_the_separation_matrix, its gap to
+# separation_matrix read at most 5.8e-9 on every kind of reference, and
+# time_invariance_probe on a permanent one at most 7.2e-9.
+FD_FLOOR = 5e-8
+
+
+def _called_pair(traj, lm, kg, og):
+    """_loop_pair's rate and row as written, with their core calls."""
+    return closed_loop._loop_pair(once_per_time(traj.sample), lm.coords, kg, og)
 
 
 def _outcome(rate, t, w):
@@ -351,10 +361,10 @@ class TestFusedRate:
     )
     def test_generated_rate_is_the_oracle_bit_for_bit(self, p, data, traj, kg, og, pose, est, t, h):
         # Every landmark count that landmark_sets draws gets its own
-        # generated rate and row; each must be the hand-written calls exactly.
+        # generated rate and row; each must be _loop_pair's core calls exactly.
         lm = data.draw(landmark_sets(p, p))
         fused, row, _ = _loop_rate(traj, lm, kg, og)
-        oracle, oracle_row, _ = loop_rate_oracle(traj, lm, kg, og)
+        oracle, oracle_row = _called_pair(traj, lm, kg, og)
         w = pose + est
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
             assert _outcome(fused, s, w) == _outcome(oracle, s, w)
@@ -368,18 +378,17 @@ class TestFusedRate:
         t=floats(0.0, 3.0),
     )
     def test_past_the_unroll_cap_the_template_calls_the_cores(self, data, traj, pose, est, t):
-        # Larger sets share one rate: the template compiled with its calls.
+        # Larger sets run _loop_pair itself, with its core calls.
         cap = closed_loop._UNROLL_MAX
-        rates = []
-        for p in (cap + 1, cap + 8):
+        for p in (cap, cap + 1):
             lm = data.draw(landmark_sets(p, p))
             rate, row, _ = _loop_rate(traj, lm, KG, OG)
-            oracle, oracle_row, _ = loop_rate_oracle(traj, lm, KG, OG)
+            oracle, oracle_row = _called_pair(traj, lm, KG, OG)
             assert _outcome(rate, t, pose + est) == _outcome(oracle, t, pose + est)
             assert _outcome(row, t, pose + est) == _outcome(oracle_row, t, pose + est)
-            rates.append(rate)
-        assert rates[0].__code__ is rates[1].__code__
-        assert "observer_rate" in rates[0].__code__.co_freevars
+            past = p > cap
+            assert (rate.__code__ is oracle.__code__) == past
+            assert (row.__code__ is oracle_row.__code__) == past
 
     def test_a_rebound_global_reaches_the_next_run(self, monkeypatch):
         # A wrapper installed after generation (as a tracer installs one) is
@@ -406,7 +415,7 @@ class TestFusedRate:
     def test_error_paths_match_the_oracle(self, case):
         traj, lm, kg, og, t, w, want = ERROR_PATHS[case]
         rate, row, _ = _loop_rate(traj, lm, kg, og)
-        oracle, oracle_row, _ = loop_rate_oracle(traj, lm, kg, og)
+        oracle, oracle_row = _called_pair(traj, lm, kg, og)
         got = _outcome(rate, t, w)
         assert got == _outcome(oracle, t, w)
         assert got[:2] == want
@@ -417,16 +426,16 @@ class TestFusedRate:
         built = []
         generate = inline.inline_cores
 
-        def counted(*args):
-            built.append(args[-1])
-            return generate(*args)
+        def counted(template, cores, unrolled):
+            built.append(unrolled)
+            return generate(template, cores, unrolled)
 
         monkeypatch.setattr(inline, "inline_cores", counted)
         monkeypatch.setattr(closed_loop, "_LOOP_RATES", {})
         traj = PermanentTrajectory(1.0, 0.5)
         square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
         rates = [_loop_rate(traj, lm, KG, OG)[0] for lm in (STANDARD, FAR, square, STANDARD)]
-        assert built == ["<loop_rate p=3>", "<loop_rate p=4>"]
+        assert built == [{"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]} for p in (3, 4)]
         assert rates[0].__code__ is rates[1].__code__ is rates[3].__code__
 
     def test_not_generated_at_import_or_parse(self):
@@ -713,6 +722,31 @@ class TestErrorFields:
         times = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
         probe = time_invariance_probe(closed_loop_error_field(traj, STANDARD, KG, OG), times)
         assert probe > 1e-2
+
+    @given(
+        traj=references(),
+        lm=landmark_sets(6),
+        kg=GAINS.map(lambda k: ControllerGains(*k)),
+        og=GAINS.map(lambda k: ObserverGains(*k)),
+        times=st.lists(floats(0.0, 5.0), min_size=2, max_size=4, unique=True),
+    )
+    def test_linearization_is_the_separation_matrix(self, traj, lm, kg, og, times):
+        # The paper's claim, one level below a drift threshold: at every probe
+        # time the generated loop's fd linearization is separation_matrix at
+        # that time's reference input, whatever the reference.  So it is
+        # frozen exactly when the input is constant, as on a permanent one.
+        field = closed_loop_error_field(traj, lm, kg, og)
+        try:
+            jacobians = linearize_error_field(field, times)
+        except GeometryError:
+            assume(False)
+        for t, jac in zip(times, jacobians):
+            inp = traj.input(t)
+            want = separation_matrix(inp.u, inp.v, kg, og)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(jac - want)) <= FD_FLOOR * scale
+        if isinstance(traj, PermanentTrajectory):  # one input, so one scale
+            assert time_invariance_probe(field, times) <= FD_FLOOR * scale
 
     def test_probe_needs_two_times(self):
         traj = PermanentTrajectory(1.0, 0.5)

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from invtrack import cli
+from invtrack import cli, closed_loop
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 COMMITTED = TOOL.with_suffix(".json")
@@ -47,6 +47,14 @@ def test_unreached_functions_are_exactly_the_held_ones():
         capture_output=True, text=True, check=True,
     ).stdout
     assert set(out.split()) == set(output_digests.HELD)
+
+
+def test_a_hand_scene_runs_past_the_unroll_cap():
+    """Both sides of closed_loop's unroll cap stay byte-covered wherever the
+    cap moves: the default landmarks run the generated loop, and at least
+    one hand-written scene has more landmarks than the cap."""
+    counts = [len(doc.get("landmarks", ())) for _, _, doc in output_digests.HAND_SCENES]
+    assert max(counts) > closed_loop._UNROLL_MAX
 
 
 def test_differences_names_each_moved_metric_and_file():
