@@ -11,6 +11,7 @@ it against finite-difference linearizations of the full nonlinear loop.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +24,10 @@ from .errors import DegenerateReferenceError, DivergenceError, GeometryError
 from .numerics import ErrorField, integrate, once_per_time
 from .observer import ObserverGains, obs_error_matrix, observer_rate
 from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
+# observer_rate's globals, which its inlined statements read from this module.
+from .observer import _check_condition, gram_condition  # noqa: F401
 from .robot import LandmarkSet, dynamics_values, measure_values
+from .robot import RobotInput  # noqa: F401 (read by observer_rate's inlined statements)
 from .se2 import GroupElement
 from .trajectories import ReferenceTrajectory
 
@@ -133,11 +137,16 @@ def _loop_pair(reference, coords, kg, og):
 # The cores themselves, taken at import: a tracer that later rebinds these
 # names to timing wrappers must not hand the inliner a wrapper's source.
 _CORES = (relative_pose, feedback_values, measure_values, observer_rate, dynamics_values)
-# The most landmarks whose loops are unrolled.  Generation time and code size
-# grow with p (at p = 1000: 0.6 s and 59 MB of peak RSS, for a rate under 15%
-# faster), so a larger set runs _loop_pair as it stands.
-_UNROLL_MAX = 32
-_LOOP_RATES: dict[int, Callable] = {}
+
+
+@functools.cache
+def _generated_pair(p: int) -> Callable:
+    """_loop_pair with its core calls inlined and its landmark loops
+    unrolled over p landmarks, generated on the first run with p landmarks
+    (never at import or parse time)."""
+    from .inline import inline_cores  # on first use: not compiled at import
+
+    return inline_cores(_loop_pair, _CORES, {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]})
 
 
 def _loop_rate(
@@ -146,28 +155,12 @@ def _loop_rate(
     kg: ControllerGains,
     og: ObserverGains,
 ) -> tuple[Callable[[float, tuple], tuple], Callable[[float, tuple], tuple], Callable]:
-    """_loop_pair's rate and row for one run, and their reference lookup
-    reference(t) = traj.sample(t) = (x_r, y_r, theta_r, u_r, v_r), queried
-    once per time.
-
-    For each landmark count p up to _UNROLL_MAX, inline.inline_cores
-    generates _loop_pair with its core calls inlined and the landmark loops
-    unrolled, on the first call for that p (never at import or parse time),
-    and _LOOP_RATES caches it.
-    """
+    """_loop_pair's rate and row for one run, generated for its landmark
+    count, and their reference lookup reference(t) = traj.sample(t) =
+    (x_r, y_r, theta_r, u_r, v_r), queried once per time."""
     coords = lm.coords
-    p = len(coords)
-    if p > _UNROLL_MAX:
-        bind = _loop_pair
-    elif p in _LOOP_RATES:
-        bind = _LOOP_RATES[p]
-    else:
-        from .inline import inline_cores  # on first use: not compiled at import
-
-        unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]}
-        bind = _LOOP_RATES[p] = inline_cores(_loop_pair, _CORES, unrolled)
     reference = once_per_time(traj.sample)
-    return (*bind(reference, coords, kg, og), reference)
+    return (*_generated_pair(len(coords))(reference, coords, kg, og), reference)
 
 
 def simulate(sc: Scenario) -> SimulationResult:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from invtrack import closed_loop, inline, observer, se2
+from invtrack import closed_loop, se2
 from invtrack.closed_loop import (
     Scenario,
     SimulationResult,
@@ -348,7 +348,7 @@ class TestFusedRate:
             # Same arithmetic in the same order: equal, not merely close.
             assert bits(fused(s, w)) == bits(want)
 
-    @pytest.mark.parametrize("p", range(3, 13))
+    @pytest.mark.parametrize("p", [*range(3, 13), 33, 40])
     @given(
         data=st.data(),
         traj=references(),
@@ -360,56 +360,42 @@ class TestFusedRate:
         h=floats(1e-3, 0.1),
     )
     def test_generated_rate_is_the_oracle_bit_for_bit(self, p, data, traj, kg, og, pose, est, t, h):
-        # Every landmark count that landmark_sets draws gets its own
-        # generated rate and row; each must be _loop_pair's core calls exactly.
+        # Every landmark count that landmark_sets draws, and two larger ones,
+        # gets its own generated rate and row; each must be _loop_pair's core
+        # calls exactly, but run as the cores' own statements.
         lm = data.draw(landmark_sets(p, p))
         fused, row, _ = _loop_rate(traj, lm, kg, og)
         oracle, oracle_row = _called_pair(traj, lm, kg, og)
+        for got, called in ((fused, oracle), (row, oracle_row)):
+            assert got.__code__ is not called.__code__
+            assert not {core.__name__ for core in closed_loop._CORES} & set(got.__code__.co_names)
         w = pose + est
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
             assert _outcome(fused, s, w) == _outcome(oracle, s, w)
         assert _outcome(row, t + h, w) == _outcome(oracle_row, t + h, w)
 
-    @given(
-        data=st.data(),
-        traj=references(),
-        pose=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
-        est=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
-        t=floats(0.0, 3.0),
-    )
-    def test_past_the_unroll_cap_the_template_calls_the_cores(self, data, traj, pose, est, t):
-        # Larger sets run _loop_pair itself, with its core calls.
-        cap = closed_loop._UNROLL_MAX
-        for p in (cap, cap + 1):
-            lm = data.draw(landmark_sets(p, p))
-            rate, row, _ = _loop_rate(traj, lm, KG, OG)
-            oracle, oracle_row = _called_pair(traj, lm, KG, OG)
-            assert _outcome(rate, t, pose + est) == _outcome(oracle, t, pose + est)
-            assert _outcome(row, t, pose + est) == _outcome(oracle_row, t, pose + est)
-            past = p > cap
-            assert (rate.__code__ is oracle.__code__) == past
-            assert (row.__code__ is oracle_row.__code__) == past
-
     def test_a_rebound_global_reaches_the_next_run(self, monkeypatch):
-        # A wrapper installed after generation (as a tracer installs one) is
-        # called by the next run's rate, and no longer once it is removed.
+        # A wrapper installed in closed_loop after generation (as a tracer
+        # installs one) is called by a rate bound before it and by the next
+        # run's, and by neither once it is removed.
         traj = PermanentTrajectory(1.0, 0.5)
-        _loop_rate(traj, STANDARD, KG, OG)
+        bound, _, _ = _loop_rate(traj, STANDARD, KG, OG)
         calls = []
-        original = observer.gram_condition
+        original = closed_loop.gram_condition
 
         def counted(a, b, d):
             calls.append((a, b, d))
             return original(a, b, d)
 
         with monkeypatch.context() as patch:
-            patch.setattr(observer, "gram_condition", counted)
+            patch.setattr(closed_loop, "gram_condition", counted)
+            bound(0.0, _ORIGIN)
             rate, _, _ = _loop_rate(traj, STANDARD, KG, OG)
             rate(0.0, _ORIGIN)
-        assert len(calls) == 1
-        rate, _, _ = _loop_rate(traj, STANDARD, KG, OG)
+        assert len(calls) == 2
+        bound(0.0, _ORIGIN)
         rate(0.0, _ORIGIN)
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
     def test_error_paths_match_the_oracle(self, case):
@@ -422,20 +408,13 @@ class TestFusedRate:
         # The row calls two of the cores at the same time and state.
         assert _outcome(row, t, w) == _outcome(oracle_row, t, w)
 
-    def test_generated_once_per_landmark_count(self, monkeypatch):
-        built = []
-        generate = inline.inline_cores
-
-        def counted(template, cores, unrolled):
-            built.append(unrolled)
-            return generate(template, cores, unrolled)
-
-        monkeypatch.setattr(inline, "inline_cores", counted)
-        monkeypatch.setattr(closed_loop, "_LOOP_RATES", {})
+    def test_generated_once_per_landmark_count(self):
+        closed_loop._generated_pair.cache_clear()
         traj = PermanentTrajectory(1.0, 0.5)
         square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
         rates = [_loop_rate(traj, lm, KG, OG)[0] for lm in (STANDARD, FAR, square, STANDARD)]
-        assert built == [{"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]} for p in (3, 4)]
+        info = closed_loop._generated_pair.cache_info()
+        assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
         assert rates[0].__code__ is rates[1].__code__ is rates[3].__code__
 
     def test_not_generated_at_import_or_parse(self):
@@ -447,7 +426,7 @@ class TestFusedRate:
             "from invtrack import closed_loop\n"
             "from invtrack.scenario import parse_scenario\n"
             "parse_scenario({})\n"
-            "print(len(closed_loop._LOOP_RATES), 'invtrack.inline' in sys.modules)\n"
+            "print(closed_loop._generated_pair.cache_info().currsize, 'invtrack.inline' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(closed_loop.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,3 +1,4 @@
+import math
 import sys
 import types
 
@@ -26,6 +27,10 @@ def _nested(x, k):
 
     note(x)
     return x * k
+
+
+def _magnitude(x, k):
+    return abs(x) * k
 
 
 def _summed(xs):
@@ -64,6 +69,54 @@ def _clashing(k):
     return f
 
 
+def _binding(k):
+    def f(x):
+        OFFSET = 0.0
+        y = _scaled(x, k)
+        return y + OFFSET
+    return f
+
+
+def _toy_abs(k):
+    def f(x):
+        y = _magnitude(x, k)
+        return y
+    return f
+
+
+# _toy_abs's source, read in a module that shadows the builtin abs.
+_shadowing = types.FunctionType(_toy_abs.__code__, {**globals(), "abs": math.fabs}, "_shadowing")
+
+
+# _toy's source, read in a module that leaves OFFSET unbound.
+_unbound = types.FunctionType(
+    _toy.__code__, {k: v for k, v in globals().items() if k != "OFFSET"}, "_unbound"
+)
+
+
+def _defaulted(k=1.0):
+    def f(x):
+        y = _scaled(x, k)
+        return y
+    return f
+
+
+def _keyword_defaulted(*, k=1.0):
+    def f(x):
+        y = _scaled(x, k)
+        return y
+    return f
+
+
+def _enclosed():
+    k = 3.0
+
+    def template(x):
+        y = _scaled(x, k)
+        return y
+    return template
+
+
 def _toy_sum(xs):
     def f():
         s = _summed(xs)
@@ -75,14 +128,15 @@ class TestInlineCores:
     def test_inlines_a_straight_line_core(self):
         f = inline_cores(_toy, (_scaled,), {})(3.0)
         assert f(2.0) == _scaled(2.0, 3.0)
-        # The core's statements, not a call: f reads OFFSET and never _scaled.
-        assert "OFFSET" in f.__code__.co_freevars
+        # The core's statements, not a call: f reads OFFSET as a global and
+        # never reads _scaled.
+        assert "OFFSET" in f.__code__.co_names
         assert "_scaled" not in f.__code__.co_names + f.__code__.co_freevars
 
     def test_globals_are_read_when_the_outer_function_runs(self, monkeypatch):
-        bind = inline_cores(_toy, (_scaled,), {})
+        f = inline_cores(_toy, (_scaled,), {})(3.0)
         monkeypatch.setattr(sys.modules[__name__], "OFFSET", 2.0)
-        assert bind(3.0)(2.0) == 8.0
+        assert f(2.0) == 8.0
 
     def test_unrolls_a_loop_over_the_named_elements(self):
         f = inline_cores(_toy_sum, (_summed,), {"xs": ["x0", "x1", "x2"]})((1.0, 2.0, 4.0))
@@ -104,5 +158,24 @@ class TestInlineCores:
             inline_cores(_refused, (core,), {})
 
     def test_refuses_cores_whose_globals_clash(self):
-        with pytest.raises(InlineError, match="global name 'OFFSET' clashes"):
+        # _shifted reads another module's OFFSET, not the template module's.
+        with pytest.raises(InlineError, match="global name 'OFFSET' is not the core's object"):
             inline_cores(_clashing, (_scaled, _shifted), {})
+
+    def test_refuses_a_core_global_the_template_binds(self):
+        with pytest.raises(InlineError, match="global name 'OFFSET' is bound by the template"):
+            inline_cores(_binding, (_scaled,), {})
+
+    def test_refuses_a_core_global_the_template_module_leaves_unbound(self):
+        with pytest.raises(InlineError, match="global name 'OFFSET' is not the core's object"):
+            inline_cores(_unbound, (_scaled,), {})
+
+    def test_refuses_a_template_module_that_shadows_a_builtin(self):
+        assert inline_cores(_toy_abs, (_magnitude,), {})(3.0)(-2.0) == 6.0
+        with pytest.raises(InlineError, match="global name 'abs' is not the core's object"):
+            inline_cores(_shadowing, (_magnitude,), {})
+
+    @pytest.mark.parametrize("template", [_defaulted, _keyword_defaulted, _enclosed()])
+    def test_refuses_a_template_with_defaults_or_a_closure(self, template):
+        with pytest.raises(InlineError, match="may not have defaults or a closure"):
+            inline_cores(template, (_scaled,), {})

@@ -9,8 +9,8 @@ perfbench workload's reference analyses and every full-size seed-7 scenario
 from perfbench/workloads.py, then a few hand-written scenes that reach what
 the workloads do not: non-default EKF noise levels, reverse driving across
 the heading wrap (on a closed-form and an integrated reference), a piecewise
-reference, landmarks too far away to see, more landmarks than the closed
-loop unrolls, and the scenario parse paths no workload takes (split gain
+reference, landmarks too far away to see, 40 landmarks where no workload
+has more than 12, and the scenario parse paths no workload takes (split gain
 sections, absolute initial poses, a segment with default v, every mech
 field off its default, "probe_times": null), then the fault scenes: every
 documented bad input, each written here once.  FAULTS gives the exact error
@@ -85,9 +85,9 @@ HAND_SCENES = (
      {"trajectory": {"u": -1.2, "v": 0.3, "v_wobble": {"amplitude": 0.3, "angular_rate": 1.3},
                      "start": [1.0, -2.0, 3.14]},
       "ekf": _NOISE, "t_end": 2.0, "dt": 0.0037, "probe_times": [0.0, 0.2345, 0.5, 0.7777]}),
-    # More landmarks than closed_loop._UNROLL_MAX: the loop runs _loop_pair
-    # with its core calls.  No ekf-compare: at the 1 ms step its Riccati run
-    # is unstable on this many landmarks.
+    # Many more landmarks than any workload: the closed loop is generated
+    # and unrolled for p = 40.  No ekf-compare: at the 1 ms step its Riccati
+    # run is unstable on this many landmarks.
     ("ring-40", ("simulate", "eigs", "separation", "invariance"),
      {"landmarks": [[12.0 * math.cos(i * math.pi / 20), 12.0 * math.sin(i * math.pi / 20)]
                     for i in range(40)], **_SHORT}),
@@ -230,7 +230,12 @@ FAULTS = {
 # tests/oracles.py, and so does an entry whose function is gone or reached.
 _GAIN_IDENTITY = "criterion 7: the observer's gain in matrix form, L (-2 I^T) = W"
 _PROTOCOL = "the ReferenceTrajectory protocol that every reference implements"
+_GENERATED = "source that the closed loop's generator reads and inlines; no command calls it"
 HELD = {
+    "closed_loop._loop_pair": _GENERATED,
+    "closed_loop._loop_pair.<locals>.rate": _GENERATED,
+    "closed_loop._loop_pair.<locals>.row": _GENERATED,
+    "controller.relative_pose": _GENERATED,
     "observer.body_frame_landmarks": _GAIN_IDENTITY,
     "observer.gain_matrix": _GAIN_IDENTITY,
     # Also read as closed_loop.observer_field by perfbench's tracer test.
