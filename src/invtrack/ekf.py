@@ -8,8 +8,10 @@ observer exists precisely to remove that time dependence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -110,6 +112,44 @@ def riccati_values(
     )
 
 
+def _riccati_rate(reference, coords, q, r_inv):
+    """The filter's right-hand side rate(t, w) on the flat state of
+    riccati_values, fed by noise-free measurements of the reference
+    reference(t) = (x_r, y_r, theta_r, u_r, v_r), written with the two core
+    calls.
+
+    A non-finite reference input raises finite_input's ValueError, and an
+    estimate that squares out of float range raises DivergenceError at t.
+    """
+    def rate(t, w):
+        xr, yr, _, u, v = reference(t)
+        if not (math.isfinite(u) and math.isfinite(v)):
+            finite_input(RobotInput(u, v))
+        y = measure_values(xr, yr, coords)
+        try:
+            dw = riccati_values(w, u, v, coords, y, q, r_inv)
+        except OverflowError as err:  # an estimate past ~1.3e154, squared by ** 2
+            raise DivergenceError(t, "EKF state diverged") from err
+        return dw
+
+    return rate
+
+
+# The cores themselves, taken at import: a tracer that later rebinds these
+# names to timing wrappers must not hand the inliner a wrapper's source.
+_CORES = (measure_values, riccati_values)
+
+
+@functools.cache
+def _generated_rate(p: int) -> Callable:
+    """_riccati_rate with its core calls inlined and its landmark loops
+    unrolled over p landmarks, generated on the first run with p landmarks
+    (never at import or parse time)."""
+    from .inline import inline_cores  # on first use: not compiled at import
+
+    return inline_cores(_riccati_rate, _CORES, {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]})
+
+
 # keep_psd's floor on the smallest eigenvalue of P.
 PSD_FLOOR = -1e-9
 
@@ -180,22 +220,7 @@ def run_along_reference(
         if not (level > 0.0 and math.isfinite(level)):
             raise ValueError(f"noise level {name} must be positive and finite, got {level}")
     coords = lm.coords
-    r_inv = 1.0 / r
-
-    @once_per_time
-    def stage(t: float) -> tuple:
-        x, y, _, u, v = traj.sample(t)
-        if not (math.isfinite(u) and math.isfinite(v)):
-            finite_input(RobotInput(u, v))
-        return (u, v, measure_values(x, y, coords))
-
-    def rate(t: float, w: tuple) -> tuple:
-        u, v, y = stage(t)
-        try:
-            return riccati_values(w, u, v, coords, y, q, r_inv)
-        except OverflowError as err:  # an estimate past ~1.3e154, squared by ** 2
-            raise DivergenceError(t, "EKF state diverged") from err
-
+    rate = _generated_rate(len(coords))(once_per_time(traj.sample), coords, q, 1.0 / r)
     g0 = traj.pose(0.0)
     w0 = (*g0, p0, 0.0, 0.0, p0, 0.0, p0)
     times, states = integrate(rate, w0, 0.0, t_end, dt, keep_psd, state="EKF state")

@@ -1,9 +1,11 @@
 """Code generation by inlining: a template function recompiled with each
 call of a bare-float core replaced by the core's own statements.
 
-closed_loop generates its right-hand side here, once per landmark count.
-It imports this module on that first generation, not with the package, so
-importing the package and parsing a scenario never compile it.
+closed_loop generates its right-hand side and sample row here, and ekf its
+Riccati rate, each once per landmark count.  The EKF rate computes the
+measurement on every evaluation and reads the reference sample once per
+stage time.  Each imports this module on its first generation, not with the
+package, so importing the package and parsing a scenario never compile it.
 """
 
 from __future__ import annotations

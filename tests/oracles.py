@@ -184,6 +184,15 @@ def bits(values):
     return [b"nan" if v != v else struct.pack("d", v) for v in values]
 
 
+def outcome(rate, t, w):
+    """rate(t, w) as the bits of its result, or as the class, message, time
+    and cause class of what it raised."""
+    try:
+        return ("ok", bits(rate(t, w)))
+    except (ValueError, ArithmeticError) as err:
+        return (type(err), str(err), getattr(err, "time", None), type(err.__cause__))
+
+
 def rk4_step_oracle(field, t, x, h):
     """numerics.rk4_step as a loop over the components: the same operations
     in the same order, so the generated step must give the same bits."""

@@ -4,7 +4,14 @@ import math
 
 from hypothesis import strategies as st
 
-from invtrack.robot import LandmarkSet
+from invtrack.robot import LandmarkSet, RobotInput
+from invtrack.se2 import GroupElement
+from invtrack.trajectories import (
+    IntegratedTrajectory,
+    PermanentTrajectory,
+    PiecewiseTrajectory,
+    Segment,
+)
 
 
 def floats(lo, hi):
@@ -36,3 +43,22 @@ def landmark_sets(draw, max_count=12, min_count=3):
         radius = draw(floats(3.0, 20.0))
         pts.append((cx + radius * math.cos(bearing), cy + radius * math.sin(bearing)))
     return LandmarkSet(tuple(pts))
+
+
+SPEEDS = signed(0.2, 3.0)
+STEERS = st.one_of(st.just(0.0), signed(0.1, 2.0))
+
+
+@st.composite
+def references(draw):
+    # A permanent, piecewise or integrated (wobbling) reference.
+    start = GroupElement(draw(floats(-5.0, 5.0)), draw(floats(-5.0, 5.0)), draw(HEADINGS))
+    kind = draw(st.sampled_from(("permanent", "piecewise", "wobble")))
+    if kind == "permanent":
+        return PermanentTrajectory(draw(SPEEDS), draw(STEERS), start)
+    if kind == "piecewise":
+        legs = draw(st.lists(st.builds(Segment, SPEEDS, STEERS, floats(0.2, 1.5)),
+                             min_size=1, max_size=4))
+        return PiecewiseTrajectory(tuple(legs), start)
+    u, v, amp, rate = draw(SPEEDS), draw(STEERS), draw(floats(0.1, 0.4)), draw(floats(0.5, 2.0))
+    return IntegratedTrajectory(lambda t: RobotInput(u, v + amp * math.sin(rate * t)), start)

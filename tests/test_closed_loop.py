@@ -45,9 +45,10 @@ from oracles import (
     composed_error_field,
     composed_observer_error_field,
     jacobian_fd_oracle,
+    outcome,
     transform_landmarks,
 )
-from strategies import HEADINGS, floats, landmark_sets, signed
+from strategies import HEADINGS, floats, landmark_sets, references, signed
 
 KG = ControllerGains(1.0, 1.0, 1.0)
 OG = ObserverGains(1.0, 1.0, 1.0)
@@ -241,24 +242,6 @@ def composed_simulate(sc):
     )
 
 
-SPEEDS = signed(0.2, 3.0)
-STEERS = st.one_of(st.just(0.0), signed(0.1, 2.0))
-
-
-@st.composite
-def references(draw):
-    start = GroupElement(draw(floats(-5.0, 5.0)), draw(floats(-5.0, 5.0)), draw(HEADINGS))
-    kind = draw(st.sampled_from(("permanent", "piecewise", "wobble")))
-    if kind == "permanent":
-        return PermanentTrajectory(draw(SPEEDS), draw(STEERS), start)
-    if kind == "piecewise":
-        legs = draw(st.lists(st.builds(Segment, SPEEDS, STEERS, floats(0.2, 1.5)),
-                             min_size=1, max_size=4))
-        return PiecewiseTrajectory(tuple(legs), start)
-    u, v, amp, rate = draw(SPEEDS), draw(STEERS), draw(floats(0.1, 0.4)), draw(floats(0.5, 2.0))
-    return IntegratedTrajectory(lambda t: RobotInput(u, v + amp * math.sin(rate * t)), start)
-
-
 GAINS = st.tuples(floats(0.2, 5.0), floats(0.2, 5.0), floats(0.2, 5.0))
 # The fd linearization's noise floor, relative to max|A|.  Over 3000 random
 # draws of test_linearization_is_the_separation_matrix, its gap to
@@ -270,15 +253,6 @@ FD_FLOOR = 5e-8
 def _called_pair(traj, lm, kg, og):
     """_loop_pair's rate and row as written, with their core calls."""
     return closed_loop._loop_pair(once_per_time(traj.sample), lm.coords, kg, og)
-
-
-def _outcome(rate, t, w):
-    """rate(t, w) as the bits of its result, or as the class, message, time
-    and cause class of what it raised."""
-    try:
-        return ("ok", bits(rate(t, w)))
-    except (ValueError, ArithmeticError) as err:
-        return (type(err), str(err), getattr(err, "time", None), type(err.__cause__))
 
 
 class _NanInput(PermanentTrajectory):
@@ -371,8 +345,8 @@ class TestFusedRate:
             assert not {core.__name__ for core in closed_loop._CORES} & set(got.__code__.co_names)
         w = pose + est
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
-            assert _outcome(fused, s, w) == _outcome(oracle, s, w)
-        assert _outcome(row, t + h, w) == _outcome(oracle_row, t + h, w)
+            assert outcome(fused, s, w) == outcome(oracle, s, w)
+        assert outcome(row, t + h, w) == outcome(oracle_row, t + h, w)
 
     def test_a_rebound_global_reaches_the_next_run(self, monkeypatch):
         # A wrapper installed in closed_loop after generation (as a tracer
@@ -402,11 +376,11 @@ class TestFusedRate:
         traj, lm, kg, og, t, w, want = ERROR_PATHS[case]
         rate, row, _ = _loop_rate(traj, lm, kg, og)
         oracle, oracle_row = _called_pair(traj, lm, kg, og)
-        got = _outcome(rate, t, w)
-        assert got == _outcome(oracle, t, w)
+        got = outcome(rate, t, w)
+        assert got == outcome(oracle, t, w)
         assert got[:2] == want
         # The row calls two of the cores at the same time and state.
-        assert _outcome(row, t, w) == _outcome(oracle_row, t, w)
+        assert outcome(row, t, w) == outcome(oracle_row, t, w)
 
     def test_generated_once_per_landmark_count(self):
         closed_loop._generated_pair.cache_clear()
@@ -419,19 +393,20 @@ class TestFusedRate:
 
     def test_not_generated_at_import_or_parse(self):
         # setup_s covers importing the CLI and parsing a scenario: neither
-        # may pay for a generated rate.
+        # may pay for a generated closed loop or EKF rate.
         code = (
             "import sys\n"
             "import invtrack.cli\n"
-            "from invtrack import closed_loop\n"
+            "from invtrack import closed_loop, ekf\n"
             "from invtrack.scenario import parse_scenario\n"
             "parse_scenario({})\n"
-            "print(closed_loop._generated_pair.cache_info().currsize, 'invtrack.inline' in sys.modules)\n"
+            "print(closed_loop._generated_pair.cache_info().currsize,\n"
+            "      ekf._generated_rate.cache_info().currsize, 'invtrack.inline' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(closed_loop.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout == "0 False\n"
+        assert out.stdout == "0 0 False\n"
 
     def test_non_finite_stage_state_is_a_divergence(self):
         # An RK stage can carry a heading of inf before integrate checks the
@@ -750,6 +725,27 @@ class TestSeparation:
 
     def test_zero_reference_speed(self):
         assert np.all(separation_matrix(0.0, 0.5, KG, OG) == 0.0)
+
+    @given(
+        u=signed(1e-6, 1e6),
+        v1=floats(-1e6, 1e6),
+        v2=floats(-1e6, 1e6),
+        kg=GAINS.map(lambda k: ControllerGains(*k)),
+        og=GAINS.map(lambda k: ObserverGains(*k)),
+    )
+    def test_steering_enters_at_two_entries_only(self, u, v1, v2, kg, og):
+        # v_r reaches the matrix only at (1, 0) and (0, 4), each -u v_r;
+        # every other entry is the same bits for any two steering rates.  So
+        # the spectrum depends on u alone.  It is not compared here: numpy's
+        # eigvals on the two matrices differs in the last bits (up to
+        # 6.8e-13 relative in 2000 draws).
+        m1 = separation_matrix(u, v1, kg, og)
+        m2 = separation_matrix(u, v2, kg, og)
+        moved = np.zeros((6, 6), dtype=bool)
+        moved[1, 0] = moved[0, 4] = True
+        assert bits(m1[~moved]) == bits(m2[~moved])
+        for m, v in ((m1, v1), (m2, v2)):
+            assert bits(m[moved]) == bits([-u * v, -u * v])
 
     def test_matches_full_closed_loop_fd(self):
         traj = PermanentTrajectory(1.0, 0.5)

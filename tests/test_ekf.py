@@ -18,7 +18,7 @@ from invtrack.ekf import (
     time_variance_probe,
 )
 from invtrack.errors import DivergenceError
-from invtrack.numerics import integrate
+from invtrack.numerics import integrate, once_per_time
 from invtrack.robot import LandmarkSet, RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
@@ -29,9 +29,10 @@ from oracles import (
     ekf_oracle_run,
     jacobian_fd_oracle,
     measure,
+    outcome,
     rotation_exp,
 )
-from strategies import HEADINGS, floats, landmark_sets, signed
+from strategies import HEADINGS, floats, landmark_sets, references, signed
 
 STANDARD = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, -10.0)))
 DEFAULT_NOISE = {
@@ -285,6 +286,85 @@ class TestRun:
         for P in run.covariances:
             assert np.array_equal(P, P.T)
             assert np.min(np.linalg.eigvalsh(P)) > 0.0
+
+
+def _called_rate(traj, lm, q, r):
+    """_riccati_rate's rate as written, with its core calls."""
+    return ekf._riccati_rate(once_per_time(traj.sample), lm.coords, q, 1.0 / r)
+
+
+def _generated_rate(traj, lm, q, r):
+    """The rate run_along_reference integrates, generated for len(lm)."""
+    return ekf._generated_rate(len(lm))(once_per_time(traj.sample), lm.coords, q, 1.0 / r)
+
+
+class _NanInput(PermanentTrajectory):
+    def sample(self, t):
+        return (*super().sample(t)[:3], math.nan, 0.5)
+
+
+_P0 = (1e-2, 0.0, 0.0, 1e-2, 0.0, 1e-2)
+# Each way the rate fails: (traj, t, w) and the class, message, time and
+# cause class of what it raises.
+ERROR_PATHS = {
+    "nan-reference-input": (
+        _NanInput(1.0, 0.5), 0.25, (0.0, 0.0, 0.0, *_P0),
+        (ValueError, "input has non-finite components: RobotInput(u=nan, v=0.5)", None,
+         type(None)),
+    ),
+    "estimate-past-1.3e154": (
+        PermanentTrajectory(1.0, 0.5), 0.25, (2e154, 0.0, 0.0, *_P0),
+        (DivergenceError, "EKF state diverged at t=0.25", 0.25, OverflowError),
+    ),
+}
+
+
+class TestGeneratedRate:
+    @pytest.mark.parametrize("p", [*range(3, 13), 33, 40])
+    @given(
+        data=st.data(),
+        traj=references(),
+        est=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
+        cov=st.tuples(*[floats(-1.0, 1.0)] * 6),
+        q=floats(1e-4, 1e-2),
+        r=floats(1e-3, 1.0),
+        t=floats(0.0, 3.0),
+        h=floats(1e-3, 0.1),
+    )
+    def test_generated_rate_is_the_template_bit_for_bit(self, p, data, traj, est, cov, q, r, t, h):
+        # Every landmark count that landmark_sets draws, and two larger ones,
+        # gets its own generated rate; each must be _riccati_rate's core
+        # calls exactly, but run as the cores' own statements.
+        lm = data.draw(landmark_sets(p, p))
+        rate = _generated_rate(traj, lm, q, r)
+        called = _called_rate(traj, lm, q, r)
+        assert rate.__code__ is not called.__code__
+        assert not {core.__name__ for core in ekf._CORES} & set(rate.__code__.co_names)
+        w = est + cov
+        # The stage times of one RK4 step, so the memoized reference lookup
+        # is hit and missed in the order run_along_reference meets it.
+        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+            assert outcome(rate, s, w) == outcome(called, s, w)
+
+    @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+    def test_error_paths_match_the_template(self, case):
+        traj, t, w, want = ERROR_PATHS[case]
+        got = outcome(_generated_rate(traj, STANDARD, 1e-3, 1e-2), t, w)
+        assert got == outcome(_called_rate(traj, STANDARD, 1e-3, 1e-2), t, w)
+        assert got == want
+
+    def test_generated_once_per_landmark_count(self):
+        ekf._generated_rate.cache_clear()
+        traj = PermanentTrajectory(1.0, 0.5)
+        triangle = LandmarkSet(((5.0, 0.0), (0.0, 5.0), (-5.0, 0.0)))
+        square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
+        rates = [
+            _generated_rate(traj, lm, 1e-3, 1e-2) for lm in (STANDARD, triangle, square, STANDARD)
+        ]
+        info = ekf._generated_rate.cache_info()
+        assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
+        assert rates[0].__code__ is rates[1].__code__ is rates[3].__code__
+        assert rates[2].__code__ is not rates[0].__code__
 
 
 class TestErrorMatrix:

@@ -230,12 +230,17 @@ FAULTS = {
 # tests/oracles.py, and so does an entry whose function is gone or reached.
 _GAIN_IDENTITY = "criterion 7: the observer's gain in matrix form, L (-2 I^T) = W"
 _PROTOCOL = "the ReferenceTrajectory protocol that every reference implements"
-_GENERATED = "source that the closed loop's generator reads and inlines; no command calls it"
+_GENERATED = (
+    "source that the closed-loop or the EKF generator reads and inlines; no command calls it"
+)
 HELD = {
     "closed_loop._loop_pair": _GENERATED,
     "closed_loop._loop_pair.<locals>.rate": _GENERATED,
     "closed_loop._loop_pair.<locals>.row": _GENERATED,
     "controller.relative_pose": _GENERATED,
+    "ekf._riccati_rate": _GENERATED,
+    "ekf._riccati_rate.<locals>.rate": _GENERATED,
+    "ekf.riccati_values": _GENERATED,
     "observer.body_frame_landmarks": _GAIN_IDENTITY,
     "observer.gain_matrix": _GAIN_IDENTITY,
     # Also read as closed_loop.observer_field by perfbench's tracer test.
