@@ -21,14 +21,15 @@ import numpy as np
 from . import se2
 from .controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
 from .errors import DegenerateReferenceError, DivergenceError, GeometryError
-from .numerics import ErrorField, integrate, once_per_time
-from .observer import ObserverGains, obs_error_matrix, observer_rate
+from .numerics import ErrorField, compiled_rk4_step, grid, once_per_time, rk4_step
+from .observer import ObserverGains, _check_condition, gram_condition, obs_error_matrix, observer_rate
 from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
-# observer_rate's globals, which its inlined statements read from this module.
-from .observer import _check_condition, gram_condition  # noqa: F401
+# Globals of the cores, which their inlined statements read from this module.
+from .observer import MAX_CONDITION  # noqa: F401
 from .robot import LandmarkSet, dynamics_values, measure_values
 from .robot import RobotInput  # noqa: F401 (read by observer_rate's inlined statements)
-from .se2 import GroupElement
+from .se2 import GroupElement, normalize_angle
+from .se2 import TAU  # noqa: F401
 from .trajectories import ReferenceTrajectory
 
 DIVERGENCE_LIMIT = 1e6
@@ -134,19 +135,77 @@ def _loop_pair(reference, coords, kg, og):
     return rate, row
 
 
+def _loop_run(reference, coords, kg, og):
+    """simulate's run of _loop_pair: run(w, times) integrates the rate by
+    classical RK4 over the grid times from the state w at times[0] and
+    returns (states, rows), the state and the row at every grid time.  It is
+    numerics.integrate's loop with simulate's post-step box, written with
+    one rk4_step call and the row's calls per step.
+
+    The row at a step's start time comes first, as simulate always sampled
+    it before the step, so that generated code computes it with the step's
+    first stage, which shares its time and state.
+    """
+    rate, row = _loop_pair(reference, coords, kg, og)
+
+    def run(w, times):
+        states = [w]
+        rows = []
+        t = times[0]
+        for t1 in times[1:]:
+            r = row(t, w)
+            rows.append(r)
+            w = rk4_step(rate, t, w, t1 - t)
+            # Fails on NaN and inf too: integrate's finite-state check and
+            # the box in one, which raised the same error.
+            for c in w:
+                if not abs(c) <= DIVERGENCE_LIMIT:
+                    raise DivergenceError(t1, "closed-loop state diverged")
+            states.append(w)
+            t = t1
+        r = row(t, w)
+        rows.append(r)
+        return states, rows
+
+    return run
+
+
 # The cores themselves, taken at import: a tracer that later rebinds these
 # names to timing wrappers must not hand the inliner a wrapper's source.
-_CORES = (relative_pose, feedback_values, measure_values, observer_rate, dynamics_values)
+_CORES = (
+    relative_pose, normalize_angle, feedback_values, measure_values, observer_rate,
+    gram_condition, _check_condition, dynamics_values,
+)
+
+
+def _unrolled(p: int) -> dict:
+    return {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]}
 
 
 @functools.cache
 def _generated_pair(p: int) -> Callable:
     """_loop_pair with its core calls inlined and its landmark loops
-    unrolled over p landmarks, generated on the first run with p landmarks
-    (never at import or parse time)."""
+    unrolled over p landmarks, generated on the first error field with p
+    landmarks (never at import or parse time); the fd probes evaluate its
+    rate."""
     from .inline import inline_cores  # on first use: not compiled at import
 
-    return inline_cores(_loop_pair, _CORES, {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]})
+    return inline_cores(_loop_pair, _CORES, _unrolled(p))
+
+
+@functools.cache
+def _generated_run(p: int) -> Callable:
+    """_loop_run with _loop_pair, rk4_step (on the six-float state) and the
+    cores inlined, the state unrolled and the landmark loops unrolled over p
+    landmarks, generated on the first simulate with p landmarks (never at
+    import or parse time).  Value numbering then computes once what stages
+    at one time share: the reference sample, cos and sin of its heading,
+    the feedback's reference factors, and the row's estimate error, input
+    and cos/sin of the heading, which the first stage reads."""
+    from .inline import inline_cores  # on first use: not compiled at import
+
+    cores = (*_CORES, _loop_pair, compiled_rk4_step(6))
+    return inline_cores(_loop_run, cores, {**_unrolled(p), "w": [f"w{i}" for i in range(6)]})
 
 
 def _loop_rate(
@@ -164,27 +223,22 @@ def _loop_rate(
 
 
 def simulate(sc: Scenario) -> SimulationResult:
-    """Run the coupled plant/observer/controller loop with fixed-step RK4.
+    """Run the coupled plant/observer/controller loop with fixed-step RK4
+    on the grid numerics.grid(0, t_end, dt).
 
     Measurements come from the true state at every stage; the controller
     sees only the estimate.  Aborts with DivergenceError when the state
     leaves a 1e6 box and with GeometryError (timestamped) when the landmark
-    geometry degenerates as seen from the estimate.
+    geometry degenerates as seen from the estimate.  The run is _loop_run,
+    generated for the landmark count, and queries the reference once per
+    distinct stage time.
     """
-    rate, row, _ = _loop_rate(sc.trajectory, sc.landmarks, sc.controller_gains, sc.observer_gains)
-    w0 = tuple(map(float, sc.initial_pose + sc.initial_estimate))
-    rows = [row(0.0, w0)]
-
-    def after_step(t: float, w: tuple) -> tuple:
-        for comp in w:
-            if not abs(comp) <= DIVERGENCE_LIMIT:
-                raise DivergenceError(t, "closed-loop state diverged")
-        rows.append(row(t, w))
-        return w
-
-    times, states = integrate(
-        rate, w0, 0.0, sc.t_end, sc.dt, after_step, state="closed-loop state"
+    coords = sc.landmarks.coords
+    run = _generated_run(len(coords))(
+        once_per_time(sc.trajectory.sample), coords, sc.controller_gains, sc.observer_gains
     )
+    times = grid(0.0, sc.t_end, sc.dt)
+    states, rows = run(tuple(map(float, sc.initial_pose + sc.initial_estimate)), times)
     w_rows = np.asarray(states)
     samples = np.asarray(rows)
     return SimulationResult(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import se2
+from .se2 import normalize_angle
 from .errors import DegenerateReferenceError
 
 
@@ -42,7 +42,8 @@ def relative_pose(
     s = math.sin(thr)
     dx = x - xr
     dy = y - yr
-    return (dx * c + dy * s, -dx * s + dy * c, se2.normalize_angle(th - thr))
+    eth = normalize_angle(th - thr)  # a call statement, which the inliner splices
+    return (dx * c + dy * s, -dx * s + dy * c, eth)
 
 
 def feedback_values(
@@ -70,13 +71,16 @@ def feedback_values(
         raise DegenerateReferenceError("feedback requires u_r != 0")
     sgn = 1.0 if u_r > 0.0 else -1.0
     au = abs(u_r)
-    u = u_r - u_r * v_r * eta_y - au * gains.k1 * eta_x
-    v = (
-        v_r
-        + v_r * sgn * gains.k1 * eta_x
-        + (v_r * v_r - gains.k2) * eta_y
-        - sgn * gains.k3 * eta_theta
-    )
+    # The factors that read only the reference input and the gains, each a
+    # statement of its own: generated code that runs the feedback twice at
+    # one stage time computes them once.
+    uv = u_r * v_r
+    k1u = au * gains.k1
+    k1v = v_r * sgn * gains.k1
+    k2v = v_r * v_r - gains.k2
+    k3s = sgn * gains.k3
+    u = u_r - uv * eta_y - k1u * eta_x
+    v = v_r + k1v * eta_x + k2v * eta_y - k3s * eta_theta
     return (u, v)
 
 

@@ -137,7 +137,7 @@ def _riccati_rate(reference, coords, q, r_inv):
 
 # The cores themselves, taken at import: a tracer that later rebinds these
 # names to timing wrappers must not hand the inliner a wrapper's source.
-_CORES = (measure_values, riccati_values)
+_CORES = (measure_values, riccati_values, dynamics_values)
 
 
 @functools.cache

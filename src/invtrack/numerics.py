@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
@@ -27,7 +28,9 @@ T = TypeVar("T")
 
 
 def _compile_rk4_step(n: int) -> Callable:
-    """rk4_step on states of length n, as straight-line code."""
+    """rk4_step on states of length n, as straight-line code.  Its source is
+    registered with linecache, so inspect.getsource reads it, and with it
+    the inliner, which splices it into closed_loop's generated run."""
 
     def each(term: str) -> str:
         return "".join(term.format(i=i) + ", " for i in range(n))
@@ -36,7 +39,7 @@ def _compile_rk4_step(n: int) -> Callable:
     # to a per-component loop: stage points x + hh*k (x + h*k for the last),
     # result x + h/6*(k1 + 2*(k2 + k3) + k4).
     source = (
-        "def step(field, t, x, h):\n"
+        "def rk4_step(field, t, x, h):\n"
         "    hh = 0.5 * h\n"
         f"    ({each('x{i}')}) = x\n"
         f"    ({each('a{i}')}) = field(t, x)\n"
@@ -46,26 +49,36 @@ def _compile_rk4_step(n: int) -> Callable:
         "    h6 = h / 6.0\n"
         f"    return ({each('x{i} + h6 * (a{i} + 2.0 * (b{i} + c{i}) + d{i})')})\n"
     )
+    filename = f"<rk4_step n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict = {}
-    exec(compile(source, f"<rk4_step n={n}>", "exec"), namespace)
-    return namespace["step"]
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["rk4_step"]
 
 
 _RK4_STEPS: dict[int, Callable] = {}
 
 
-def rk4_step(field: VectorField, t: float, x: tuple, h: float) -> tuple:
-    """One classical Runge-Kutta step of size h on a flat tuple of floats.
+def compiled_rk4_step(n: int) -> Callable:
+    """rk4_step's straight-line form for states of length n, compiled on
+    first use (as dataclasses builds __init__): a per-component loop spent
+    about as long on its own bookkeeping as a small field on its physics."""
+    try:
+        return _RK4_STEPS[n]
+    except KeyError:
+        step = _RK4_STEPS[n] = _compile_rk4_step(n)
+        return step
 
-    The step runs as straight-line code, compiled on the first step of each
-    state length (as dataclasses builds __init__): a per-component loop spent
-    about as long on its own bookkeeping as a small field on its physics.
-    A field that returns more or fewer components than x has raises ValueError.
+
+def rk4_step(field: VectorField, t: float, x: tuple, h: float) -> tuple:
+    """One classical Runge-Kutta step of size h on a flat tuple of floats,
+    run as compiled_rk4_step(len(x)).  A field that returns more or fewer
+    components than x has raises ValueError.
     """
     try:
         step = _RK4_STEPS[len(x)]
     except KeyError:
-        step = _RK4_STEPS[len(x)] = _compile_rk4_step(len(x))
+        step = compiled_rk4_step(len(x))
     return step(field, t, x, h)
 
 
@@ -103,6 +116,13 @@ def step_count(t0: float, t1: float, dt: float) -> int:
     return int(math.ceil(steps))
 
 
+def grid(t0: float, t1: float, dt: float) -> list[float]:
+    """The fixed-step grid t0 + i*dt (i < n = step_count(t0, t1, dt)) closed
+    by t1 itself, so the last step may be short and the last time is
+    exactly t1."""
+    return [t0 + i * dt for i in range(step_count(t0, t1, dt))] + [t1]
+
+
 def integrate(
     field: VectorField,
     x0: Sequence[float],
@@ -114,10 +134,9 @@ def integrate(
 ) -> tuple[list[float], list[tuple]]:
     """Integrate xdot = field(t, x) from t0 to t1 with fixed-step RK4.
 
-    The grid is t0 + i*dt for i < n = step_count(t0, t1, dt), closed by t1
-    itself, so the last step may be short and the last time is exactly t1.
-    after_step(t, x) runs once after each step, with t the step's end time,
-    and the state it returns is carried forward.  Returns (times, states)
+    The grid is grid(t0, t1, dt).  after_step(t, x) runs once after each
+    step, with t the step's end time, and the state it returns is carried
+    forward.  Returns (times, states)
     with states[i] the state at times[i], including t0.
 
     Raises:
@@ -129,11 +148,10 @@ def integrate(
         raise ValueError(f"dt must be positive, got {dt}")
     if t1 < t0:
         raise ValueError(f"t1 must be >= t0, got [{t0}, {t1}]")
-    n = step_count(t0, t1, dt)
-    times = [t0 + i * dt for i in range(n)] + [t1]
+    times = grid(t0, t1, dt)
     x = tuple(float(c) for c in x0)
     states = [x]
-    for i in range(n):
+    for i in range(len(times) - 1):
         t = times[i + 1]
         x = rk4_step(field, times[i], x, t - times[i])
         if not all(map(math.isfinite, x)):

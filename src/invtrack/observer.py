@@ -44,14 +44,13 @@ class ObserverGains:
 def gram_condition(a: float, b: float, d: float) -> float:
     """Condition number of the symmetric 2x2 Gram matrix [[a, b], [b, d]].
 
-    Infinite when the matrix is singular or indefinite.
+    Infinite when the matrix is singular or indefinite.  Straight-line,
+    with one return, so that closed_loop's generated code can inline it.
     """
     mean = 0.5 * (a + d)
     radius = math.hypot(0.5 * (a - d), b)
     lo = mean - radius
-    if lo <= 0.0:
-        return math.inf
-    return (mean + radius) / lo
+    return math.inf if lo <= 0.0 else (mean + radius) / lo
 
 
 def _check_condition(cond: float) -> None:

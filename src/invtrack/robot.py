@@ -57,8 +57,12 @@ class LandmarkSet:
 
 
 def dynamics_values(theta: float, u: float, v: float) -> tuple[float, float, float]:
-    """Bare-float core of dynamics(): no input check."""
-    return (u * math.cos(theta), u * math.sin(theta), u * v)
+    """Bare-float core of dynamics(): no input check.  cos and sin are
+    statements of their own, so that generated code that already took them
+    at this heading (simulate's row) reuses them."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    return (u * c, u * s, u * v)
 
 
 def finite_input(inp: RobotInput) -> RobotInput:

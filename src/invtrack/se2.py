@@ -37,11 +37,10 @@ IDENTITY = GroupElement(0.0, 0.0, 0.0)
 
 
 def normalize_angle(theta: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
+    """Wrap an angle to the interval (-pi, pi].  Straight-line, with one
+    return, so that closed_loop's generated code can inline it."""
     wrapped = math.remainder(theta, TAU)
-    if wrapped <= -math.pi:
-        wrapped += TAU
-    return wrapped
+    return wrapped + TAU if wrapped <= -math.pi else wrapped
 
 
 def _check_finite_tangent(xi: TangentVector) -> None:

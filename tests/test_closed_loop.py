@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ from invtrack.controller import ControllerGains, ctrl_loop_matrix, relative_pose
 from invtrack.errors import DegenerateReferenceError, DivergenceError, GeometryError
 from invtrack.numerics import (
     eigenvalues,
+    grid,
     integrate,
     linearize_error_field,
     once_per_time,
@@ -351,24 +353,27 @@ class TestFusedRate:
     def test_a_rebound_global_reaches_the_next_run(self, monkeypatch):
         # A wrapper installed in closed_loop after generation (as a tracer
         # installs one) is called by a rate bound before it and by the next
-        # run's, and by neither once it is removed.
+        # run's, and by neither once it is removed.  _at_time, which names
+        # the time of a GeometryError, is still called, not inlined.
         traj = PermanentTrajectory(1.0, 0.5)
-        bound, _, _ = _loop_rate(traj, STANDARD, KG, OG)
+        bound, _, _ = _loop_rate(traj, FAR, KG, OG)
         calls = []
-        original = closed_loop.gram_condition
+        original = closed_loop._at_time
 
-        def counted(a, b, d):
-            calls.append((a, b, d))
-            return original(a, b, d)
+        def counted(err, t):
+            calls.append(t)
+            return original(err, t)
 
         with monkeypatch.context() as patch:
-            patch.setattr(closed_loop, "gram_condition", counted)
-            bound(0.0, _ORIGIN)
-            rate, _, _ = _loop_rate(traj, STANDARD, KG, OG)
-            rate(0.0, _ORIGIN)
-        assert len(calls) == 2
-        bound(0.0, _ORIGIN)
-        rate(0.0, _ORIGIN)
+            patch.setattr(closed_loop, "_at_time", counted)
+            rate, _, _ = _loop_rate(traj, FAR, KG, OG)
+            for r in (bound, rate):
+                with pytest.raises(GeometryError, match=r"\(at t=0\.25\)$"):
+                    r(0.25, _ORIGIN)
+        assert calls == [0.25, 0.25]
+        for r in (bound, rate):
+            with pytest.raises(GeometryError, match=r"\(at t=0\.25\)$"):
+                r(0.25, _ORIGIN)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
@@ -393,7 +398,7 @@ class TestFusedRate:
 
     def test_not_generated_at_import_or_parse(self):
         # setup_s covers importing the CLI and parsing a scenario: neither
-        # may pay for a generated closed loop or EKF rate.
+        # may pay for a generated closed loop, run or EKF rate.
         code = (
             "import sys\n"
             "import invtrack.cli\n"
@@ -401,12 +406,13 @@ class TestFusedRate:
             "from invtrack.scenario import parse_scenario\n"
             "parse_scenario({})\n"
             "print(closed_loop._generated_pair.cache_info().currsize,\n"
+            "      closed_loop._generated_run.cache_info().currsize,\n"
             "      ekf._generated_rate.cache_info().currsize, 'invtrack.inline' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(closed_loop.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout == "0 0 False\n"
+        assert out.stdout == "0 0 0 False\n"
 
     def test_non_finite_stage_state_is_a_divergence(self):
         # An RK stage can carry a heading of inf before integrate checks the
@@ -450,6 +456,132 @@ class TestFusedRate:
         steps = len(res.times) - 1
         assert len(calls) == 1 + 2 * steps
         assert sorted(set(calls)) == sorted(calls)
+
+
+def _integrated_run(traj, lm, kg, og, w0, t0, t_end, dt):
+    """Oracle: simulate's run as integrate of _loop_pair's rate with its
+    core calls, the 1e6 box after every step and the row at every grid
+    time, the row at a time before the step from it; (states, rows)."""
+    rate, row = _called_pair(traj, lm, kg, og)
+    rows = [row(t0, w0)]
+
+    def after_step(t, w):
+        for c in w:
+            if not abs(c) <= closed_loop.DIVERGENCE_LIMIT:
+                raise DivergenceError(t, "closed-loop state diverged")
+        rows.append(row(t, w))
+        return w
+
+    _, states = integrate(rate, w0, t0, t_end, dt, after_step, state="closed-loop state")
+    return states, rows
+
+
+def _template_run(traj, lm, kg, og, w0, t0, t_end, dt):
+    """_loop_run as written, with its calls of the rate, row and rk4_step."""
+    return closed_loop._loop_run(once_per_time(traj.sample), lm.coords, kg, og)(w0, grid(t0, t_end, dt))
+
+
+def _generated_run(traj, lm, kg, og, w0, t0, t_end, dt):
+    """The run simulate calls, generated for the landmark count."""
+    run = closed_loop._generated_run(len(lm))(once_per_time(traj.sample), lm.coords, kg, og)
+    return run(w0, grid(t0, t_end, dt))
+
+
+def _run_outcome(run, traj, *args):
+    """run on a fresh copy of traj (an integrated reference keeps the knots
+    it has integrated) as the bits of its states and rows, or as the class,
+    message, time and cause class of what it raised."""
+    try:
+        states, rows = run(copy.deepcopy(traj), *args)
+    except (ValueError, ArithmeticError) as err:
+        return (type(err), str(err), getattr(err, "time", None), type(err.__cause__))
+    return ("ok", [bits(w) for w in states], [bits(r) for r in rows])
+
+
+class TestGeneratedRun:
+    # simulate runs _loop_run as generated code: _loop_pair's rate and row,
+    # rk4_step and the cores inlined, with what stages at one time share
+    # computed once.  It must be integrate plus the row, bit for bit.
+    @pytest.mark.parametrize("p", [*range(3, 13), 33, 40])
+    @given(
+        data=st.data(),
+        traj=references(),
+        kg=GAINS.map(lambda k: ControllerGains(*k)),
+        og=GAINS.map(lambda k: ObserverGains(*k)),
+        pose=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
+        est=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
+        dt=floats(0.005, 0.05),
+        steps=st.integers(1, 10),
+        part=floats(0.05, 0.95),
+    )
+    def test_run_is_integrate_and_row_bit_for_bit(self, p, data, traj, kg, og, pose, est, dt, steps, part):
+        # t_end is not a multiple of dt, so the last step is short.
+        lm = data.draw(landmark_sets(p, p))
+        args = (lm, kg, og, pose + est, 0.0, (steps - 1 + part) * dt, dt)
+        want = _run_outcome(_integrated_run, traj, *args)
+        assert _run_outcome(_template_run, traj, *args) == want
+        assert _run_outcome(_generated_run, traj, *args) == want
+
+    @pytest.mark.parametrize("traj", [
+        PermanentTrajectory(-1.2, 0.4, GroupElement(1.0, -2.0, math.pi - 1e-7)),
+        PiecewiseTrajectory((Segment(-1.0, 0.3, 0.2), Segment(-0.7, -0.5, 1.0))),
+        IntegratedTrajectory(lambda t: RobotInput(-1.1, 0.3 + 0.2 * math.sin(1.3 * t))),
+    ], ids=["permanent", "piecewise", "wobble"])
+    def test_each_kind_in_reverse_with_a_short_last_step(self, traj):
+        # Every kind of reference, driven backwards, on 0.037 s steps that
+        # end 0.5 s with a short one: the run equals its oracle.
+        args = (STANDARD, KG, OG, (0.1, -0.1, 0.05, 0.05, 0.0, -0.05), 0.0, 0.5, 0.037)
+        want = _run_outcome(_integrated_run, traj, *args)
+        assert want[0] == "ok" and len(want[1]) == 15
+        assert _run_outcome(_generated_run, traj, *args) == want
+
+    @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+    def test_error_paths_through_the_run(self, case):
+        # Each way the rate fails, met by the run that simulate calls at the
+        # case's time and state, raises what integrate and the row raised,
+        # with its time and cause: the row at that time runs first, as in
+        # simulate, so an input fault surfaces there without a time suffix.
+        traj, lm, kg, og, t, w, _ = ERROR_PATHS[case]
+        args = (lm, kg, og, w, t, t + 0.02, 0.01)
+        got = _run_outcome(_generated_run, traj, *args)
+        assert got == _run_outcome(_integrated_run, traj, *args)
+        assert got[0] != "ok"
+
+    @pytest.mark.parametrize("test", [
+        "test_divergence_reported_with_time",
+        "test_geometry_error_names_the_time",
+        "test_zero_speed_leg_names_the_time",
+        "test_divergence_box_reports_time",
+    ])
+    def test_simulate_error_scenes_keep_their_error(self, test, monkeypatch):
+        # TestSimulate's four error scenes, run through simulate and through
+        # the integrate oracle, raise the same class, message, time and cause.
+        # Each scene is taken from its own test, which runs as it stands.
+        scenes = []
+
+        def recorded(sc):
+            scenes.append(sc)
+            return closed_loop.simulate(sc)
+
+        monkeypatch.setattr(sys.modules[__name__], "simulate", recorded)
+        getattr(TestSimulate(), test)()
+        (sc,) = scenes
+        w0 = tuple(map(float, sc.initial_pose + sc.initial_estimate))
+        args = (sc.landmarks, sc.controller_gains, sc.observer_gains, w0, 0.0, sc.t_end, sc.dt)
+        want = _run_outcome(_integrated_run, sc.trajectory, *args)
+        try:
+            closed_loop.simulate(sc)
+        except (ValueError, ArithmeticError) as err:
+            got = (type(err), str(err), getattr(err, "time", None), type(err.__cause__))
+        assert want[0] != "ok" and got == want
+
+    def test_generated_once_per_landmark_count(self):
+        closed_loop._generated_run.cache_clear()
+        square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
+        for lm in (STANDARD, square, STANDARD, square):
+            simulate(standard_scenario(landmarks=lm, t_end=0.1, dt=0.05))
+        info = closed_loop._generated_run.cache_info()
+        assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
 
 
 ERRORS = st.tuples(floats(-0.5, 0.5), floats(-0.5, 0.5), floats(-0.5, 0.5))
@@ -701,6 +833,44 @@ class TestErrorFields:
             assert np.max(np.abs(jac - want)) <= FD_FLOOR * scale
         if isinstance(traj, PermanentTrajectory):  # one input, so one scale
             assert time_invariance_probe(field, times) <= FD_FLOOR * scale
+
+    @given(
+        traj=references().filter(lambda r: not isinstance(r, PiecewiseTrajectory)),
+        lm=landmark_sets(6),
+        kg=GAINS.map(lambda k: ControllerGains(*k)),
+        og=GAINS.map(lambda k: ObserverGains(*k)),
+        times=st.lists(floats(0.0, 5.0), min_size=2, max_size=4, unique=True),
+    )
+    def test_spectrum_is_frozen_at_constant_speed(self, traj, lm, kg, og, times):
+        # Along a permanent or wobbling reference u_r is constant and v_r
+        # enters separation_matrix at two off-diagonal entries only, so the
+        # spectrum, though not the matrix, is the same at every probe time:
+        # the fd spectra match within the fd floor.  A spectrum whose exact
+        # eigenvalues nearly coincide is skipped: an fd error d moves those
+        # by about sqrt(d).  Over 1000 draws the rest matched within 8.4e-9
+        # of max|A|.
+        field = closed_loop_error_field(traj, lm, kg, og)
+        try:
+            jacobians = linearize_error_field(field, times)
+        except GeometryError:
+            assume(False)
+        inp = traj.input(times[0])
+        exact = separation_matrix(inp.u, inp.v, kg, og)
+        scale = np.max(np.abs(exact))
+        ev = np.linalg.eigvals(exact)
+        assume(min(abs(a - b) for i, a in enumerate(ev) for b in ev[i + 1:]) >= 1e-3 * scale)
+        spectra = [eigenvalues(jac) for jac in jacobians]
+        for spectrum in spectra[1:]:
+            assert spectrum_match_distance(spectra[0], spectrum) <= FD_FLOOR * scale
+
+    def test_spectrum_moves_when_the_speed_does(self):
+        # The negative control: a piecewise reference whose speed goes from
+        # 1 to 2 m/s moves the spectrum far past the fd floor.
+        traj = PiecewiseTrajectory((Segment(1.0, 0.3, 1.0), Segment(2.0, 0.3, 5.0)))
+        field = closed_loop_error_field(traj, STANDARD, KG, OG)
+        before, after = (eigenvalues(jac) for jac in linearize_error_field(field, [0.5, 2.0]))
+        scale = np.max(np.abs(separation_matrix(2.0, 0.3, KG, OG)))
+        assert spectrum_match_distance(before, after) > 0.1 * scale
 
     def test_probe_needs_two_times(self):
         traj = PermanentTrajectory(1.0, 0.5)

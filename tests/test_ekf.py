@@ -19,7 +19,7 @@ from invtrack.ekf import (
 )
 from invtrack.errors import DivergenceError
 from invtrack.numerics import integrate, once_per_time
-from invtrack.robot import LandmarkSet, RobotInput, dynamics
+from invtrack.robot import LandmarkSet, RobotInput, dynamics, dynamics_values
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
 from oracles import (
@@ -365,6 +365,14 @@ class TestGeneratedRate:
         assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
         assert rates[0].__code__ is rates[1].__code__ is rates[3].__code__
         assert rates[2].__code__ is not rates[0].__code__
+
+
+    def test_nested_dynamics_call_is_inlined(self):
+        # riccati_values calls dynamics_values itself; the generated rate
+        # runs that call's statements too, and reads no core.
+        assert dynamics_values in ekf._CORES
+        rate = _generated_rate(PermanentTrajectory(1.0, 0.5), STANDARD, 1e-3, 1e-2)
+        assert "dynamics_values" not in rate.__code__.co_names
 
 
 class TestErrorMatrix:

@@ -124,6 +124,76 @@ def _toy_sum(xs):
     return f
 
 
+def _outer(x, k):
+    """_scaled twice, through a nested core call."""
+    y = _scaled(x, k)
+    z = _scaled(y, k)
+    return z
+
+
+def _toy_nested(k):
+    def f(x):
+        y = _outer(x, k)
+        return y
+    return f
+
+
+def _factory(k):
+    def scale(x):
+        y = _scaled(x, k)
+        return y
+
+    def shift(x):
+        y = x + OFFSET
+        return y
+
+    return scale, shift
+
+
+def _toy_factory(k):
+    def f(x):
+        scale, shift = _factory(k)
+        y = scale(x * 2.0)
+        z = shift(y)
+        return z
+    return f
+
+
+CALLS = []
+
+
+def _recorded(x):
+    """x, with the call recorded: a plain-name call, so taken as pure."""
+    CALLS.append(x)
+    return x
+
+
+def _squared(x, log):
+    y = _recorded(x)
+    log.append(y)
+    return y * y
+
+
+def _toy_twice(k):
+    def f(x, log):
+        a = _squared(x, log)
+        b = _squared(x, log)
+        return a + b
+    return f
+
+
+def _toy_loop(k):
+    def f(xs):
+        total = 0.0
+        for x in xs:
+            a = _scaled(x, k)
+            b = _scaled(a, k)
+            c = _scaled(b, k)
+            total = total + c
+        return total
+    return f
+
+
 class TestInlineCores:
     def test_inlines_a_straight_line_core(self):
         f = inline_cores(_toy, (_scaled,), {})(3.0)
@@ -179,3 +249,31 @@ class TestInlineCores:
     def test_refuses_a_template_with_defaults_or_a_closure(self, template):
         with pytest.raises(InlineError, match="may not have defaults or a closure"):
             inline_cores(template, (_scaled,), {})
+
+    def test_inlines_a_core_that_a_core_calls(self):
+        f = inline_cores(_toy_nested, (_outer, _scaled), {})(3.0)
+        assert f(2.0) == _outer(2.0, 3.0)
+        assert not {"_outer", "_scaled"} & set(f.__code__.co_names)
+
+    def test_inlines_the_functions_a_core_returns(self):
+        # _factory defines and returns two functions; each call of one is
+        # inlined, an expression argument bound to a name first.
+        f = inline_cores(_toy_factory, (_factory, _scaled), {})(3.0)
+        assert f(2.0) == inline_cores(_toy_factory, (), {})(3.0)(2.0) == 2.0 * 2.0 * 3.0 + 2.0 * OFFSET
+        assert not {"_factory", "_scaled", "scale", "shift"} & set(f.__code__.co_names)
+
+    def test_a_repeated_pure_statement_runs_once(self):
+        # The second _squared call's pure statements repeat the first's and
+        # are dropped; its method call log.append is not pure and runs again.
+        f = inline_cores(_toy_twice, (_squared,), {})(1.0)
+        CALLS.clear()
+        log = []
+        assert f(3.0, log) == 18.0
+        assert CALLS == [3.0] and log == [3.0, 3.0]
+
+    def test_loop_locals_share_slots(self):
+        # Names whose lives in the loop body do not overlap share a local:
+        # the three calls' results and a, b, c take two slots.
+        f = inline_cores(_toy_loop, (_scaled,), {})(2.0)
+        assert f([1.0, 2.0]) == inline_cores(_toy_loop, (), {})(2.0)([1.0, 2.0])
+        assert f.__code__.co_varnames == ("xs", "total", "x", "v0", "v1")

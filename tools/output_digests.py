@@ -9,7 +9,8 @@ perfbench workload's reference analyses and every full-size seed-7 scenario
 from perfbench/workloads.py, then a few hand-written scenes that reach what
 the workloads do not: non-default EKF noise levels, reverse driving across
 the heading wrap (on a closed-form and an integrated reference), a piecewise
-reference, landmarks too far away to see, 40 landmarks where no workload
+reference, a simulate run whose last step is short, landmarks too far away
+to see, 40 landmarks where no workload
 has more than 12, and the scenario parse paths no workload takes (split gain
 sections, absolute initial poses, a segment with default v, every mech
 field off its default, "probe_times": null), then the fault scenes: every
@@ -23,7 +24,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (109 analyses, a
+--cheap digests only the default and hand-written scenes (110 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -85,6 +86,15 @@ HAND_SCENES = (
      {"trajectory": {"u": -1.2, "v": 0.3, "v_wobble": {"amplitude": 0.3, "angular_rate": 1.3},
                      "start": [1.0, -2.0, 3.14]},
       "ekf": _NOISE, "t_end": 2.0, "dt": 0.0037, "probe_times": [0.0, 0.2345, 0.5, 0.7777]}),
+    # simulate's generated run on an integrated reference, forward, with five
+    # landmarks and a t_end that is not a multiple of dt: the short last step
+    # and the row that closes the run after the loop.  At 1.2 s the errors
+    # have not yet converged, so the verdict fails; the bytes are what count.
+    ("wobble-short-step", ("simulate",),
+     {"trajectory": {"u": 1.1, "v": -0.2, "v_wobble": {"amplitude": 0.25, "angular_rate": 1.7}},
+      "landmarks": [[9.0, 1.0], [2.0, 8.5], [-7.5, 4.0], [-6.0, -7.0], [5.0, -8.0]],
+      "initial_tracking_error": [0.08, -0.05, 0.1], "initial_estimate_error": [-0.06, 0.04, -0.07],
+      "t_end": 1.2345, "dt": 0.01}),
     # Many more landmarks than any workload: the closed loop is generated
     # and unrolled for p = 40.  No ekf-compare: at the 1 ms step its Riccati
     # run is unstable on this many landmarks.
@@ -237,6 +247,8 @@ HELD = {
     "closed_loop._loop_pair": _GENERATED,
     "closed_loop._loop_pair.<locals>.rate": _GENERATED,
     "closed_loop._loop_pair.<locals>.row": _GENERATED,
+    "closed_loop._loop_run": _GENERATED,
+    "closed_loop._loop_run.<locals>.run": _GENERATED,
     "controller.relative_pose": _GENERATED,
     "ekf._riccati_rate": _GENERATED,
     "ekf._riccati_rate.<locals>.rate": _GENERATED,
