@@ -99,7 +99,7 @@ def _spectrum_rows(spec) -> list:
 
 def _cmd_simulate(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
     res = simulate(parsed.scenario)
-    reporting.write_text(out_dir / "timeseries.csv", reporting.timeseries_csv(res))
+    reporting.write_timeseries_csv(res, out_dir / "timeseries.csv")
     final_eta = float(np.linalg.norm(res.tracking_errors[-1]))
     final_eps = float(np.linalg.norm(res.estimation_errors[-1]))
     metrics = {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,15 +75,27 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Sampled closed-loop run; every series shares the time grid."""
+    """Sampled closed-loop run; every series shares the time grid.
+    simulate returns the fields as column views of one (n, 18) table, one
+    row per grid time, in reporting.CSV_COLUMNS order:
 
-    times: np.ndarray            # (n,)
-    poses: np.ndarray            # (n, 3) true state
-    estimates: np.ndarray        # (n, 3)
-    references: np.ndarray       # (n, 3)
-    tracking_errors: np.ndarray  # (n, 3) eta components
-    estimation_errors: np.ndarray  # (n, 3) eps components
-    inputs: np.ndarray           # (n, 2) applied (u, v)
+        columns  field              shape   values
+        0        times              (n,)    t
+        1-3      poses              (n, 3)  x, y, theta: the true state
+        4-6      estimates          (n, 3)  xhat, yhat, thetahat
+        7-9      references         (n, 3)  xr, yr, thetar
+        10-12    tracking_errors    (n, 3)  eta_x, eta_y, eta_theta
+        13-15    estimation_errors  (n, 3)  eps_x, eps_y, eps_theta
+        16-17    inputs             (n, 2)  u, v: the applied input
+    """
+
+    times: np.ndarray
+    poses: np.ndarray
+    estimates: np.ndarray
+    references: np.ndarray
+    tracking_errors: np.ndarray
+    estimation_errors: np.ndarray
+    inputs: np.ndarray
 
 
 def _loop_pair(reference, coords, kg, og):
@@ -138,9 +151,11 @@ def _loop_pair(reference, coords, kg, og):
 def _loop_run(reference, coords, kg, og):
     """simulate's run of _loop_pair: run(w, times) integrates the rate by
     classical RK4 over the grid times from the state w at times[0] and
-    returns (states, rows), the state and the row at every grid time.  It is
-    numerics.integrate's loop with simulate's post-step box, written with
-    one rk4_step call and the row's calls per step.
+    returns one flat array('d') that holds, for each grid time t in turn,
+    (t, *w, *row(t, w)) with w the state at t: the 18 floats of one row of
+    SimulationResult's table.  It is numerics.integrate's loop with
+    simulate's post-step box, written with one rk4_step call and the row's
+    calls per step.
 
     The row at a step's start time comes first, as simulate always sampled
     it before the step, so that generated code computes it with the step's
@@ -149,23 +164,21 @@ def _loop_run(reference, coords, kg, og):
     rate, row = _loop_pair(reference, coords, kg, og)
 
     def run(w, times):
-        states = [w]
-        rows = []
+        buf = array("d")
         t = times[0]
         for t1 in times[1:]:
             r = row(t, w)
-            rows.append(r)
+            buf.extend((t, *w, *r))
             w = rk4_step(rate, t, w, t1 - t)
             # Fails on NaN and inf too: integrate's finite-state check and
             # the box in one, which raised the same error.
             for c in w:
                 if not abs(c) <= DIVERGENCE_LIMIT:
                     raise DivergenceError(t1, "closed-loop state diverged")
-            states.append(w)
             t = t1
         r = row(t, w)
-        rows.append(r)
-        return states, rows
+        buf.extend((t, *w, *r))
+        return buf
 
     return run
 
@@ -213,13 +226,14 @@ def _loop_rate(
     lm: LandmarkSet,
     kg: ControllerGains,
     og: ObserverGains,
-) -> tuple[Callable[[float, tuple], tuple], Callable[[float, tuple], tuple], Callable]:
-    """_loop_pair's rate and row for one run, generated for its landmark
-    count, and their reference lookup reference(t) = traj.sample(t) =
-    (x_r, y_r, theta_r, u_r, v_r), queried once per time."""
+) -> tuple[Callable[[float, tuple], tuple], Callable]:
+    """_loop_pair's rate for one run, generated for its landmark count, and
+    its reference lookup reference(t) = traj.sample(t) = (x_r, y_r,
+    theta_r, u_r, v_r), queried once per time."""
     coords = lm.coords
     reference = once_per_time(traj.sample)
-    return (*_generated_pair(len(coords))(reference, coords, kg, og), reference)
+    rate, _ = _generated_pair(len(coords))(reference, coords, kg, og)
+    return rate, reference
 
 
 def simulate(sc: Scenario) -> SimulationResult:
@@ -237,18 +251,11 @@ def simulate(sc: Scenario) -> SimulationResult:
     run = _generated_run(len(coords))(
         once_per_time(sc.trajectory.sample), coords, sc.controller_gains, sc.observer_gains
     )
-    times = grid(0.0, sc.t_end, sc.dt)
-    states, rows = run(tuple(map(float, sc.initial_pose + sc.initial_estimate)), times)
-    w_rows = np.asarray(states)
-    samples = np.asarray(rows)
+    buf = run(tuple(map(float, sc.initial_pose + sc.initial_estimate)), grid(0.0, sc.t_end, sc.dt))
+    table = np.frombuffer(buf).reshape(-1, 18)
     return SimulationResult(
-        np.asarray(times),
-        w_rows[:, 0:3],
-        w_rows[:, 3:6],
-        samples[:, 0:3],
-        samples[:, 3:6],
-        samples[:, 6:9],
-        samples[:, 9:11],
+        table[:, 0], table[:, 1:4], table[:, 4:7], table[:, 7:10],
+        table[:, 10:13], table[:, 13:16], table[:, 16:18],
     )
 
 
@@ -307,7 +314,7 @@ def closed_loop_error_field(
 
     GeometryError is timestamped as in simulate().
     """
-    loop, _, reference = _loop_rate(traj, lm, kg, og)
+    loop, reference = _loop_rate(traj, lm, kg, og)
 
     def rate(t: float, w: tuple) -> tuple:
         xr, yr, thr, ur, vr = reference(t)

@@ -14,9 +14,10 @@ from .errors import DivergenceError, ScenarioError
 FD_STEP = 1e-6
 
 # The most RK4 steps one fixed-step grid may take.  The simulate command
-# peaks at about 1.4 KB per step (ru_maxrss at --t-end 300, 300 000 steps:
-# 0.97 KB for the run, 0.46 KB more for its CSV), so the cap bounds a run
-# near 1.4 GB; the default scenario takes 30 000 steps.
+# peaks at about 0.2 KB per step (ru_maxrss at --t-end 300, 300 000 steps:
+# 96 MB, 34 MB of it before the run; the run's 18 floats and its grid time,
+# while the CSV is written in blocks of fixed size), so the cap bounds a
+# run near 0.25 GB; the default scenario takes 30 000 steps.
 MAX_STEPS = 1_000_000
 
 # Dense eigenvalue extraction is only meant for the small matrices that show

@@ -96,9 +96,15 @@ def scenario_digest(canonical: dict) -> str:
     return hashlib.sha256(json_text(canonical).encode("utf-8")).hexdigest()
 
 
-def timeseries_csv(result) -> str:
-    """Render a simulation result as CSV with the fixed column set."""
-    table = np.column_stack((
+# Rows per block of write_timeseries_csv: the text of one block is the most
+# it holds at a time, whatever the run's length.
+CSV_BLOCK_ROWS = 256
+
+
+def write_timeseries_csv(result, path) -> None:
+    """Write a simulation result as CSV with the fixed column set: the
+    header, then CSV_BLOCK_ROWS rows at a time, each value as FLOAT_FORMAT."""
+    columns = (
         result.times,
         result.poses,
         result.estimates,
@@ -106,12 +112,13 @@ def timeseries_csv(result) -> str:
         result.tracking_errors,
         result.estimation_errors,
         result.inputs,
-    ))
-    row_format = ",".join([FLOAT_FORMAT] * len(CSV_COLUMNS))
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(row_format % tuple(row) for row in table.tolist())
-    lines.append("")
-    return "\n".join(lines)
+    )
+    row_format = ",".join([FLOAT_FORMAT] * len(CSV_COLUMNS)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for start in range(0, len(result.times), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+            fh.write("".join([row_format % tuple(row) for row in block.tolist()]))
 
 
 def write_text(path, text: str) -> None:

@@ -24,8 +24,10 @@ project_attitude's polar iteration is held to; hat, Rodrigues' formula,
 J_r^-1, the force models and the rigid body's tracking-error field on 3x3
 arrays, and that field's linearization in closed form;
 IntegratedTrajectory's reference poses integrated by numerics.integrate on
-the unicycle field; and the relative check that the property tests hold the
-cores to, with its grid bound where the oracle is subnormal.
+the unicycle field; the relative check that the property tests hold the
+cores to, with its grid bound where the oracle is subnormal; and the
+time-series CSV built as one string from the whole table, which
+reporting.write_timeseries_csv's blocks are held to byte for byte.
 """
 
 import bisect
@@ -41,6 +43,7 @@ from invtrack.mech import SMALL_ROTATION, ep_rate_values, rotation_exp_values
 from invtrack.numerics import FD_STEP, ErrorField, integrate
 from invtrack.observer import observer_field
 from invtrack.errors import GeometryError
+from invtrack.reporting import CSV_COLUMNS, FLOAT_FORMAT
 from invtrack.robot import (
     LandmarkSet,
     RobotInput,
@@ -441,3 +444,22 @@ def assert_rates_close(got, want):
         assert np.max(np.abs(np.asarray(got) - want)) <= 16 * np.finfo(float).smallest_subnormal
     else:
         assert_close(got, want)
+
+
+def timeseries_csv(result) -> str:
+    """reporting.write_timeseries_csv's file as one string, built from the
+    whole table at once: the header, then one FLOAT_FORMAT row per time."""
+    table = np.column_stack((
+        result.times,
+        result.poses,
+        result.estimates,
+        result.references,
+        result.tracking_errors,
+        result.estimation_errors,
+        result.inputs,
+    ))
+    row_format = ",".join([FLOAT_FORMAT] * len(CSV_COLUMNS))
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(row_format % tuple(row) for row in table.tolist())
+    lines.append("")
+    return "\n".join(lines)

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -257,6 +259,11 @@ def _called_pair(traj, lm, kg, og):
     return closed_loop._loop_pair(once_per_time(traj.sample), lm.coords, kg, og)
 
 
+def _generated_pair(traj, lm, kg, og):
+    """_loop_pair's rate and row as generated for the landmark count."""
+    return closed_loop._generated_pair(len(lm))(once_per_time(traj.sample), lm.coords, kg, og)
+
+
 class _NanInput(PermanentTrajectory):
     def sample(self, t):
         return (*super().sample(t)[:3], math.nan, 0.5)
@@ -310,7 +317,7 @@ class TestFusedRate:
     def test_matches_composed_rate(self, traj, lm, kg, og, pose, est, t, h):
         # The stage times of one RK4 step, so the memoized reference lookup
         # is hit and missed in the order simulate() meets it.
-        fused, _, _ = _loop_rate(traj, lm, kg, og)
+        fused, _ = _loop_rate(traj, lm, kg, og)
         oracle = composed_rate(traj, lm, kg, og)
         w = pose + est
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
@@ -340,7 +347,7 @@ class TestFusedRate:
         # gets its own generated rate and row; each must be _loop_pair's core
         # calls exactly, but run as the cores' own statements.
         lm = data.draw(landmark_sets(p, p))
-        fused, row, _ = _loop_rate(traj, lm, kg, og)
+        fused, row = _generated_pair(traj, lm, kg, og)
         oracle, oracle_row = _called_pair(traj, lm, kg, og)
         for got, called in ((fused, oracle), (row, oracle_row)):
             assert got.__code__ is not called.__code__
@@ -356,7 +363,7 @@ class TestFusedRate:
         # run's, and by neither once it is removed.  _at_time, which names
         # the time of a GeometryError, is still called, not inlined.
         traj = PermanentTrajectory(1.0, 0.5)
-        bound, _, _ = _loop_rate(traj, FAR, KG, OG)
+        bound, _ = _loop_rate(traj, FAR, KG, OG)
         calls = []
         original = closed_loop._at_time
 
@@ -366,7 +373,7 @@ class TestFusedRate:
 
         with monkeypatch.context() as patch:
             patch.setattr(closed_loop, "_at_time", counted)
-            rate, _, _ = _loop_rate(traj, FAR, KG, OG)
+            rate, _ = _loop_rate(traj, FAR, KG, OG)
             for r in (bound, rate):
                 with pytest.raises(GeometryError, match=r"\(at t=0\.25\)$"):
                     r(0.25, _ORIGIN)
@@ -379,7 +386,7 @@ class TestFusedRate:
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
     def test_error_paths_match_the_oracle(self, case):
         traj, lm, kg, og, t, w, want = ERROR_PATHS[case]
-        rate, row, _ = _loop_rate(traj, lm, kg, og)
+        rate, row = _generated_pair(traj, lm, kg, og)
         oracle, oracle_row = _called_pair(traj, lm, kg, og)
         got = outcome(rate, t, w)
         assert got == outcome(oracle, t, w)
@@ -417,7 +424,7 @@ class TestFusedRate:
     def test_non_finite_stage_state_is_a_divergence(self):
         # An RK stage can carry a heading of inf before integrate checks the
         # step; the rate names the stage time instead of a math domain error.
-        rate, _, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG)
+        rate, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(DivergenceError) as info:
             rate(0.25, (0.0, 0.0, 0.0, 0.0, 0.0, math.inf))
         assert str(info.value) == "closed-loop state diverged at t=0.25"
@@ -425,7 +432,7 @@ class TestFusedRate:
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_value_error_on_a_finite_state_is_kept(self):
-        rate, _, _ = _loop_rate(_NanInput(1.0, 0.5), STANDARD, KG, OG)
+        rate, _ = _loop_rate(_NanInput(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(ValueError, match="reference input must be finite"):
             rate(0.25, (0.0,) * 6)
 
@@ -434,7 +441,7 @@ class TestFusedRate:
         # the feedback's (u, v) on an estimate 10 m ahead of the reference
         # (which starts at the origin), and the observer rejects that input.
         kg = ControllerGains(1e308, 1.0, 1.0)
-        rate, _, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, kg, OG)
+        rate, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, kg, OG)
         with pytest.raises(DivergenceError) as info:
             rate(0.0, (10.0, 0.0, 0.0, 10.0, 0.0, 0.0))
         assert str(info.value) == "closed-loop input diverged at t=0"
@@ -461,7 +468,8 @@ class TestFusedRate:
 def _integrated_run(traj, lm, kg, og, w0, t0, t_end, dt):
     """Oracle: simulate's run as integrate of _loop_pair's rate with its
     core calls, the 1e6 box after every step and the row at every grid
-    time, the row at a time before the step from it; (states, rows)."""
+    time, the row at a time before the step from it; the flat list of
+    (t, *w, *row(t, w)) at each grid time."""
     rate, row = _called_pair(traj, lm, kg, og)
     rows = [row(t0, w0)]
 
@@ -472,8 +480,8 @@ def _integrated_run(traj, lm, kg, og, w0, t0, t_end, dt):
         rows.append(row(t, w))
         return w
 
-    _, states = integrate(rate, w0, t0, t_end, dt, after_step, state="closed-loop state")
-    return states, rows
+    times, states = integrate(rate, w0, t0, t_end, dt, after_step, state="closed-loop state")
+    return [v for t, w, r in zip(times, states, rows) for v in (t, *w, *r)]
 
 
 def _template_run(traj, lm, kg, og, w0, t0, t_end, dt):
@@ -489,13 +497,13 @@ def _generated_run(traj, lm, kg, og, w0, t0, t_end, dt):
 
 def _run_outcome(run, traj, *args):
     """run on a fresh copy of traj (an integrated reference keeps the knots
-    it has integrated) as the bits of its states and rows, or as the class,
-    message, time and cause class of what it raised."""
+    it has integrated) as the bits of its 18 floats per grid time, or as the
+    class, message, time and cause class of what it raised."""
     try:
-        states, rows = run(copy.deepcopy(traj), *args)
+        buf = run(copy.deepcopy(traj), *args)
     except (ValueError, ArithmeticError) as err:
         return (type(err), str(err), getattr(err, "time", None), type(err.__cause__))
-    return ("ok", [bits(w) for w in states], [bits(r) for r in rows])
+    return ("ok", bits(buf))
 
 
 class TestGeneratedRun:
@@ -532,7 +540,7 @@ class TestGeneratedRun:
         # end 0.5 s with a short one: the run equals its oracle.
         args = (STANDARD, KG, OG, (0.1, -0.1, 0.05, 0.05, 0.0, -0.05), 0.0, 0.5, 0.037)
         want = _run_outcome(_integrated_run, traj, *args)
-        assert want[0] == "ok" and len(want[1]) == 15
+        assert want[0] == "ok" and len(want[1]) == 15 * 18
         assert _run_outcome(_generated_run, traj, *args) == want
 
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
@@ -582,6 +590,50 @@ class TestGeneratedRun:
             simulate(standard_scenario(landmarks=lm, t_end=0.1, dt=0.05))
         info = closed_loop._generated_run.cache_info()
         assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
+
+
+# simulate's bytes per step: the run's 18 floats (144 bytes) in an array
+# that grows by a sixteenth, and the grid's 32 (a list entry and a float).
+# Measured with tracemalloc on 100 to 400 steps: 186 bytes per step plus
+# at most 1.5 KB; at 20 000 steps, 3 719 744 bytes (186.0 per step).
+BYTES_PER_STEP = 192
+FIXED_BYTES = 4096
+
+
+class TestSimulateMemory:
+    def test_peak_bytes_per_step(self):
+        # tracemalloc, not RSS: the same count on every run.  It records a
+        # traceback for each float the generated run makes (about 10 ms a
+        # step), so this run is 200 steps long; the first simulate, outside
+        # the trace, generates the run.
+        sc = standard_scenario(t_end=200 / 1024, dt=1 / 1024,
+                               initial_estimate=GroupElement(0.1, -0.1, 0.05))
+        simulate(sc)
+        tracemalloc.start()
+        try:
+            res = simulate(sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.times) == 201
+        assert peak <= BYTES_PER_STEP * 200 + FIXED_BYTES
+
+    def test_every_series_is_a_view_of_one_buffer(self):
+        res = simulate(standard_scenario(t_end=20.0))
+        assert len(res.times) == 20_001
+        buf = res.times
+        while isinstance(buf, np.ndarray):
+            buf = buf.base
+        buf = getattr(buf, "obj", buf)  # np.frombuffer's base may be a memoryview
+        assert isinstance(buf, array)
+        # The seven series tile the buffer: each is a view into it, and
+        # together they hold its 18 floats per step once.
+        whole = np.frombuffer(buf)
+        fields = [getattr(res, name) for name in SimulationResult.__dataclass_fields__]
+        for field in fields:
+            assert np.shares_memory(field, whole)
+        assert sum(field.size for field in fields) == whole.size == 18 * 20_001
+        assert sys.getsizeof(buf) <= 144 * 20_001 * 17 // 16 + FIXED_BYTES
 
 
 ERRORS = st.tuples(floats(-0.5, 0.5), floats(-0.5, 0.5), floats(-0.5, 0.5))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from invtrack.closed_loop import SimulationResult
-from invtrack.reporting import CSV_COLUMNS, FLOAT_FORMAT, json_text, timeseries_csv
+from invtrack.reporting import (
+    CSV_BLOCK_ROWS,
+    CSV_COLUMNS,
+    FLOAT_FORMAT,
+    json_text,
+    write_timeseries_csv,
+)
+from oracles import timeseries_csv
 
 
 def per_value_csv(result) -> str:
@@ -23,8 +30,26 @@ def per_value_csv(result) -> str:
     return "\n".join(lines)
 
 
+def written(result, tmp_path) -> bytes:
+    """The bytes of the file write_timeseries_csv writes."""
+    path = tmp_path / "timeseries.csv"
+    write_timeseries_csv(result, path)
+    return path.read_bytes()
+
+
+def separate_arrays(rows: int) -> SimulationResult:
+    """A result of rows times whose seven fields are separate arrays, not
+    views of one table as simulate's are; every value is distinct."""
+    values = np.arange(rows * 17, dtype=float).reshape(rows, 17) / 7.0 - 3.0
+    return SimulationResult(
+        np.arange(rows) * 0.001,
+        values[:, 0:3].copy(), values[:, 3:6].copy(), values[:, 6:9].copy(),
+        values[:, 9:12].copy(), values[:, 12:15].copy(), values[:, 15:17].copy(),
+    )
+
+
 class TestTimeseriesCsv:
-    def test_matches_per_value_formatting(self):
+    def test_matches_per_value_formatting(self, tmp_path):
         specials = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, float("nan"),
                     float("inf"), 0.0, 3.0, -2.0, 1e16, 0.1, 1.0 / 3.0, -7.25e-9]
         rng = np.random.default_rng(5)
@@ -35,9 +60,21 @@ class TestTimeseriesCsv:
             values[:, 0:3], values[:, 3:6], values[:, 6:9],
             values[:, 9:12], values[:, 12:15], values[:, 15:17],
         )
-        text = timeseries_csv(res)
-        assert text == per_value_csv(res)
-        assert "-0," in text and "nan" in text and "4.9406564584124654e-324" in text
+        data = written(res, tmp_path)
+        assert data == per_value_csv(res).encode("utf-8") == timeseries_csv(res).encode("utf-8")
+        assert b"-0," in data and b"nan" in data and b"inf" in data
+        assert b"4.9406564584124654e-324" in data
+
+    @pytest.mark.parametrize("rows", [
+        1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1,
+    ])
+    def test_blocks_join_into_the_whole_table(self, rows, tmp_path):
+        # Streamed a block at a time, the file is the one string the whole
+        # table formats to, on each side of every block edge.
+        res = separate_arrays(rows)
+        data = written(res, tmp_path)
+        assert data == timeseries_csv(res).encode("utf-8")
+        assert data.count(b"\n") == rows + 1
 
 
 class TestJsonText:

@@ -9,9 +9,9 @@ perfbench workload's reference analyses and every full-size seed-7 scenario
 from perfbench/workloads.py, then a few hand-written scenes that reach what
 the workloads do not: non-default EKF noise levels, reverse driving across
 the heading wrap (on a closed-form and an integrated reference), a piecewise
-reference, a simulate run whose last step is short, landmarks too far away
-to see, 40 landmarks where no workload
-has more than 12, and the scenario parse paths no workload takes (split gain
+reference, a simulate run whose last step is short, a time series of
+three CSV blocks, landmarks too far away to see, 40 landmarks where no
+workload has more than 12, and the scenario parse paths no workload takes (split gain
 sections, absolute initial poses, a segment with default v, every mech
 field off its default, "probe_times": null), then the fault scenes: every
 documented bad input, each written here once.  FAULTS gives the exact error
@@ -24,7 +24,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (110 analyses, a
+--cheap digests only the default and hand-written scenes (111 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -95,6 +95,11 @@ HAND_SCENES = (
       "landmarks": [[9.0, 1.0], [2.0, 8.5], [-7.5, 4.0], [-6.0, -7.0], [5.0, -8.0]],
       "initial_tracking_error": [0.08, -0.05, 0.1], "initial_estimate_error": [-0.06, 0.04, -0.07],
       "t_end": 1.2345, "dt": 0.01}),
+    # A time series of 2 * 256 + 1 rows, where reporting.CSV_BLOCK_ROWS is
+    # 256: two full blocks and one row in a third, the last step short.
+    ("three-csv-blocks", ("simulate",),
+     {"trajectory": {"u": 0.9, "v": 0.4}, "initial_tracking_error": [0.2, -0.1, 0.15],
+      "initial_estimate_error": [0.1, 0.05, -0.1], "t_end": 0.5115, "dt": 0.001}),
     # Many more landmarks than any workload: the closed loop is generated
     # and unrolled for p = 40.  No ekf-compare: at the 1 ms step its Riccati
     # run is unstable on this many landmarks.
