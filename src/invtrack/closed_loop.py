@@ -191,21 +191,6 @@ _CORES = (
 )
 
 
-def _unrolled(p: int) -> dict:
-    return {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]}
-
-
-@functools.cache
-def _generated_pair(p: int) -> Callable:
-    """_loop_pair with its core calls inlined and its landmark loops
-    unrolled over p landmarks, generated on the first error field with p
-    landmarks (never at import or parse time); the fd probes evaluate its
-    rate."""
-    from .inline import inline_cores  # on first use: not compiled at import
-
-    return inline_cores(_loop_pair, _CORES, _unrolled(p))
-
-
 @functools.cache
 def _generated_run(p: int) -> Callable:
     """_loop_run with _loop_pair, rk4_step (on the six-float state) and the
@@ -218,22 +203,8 @@ def _generated_run(p: int) -> Callable:
     from .inline import inline_cores  # on first use: not compiled at import
 
     cores = (*_CORES, _loop_pair, compiled_rk4_step(6))
-    return inline_cores(_loop_run, cores, {**_unrolled(p), "w": [f"w{i}" for i in range(6)]})
-
-
-def _loop_rate(
-    traj: ReferenceTrajectory,
-    lm: LandmarkSet,
-    kg: ControllerGains,
-    og: ObserverGains,
-) -> tuple[Callable[[float, tuple], tuple], Callable]:
-    """_loop_pair's rate for one run, generated for its landmark count, and
-    its reference lookup reference(t) = traj.sample(t) = (x_r, y_r,
-    theta_r, u_r, v_r), queried once per time."""
-    coords = lm.coords
-    reference = once_per_time(traj.sample)
-    rate, _ = _generated_pair(len(coords))(reference, coords, kg, og)
-    return rate, reference
+    unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)], "w": [f"w{i}" for i in range(6)]}
+    return inline_cores(_loop_run, cores, unrolled)
 
 
 def simulate(sc: Scenario) -> SimulationResult:
@@ -312,9 +283,11 @@ def closed_loop_error_field(
     """Joint (eta, eps) dynamics of the full output-feedback loop: the
     right-hand side that simulate() integrates, seen in error coordinates.
 
-    GeometryError is timestamped as in simulate().
+    GeometryError is timestamped as in simulate().  The fd probes evaluate
+    _loop_pair's rate as written, with its core calls.
     """
-    loop, reference = _loop_rate(traj, lm, kg, og)
+    reference = once_per_time(traj.sample)
+    loop, _ = _loop_pair(reference, lm.coords, kg, og)
 
     def rate(t: float, w: tuple) -> tuple:
         xr, yr, thr, ur, vr = reference(t)

@@ -2,13 +2,14 @@
 call of a bare-float core replaced by the core's own statements, then with
 each pure statement that repeats one already computed dropped.
 
-closed_loop generates two forms of its one law, `_loop_pair`, per landmark
+closed_loop generates one form of its one law, `_loop_pair`, per landmark
 count: simulate's whole run (`_loop_run`: every RK4 step with the rate's
 four stages and the sample row inlined, so that values shared by stages at
-one time are computed once) and the rate alone, which the fd probes of
-closed_loop_error_field evaluate.  ekf generates its Riccati rate.  Each
-imports this module on its first generation, not with the package, so
-importing the package and parsing a scenario never compile it.
+one time are computed once); the fd probes of closed_loop_error_field
+evaluate `_loop_pair`'s rate as written.  ekf generates its Riccati rate.
+Each imports this module on its first generation, not with the package, so
+importing the package, parsing a scenario, `separation` and `invariance`
+never compile it.
 """
 
 from __future__ import annotations

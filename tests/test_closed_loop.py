@@ -15,7 +15,6 @@ from invtrack import closed_loop, se2
 from invtrack.closed_loop import (
     Scenario,
     SimulationResult,
-    _loop_rate,
     closed_loop_error_field,
     controller_error_field,
     observer_error_field,
@@ -255,13 +254,16 @@ FD_FLOOR = 5e-8
 
 
 def _called_pair(traj, lm, kg, og):
-    """_loop_pair's rate and row as written, with their core calls."""
+    """_loop_pair's rate and row as written, with their core calls: the
+    rate the fd probes evaluate."""
     return closed_loop._loop_pair(once_per_time(traj.sample), lm.coords, kg, og)
 
 
-def _generated_pair(traj, lm, kg, og):
-    """_loop_pair's rate and row as generated for the landmark count."""
-    return closed_loop._generated_pair(len(lm))(once_per_time(traj.sample), lm.coords, kg, og)
+def _fresh_process(code):
+    """The stdout of code run in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(closed_loop.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
 
 
 class _NanInput(PermanentTrajectory):
@@ -317,7 +319,7 @@ class TestFusedRate:
     def test_matches_composed_rate(self, traj, lm, kg, og, pose, est, t, h):
         # The stage times of one RK4 step, so the memoized reference lookup
         # is hit and missed in the order simulate() meets it.
-        fused, _ = _loop_rate(traj, lm, kg, og)
+        fused, _ = _called_pair(traj, lm, kg, og)
         oracle = composed_rate(traj, lm, kg, og)
         w = pose + est
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
@@ -331,39 +333,17 @@ class TestFusedRate:
             # Same arithmetic in the same order: equal, not merely close.
             assert bits(fused(s, w)) == bits(want)
 
-    @pytest.mark.parametrize("p", [*range(3, 13), 33, 40])
-    @given(
-        data=st.data(),
-        traj=references(),
-        kg=GAINS.map(lambda k: ControllerGains(*k)),
-        og=GAINS.map(lambda k: ObserverGains(*k)),
-        pose=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
-        est=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
-        t=floats(0.0, 3.0),
-        h=floats(1e-3, 0.1),
-    )
-    def test_generated_rate_is_the_oracle_bit_for_bit(self, p, data, traj, kg, og, pose, est, t, h):
-        # Every landmark count that landmark_sets draws, and two larger ones,
-        # gets its own generated rate and row; each must be _loop_pair's core
-        # calls exactly, but run as the cores' own statements.
-        lm = data.draw(landmark_sets(p, p))
-        fused, row = _generated_pair(traj, lm, kg, og)
-        oracle, oracle_row = _called_pair(traj, lm, kg, og)
-        for got, called in ((fused, oracle), (row, oracle_row)):
-            assert got.__code__ is not called.__code__
-            assert not {core.__name__ for core in closed_loop._CORES} & set(got.__code__.co_names)
-        w = pose + est
-        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
-            assert outcome(fused, s, w) == outcome(oracle, s, w)
-        assert outcome(row, t + h, w) == outcome(oracle_row, t + h, w)
-
     def test_a_rebound_global_reaches_the_next_run(self, monkeypatch):
         # A wrapper installed in closed_loop after generation (as a tracer
-        # installs one) is called by a rate bound before it and by the next
-        # run's, and by neither once it is removed.  _at_time, which names
-        # the time of a GeometryError, is still called, not inlined.
-        traj = PermanentTrajectory(1.0, 0.5)
-        bound, _ = _loop_rate(traj, FAR, KG, OG)
+        # installs one) is called by a generated run bound before it and by
+        # one bound after it, and by neither once it is removed.  _at_time,
+        # which names the time of a GeometryError, is still called, not
+        # inlined: each run's first stage at t = 0.25 meets the Gram cap.
+        def bound_run():
+            reference = once_per_time(PermanentTrajectory(1.0, 0.5).sample)
+            return closed_loop._generated_run(len(FAR))(reference, FAR.coords, KG, OG)
+
+        before = bound_run()
         calls = []
         original = closed_loop._at_time
 
@@ -373,58 +353,59 @@ class TestFusedRate:
 
         with monkeypatch.context() as patch:
             patch.setattr(closed_loop, "_at_time", counted)
-            rate, _ = _loop_rate(traj, FAR, KG, OG)
-            for r in (bound, rate):
+            after = bound_run()
+            for run in (before, after):
                 with pytest.raises(GeometryError, match=r"\(at t=0\.25\)$"):
-                    r(0.25, _ORIGIN)
+                    run(_ORIGIN, [0.25, 0.26])
         assert calls == [0.25, 0.25]
-        for r in (bound, rate):
+        for run in (before, after):
             with pytest.raises(GeometryError, match=r"\(at t=0\.25\)$"):
-                r(0.25, _ORIGIN)
+                run(_ORIGIN, [0.25, 0.26])
         assert len(calls) == 2
 
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
     def test_error_paths_match_the_oracle(self, case):
+        # Each way the rate fails raises the class and message ERROR_PATHS
+        # names, on the rate as written, which the fd probes evaluate;
+        # test_error_paths_through_the_run holds simulate's run to it.
         traj, lm, kg, og, t, w, want = ERROR_PATHS[case]
-        rate, row = _generated_pair(traj, lm, kg, og)
-        oracle, oracle_row = _called_pair(traj, lm, kg, og)
-        got = outcome(rate, t, w)
-        assert got == outcome(oracle, t, w)
-        assert got[:2] == want
-        # The row calls two of the cores at the same time and state.
-        assert outcome(row, t, w) == outcome(oracle_row, t, w)
-
-    def test_generated_once_per_landmark_count(self):
-        closed_loop._generated_pair.cache_clear()
-        traj = PermanentTrajectory(1.0, 0.5)
-        square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
-        rates = [_loop_rate(traj, lm, KG, OG)[0] for lm in (STANDARD, FAR, square, STANDARD)]
-        info = closed_loop._generated_pair.cache_info()
-        assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
-        assert rates[0].__code__ is rates[1].__code__ is rates[3].__code__
+        rate, _ = _called_pair(traj, lm, kg, og)
+        assert outcome(rate, t, w)[:2] == want
 
     def test_not_generated_at_import_or_parse(self):
         # setup_s covers importing the CLI and parsing a scenario: neither
-        # may pay for a generated closed loop, run or EKF rate.
+        # may pay for a generated closed-loop run or EKF rate.
         code = (
             "import sys\n"
             "import invtrack.cli\n"
             "from invtrack import closed_loop, ekf\n"
             "from invtrack.scenario import parse_scenario\n"
             "parse_scenario({})\n"
-            "print(closed_loop._generated_pair.cache_info().currsize,\n"
-            "      closed_loop._generated_run.cache_info().currsize,\n"
+            "print(closed_loop._generated_run.cache_info().currsize,\n"
             "      ekf._generated_rate.cache_info().currsize, 'invtrack.inline' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(closed_loop.__file__))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout == "0 0 0 False\n"
+        assert _fresh_process(code) == "0 0 False\n"
+
+    def test_only_simulate_imports_the_inliner(self, tmp_path):
+        # separation and invariance linearize the rate as written, so a
+        # one-shot run of either never compiles the inliner; simulate does.
+        code = (
+            "import sys\n"
+            "from invtrack import cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for command in ('separation', 'invariance'):\n"
+            "    assert cli.main([command, '--out', out]) == 0\n"
+            "print('invtrack.inline' in sys.modules)\n"
+            "assert cli.main(['simulate', '--t-end', '0.01', '--out', out]) == 0\n"
+            "print('invtrack.inline' in sys.modules)\n"
+        )
+        want = "separation: pass\ninvariance: pass\nFalse\nsimulate: pass\nTrue\n"
+        assert _fresh_process(code) == want
 
     def test_non_finite_stage_state_is_a_divergence(self):
         # An RK stage can carry a heading of inf before integrate checks the
         # step; the rate names the stage time instead of a math domain error.
-        rate, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG)
+        rate, _ = _called_pair(PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(DivergenceError) as info:
             rate(0.25, (0.0, 0.0, 0.0, 0.0, 0.0, math.inf))
         assert str(info.value) == "closed-loop state diverged at t=0.25"
@@ -432,7 +413,7 @@ class TestFusedRate:
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_value_error_on_a_finite_state_is_kept(self):
-        rate, _ = _loop_rate(_NanInput(1.0, 0.5), STANDARD, KG, OG)
+        rate, _ = _called_pair(_NanInput(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(ValueError, match="reference input must be finite"):
             rate(0.25, (0.0,) * 6)
 
@@ -441,7 +422,7 @@ class TestFusedRate:
         # the feedback's (u, v) on an estimate 10 m ahead of the reference
         # (which starts at the origin), and the observer rejects that input.
         kg = ControllerGains(1e308, 1.0, 1.0)
-        rate, _ = _loop_rate(PermanentTrajectory(1.0, 0.5), STANDARD, kg, OG)
+        rate, _ = _called_pair(PermanentTrajectory(1.0, 0.5), STANDARD, kg, OG)
         with pytest.raises(DivergenceError) as info:
             rate(0.0, (10.0, 0.0, 0.0, 10.0, 0.0, 0.0))
         assert str(info.value) == "closed-loop input diverged at t=0"
@@ -657,10 +638,10 @@ class TestFusedErrorField:
         h=floats(1e-3, 0.1),
     )
     def test_matches_composed_error_field(self, traj, lm, kg, og, eta, eps, t, h):
-        # closed_loop_error_field runs simulate()'s fused right-hand side;
-        # the layer-by-layer composition is its oracle.  Probed at the stage
-        # times of one RK4 step, so the shared reference memo is hit and
-        # missed as in a run.
+        # closed_loop_error_field runs _loop_pair's rate as written, the law
+        # that simulate's generated run inlines; the layer-by-layer
+        # composition is its oracle.  Probed at the stage times of one RK4
+        # step, so the shared reference memo is hit and missed as in a run.
         fused = closed_loop_error_field(traj, lm, kg, og).rate
         oracle = composed_error_field(traj, lm, kg, og).rate
         w = np.array(eta + eps)
@@ -870,7 +851,7 @@ class TestErrorFields:
     )
     def test_linearization_is_the_separation_matrix(self, traj, lm, kg, og, times):
         # The paper's claim, one level below a drift threshold: at every probe
-        # time the generated loop's fd linearization is separation_matrix at
+        # time the closed loop's fd linearization is separation_matrix at
         # that time's reference input, whatever the reference.  So it is
         # frozen exactly when the input is constant, as on a permanent one.
         field = closed_loop_error_field(traj, lm, kg, og)

@@ -249,12 +249,9 @@ _GENERATED = (
     "source that the closed-loop or the EKF generator reads and inlines; no command calls it"
 )
 HELD = {
-    "closed_loop._loop_pair": _GENERATED,
-    "closed_loop._loop_pair.<locals>.rate": _GENERATED,
     "closed_loop._loop_pair.<locals>.row": _GENERATED,
     "closed_loop._loop_run": _GENERATED,
     "closed_loop._loop_run.<locals>.run": _GENERATED,
-    "controller.relative_pose": _GENERATED,
     "ekf._riccati_rate": _GENERATED,
     "ekf._riccati_rate.<locals>.rate": _GENERATED,
     "ekf.riccati_values": _GENERATED,
