@@ -506,6 +506,14 @@ class TestGeneratedRun:
     def test_run_is_integrate_and_row_bit_for_bit(self, p, data, traj, kg, og, pose, est, dt, steps, part):
         # t_end is not a multiple of dt, so the last step is short.
         lm = data.draw(landmark_sets(p, p))
+        # Every call of the law, its cores and the step is inlined.
+        run = closed_loop._generated_run(p)(once_per_time(traj.sample), lm.coords, kg, og)
+        called = {
+            "_loop_pair", "rk4_step", "relative_pose", "normalize_angle", "feedback_values",
+            "measure_values", "observer_rate", "gram_condition", "_check_condition",
+            "dynamics_values",
+        }
+        assert not called & set(run.__code__.co_names)
         args = (lm, kg, og, pose + est, 0.0, (steps - 1 + part) * dt, dt)
         want = _run_outcome(_integrated_run, traj, *args)
         assert _run_outcome(_template_run, traj, *args) == want
