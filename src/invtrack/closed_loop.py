@@ -28,7 +28,7 @@ from .observer import observer_field  # noqa: F401 (perfbench's tracer test read
 # Globals of the cores, which their inlined statements read from this module.
 from .observer import MAX_CONDITION  # noqa: F401
 from .robot import LandmarkSet, dynamics_values, measure_values
-from .robot import RobotInput  # noqa: F401 (read by observer_rate's inlined statements)
+from .robot import non_finite_input  # noqa: F401 (read by observer_rate's inlined statements)
 from .se2 import GroupElement, normalize_angle
 from .se2 import TAU  # noqa: F401
 from .trajectories import ReferenceTrajectory

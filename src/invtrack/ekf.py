@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import integrate, max_pairwise_distance, once_per_time, probe_times
-from .robot import LandmarkSet, RobotInput, dynamics_values, finite_input, measure_values
+from .numerics import compiled_rk4_step, grid, max_pairwise_distance, once_per_time, probe_times, rk4_step
+from .robot import LandmarkSet, RobotInput, dynamics_values, measure_values, non_finite_input
 from .se2 import GroupElement
 
 DEFAULT_PROCESS_NOISE = 1e-3
@@ -118,36 +119,23 @@ def _riccati_rate(reference, coords, q, r_inv):
     reference(t) = (x_r, y_r, theta_r, u_r, v_r), written with the two core
     calls.
 
-    A non-finite reference input raises finite_input's ValueError, and an
+    A non-finite reference input raises robot.non_finite_input's error, and an
     estimate that squares out of float range raises DivergenceError at t.
     """
     def rate(t, w):
         xr, yr, _, u, v = reference(t)
         if not (math.isfinite(u) and math.isfinite(v)):
-            finite_input(RobotInput(u, v))
+            raise non_finite_input(u, v)
         y = measure_values(xr, yr, coords)
         try:
-            dw = riccati_values(w, u, v, coords, y, q, r_inv)
+            # Named, so that generated code hands the stage its nine values
+            # without a tuple built to carry them.
+            dx, dy, dth, d00, d01, d02, d11, d12, d22 = riccati_values(w, u, v, coords, y, q, r_inv)
         except OverflowError as err:  # an estimate past ~1.3e154, squared by ** 2
             raise DivergenceError(t, "EKF state diverged") from err
-        return dw
+        return (dx, dy, dth, d00, d01, d02, d11, d12, d22)
 
     return rate
-
-
-# The cores themselves, taken at import: a tracer that later rebinds these
-# names to timing wrappers must not hand the inliner a wrapper's source.
-_CORES = (measure_values, riccati_values, dynamics_values)
-
-
-@functools.cache
-def _generated_rate(p: int) -> Callable:
-    """_riccati_rate with its core calls inlined and its landmark loops
-    unrolled over p landmarks, generated on the first run with p landmarks
-    (never at import or parse time)."""
-    from .inline import inline_cores  # on first use: not compiled at import
-
-    return inline_cores(_riccati_rate, _CORES, {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)]})
 
 
 # keep_psd's floor on the smallest eigenvalue of P.
@@ -155,26 +143,26 @@ PSD_FLOOR = -1e-9
 
 
 def keep_psd(t: float, w: tuple) -> tuple:
-    """run_along_reference's post-step hook: w unchanged once its P, on the
+    """The filter run's post-step check: w unchanged once its P, on the
     flat state (x, y, theta, p00, p01, p02, p11, p12, p22), has
     lambda_min(P) >= PSD_FLOOR.
 
     That holds exactly when every principal minor of A = P - PSD_FLOOR I is
-    >= 0; they are read on bare floats from w[3:9].
+    >= 0; they are read on bare floats from the unpacked state.
 
     Raises:
         DivergenceError: at t, when P has left the cone.
     """
-    a00, a01, a02, a11, a12, a22 = w[3:9]
-    a00 -= PSD_FLOOR
-    a11 -= PSD_FLOOR
-    a22 -= PSD_FLOOR
-    m12 = a11 * a22 - a12 * a12
+    x, y, th, p00, p01, p02, p11, p12, p22 = w
+    a00 = p00 - PSD_FLOOR
+    a11 = p11 - PSD_FLOOR
+    a22 = p22 - PSD_FLOOR
+    m12 = a11 * a22 - p12 * p12
     if (
         a00 < 0.0 or a11 < 0.0 or a22 < 0.0 or m12 < 0.0
-        or a00 * a22 - a02 * a02 < 0.0
-        or a00 * a11 - a01 * a01 < 0.0
-        or a00 * m12 - a01 * (a01 * a22 - a12 * a02) + a02 * (a01 * a12 - a11 * a02) < 0.0
+        or a00 * a22 - p02 * p02 < 0.0
+        or a00 * a11 - p01 * p01 < 0.0
+        or a00 * m12 - p01 * (p01 * a22 - p12 * p02) + p02 * (p01 * p12 - a11 * p02) < 0.0
     ):
         # The Riccati flow preserves positive semidefiniteness, so a P
         # outside the cone means the step size cannot follow the initial
@@ -183,6 +171,52 @@ def keep_psd(t: float, w: tuple) -> tuple:
             t, "EKF integration unstable (P must be positive semidefinite); reduce dt"
         )
     return w
+
+
+def _filter_run(reference, coords, q, r_inv):
+    """run_along_reference's run of _riccati_rate: run(w, times) integrates
+    the rate by classical RK4 over the grid times from the state w at
+    times[0] and returns one flat array('d') that holds the nine floats of
+    the state at each grid time in turn.  It is numerics.integrate's loop
+    with keep_psd after each step, written with one rk4_step call per step.
+    """
+    rate = _riccati_rate(reference, coords, q, r_inv)
+
+    def run(w, times):
+        buf = array("d", w)
+        t = times[0]
+        for t1 in times[1:]:
+            w = rk4_step(rate, t, w, t1 - t)
+            # integrate's finite-state check, before keep_psd, which a NaN passes.
+            for c in w:
+                if not math.isfinite(c):
+                    raise DivergenceError(t1, "EKF state diverged")
+            keep_psd(t1, w)
+            buf.extend(w)
+            t = t1
+        return buf
+
+    return run
+
+
+# The cores themselves, taken at import: a tracer that later rebinds these
+# names to timing wrappers must not hand the inliner a wrapper's source.
+_CORES = (measure_values, riccati_values, dynamics_values, keep_psd)
+
+
+@functools.cache
+def _generated_run(p: int) -> Callable:
+    """_filter_run with _riccati_rate, rk4_step (on the nine-float state),
+    keep_psd and the cores inlined, the state and the landmark loops
+    unrolled over p landmarks, generated on the first run with p landmarks
+    (never at import or parse time).  Value numbering then computes the
+    reference sample, the input check and the measurement once for the two
+    midpoint stages, which share their time."""
+    from .inline import inline_cores  # on first use: not compiled at import
+
+    cores = (*_CORES, _riccati_rate, compiled_rk4_step(9))
+    unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)], "w": [f"w{i}" for i in range(9)]}
+    return inline_cores(_filter_run, cores, unrolled)
 
 
 @dataclass(frozen=True)
@@ -210,9 +244,10 @@ def run_along_reference(
     covariance (and with it the gain) evolves along the path.  The noise
     levels are validated here, once; after every step P is checked to be
     positive semidefinite, and a stage estimate that squares out of float
-    range raises DivergenceError at the stage time.  The flow carries the
-    upper triangle of P, and the returned run holds it expanded to full
-    matrices.
+    range raises DivergenceError at the stage time.  The run is
+    _filter_run, generated for the landmark count, on the grid
+    numerics.grid(0, t_end, dt).  The flow carries the upper triangle of P,
+    and the returned run holds it expanded to full matrices.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
@@ -220,11 +255,10 @@ def run_along_reference(
         if not (level > 0.0 and math.isfinite(level)):
             raise ValueError(f"noise level {name} must be positive and finite, got {level}")
     coords = lm.coords
-    rate = _generated_rate(len(coords))(once_per_time(traj.sample), coords, q, 1.0 / r)
-    g0 = traj.pose(0.0)
-    w0 = (*g0, p0, 0.0, 0.0, p0, 0.0, p0)
-    times, states = integrate(rate, w0, 0.0, t_end, dt, keep_psd, state="EKF state")
-    w_rows = np.asarray(states)
+    run = _generated_run(len(coords))(once_per_time(traj.sample), coords, q, 1.0 / r)
+    w0 = tuple(map(float, (*traj.pose(0.0), p0, 0.0, 0.0, p0, 0.0, p0)))
+    times = grid(0.0, t_end, dt)
+    w_rows = np.frombuffer(run(w0, times)).reshape(-1, 9)
     # Row-major P from (p00, p01, p02, p11, p12, p22).
     covariances = w_rows[:, [3, 4, 5, 4, 6, 7, 5, 7, 8]].reshape(-1, 3, 3)
     return EkfRun(np.asarray(times), w_rows[:, :3], covariances)

@@ -6,7 +6,8 @@ closed_loop generates one form of its one law, `_loop_pair`, per landmark
 count: simulate's whole run (`_loop_run`: every RK4 step with the rate's
 four stages and the sample row inlined, so that values shared by stages at
 one time are computed once); the fd probes of closed_loop_error_field
-evaluate `_loop_pair`'s rate as written.  ekf generates its Riccati rate.
+evaluate `_loop_pair`'s rate as written.  ekf generates the filter's whole
+run (`_filter_run`: every RK4 step of its Riccati rate, with keep_psd).
 Each imports this module on its first generation, not with the package, so
 importing the package, parsing a scenario, `separation` and `invariance`
 never compile it.

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .robot import LandmarkSet, RobotInput
+from .robot import LandmarkSet, RobotInput, non_finite_input
 from .se2 import GroupElement
 
 # Reject the correction when the 2x2 Gram matrix of body-frame landmark
@@ -125,7 +125,7 @@ def observer_rate(
         GeometryError: Gram matrix condition number reaches MAX_CONDITION.
     """
     if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValueError(f"input has non-finite components: {RobotInput(u, v)}")
+        raise non_finite_input(u, v)
     ct = math.cos(thh)
     st = math.sin(thh)
     a = b = d = 0.0

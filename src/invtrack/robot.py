@@ -65,10 +65,17 @@ def dynamics_values(theta: float, u: float, v: float) -> tuple[float, float, flo
     return (u * c, u * s, u * v)
 
 
+def non_finite_input(u: float, v: float) -> ValueError:
+    """The error that names the non-finite input (u, v), the one wording of
+    it: finite_input raises it, and so do the raise-guards of the generated
+    rates, which build no RobotInput while the input is finite."""
+    return ValueError(f"input has non-finite components: {RobotInput(u, v)}")
+
+
 def finite_input(inp: RobotInput) -> RobotInput:
     """inp itself, once both components are checked to be finite."""
     if not (math.isfinite(inp.u) and math.isfinite(inp.v)):
-        raise ValueError(f"input has non-finite components: {inp}")
+        raise non_finite_input(inp.u, inp.v)
     return inp
 
 

@@ -382,7 +382,7 @@ class TestFusedRate:
             "from invtrack.scenario import parse_scenario\n"
             "parse_scenario({})\n"
             "print(closed_loop._generated_run.cache_info().currsize,\n"
-            "      ekf._generated_rate.cache_info().currsize, 'invtrack.inline' in sys.modules)\n"
+            "      ekf._generated_run.cache_info().currsize, 'invtrack.inline' in sys.modules)\n"
         )
         assert _fresh_process(code) == "0 0 False\n"
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -18,18 +19,23 @@ from invtrack.ekf import (
     time_variance_probe,
 )
 from invtrack.errors import DivergenceError
-from invtrack.numerics import integrate, once_per_time
-from invtrack.robot import LandmarkSet, RobotInput, dynamics, dynamics_values
+from invtrack.numerics import grid, integrate, once_per_time
+from invtrack.robot import LandmarkSet, RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY
-from invtrack.trajectories import PermanentTrajectory
+from invtrack.trajectories import (
+    IntegratedTrajectory,
+    PermanentTrajectory,
+    PiecewiseTrajectory,
+    Segment,
+)
 from oracles import (
     assert_close,
     assert_rates_close,
+    bits,
     ekf_field_oracle,
     ekf_oracle_run,
     jacobian_fd_oracle,
     measure,
-    outcome,
     rotation_exp,
 )
 from strategies import HEADINGS, floats, landmark_sets, references, signed
@@ -293,9 +299,34 @@ def _called_rate(traj, lm, q, r):
     return ekf._riccati_rate(once_per_time(traj.sample), lm.coords, q, 1.0 / r)
 
 
-def _generated_rate(traj, lm, q, r):
-    """The rate run_along_reference integrates, generated for len(lm)."""
-    return ekf._generated_rate(len(lm))(once_per_time(traj.sample), lm.coords, q, 1.0 / r)
+def _integrated_run(traj, lm, q, r, w0, t0, t_end, dt):
+    """Oracle: the filter's run as integrate of _riccati_rate's rate with its
+    core calls and keep_psd after every step; the flat list of the states."""
+    rate = _called_rate(traj, lm, q, r)
+    _, states = integrate(rate, w0, t0, t_end, dt, keep_psd, state="EKF state")
+    return [c for w in states for c in w]
+
+
+def _template_run(traj, lm, q, r, w0, t0, t_end, dt):
+    """_filter_run as written, with its calls of the rate, rk4_step and keep_psd."""
+    return ekf._filter_run(once_per_time(traj.sample), lm.coords, q, 1.0 / r)(w0, grid(t0, t_end, dt))
+
+
+def _generated_run(traj, lm, q, r, w0, t0, t_end, dt):
+    """The run run_along_reference calls, generated for the landmark count."""
+    run = ekf._generated_run(len(lm))(once_per_time(traj.sample), lm.coords, q, 1.0 / r)
+    return run(w0, grid(t0, t_end, dt))
+
+
+def _run_outcome(run, traj, *args):
+    """run on a fresh copy of traj (an integrated reference keeps the knots
+    it has integrated) as the bits of its nine floats per grid time, or as
+    the class, message, time and cause class of what it raised."""
+    try:
+        buf = run(copy.deepcopy(traj), *args)
+    except (ValueError, ArithmeticError) as err:
+        return (type(err), str(err), getattr(err, "time", None), type(err.__cause__))
+    return ("ok", bits(buf))
 
 
 class _NanInput(PermanentTrajectory):
@@ -304,8 +335,8 @@ class _NanInput(PermanentTrajectory):
 
 
 _P0 = (1e-2, 0.0, 0.0, 1e-2, 0.0, 1e-2)
-# Each way the rate fails: (traj, t, w) and the class, message, time and
-# cause class of what it raises.
+# Each way the run fails: (traj, t, w) and the class, message, time and
+# cause class of what a run from w at t on 0.01 s steps raises.
 ERROR_PATHS = {
     "nan-reference-input": (
         _NanInput(1.0, 0.5), 0.25, (0.0, 0.0, 0.0, *_P0),
@@ -316,63 +347,97 @@ ERROR_PATHS = {
         PermanentTrajectory(1.0, 0.5), 0.25, (2e154, 0.0, 0.0, *_P0),
         (DivergenceError, "EKF state diverged at t=0.25", 0.25, OverflowError),
     ),
+    # P off the cone stays off it: keep_psd raises at the step's end time.
+    "p-leaves-the-cone": (
+        PermanentTrajectory(1.0, 0.5), 0.25, (0.0, 0.0, 0.0, -1e-3, 0.0, 0.0, 1e-2, 0.0, 1e-2),
+        (DivergenceError,
+         "EKF integration unstable (P must be positive semidefinite); reduce dt at t=0.26",
+         0.26, type(None)),
+    ),
+    # On a parked reference, with the estimate on it, p00 = 1e200 squares
+    # to inf in the first stage's rate and to NaN after it, while no
+    # estimate squares out of range: the state is NaN at the step's end.
+    "non-finite-state": (
+        PermanentTrajectory(0.0, 0.0), 0.25, (0.0, 0.0, 0.0, 1e200, 0.0, 0.0, 1e-2, 0.0, 1e-2),
+        (DivergenceError, "EKF state diverged at t=0.26", 0.26, type(None)),
+    ),
 }
 
 
-class TestGeneratedRate:
+class TestGeneratedRun:
+    # run_along_reference runs _filter_run as generated code: the rate,
+    # rk4_step, keep_psd and the cores inlined, with what the two midpoint
+    # stages share computed once.  It must be integrate, bit for bit.
     @pytest.mark.parametrize("p", [*range(3, 13), 33, 40])
     @given(
         data=st.data(),
         traj=references(),
         est=st.tuples(floats(-8.0, 8.0), floats(-8.0, 8.0), HEADINGS),
-        cov=st.tuples(*[floats(-1.0, 1.0)] * 6),
+        p0=floats(1e-3, 1e-1),
         q=floats(1e-4, 1e-2),
-        r=floats(1e-3, 1.0),
-        t=floats(0.0, 3.0),
-        h=floats(1e-3, 0.1),
+        r=floats(1e-1, 10.0),
+        dt=floats(1e-3, 1e-2),
+        steps=st.integers(1, 10),
+        part=floats(0.05, 0.95),
     )
-    def test_generated_rate_is_the_template_bit_for_bit(self, p, data, traj, est, cov, q, r, t, h):
-        # Every landmark count that landmark_sets draws, and two larger ones,
-        # gets its own generated rate; each must be _riccati_rate's core
-        # calls exactly, but run as the cores' own statements.
+    def test_run_is_integrate_bit_for_bit(self, p, data, traj, est, p0, q, r, dt, steps, part):
+        # t_end is not a multiple of dt, so the last step is short.  Every
+        # landmark count that landmark_sets draws, and two larger ones, gets
+        # its own generated run.
         lm = data.draw(landmark_sets(p, p))
-        rate = _generated_rate(traj, lm, q, r)
-        called = _called_rate(traj, lm, q, r)
-        assert rate.__code__ is not called.__code__
-        assert not {core.__name__ for core in ekf._CORES} & set(rate.__code__.co_names)
-        w = est + cov
-        # The stage times of one RK4 step, so the memoized reference lookup
-        # is hit and missed in the order run_along_reference meets it.
-        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
-            assert outcome(rate, s, w) == outcome(called, s, w)
+        args = (lm, q, r, (*est, p0, 0.0, 0.0, p0, 0.0, p0), 0.0, (steps - 1 + part) * dt, dt)
+        want = _run_outcome(_integrated_run, traj, *args)
+        assert _run_outcome(_template_run, traj, *args) == want
+        assert _run_outcome(_generated_run, traj, *args) == want
+
+    @pytest.mark.parametrize("p", [3, 12, 40])
+    def test_no_core_is_called_by_name(self, p):
+        # Every call of the rate, the step, the check and the cores is
+        # inlined, riccati_values' own call of dynamics_values included.
+        # The names are listed, not read from ekf._CORES, so a core left out
+        # of it shows here.
+        ring = tuple((10.0 * math.cos(0.1 + k), 10.0 * math.sin(0.1 + k)) for k in range(p))
+        run = ekf._generated_run(p)(once_per_time(PermanentTrajectory(1.0, 0.5).sample), ring, 1e-3, 1e2)
+        called = {
+            "_riccati_rate", "rk4_step", "measure_values", "riccati_values", "dynamics_values",
+            "keep_psd",
+        }
+        assert not called & set(run.__code__.co_names)
+        written = ekf._filter_run(None, ring, 1e-3, 1e2)
+        assert run.__code__ is not written.__code__
+
+    @pytest.mark.parametrize("traj", [
+        PermanentTrajectory(-1.2, 0.4, GroupElement(1.0, -2.0, math.pi - 1e-7)),
+        PiecewiseTrajectory((Segment(-1.0, 0.3, 0.02), Segment(-0.7, -0.5, 1.0))),
+        IntegratedTrajectory(lambda t: RobotInput(-1.1, 0.3 + 0.2 * math.sin(1.3 * t))),
+    ], ids=["permanent", "piecewise", "wobble"])
+    def test_each_kind_in_reverse_with_a_short_last_step(self, traj):
+        # Every kind of reference, driven backwards, on 1.3 ms steps that
+        # end 0.05 s with a short one (39 steps): the run equals its oracle.
+        w0 = (1.0, -2.0, 3.0, 5e-3, 0.0, 0.0, 5e-3, 0.0, 5e-3)
+        args = (STANDARD, 1.7e-3, 2.3e-2, w0, 0.0, 0.05, 1.3e-3)
+        want = _run_outcome(_integrated_run, traj, *args)
+        assert want[0] == "ok" and len(want[1]) == 40 * 9
+        assert _run_outcome(_generated_run, traj, *args) == want
 
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
-    def test_error_paths_match_the_template(self, case):
+    def test_error_paths_through_the_run(self, case):
+        # Each way the filter fails, met by the run from the case's time and
+        # state, raises what integrate raised, with its time and cause.
         traj, t, w, want = ERROR_PATHS[case]
-        got = outcome(_generated_rate(traj, STANDARD, 1e-3, 1e-2), t, w)
-        assert got == outcome(_called_rate(traj, STANDARD, 1e-3, 1e-2), t, w)
+        args = (STANDARD, 1e-3, 1e-2, w, t, t + 0.02, 0.01)
+        got = _run_outcome(_generated_run, traj, *args)
+        assert got == _run_outcome(_integrated_run, traj, *args)
         assert got == want
 
     def test_generated_once_per_landmark_count(self):
-        ekf._generated_rate.cache_clear()
+        ekf._generated_run.cache_clear()
         traj = PermanentTrajectory(1.0, 0.5)
-        triangle = LandmarkSet(((5.0, 0.0), (0.0, 5.0), (-5.0, 0.0)))
         square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
-        rates = [
-            _generated_rate(traj, lm, 1e-3, 1e-2) for lm in (STANDARD, triangle, square, STANDARD)
-        ]
-        info = ekf._generated_rate.cache_info()
+        for lm in (STANDARD, square, STANDARD, square):
+            run_along_reference(traj, lm, t_end=0.01, dt=1e-3, **DEFAULT_NOISE)
+        info = ekf._generated_run.cache_info()
         assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
-        assert rates[0].__code__ is rates[1].__code__ is rates[3].__code__
-        assert rates[2].__code__ is not rates[0].__code__
-
-
-    def test_nested_dynamics_call_is_inlined(self):
-        # riccati_values calls dynamics_values itself; the generated rate
-        # runs that call's statements too, and reads no core.
-        assert dynamics_values in ekf._CORES
-        rate = _generated_rate(PermanentTrajectory(1.0, 0.5), STANDARD, 1e-3, 1e-2)
-        assert "dynamics_values" not in rate.__code__.co_names
 
 
 class TestErrorMatrix:

@@ -246,14 +246,17 @@ FAULTS = {
 _GAIN_IDENTITY = "criterion 7: the observer's gain in matrix form, L (-2 I^T) = W"
 _PROTOCOL = "the ReferenceTrajectory protocol that every reference implements"
 _GENERATED = (
-    "source that the closed-loop or the EKF generator reads and inlines; no command calls it"
+    "source that the closed-loop or the EKF run generator reads and inlines; no command calls it"
 )
 HELD = {
     "closed_loop._loop_pair.<locals>.row": _GENERATED,
     "closed_loop._loop_run": _GENERATED,
     "closed_loop._loop_run.<locals>.run": _GENERATED,
+    "ekf._filter_run": _GENERATED,
+    "ekf._filter_run.<locals>.run": _GENERATED,
     "ekf._riccati_rate": _GENERATED,
     "ekf._riccati_rate.<locals>.rate": _GENERATED,
+    "ekf.keep_psd": _GENERATED,
     "ekf.riccati_values": _GENERATED,
     "observer.body_frame_landmarks": _GAIN_IDENTITY,
     "observer.gain_matrix": _GAIN_IDENTITY,
