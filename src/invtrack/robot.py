@@ -67,8 +67,9 @@ def dynamics_values(theta: float, u: float, v: float) -> tuple[float, float, flo
 
 def non_finite_input(u: float, v: float) -> ValueError:
     """The error that names the non-finite input (u, v), the one wording of
-    it: finite_input raises it, and so do the raise-guards of the generated
-    rates, which build no RobotInput while the input is finite."""
+    it: finite_input raises it, and so do the raise-guards of observer_rate
+    and the EKF rate, which build no RobotInput while the input is finite
+    and which the inliner takes as they stand."""
     return ValueError(f"input has non-finite components: {RobotInput(u, v)}")
 
 
