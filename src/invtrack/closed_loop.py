@@ -11,18 +11,16 @@ it against finite-difference linearizations of the full nonlinear loop.
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import se2
 from .controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
 from .errors import DegenerateReferenceError, DivergenceError, GeometryError
-from .numerics import ErrorField, compiled_rk4_step, grid, once_per_time, rk4_step
+from .numerics import ErrorField, generated_run, grid, once_per_time, rk4_step
 from .observer import ObserverGains, _check_condition, gram_condition, obs_error_matrix, observer_rate
 from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
 # Globals of the cores, which their inlined statements read from this module.
@@ -187,24 +185,8 @@ def _loop_run(reference, coords, kg, og):
 # names to timing wrappers must not hand the inliner a wrapper's source.
 _CORES = (
     relative_pose, normalize_angle, feedback_values, measure_values, observer_rate,
-    gram_condition, _check_condition, dynamics_values,
+    gram_condition, _check_condition, dynamics_values, _loop_pair,
 )
-
-
-@functools.cache
-def _generated_run(p: int) -> Callable:
-    """_loop_run with _loop_pair, rk4_step (on the six-float state) and the
-    cores inlined, the state unrolled and the landmark loops unrolled over p
-    landmarks, generated on the first simulate with p landmarks (never at
-    import or parse time).  Value numbering then computes once what stages
-    at one time share: the reference sample, cos and sin of its heading,
-    the feedback's reference factors, and the row's estimate error, input
-    and cos/sin of the heading, which the first stage reads."""
-    from .inline import inline_cores  # on first use: not compiled at import
-
-    cores = (*_CORES, _loop_pair, compiled_rk4_step(6))
-    unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)], "w": [f"w{i}" for i in range(6)]}
-    return inline_cores(_loop_run, cores, unrolled)
 
 
 def simulate(sc: Scenario) -> SimulationResult:
@@ -214,12 +196,12 @@ def simulate(sc: Scenario) -> SimulationResult:
     Measurements come from the true state at every stage; the controller
     sees only the estimate.  Aborts with DivergenceError when the state
     leaves a 1e6 box and with GeometryError (timestamped) when the landmark
-    geometry degenerates as seen from the estimate.  The run is _loop_run,
-    generated for the landmark count, and queries the reference once per
-    distinct stage time.
+    geometry degenerates as seen from the estimate.  The run is _loop_run
+    as numerics.generated_run generates it for the landmark count; it
+    queries the reference once per distinct stage time.
     """
     coords = sc.landmarks.coords
-    run = _generated_run(len(coords))(
+    run = generated_run(_loop_run, _CORES, len(coords), 6)(
         once_per_time(sc.trajectory.sample), coords, sc.controller_gains, sc.observer_gains
     )
     buf = run(tuple(map(float, sc.initial_pose + sc.initial_estimate)), grid(0.0, sc.t_end, sc.dt))

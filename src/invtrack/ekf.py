@@ -8,16 +8,14 @@ observer exists precisely to remove that time dependence.
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import compiled_rk4_step, grid, max_pairwise_distance, once_per_time, probe_times, rk4_step
+from .numerics import generated_run, grid, max_pairwise_distance, once_per_time, probe_times, rk4_step
 from .robot import LandmarkSet, RobotInput, dynamics_values, measure_values, non_finite_input
 from .se2 import GroupElement
 
@@ -201,22 +199,7 @@ def _filter_run(reference, coords, q, r_inv):
 
 # The cores themselves, taken at import: a tracer that later rebinds these
 # names to timing wrappers must not hand the inliner a wrapper's source.
-_CORES = (measure_values, riccati_values, dynamics_values, keep_psd)
-
-
-@functools.cache
-def _generated_run(p: int) -> Callable:
-    """_filter_run with _riccati_rate, rk4_step (on the nine-float state),
-    keep_psd and the cores inlined, the state and the landmark loops
-    unrolled over p landmarks, generated on the first run with p landmarks
-    (never at import or parse time).  Value numbering then computes the
-    reference sample, the input check and the measurement once for the two
-    midpoint stages, which share their time."""
-    from .inline import inline_cores  # on first use: not compiled at import
-
-    cores = (*_CORES, _riccati_rate, compiled_rk4_step(9))
-    unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)], "w": [f"w{i}" for i in range(9)]}
-    return inline_cores(_filter_run, cores, unrolled)
+_CORES = (measure_values, riccati_values, dynamics_values, keep_psd, _riccati_rate)
 
 
 @dataclass(frozen=True)
@@ -245,9 +228,10 @@ def run_along_reference(
     levels are validated here, once; after every step P is checked to be
     positive semidefinite, and a stage estimate that squares out of float
     range raises DivergenceError at the stage time.  The run is
-    _filter_run, generated for the landmark count, on the grid
-    numerics.grid(0, t_end, dt).  The flow carries the upper triangle of P,
-    and the returned run holds it expanded to full matrices.
+    _filter_run as numerics.generated_run generates it for the landmark
+    count, on the grid numerics.grid(0, t_end, dt).  The flow carries the
+    upper triangle of P, and the returned run holds it expanded to full
+    matrices.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
@@ -255,7 +239,7 @@ def run_along_reference(
         if not (level > 0.0 and math.isfinite(level)):
             raise ValueError(f"noise level {name} must be positive and finite, got {level}")
     coords = lm.coords
-    run = _generated_run(len(coords))(once_per_time(traj.sample), coords, q, 1.0 / r)
+    run = generated_run(_filter_run, _CORES, len(coords), 9)(once_per_time(traj.sample), coords, q, 1.0 / r)
     w0 = tuple(map(float, (*traj.pose(0.0), p0, 0.0, 0.0, p0, 0.0, p0)))
     times = grid(0.0, t_end, dt)
     w_rows = np.frombuffer(run(w0, times)).reshape(-1, 9)

@@ -2,15 +2,15 @@
 call of a bare-float core replaced by the core's own statements, then with
 each pure statement that repeats one already computed dropped.
 
-closed_loop generates one form of its one law, `_loop_pair`, per landmark
-count: simulate's whole run (`_loop_run`: every RK4 step with the rate's
-four stages and the sample row inlined, so that values shared by stages at
-one time are computed once); the fd probes of closed_loop_error_field
-evaluate `_loop_pair`'s rate as written.  ekf generates the filter's whole
-run (`_filter_run`: every RK4 step of its Riccati rate, with keep_psd).
-Each imports this module on its first generation, not with the package, so
-importing the package, parsing a scenario, `separation` and `invariance`
-never compile it.
+Its one caller is numerics.generated_run, which generates two runs per
+landmark count: simulate's (closed_loop's `_loop_run`: every RK4 step with
+the four stages of the one law's rate, `_loop_pair`, and the sample row
+inlined, so that values shared by stages at one time are computed once)
+and the filter's (ekf's `_filter_run`: every RK4 step of its Riccati rate,
+with keep_psd).  The fd probes of closed_loop_error_field evaluate
+`_loop_pair`'s rate as written.  generated_run imports this module on its
+first generation, not with the package, so importing the package, parsing
+a scenario, `separation` and `invariance` never compile it.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 from dataclasses import dataclass
@@ -28,10 +29,13 @@ VectorField = Callable[[float, tuple], Sequence[float]]
 T = TypeVar("T")
 
 
-def _compile_rk4_step(n: int) -> Callable:
-    """rk4_step on states of length n, as straight-line code.  Its source is
-    registered with linecache, so inspect.getsource reads it, and with it
-    the inliner, which splices it into closed_loop's generated run."""
+@functools.cache
+def compiled_rk4_step(n: int) -> Callable:
+    """rk4_step on states of length n, as straight-line code compiled on
+    first use (as dataclasses builds __init__): a per-component loop spent
+    about as long on its own bookkeeping as a small field on its physics.
+    Its source is registered with linecache, so inspect.getsource reads it,
+    and with it the inliner, which splices it into generated_run's runs."""
 
     def each(term: str) -> str:
         return "".join(term.format(i=i) + ", " for i in range(n))
@@ -57,30 +61,25 @@ def _compile_rk4_step(n: int) -> Callable:
     return namespace["rk4_step"]
 
 
-_RK4_STEPS: dict[int, Callable] = {}
-
-
-def compiled_rk4_step(n: int) -> Callable:
-    """rk4_step's straight-line form for states of length n, compiled on
-    first use (as dataclasses builds __init__): a per-component loop spent
-    about as long on its own bookkeeping as a small field on its physics."""
-    try:
-        return _RK4_STEPS[n]
-    except KeyError:
-        step = _RK4_STEPS[n] = _compile_rk4_step(n)
-        return step
-
-
 def rk4_step(field: VectorField, t: float, x: tuple, h: float) -> tuple:
     """One classical Runge-Kutta step of size h on a flat tuple of floats,
     run as compiled_rk4_step(len(x)).  A field that returns more or fewer
     components than x has raises ValueError.
     """
-    try:
-        step = _RK4_STEPS[len(x)]
-    except KeyError:
-        step = compiled_rk4_step(len(x))
-    return step(field, t, x, h)
+    return compiled_rk4_step(len(x))(field, t, x, h)
+
+
+@functools.cache
+def generated_run(template: Callable, cores: tuple, p: int, n: int) -> Callable:
+    """template, a run factory written with one rk4_step call per step on
+    an n-float state w, with cores, compiled_rk4_step(n) and every function
+    they call inlined, w unrolled and each loop over coords unrolled over p
+    landmarks (see inline.inline_cores).  Generated on the first run with p
+    landmarks, never at import or parse time: the inliner is imported then."""
+    from .inline import inline_cores
+
+    unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)], "w": [f"w{i}" for i in range(n)]}
+    return inline_cores(template, (*cores, compiled_rk4_step(n)), unrolled)
 
 
 def once_per_time(fn: Callable[[float], T]) -> Callable[[float], T]:

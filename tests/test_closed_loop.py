@@ -25,6 +25,7 @@ from invtrack.controller import ControllerGains, ctrl_loop_matrix, relative_pose
 from invtrack.errors import DegenerateReferenceError, DivergenceError, GeometryError
 from invtrack.numerics import (
     eigenvalues,
+    generated_run,
     grid,
     integrate,
     linearize_error_field,
@@ -341,7 +342,8 @@ class TestFusedRate:
         # inlined: each run's first stage at t = 0.25 meets the Gram cap.
         def bound_run():
             reference = once_per_time(PermanentTrajectory(1.0, 0.5).sample)
-            return closed_loop._generated_run(len(FAR))(reference, FAR.coords, KG, OG)
+            run = generated_run(closed_loop._loop_run, closed_loop._CORES, len(FAR), 6)
+            return run(reference, FAR.coords, KG, OG)
 
         before = bound_run()
         calls = []
@@ -378,13 +380,12 @@ class TestFusedRate:
         code = (
             "import sys\n"
             "import invtrack.cli\n"
-            "from invtrack import closed_loop, ekf\n"
+            "from invtrack import numerics\n"
             "from invtrack.scenario import parse_scenario\n"
             "parse_scenario({})\n"
-            "print(closed_loop._generated_run.cache_info().currsize,\n"
-            "      ekf._generated_run.cache_info().currsize, 'invtrack.inline' in sys.modules)\n"
+            "print(numerics.generated_run.cache_info().currsize, 'invtrack.inline' in sys.modules)\n"
         )
-        assert _fresh_process(code) == "0 0 False\n"
+        assert _fresh_process(code) == "0 False\n"
 
     def test_only_simulate_imports_the_inliner(self, tmp_path):
         # separation and invariance linearize the rate as written, so a
@@ -472,7 +473,9 @@ def _template_run(traj, lm, kg, og, w0, t0, t_end, dt):
 
 def _generated_run(traj, lm, kg, og, w0, t0, t_end, dt):
     """The run simulate calls, generated for the landmark count."""
-    run = closed_loop._generated_run(len(lm))(once_per_time(traj.sample), lm.coords, kg, og)
+    run = generated_run(closed_loop._loop_run, closed_loop._CORES, len(lm), 6)(
+        once_per_time(traj.sample), lm.coords, kg, og
+    )
     return run(w0, grid(t0, t_end, dt))
 
 
@@ -507,7 +510,9 @@ class TestGeneratedRun:
         # t_end is not a multiple of dt, so the last step is short.
         lm = data.draw(landmark_sets(p, p))
         # Every call of the law, its cores and the step is inlined.
-        run = closed_loop._generated_run(p)(once_per_time(traj.sample), lm.coords, kg, og)
+        run = generated_run(closed_loop._loop_run, closed_loop._CORES, p, 6)(
+            once_per_time(traj.sample), lm.coords, kg, og
+        )
         called = {
             "_loop_pair", "rk4_step", "relative_pose", "normalize_angle", "feedback_values",
             "measure_values", "observer_rate", "gram_condition", "_check_condition",
@@ -571,14 +576,6 @@ class TestGeneratedRun:
         except (ValueError, ArithmeticError) as err:
             got = (type(err), str(err), getattr(err, "time", None), type(err.__cause__))
         assert want[0] != "ok" and got == want
-
-    def test_generated_once_per_landmark_count(self):
-        closed_loop._generated_run.cache_clear()
-        square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
-        for lm in (STANDARD, square, STANDARD, square):
-            simulate(standard_scenario(landmarks=lm, t_end=0.1, dt=0.05))
-        info = closed_loop._generated_run.cache_info()
-        assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
 
 
 # simulate's bytes per step: the run's 18 floats (144 bytes) in an array

@@ -19,7 +19,7 @@ from invtrack.ekf import (
     time_variance_probe,
 )
 from invtrack.errors import DivergenceError
-from invtrack.numerics import grid, integrate, once_per_time
+from invtrack.numerics import generated_run, grid, integrate, once_per_time
 from invtrack.robot import LandmarkSet, RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import (
@@ -314,7 +314,9 @@ def _template_run(traj, lm, q, r, w0, t0, t_end, dt):
 
 def _generated_run(traj, lm, q, r, w0, t0, t_end, dt):
     """The run run_along_reference calls, generated for the landmark count."""
-    run = ekf._generated_run(len(lm))(once_per_time(traj.sample), lm.coords, q, 1.0 / r)
+    run = generated_run(ekf._filter_run, ekf._CORES, len(lm), 9)(
+        once_per_time(traj.sample), lm.coords, q, 1.0 / r
+    )
     return run(w0, grid(t0, t_end, dt))
 
 
@@ -397,7 +399,8 @@ class TestGeneratedRun:
         # The names are listed, not read from ekf._CORES, so a core left out
         # of it shows here.
         ring = tuple((10.0 * math.cos(0.1 + k), 10.0 * math.sin(0.1 + k)) for k in range(p))
-        run = ekf._generated_run(p)(once_per_time(PermanentTrajectory(1.0, 0.5).sample), ring, 1e-3, 1e2)
+        reference = once_per_time(PermanentTrajectory(1.0, 0.5).sample)
+        run = generated_run(ekf._filter_run, ekf._CORES, p, 9)(reference, ring, 1e-3, 1e2)
         called = {
             "_riccati_rate", "rk4_step", "measure_values", "riccati_values", "dynamics_values",
             "keep_psd",
@@ -429,15 +432,6 @@ class TestGeneratedRun:
         got = _run_outcome(_generated_run, traj, *args)
         assert got == _run_outcome(_integrated_run, traj, *args)
         assert got == want
-
-    def test_generated_once_per_landmark_count(self):
-        ekf._generated_run.cache_clear()
-        traj = PermanentTrajectory(1.0, 0.5)
-        square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
-        for lm in (STANDARD, square, STANDARD, square):
-            run_along_reference(traj, lm, t_end=0.01, dt=1e-3, **DEFAULT_NOISE)
-        info = ekf._generated_run.cache_info()
-        assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
 
 
 class TestErrorMatrix:

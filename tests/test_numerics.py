@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invtrack import numerics
+from invtrack.closed_loop import Scenario, simulate
+from invtrack.controller import ControllerGains
+from invtrack.ekf import run_along_reference
 from invtrack.errors import DivergenceError, GeometryError, ScenarioError
 from invtrack.numerics import (
     ErrorField,
@@ -21,6 +24,11 @@ from invtrack.numerics import (
     step_count,
     time_invariance_probe,
 )
+
+from invtrack.observer import ObserverGains
+from invtrack.robot import LandmarkSet
+from invtrack.se2 import IDENTITY
+from invtrack.trajectories import PermanentTrajectory
 
 from oracles import bits, rk4_step_oracle
 from strategies import floats
@@ -223,6 +231,23 @@ class TestRk4Step:
         times, _ = integrate(lambda t, x: (1.0, -x[0]), (0.0, 1.0), 0.05, 0.25, 0.03)
         assert len(calls) == len(times) - 1
         assert calls == times[:-1]
+
+
+class TestGeneratedRun:
+    def test_generated_once_per_template_and_landmark_count(self):
+        # simulate and run_along_reference each generate their run through
+        # the one owner, once per landmark count: p = 3 and p = 4 for both
+        # templates are 4 misses, and the second round 4 hits.
+        numerics.generated_run.cache_clear()
+        traj = PermanentTrajectory(1.0, 0.5)
+        gains = (ControllerGains(1.0, 1.0, 1.0), ObserverGains(1.0, 1.0, 1.0))
+        three = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, -10.0)))
+        square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
+        for lm in (three, square, three, square):
+            simulate(Scenario(traj, lm, *gains, IDENTITY, IDENTITY, t_end=0.1, dt=0.05))
+            run_along_reference(traj, lm, t_end=0.01, dt=1e-3, q=1e-3, r=1e-2, p0=1e-2)
+        info = numerics.generated_run.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
 
 
 class TestOncePerTime:
