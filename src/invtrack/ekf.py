@@ -118,7 +118,9 @@ def _riccati_rate(reference, coords, q, r_inv):
     calls.
 
     A non-finite reference input raises robot.non_finite_input's error, and an
-    estimate that squares out of float range raises DivergenceError at t.
+    estimate that squares out of float range raises DivergenceError at t, as
+    does a stage heading that has left float range: cos and sin of it raise
+    ValueError, the only one the try can raise, since the input is checked.
     """
     def rate(t, w):
         xr, yr, _, u, v = reference(t)
@@ -129,7 +131,7 @@ def _riccati_rate(reference, coords, q, r_inv):
             # Named, so that generated code hands the stage its nine values
             # without a tuple built to carry them.
             dx, dy, dth, d00, d01, d02, d11, d12, d22 = riccati_values(w, u, v, coords, y, q, r_inv)
-        except OverflowError as err:  # an estimate past ~1.3e154, squared by ** 2
+        except (OverflowError, ValueError) as err:  # ** 2 past ~1.3e154, or cos(inf)
             raise DivergenceError(t, "EKF state diverged") from err
         return (dx, dy, dth, d00, d01, d02, d11, d12, d22)
 
@@ -227,7 +229,8 @@ def run_along_reference(
     covariance (and with it the gain) evolves along the path.  The noise
     levels are validated here, once; after every step P is checked to be
     positive semidefinite, and a stage estimate that squares out of float
-    range raises DivergenceError at the stage time.  The run is
+    range, or a stage heading past it, raises DivergenceError at the stage
+    time.  The run is
     _filter_run as numerics.generated_run generates it for the landmark
     count, on the grid numerics.grid(0, t_end, dt).  The flow carries the
     upper triangle of P, and the returned run holds it expanded to full

@@ -349,6 +349,13 @@ ERROR_PATHS = {
         PermanentTrajectory(1.0, 0.5), 0.25, (2e154, 0.0, 0.0, *_P0),
         (DivergenceError, "EKF state diverged at t=0.25", 0.25, OverflowError),
     ),
+    # p02 = 1e306 times the estimate's 1 m offset sends the heading rate to
+    # inf, and the second stage's heading with it, while no estimate squares
+    # out of range: cos(inf) raises ValueError, a divergence at that stage.
+    "heading-leaves-float-range": (
+        PermanentTrajectory(1.0, 0.5), 0.25, (1.0, 0.0, 0.0, 1e-2, 0.0, 1e306, 1e-2, 0.0, 1e-2),
+        (DivergenceError, "EKF state diverged at t=0.255", 0.255, ValueError),
+    ),
     # P off the cone stays off it: keep_psd raises at the step's end time.
     "p-leaves-the-cone": (
         PermanentTrajectory(1.0, 0.5), 0.25, (0.0, 0.0, 0.0, -1e-3, 0.0, 0.0, 1e-2, 0.0, 1e-2),

@@ -24,7 +24,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (111 analyses, a
+--cheap digests only the default and hand-written scenes (113 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -175,6 +175,13 @@ HAND_SCENES = (
      {"ekf": {"measurement_noise": 1e-300}, "probe_times": [0, 0.01]}),
     ("fault-ekf-huge-covariance", ("ekf-compare",),
      {"ekf": {"initial_covariance": 1e300}, "probe_times": [0, 0.01]}),
+    # An EKF stage heading that leaves float range while no estimate
+    # squares out of it: cos(inf) in the Riccati rate.
+    ("fault-ekf-heading-noise", ("ekf-compare",),
+     {"ekf": {"process_noise": 1e100, "initial_covariance": 1e10}, "probe_times": [0, 0.01]}),
+    ("fault-ekf-heading-fast", ("ekf-compare",),
+     {"trajectory": {"u": 1e154, "v": 0.001}, "ekf": {"initial_covariance": math.pi},
+      "probe_times": [0, 0.01], "t_end": 0.05}),
     ("fault-mech-heavy-body", ("mech-lemma",), {"mech": {"inertia": [1e300, 1, 1], "t_end": 0.01}}),
     # A subnormal step: the RK4 step count is not finite.
     ("fault-subnormal-dt", ("simulate", "ekf-compare"), {"dt": 5e-324, "t_end": 0.01}),
@@ -228,6 +235,8 @@ FAULTS = {
     "fault-turn-rate": "trajectory: turn rate u*v must be finite, got inf",
     "fault-ekf-tiny-noise": "EKF state diverged at t=0.001",
     "fault-ekf-huge-covariance": "EKF state diverged at t=0.001",
+    "fault-ekf-heading-noise": "EKF state diverged at t=0.001",
+    "fault-ekf-heading-fast": "EKF state diverged at t=0.001",
     "fault-mech-heavy-body": "rigid-body state diverged at t=0.001",
     "fault-subnormal-dt": {"simulate": f"integration over [0, 0.01] {_SUBNORMAL}",
                            "ekf-compare": f"integration over [0, 9.42478] {_SUBNORMAL}"},
