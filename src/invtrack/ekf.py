@@ -117,10 +117,9 @@ def _riccati_rate(reference, coords, q, r_inv):
     reference(t) = (x_r, y_r, theta_r, u_r, v_r), written with the two core
     calls.
 
-    A non-finite reference input raises robot.non_finite_input's error, and an
-    estimate that squares out of float range raises DivergenceError at t, as
-    does a stage heading that has left float range: cos and sin of it raise
-    ValueError, the only one the try can raise, since the input is checked.
+    A non-finite reference input raises robot.non_finite_input's error.  An
+    estimate that squares out of float range, or a stage heading that leaves
+    it (cos of inf raises the try's only ValueError), raises DivergenceError at t.
     """
     def rate(t, w):
         xr, yr, _, u, v = reference(t)
@@ -230,11 +229,10 @@ def run_along_reference(
     levels are validated here, once; after every step P is checked to be
     positive semidefinite, and a stage estimate that squares out of float
     range, or a stage heading past it, raises DivergenceError at the stage
-    time.  The run is
-    _filter_run as numerics.generated_run generates it for the landmark
-    count, on the grid numerics.grid(0, t_end, dt).  The flow carries the
-    upper triangle of P, and the returned run holds it expanded to full
-    matrices.
+    time.  The run is _filter_run as numerics.generated_run generates it
+    for the landmark count, on the grid numerics.grid(0, t_end, dt).  The
+    flow carries the upper triangle of P, and the returned run holds it
+    expanded to full matrices.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")

@@ -316,6 +316,9 @@ def parse_scenario(doc: dict) -> ParsedScenario:
 
     canonical["ekf"] = _section(doc.get("ekf", {}), "ekf", _EKF)
     mech = canonical["mech"] = _section(doc.get("mech", {}), "mech", _MECH)
+    # EpSystem's check: eigvalsh reads a subnormal entry beside a huge one as 0.
+    if not np.linalg.eigvalsh(np.diag(mech["inertia"]))[0] > 0.0:
+        raise ScenarioError("mech.inertia must be positive definite")
     # mech-lemma's energy drift is relative to the reference kinetic energy.
     energy = 0.5 * sum(i * x * x for i, x in zip(mech["inertia"], mech["reference_velocity"]))
     if not 0.0 < energy < math.inf:

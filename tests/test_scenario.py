@@ -444,6 +444,8 @@ SINGLE_FAULTS = [
         "mech: squared spin angle |t*reference_velocity|^2 at probe time 1e+160"
         " must be finite, got inf",
     ),
+    # eigvalsh, as EpSystem runs it, reads the subnormal entry as 0.
+    ({"mech": {"inertia": [1e154, 2, 5e-324]}}, "mech.inertia must be positive definite"),
 ]
 
 
@@ -480,6 +482,11 @@ class TestForceAxis:
     def test_tiny_but_representable_axis_accepted(self):
         p = parse_scenario({"mech": {"force_axis": [1e-150, 0.0, 0.0]}})
         assert p.canonical["mech"]["force_axis"] == [1e-150, 0.0, 0.0]
+
+
+def test_subnormal_inertia_entry_eigvalsh_keeps_is_accepted():
+    p = parse_scenario({"mech": {"inertia": [1, 2, 5e-324]}})
+    assert p.canonical["mech"]["inertia"] == [1.0, 2.0, 5e-324]
 
 
 # Documents whose canonical form must parse back to itself: the README's

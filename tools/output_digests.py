@@ -24,7 +24,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (113 analyses, a
+--cheap digests only the default and hand-written scenes (114 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -183,6 +183,8 @@ HAND_SCENES = (
      {"trajectory": {"u": 1e154, "v": 0.001}, "ekf": {"initial_covariance": math.pi},
       "probe_times": [0, 0.01], "t_end": 0.05}),
     ("fault-mech-heavy-body", ("mech-lemma",), {"mech": {"inertia": [1e300, 1, 1], "t_end": 0.01}}),
+    # Positive inertia entries whose matrix eigvalsh reads as singular.
+    ("fault-mech-inertia-subnormal", ("mech-lemma",), {"mech": {"inertia": [1e154, 2, 5e-324]}}),
     # A subnormal step: the RK4 step count is not finite.
     ("fault-subnormal-dt", ("simulate", "ekf-compare"), {"dt": 5e-324, "t_end": 0.01}),
     ("fault-mech-subnormal-dt", ("mech-lemma",), {"mech": {"dt": 5e-324, "t_end": 0.01}}),
@@ -238,6 +240,7 @@ FAULTS = {
     "fault-ekf-heading-noise": "EKF state diverged at t=0.001",
     "fault-ekf-heading-fast": "EKF state diverged at t=0.001",
     "fault-mech-heavy-body": "rigid-body state diverged at t=0.001",
+    "fault-mech-inertia-subnormal": "mech.inertia must be positive definite",
     "fault-subnormal-dt": {"simulate": f"integration over [0, 0.01] {_SUBNORMAL}",
                            "ekf-compare": f"integration over [0, 9.42478] {_SUBNORMAL}"},
     "fault-mech-subnormal-dt": f"integration over [0, 0.01] {_SUBNORMAL}",
