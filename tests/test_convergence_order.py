@@ -4,12 +4,12 @@ divides the change of the final state by 2^4 = 16.
 The generated runs are held bit for bit to integrate, and integrate's step
 to a per-component oracle loop, so a fault they share (in the grid, the
 stage times or the short last step) passes those tests; it does not pass
-these.  The band and the step ranges were fixed before the first run: a
-ratio must show an order within 4 +- 0.5, which orders 3 and 5 (ratios 8
+these.  The band and the step ranges are not fitted to any run: a ratio
+must show an order within 4 +- 0.5, which orders 3 and 5 (ratios 8
 and 32) fall outside.  Every horizon is (n + part) times the finest step,
 so each run ends with a short last step.  The EKF is left out: at the steps
-where its covariance transient is resolved, the changes of P are near
-roundoff.
+its runs take, its covariance transient is not yet in RK4's asymptotic
+range (the changes of P(1) fall 436-fold, then 7-fold, from 1 ms down).
 """
 
 import math
@@ -78,10 +78,14 @@ def test_simulate_run(traj, track, est, n, part):
         res = simulate(Scenario(traj, STANDARD, *gains, pose0, est0, t_end, dt))
         assert res.times[-1] == t_end
         finals.append((*res.poses[-1], *res.estimates[-1]))
-    # observer_rate's gains scale with |u|, which has a kink where the
-    # applied input u changes sign: there the rate is not smooth, and RK4
-    # drops to first or second order.
+    # RK4 has order 4 only on a smooth rate.  The loop's rate has a kink
+    # where the applied input u changes sign (observer_rate's gains scale
+    # with |u|), and a jump where the estimate's heading error to the
+    # reference crosses the +-pi wrap of relative_pose (the feedback reads
+    # the wrapped angle); a run that meets either is not checked.
     assume(np.all(res.inputs[:, 0] * traj.input(0.0).u > 0.0))
+    wrapped = np.remainder(res.estimates[:, 2] - res.references[:, 2] + math.pi, 2.0 * math.pi)
+    assume(np.all(np.abs(np.diff(wrapped)) < math.pi))
     ratios = _ratios(finals)
     assert _in_band(ratios), ratios
 
@@ -106,10 +110,9 @@ def test_integrate_ep(inertia, velocity, n, part):
 @given(traj=references(), n=STEPS, part=PART)
 def test_integrated_reference_sample(traj, n, part):
     # The integrated reference of traj's input profile, from its start, on
-    # pose steps LOOP_STEPS in place of the 1 ms of production.  A straight
-    # leg (constant input, v = 0) is linear in t, which RK4 integrates
-    # exactly: there is no change to fall.
-    assume(isinstance(traj, IntegratedTrajectory) or traj.input(0.0).v != 0.0)
+    # pose steps LOOP_STEPS in place of the 1 ms of production.  (A straight
+    # leg is linear in t, which RK4 integrates exactly: its changes are
+    # roundoff, and _ratios checks none of them.)
     t_end = _horizon(traj, n, part, LOOP_STEPS[-1])
     finals = []
     saved = trajectories._POSE_STEP
