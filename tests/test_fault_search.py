@@ -4,8 +4,8 @@ from pathlib import Path
 from invtrack import cli, scenario
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "fault_search.py"
-# The sample's seed and size were fixed before it first ran, not chosen by
-# its outcome: a fault it meets is mended, never re-seeded away.
+# The sample's seed and size are not chosen by its outcome: a fault it
+# meets is mended, never re-seeded or shrunk away.
 SEED = 31
 COUNT = 300
 
@@ -31,7 +31,7 @@ def test_fixed_sample_ends_in_a_verdict_or_one_error_line():
     assert not faults, "\n".join(faults)
 
 
-def test_documents_are_seeded_and_set_one_to_three_fields():
+def test_documents_are_seeded_and_change_the_base():
     first = list(fault_search.documents(scenario, SEED, 20))
     assert first == list(fault_search.documents(scenario, SEED, 20))
     for command, doc in first:

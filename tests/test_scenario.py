@@ -484,7 +484,7 @@ class TestForceAxis:
         assert p.canonical["mech"]["force_axis"] == [1e-150, 0.0, 0.0]
 
 
-def test_subnormal_inertia_entry_eigvalsh_keeps_is_accepted():
+def test_subnormal_inertia_entry_is_accepted_where_eigvalsh_keeps_it():
     p = parse_scenario({"mech": {"inertia": [1, 2, 5e-324]}})
     assert p.canonical["mech"]["inertia"] == [1.0, 2.0, 5e-324]
 

@@ -1,6 +1,6 @@
 """Search scenario documents at extreme values for faults the CLI does not name.
 
-    python3 tools/fault_search.py [--seed N] [--count N] [--limit S] SRC
+    python3 tools/fault_search.py [--seed N] [--count N] SRC
 
 Imports invtrack from SRC (the src/ directory of any checkout) and runs, in
 process, COUNT seeded documents: each sets one to three numeric fields to
@@ -9,7 +9,7 @@ fields are read from scenario.py's section specs (gains, ekf, mech,
 trajectory.v_wobble, trajectory.segments) plus the top-level numbers
 (trajectory.u/v/start, landmarks, the initial errors, t_end, dt,
 probe_times).  Each document runs with warnings as errors and a SIGALRM
-time limit.  The script prints each document that ends in
+time limit of LIMIT_S.  The script prints each document that ends in
 
 - an uncaught exception (cli.main words only InvtrackError, exit 2),
 - an exit code other than 0, 1 or 2,
@@ -129,14 +129,14 @@ def _alarm(signum, frame):
     raise Timeout
 
 
-def run(cli, command: str, doc: dict, work: Path, limit: float = LIMIT_S) -> tuple:
+def run(cli, command: str, doc: dict, work: Path) -> tuple:
     """(outcome, stderr) of one document: outcome is the exit code, or
     "uncaught <class>: <message>" or "timeout"."""
     config = work / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     err = io.StringIO()
     previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, limit)
+    signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -167,12 +167,12 @@ def fault(outcome, stderr: str, out: Path) -> str | None:
     return None
 
 
-def search(cli, scenario, seed: int, count: int, limit: float = LIMIT_S):
+def search(cli, scenario, seed: int, count: int):
     """(command, document, outcome, fault or None) for each document."""
     for command, doc in documents(scenario, seed, count):
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
-            outcome, stderr = run(cli, command, doc, work, limit)
+            outcome, stderr = run(cli, command, doc, work)
             yield command, doc, outcome, fault(outcome, stderr, work / "out")
 
 
@@ -181,13 +181,12 @@ def main(argv=None) -> int:
     parser.add_argument("src", help="the src/ directory that holds invtrack")
     parser.add_argument("--seed", type=int, default=73)
     parser.add_argument("--count", type=int, default=900)
-    parser.add_argument("--limit", type=float, default=LIMIT_S, help="seconds per document")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     from invtrack import cli, scenario
 
     counts = Counter()
-    for command, doc, outcome, found in search(cli, scenario, args.seed, args.count, args.limit):
+    for command, doc, outcome, found in search(cli, scenario, args.seed, args.count):
         counts["timeout" if outcome == "timeout" else
                "uncaught" if isinstance(outcome, str) else f"exit {outcome}"] += 1
         if found is not None:
