@@ -577,6 +577,14 @@ class TestGeneratedRun:
             got = (type(err), str(err), getattr(err, "time", None), type(err.__cause__))
         assert want[0] != "ok" and got == want
 
+    def test_generated_once_per_landmark_count(self):
+        generated_run.cache_clear()
+        square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
+        for lm in (STANDARD, square, STANDARD, square):
+            simulate(standard_scenario(landmarks=lm, t_end=0.1, dt=0.05))
+        info = generated_run.cache_info()
+        assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
+
 
 # simulate's bytes per step: the run's 18 floats (144 bytes) in an array
 # that grows by a sixteenth, and the grid's 32 (a list entry and a float).

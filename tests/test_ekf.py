@@ -440,6 +440,15 @@ class TestGeneratedRun:
         assert got == _run_outcome(_integrated_run, traj, *args)
         assert got == want
 
+    def test_generated_once_per_landmark_count(self):
+        generated_run.cache_clear()
+        traj = PermanentTrajectory(1.0, 0.5)
+        square = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0)))
+        for lm in (STANDARD, square, STANDARD, square):
+            run_along_reference(traj, lm, t_end=0.01, dt=1e-3, **DEFAULT_NOISE)
+        info = generated_run.cache_info()
+        assert (info.misses, info.hits) == (2, 2)  # p = 3 and p = 4, each generated once
+
 
 class TestErrorMatrix:
     def test_zero_case(self):
