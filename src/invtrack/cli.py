@@ -113,10 +113,21 @@ def _cmd_simulate(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bo
     return passed, metrics, {"final_error": tol}
 
 
+def _design_input(sc: Scenario, t: float):
+    """The reference input at t, once each design matrix entry |u_r|*k and
+    |u_r|*l, its speed times a gain, is checked to be finite."""
+    inp = sc.trajectory.input(t)
+    for name, gain in (vars(sc.controller_gains) | vars(sc.observer_gains)).items():
+        entry = abs(inp.u) * gain
+        if not math.isfinite(entry):
+            raise InvtrackError(f"design matrix entry |u_r|*{name} at t={t:.6g} must be finite, got {entry}")
+    return inp
+
+
 def _separation_spectra(sc: Scenario, t: float):
     """Controller, observer and closed-loop spectra at the reference input at t,
     and the distance of the closed-loop spectrum from the union of the other two."""
-    inp = sc.trajectory.input(t)
+    inp = _design_input(sc, t)
     ctrl = eigenvalues(ctrl_loop_matrix(inp.u, inp.v, sc.controller_gains))
     obs = eigenvalues(obs_error_matrix(inp.u, inp.v, sc.observer_gains))
     combined = eigenvalues(
@@ -155,7 +166,7 @@ def _cmd_separation(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[
     fd_mats = linearize_error_field(field, times)
     deviation = 0.0
     for t, mat in zip(times, fd_mats):
-        inp = sc.trajectory.input(t)
+        inp = _design_input(sc, t)
         predicted = separation_matrix(
             inp.u, inp.v, sc.controller_gains, sc.observer_gains
         )

@@ -12,7 +12,7 @@ it against finite-difference linearizations of the full nonlinear loop.
 from __future__ import annotations
 
 import math
-from array import array
+from array import array  # noqa: F401 (read by rk4_run's generated code)
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import se2
 from .controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
 from .errors import DegenerateReferenceError, DivergenceError, GeometryError
-from .numerics import ErrorField, generated_run, grid, once_per_time, rk4_step
+from .numerics import ErrorField, generated_run, grid, once_per_time
 from .observer import ObserverGains, _check_condition, gram_condition, obs_error_matrix, observer_rate
 from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
 # Globals of the cores, which their inlined statements read from this module.
@@ -97,16 +97,17 @@ class SimulationResult:
 
 
 def _loop_pair(reference, coords, kg, og):
-    """The closed-loop right-hand side rate(t, w) on flat (x, y, theta,
-    xhat, yhat, thetahat) tuples and simulate's sample row row(t, w) =
-    (x_r, y_r, theta_r, eta, eps, u, v) of one run, written with the five
-    core calls.
+    """simulate's parts for numerics.rk4_run, written with the five core
+    calls: the closed-loop rate(t, w) on flat (x, y, theta, xhat, yhat,
+    thetahat) tuples; the row (t, *w, x_r, y_r, theta_r, eta, eps, u, v),
+    one row of SimulationResult's table; and after(t, w), the 1e6 box.
 
     In the rate, a GeometryError or a DegenerateReferenceError (u_r = 0) is
     timestamped.  Any other ValueError raises DivergenceError at the stage
     time unless the stage state is finite and the reference is not (bad
     input), and an OverflowError always raises it.  The row raises what its
-    core calls raise.
+    core calls raise, and after raises DivergenceError at t on a state
+    component past DIVERGENCE_LIMIT, NaN and inf included.
     """
     def rate(t, w):
         x, y, th, xh, yh, thh = w
@@ -119,7 +120,7 @@ def _loop_pair(reference, coords, kg, og):
         except (GeometryError, DegenerateReferenceError) as err:
             raise _at_time(err, t) from err
         except ValueError as err:
-            # An RK stage state can overflow before integrate sees the step
+            # An RK stage state can overflow before after checks the step
             # (say a heading of inf in normalize_angle), and a huge gain can
             # overflow the applied input of a finite one; w is checked only here.
             if all(map(math.isfinite, w)):
@@ -141,51 +142,23 @@ def _loop_pair(reference, coords, kg, og):
         eps_x, eps_y, eps_th = relative_pose(x, y, th, xh, yh, thh)
         etah_x, etah_y, etah_th = relative_pose(xr, yr, thr, xh, yh, thh)
         u, v = feedback_values(etah_x, etah_y, etah_th, ur, vr, kg)
-        return (xr, yr, thr, eta_x, eta_y, eta_th, eps_x, eps_y, eps_th, u, v)
+        return (t, x, y, th, xh, yh, thh, xr, yr, thr,
+                eta_x, eta_y, eta_th, eps_x, eps_y, eps_th, u, v)
 
-    return rate, row
+    def after(t, w):
+        for c in w:
+            if not abs(c) <= DIVERGENCE_LIMIT:
+                raise DivergenceError(t, "closed-loop state diverged")
+        return w
 
-
-def _loop_run(reference, coords, kg, og):
-    """simulate's run of _loop_pair: run(w, times) integrates the rate by
-    classical RK4 over the grid times from the state w at times[0] and
-    returns one flat array('d') that holds, for each grid time t in turn,
-    (t, *w, *row(t, w)) with w the state at t: the 18 floats of one row of
-    SimulationResult's table.  It is numerics.integrate's loop with
-    simulate's post-step box, written with one rk4_step call and the row's
-    calls per step.
-
-    The row at a step's start time comes first, as simulate always sampled
-    it before the step, so that generated code computes it with the step's
-    first stage, which shares its time and state.
-    """
-    rate, row = _loop_pair(reference, coords, kg, og)
-
-    def run(w, times):
-        buf = array("d")
-        t = times[0]
-        for t1 in times[1:]:
-            r = row(t, w)
-            buf.extend((t, *w, *r))
-            w = rk4_step(rate, t, w, t1 - t)
-            # Fails on NaN and inf too: integrate's finite-state check and
-            # the box in one, which raised the same error.
-            for c in w:
-                if not abs(c) <= DIVERGENCE_LIMIT:
-                    raise DivergenceError(t1, "closed-loop state diverged")
-            t = t1
-        r = row(t, w)
-        buf.extend((t, *w, *r))
-        return buf
-
-    return run
+    return rate, row, after
 
 
 # The cores themselves, taken at import: a tracer that later rebinds these
 # names to timing wrappers must not hand the inliner a wrapper's source.
 _CORES = (
     relative_pose, normalize_angle, feedback_values, measure_values, observer_rate,
-    gram_condition, _check_condition, dynamics_values, _loop_pair,
+    gram_condition, _check_condition, dynamics_values,
 )
 
 
@@ -196,12 +169,12 @@ def simulate(sc: Scenario) -> SimulationResult:
     Measurements come from the true state at every stage; the controller
     sees only the estimate.  Aborts with DivergenceError when the state
     leaves a 1e6 box and with GeometryError (timestamped) when the landmark
-    geometry degenerates as seen from the estimate.  The run is _loop_run
-    as numerics.generated_run generates it for the landmark count; it
-    queries the reference once per distinct stage time.
+    geometry degenerates as seen from the estimate.  The run is rk4_run on
+    _loop_pair as numerics.generated_run generates it for the landmark
+    count; it queries the reference once per distinct stage time.
     """
     coords = sc.landmarks.coords
-    run = generated_run(_loop_run, _CORES, len(coords), 6)(
+    run = generated_run(_loop_pair, _CORES, len(coords), 6)(
         once_per_time(sc.trajectory.sample), coords, sc.controller_gains, sc.observer_gains
     )
     buf = run(tuple(map(float, sc.initial_pose + sc.initial_estimate)), grid(0.0, sc.t_end, sc.dt))
@@ -269,7 +242,7 @@ def closed_loop_error_field(
     _loop_pair's rate as written, with its core calls.
     """
     reference = once_per_time(traj.sample)
-    loop, _ = _loop_pair(reference, lm.coords, kg, og)
+    loop, _, _ = _loop_pair(reference, lm.coords, kg, og)
 
     def rate(t: float, w: tuple) -> tuple:
         xr, yr, thr, ur, vr = reference(t)

@@ -9,13 +9,13 @@ observer exists precisely to remove that time dependence.
 from __future__ import annotations
 
 import math
-from array import array
+from array import array  # noqa: F401 (read by rk4_run's generated code)
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import generated_run, grid, max_pairwise_distance, once_per_time, probe_times, rk4_step
+from .numerics import generated_run, grid, max_pairwise_distance, once_per_time, probe_times
 from .robot import LandmarkSet, RobotInput, dynamics_values, measure_values, non_finite_input
 from .se2 import GroupElement
 
@@ -112,14 +112,16 @@ def riccati_values(
 
 
 def _riccati_rate(reference, coords, q, r_inv):
-    """The filter's right-hand side rate(t, w) on the flat state of
-    riccati_values, fed by noise-free measurements of the reference
-    reference(t) = (x_r, y_r, theta_r, u_r, v_r), written with the two core
-    calls.
+    """The filter's parts for numerics.rk4_run, written with the core calls:
+    the rate on the flat state of riccati_values, fed by noise-free
+    measurements of the reference reference(t) = (x_r, y_r, theta_r, u_r,
+    v_r); the state as its row; and after(t, w), the finite check and then
+    keep_psd, which a NaN passes.
 
     A non-finite reference input raises robot.non_finite_input's error.  An
-    estimate that squares out of float range, or a stage heading that leaves
-    it (cos of inf raises the try's only ValueError), raises DivergenceError at t.
+    estimate that squares out of float range, a stage heading that leaves it
+    (cos of inf raises the try's only ValueError) or a non-finite state after
+    a step raises DivergenceError at t.
     """
     def rate(t, w):
         xr, yr, _, u, v = reference(t)
@@ -134,7 +136,17 @@ def _riccati_rate(reference, coords, q, r_inv):
             raise DivergenceError(t, "EKF state diverged") from err
         return (dx, dy, dth, d00, d01, d02, d11, d12, d22)
 
-    return rate
+    def row(t, w):
+        return w
+
+    def after(t, w):
+        for c in w:
+            if not math.isfinite(c):
+                raise DivergenceError(t, "EKF state diverged")
+        keep_psd(t, w)
+        return w
+
+    return rate, row, after
 
 
 # keep_psd's floor on the smallest eigenvalue of P.
@@ -172,35 +184,9 @@ def keep_psd(t: float, w: tuple) -> tuple:
     return w
 
 
-def _filter_run(reference, coords, q, r_inv):
-    """run_along_reference's run of _riccati_rate: run(w, times) integrates
-    the rate by classical RK4 over the grid times from the state w at
-    times[0] and returns one flat array('d') that holds the nine floats of
-    the state at each grid time in turn.  It is numerics.integrate's loop
-    with keep_psd after each step, written with one rk4_step call per step.
-    """
-    rate = _riccati_rate(reference, coords, q, r_inv)
-
-    def run(w, times):
-        buf = array("d", w)
-        t = times[0]
-        for t1 in times[1:]:
-            w = rk4_step(rate, t, w, t1 - t)
-            # integrate's finite-state check, before keep_psd, which a NaN passes.
-            for c in w:
-                if not math.isfinite(c):
-                    raise DivergenceError(t1, "EKF state diverged")
-            keep_psd(t1, w)
-            buf.extend(w)
-            t = t1
-        return buf
-
-    return run
-
-
 # The cores themselves, taken at import: a tracer that later rebinds these
 # names to timing wrappers must not hand the inliner a wrapper's source.
-_CORES = (measure_values, riccati_values, dynamics_values, keep_psd, _riccati_rate)
+_CORES = (measure_values, riccati_values, dynamics_values, keep_psd)
 
 
 @dataclass(frozen=True)
@@ -229,10 +215,10 @@ def run_along_reference(
     levels are validated here, once; after every step P is checked to be
     positive semidefinite, and a stage estimate that squares out of float
     range, or a stage heading past it, raises DivergenceError at the stage
-    time.  The run is _filter_run as numerics.generated_run generates it
-    for the landmark count, on the grid numerics.grid(0, t_end, dt).  The
-    flow carries the upper triangle of P, and the returned run holds it
-    expanded to full matrices.
+    time.  The run is rk4_run on _riccati_rate as numerics.generated_run
+    generates it for the landmark count, on the grid numerics.grid(0,
+    t_end, dt).  The flow carries the upper triangle of P, and the
+    returned run holds it expanded to full matrices.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
@@ -240,7 +226,7 @@ def run_along_reference(
         if not (level > 0.0 and math.isfinite(level)):
             raise ValueError(f"noise level {name} must be positive and finite, got {level}")
     coords = lm.coords
-    run = generated_run(_filter_run, _CORES, len(coords), 9)(once_per_time(traj.sample), coords, q, 1.0 / r)
+    run = generated_run(_riccati_rate, _CORES, len(coords), 9)(once_per_time(traj.sample), coords, q, 1.0 / r)
     w0 = tuple(map(float, (*traj.pose(0.0), p0, 0.0, 0.0, p0, 0.0, p0)))
     times = grid(0.0, t_end, dt)
     w_rows = np.frombuffer(run(w0, times)).reshape(-1, 9)
@@ -266,6 +252,8 @@ def time_variance_probe(
     for tq in times:
         i = int(np.argmin(np.abs(run.times - tq)))
         F, H = ekf_jacobians(GroupElement(*run.estimates[i]), traj.input(tq), lm)
-        L = run.covariances[i] @ (H * (1.0 / r)).T
-        mats.append(F - L @ H)
+        # A product past float range is inf, which the drift carries to main.
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = run.covariances[i] @ (H * (1.0 / r)).T
+            mats.append(F - L @ H)
     return max_pairwise_distance(mats)

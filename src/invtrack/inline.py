@@ -2,15 +2,15 @@
 call of a bare-float core replaced by the core's own statements, then with
 each pure statement that repeats one already computed dropped.
 
-Its one caller is numerics.generated_run, which generates two runs per
-landmark count: simulate's (closed_loop's `_loop_run`: every RK4 step with
-the four stages of the one law's rate, `_loop_pair`, and the sample row
-inlined, so that values shared by stages at one time are computed once)
-and the filter's (ekf's `_filter_run`: every RK4 step of its Riccati rate,
-with keep_psd).  The fd probes of closed_loop_error_field evaluate
-`_loop_pair`'s rate as written.  generated_run imports this module on its
-first generation, not with the package, so importing the package, parsing
-a scenario, `separation` and `invariance` never compile it.
+Its one caller is numerics.generated_run, which inlines numerics.rk4_run
+per landmark count on simulate's parts (closed_loop's `_loop_pair`: every
+RK4 step with the four stages of the one law's rate, the row and the box,
+so that values shared by stages at one time are computed once) and the
+filter's (ekf's `_riccati_rate`, with keep_psd).  The fd probes of
+closed_loop_error_field evaluate `_loop_pair`'s rate as written.
+generated_run imports this module on its first generation, not with the
+package, so importing the package, parsing a scenario, `separation` and
+`invariance` never compile it.
 """
 
 from __future__ import annotations
@@ -194,9 +194,9 @@ def _definition(core: Callable) -> ast.FunctionDef:
 class _Inliner:
     """inline_cores' pass over the template, one statement at a time."""
 
-    def __init__(self, cores, env: dict, taken: set, unrolled: dict):
-        self.cores = {core.__name__: core for core in cores}
-        self.env = env  # the template's module globals, which the generated code reads
+    def __init__(self, cores: dict, env: dict, taken: set, unrolled: dict):
+        self.cores = cores
+        self.env = env  # the module globals that the generated code reads
         self.taken = taken  # the names the template binds, and those generated
         self.unrolled = unrolled  # parameter -> the names of its elements
         # name -> (definition, names, where) of a function that an inlined
@@ -352,6 +352,9 @@ class _Inliner:
             raise InlineError(f"{where}: a core must end in its one return")
         if type(value) is not ast.ListComp:
             value = _renamed(ret.value, names)
+            spec = _spec(value)
+            if spec is not None and spec == _spec(target):
+                return out, None  # `w = after(t, w)` on a check that returns its w
             if (type(target) is ast.Tuple and type(value) is ast.Tuple
                     and len(target.elts) == len(value.elts)
                     and not {n.id for n in _walk(value) if type(n) is ast.Name} & set(_flat(_spec(target) or ()))):
@@ -373,9 +376,9 @@ class _Inliner:
 
     def _check_globals(self, core, read: set, where: str) -> None:
         """Each name the core reads and neither takes nor binds is a global or
-        a builtin.  The generated code reads it from the template's module,
-        so that must bind it to the core's object, or leave a builtin
-        unbound, and the template must not bind it."""
+        a builtin.  The generated code reads it from env, so that must bind
+        it to the core's object, or leave a builtin unbound, and the
+        template must not bind it."""
         missing = object()
         for name in sorted(read):
             if name in self.taken:
@@ -613,11 +616,12 @@ def _numbered(fn: ast.FunctionDef, env: dict, taken: set) -> None:
 
 
 
-def inline_cores(template: Callable, cores, unrolled: dict[str, list]) -> Callable:
+def inline_cores(template: Callable, cores: dict, unrolled: dict[str, list], env: dict) -> Callable:
     """template, a function of module-level source, recompiled with every
-    statement `targets = core(args...)` or `core(args...)` replaced by that
-    core's own statements, then value-numbered (see _Numbering), and with
-    the names local to a loop body sharing slots (see _coalesced).
+    statement `targets = name(args...)` or `name(args...)` replaced by the
+    statements of the core that cores maps name to (a template parameter
+    may name one too), then value-numbered (see _Numbering), and with the
+    names local to a loop body sharing slots (see _coalesced).
 
     A core is inlined only when it is a docstring, straight-line statements
     (assignments, expression statements such as a check call, raise-guards
@@ -627,8 +631,9 @@ def inline_cores(template: Callable, cores, unrolled: dict[str, list]) -> Callab
     InlineError, as does a template with
     defaults or a closure, which the recompiled function would drop.  Its
     own calls of cores are inlined too.  A core may also define functions
-    and return them, as _loop_pair returns its rate and row: each later call
-    of one is inlined like a core's, its free names read as the core's.
+    and return them, as _loop_pair returns its rate, row and after: each
+    later call of one is inlined like a core's, its free names read as the
+    core's (`w = f(..., w)` on one that returns w is dropped).
 
     Parameters become the caller's names and each local gets the call's
     suffix; an argument that is neither a name nor a tuple of names is bound
@@ -641,11 +646,12 @@ def inline_cores(template: Callable, cores, unrolled: dict[str, list]) -> Callab
     those names.  The float operations and the raises run in the same order
     as the calls would.
 
-    The generated code reads its globals from the template's module each
-    time it runs, so a name rebound there, say to a tracer's wrapper,
-    reaches the functions already returned.  Every global a core reads must
-    therefore be bound there to the same object (and a builtin to nothing),
-    and the template must not bind it: InlineError names one that is not.
+    The generated code reads its globals from env, a module's live globals,
+    each time it runs, so a name rebound there, say to a tracer's wrapper,
+    reaches the functions already returned.  env must bind what the
+    template reads, and every global a core reads to the same object (a
+    builtin to nothing), which the template must not bind: InlineError
+    names one that is not.
     """
     if template.__defaults__ or template.__kwdefaults__ or template.__closure__:
         raise InlineError(f"{template.__qualname__}: a template may not have defaults or a closure")
@@ -662,12 +668,12 @@ def inline_cores(template: Callable, cores, unrolled: dict[str, list]) -> Callab
         param: tuple(e if isinstance(e, str) else tuple(e) for e in elements)
         for param, elements in unrolled.items()
     }
-    inliner = _Inliner(cores, template.__globals__, taken, specs)
+    inliner = _Inliner(cores, env, taken, specs)
     for spec in specs.values():
         for name in _flat(spec):
             inliner.fresh(name)
     inliner.function(outer, {})
-    _numbered(outer, template.__globals__, inliner.taken)
+    _numbered(outer, env, inliner.taken)
     code = compile(ast.fix_missing_locations(module), f"<inlined {template.__qualname__}>", "exec")
     (outer_code,) = (c for c in code.co_consts if isinstance(c, types.CodeType))
-    return types.FunctionType(outer_code, template.__globals__, template.__name__)
+    return types.FunctionType(outer_code, env, template.__name__)

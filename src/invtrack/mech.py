@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import ErrorField, integrate, once_per_time, time_invariance_probe
+from .numerics import ErrorField, grid, once_per_time, rk4_run, time_invariance_probe
 
 ForceModel = Callable[[tuple, tuple], tuple]
 
@@ -92,7 +92,7 @@ POLAR_STEPS = 3
 
 
 def project_attitude(t: float, w: tuple) -> tuple:
-    """integrate_ep's post-step hook: the flat state (attitude row-major,
+    """integrate_ep's post-step check: the flat state (attitude row-major,
     velocity) with its attitude replaced by the nearest rotation.
 
     Runs the polar (Newton) iteration R <- (R + R^-T) / 2 on bare floats,
@@ -212,11 +212,29 @@ def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tupl
     )
 
 
+def _free_body(reference, coords, inertia, inertia_inv):
+    """integrate_ep's parts for numerics.rk4_run (reference and coords go
+    unused): the free body's rate at zero torque, the state as its row, and
+    after each step the finite check and then project_attitude."""
+    def rate(t, w):
+        return ep_rate_values(w, inertia, inertia_inv, (0.0, 0.0, 0.0))
+
+    def row(t, w):
+        return w
+
+    def after(t, w):
+        if not all(map(math.isfinite, w)):
+            raise DivergenceError(t, "rigid-body state diverged")
+        return project_attitude(t, w)
+
+    return rate, row, after
+
+
 def integrate_ep(s: EpSystem, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on (attitude, velocity) of the free body (no force
-    model, no torque); attitude is re-projected onto the rotation group
-    after every step (project_attitude) so the drift stays at roundoff
-    level.  I and I^-1 come flattened from s.
+    """Fixed-step RK4 (rk4_run on _free_body) on (attitude, velocity) of the
+    free body (no force model, no torque); attitude is re-projected onto
+    the rotation group after every step (project_attitude) so the drift
+    stays at roundoff level.  I and I^-1 come flattened from s.
 
     Returns (times, attitudes (n, 3, 3), velocities (n, 3)).
 
@@ -228,15 +246,10 @@ def integrate_ep(s: EpSystem, t_end: float, dt: float) -> tuple[np.ndarray, np.n
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
     if s.force is not None:
         raise ValueError(f"integrate_ep integrates the free body only, got force model {s.force!r}")
-
-    inertia, inertia_inv = s.inertia_flat, s.inertia_inv_flat
-
-    def rate(t: float, w: tuple) -> tuple:
-        return ep_rate_values(w, inertia, inertia_inv, (0.0, 0.0, 0.0))
-
-    w0 = s.attitude.ravel().tolist() + s.velocity.tolist()
-    times, states = integrate(rate, w0, 0.0, t_end, dt, project_attitude, state="rigid-body state")
-    w_rows = np.asarray(states)
+    w0 = tuple(s.attitude.ravel().tolist() + s.velocity.tolist())
+    times = grid(0.0, t_end, dt)
+    run = rk4_run(_free_body, None, None, s.inertia_flat, s.inertia_inv_flat)
+    w_rows = np.frombuffer(run(w0, times)).reshape(-1, 12)
     return np.asarray(times), w_rows[:, :9].reshape(-1, 3, 3), w_rows[:, 9:]
 
 

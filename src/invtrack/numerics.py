@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import linecache
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -69,19 +71,6 @@ def rk4_step(field: VectorField, t: float, x: tuple, h: float) -> tuple:
     return compiled_rk4_step(len(x))(field, t, x, h)
 
 
-@functools.cache
-def generated_run(template: Callable, cores: tuple, p: int, n: int) -> Callable:
-    """template, a run factory written with one rk4_step call per step on
-    an n-float state w, with cores, compiled_rk4_step(n) and every function
-    they call inlined, w unrolled and each loop over coords unrolled over p
-    landmarks (see inline.inline_cores).  Generated on the first run with p
-    landmarks, never at import or parse time: the inliner is imported then."""
-    from .inline import inline_cores
-
-    unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)], "w": [f"w{i}" for i in range(n)]}
-    return inline_cores(template, (*cores, compiled_rk4_step(n)), unrolled)
-
-
 def once_per_time(fn: Callable[[float], T]) -> Callable[[float], T]:
     """fn, run again only when t differs from the previous call's: rk4_step
     asks for its midpoint time twice in a row, and its end time is usually
@@ -123,54 +112,61 @@ def grid(t0: float, t1: float, dt: float) -> list[float]:
     return [t0 + i * dt for i in range(step_count(t0, t1, dt))] + [t1]
 
 
-def integrate(
-    field: VectorField,
-    x0: Sequence[float],
-    t0: float,
-    t1: float,
-    dt: float,
-    after_step: Callable[[float, tuple], tuple] | None = None,
-    state: str = "state",
-) -> tuple[list[float], list[tuple]]:
-    """Integrate xdot = field(t, x) from t0 to t1 with fixed-step RK4.
+def rk4_run(parts: Callable, reference, coords, a, b) -> Callable:
+    """The package's one RK4 grid loop, on the model that parts(reference,
+    coords, a, b) returns as (rate, row, after): run(w, times) integrates
+    w' = rate(t, w) by classical RK4 over the grid times from the state w at
+    times[0], carrying w = after(t1, w) forward after each step to t1 (after
+    raises on a state the model cannot go on from), and returns one flat
+    array('d') of row(t, w) at each grid time t in turn.  The row at a
+    step's start comes first, so that generated code computes it with the
+    step's first stage, which shares its time and state.  integrate_ep runs
+    this as written, simulate and the EKF as generated_run generates it."""
+    rate, row, after = parts(reference, coords, a, b)
 
-    The grid is grid(t0, t1, dt).  after_step(t, x) runs once after each
-    step, with t the step's end time, and the state it returns is carried
-    forward.  Returns (times, states)
-    with states[i] the state at times[i], including t0.
+    def run(w, times):
+        buf = array("d")
+        t = times[0]
+        for t1 in times[1:]:
+            r = row(t, w)
+            buf.extend(r)
+            w = rk4_step(rate, t, w, t1 - t)
+            w = after(t1, w)
+            t = t1
+        r = row(t, w)
+        buf.extend(r)
+        return buf
 
-    Raises:
-        ScenarioError: the grid needs more than MAX_STEPS steps.
-        DivergenceError: a state component became NaN/Inf; its message
-            reads "<state> diverged".
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t1 < t0:
-        raise ValueError(f"t1 must be >= t0, got [{t0}, {t1}]")
-    times = grid(t0, t1, dt)
-    x = tuple(float(c) for c in x0)
-    states = [x]
-    for i in range(len(times) - 1):
-        t = times[i + 1]
-        x = rk4_step(field, times[i], x, t - times[i])
-        if not all(map(math.isfinite, x)):
-            raise DivergenceError(t, f"{state} diverged")
-        if after_step is not None:
-            x = after_step(t, x)
-        states.append(x)
-    return times, states
+    return run
+
+
+@functools.cache
+def generated_run(parts: Callable, cores: tuple, p: int, n: int) -> Callable:
+    """rk4_run on parts, generated for p landmarks and an n-float state w
+    and called without parts: parts, the cores, compiled_rk4_step(n) and all
+    they call inlined, w and each loop over coords unrolled (see
+    inline.inline_cores), on the live globals of parts' module, which must
+    bind rk4_run's free name array too.  Generated on the first run with p
+    landmarks, never at import or parse time: the inliner is imported then."""
+    from .inline import inline_cores
+
+    unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)], "w": [f"w{i}" for i in range(n)]}
+    named = {"parts": parts, "rk4_step": compiled_rk4_step(n), **{c.__name__: c for c in cores}}
+    # rk4_run as written, not a tracer's timing wrapper bound to its name.
+    template = inspect.unwrap(rk4_run)
+    return functools.partial(inline_cores(template, named, unrolled, parts.__globals__), parts)
 
 
 def max_pairwise_distance(mats: Sequence[np.ndarray]) -> float:
-    """Largest Frobenius norm of the difference between any two matrices;
-    inf, with no numpy warning, when a norm overflows."""
-    worst = 0.0
-    with np.errstate(over="ignore"):
+    """Largest Frobenius norm of the difference between any two matrices,
+    with no numpy warning: inf when a norm overflows, and NaN when two
+    matrices hold the same infinity at one entry."""
+    norms = [0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                worst = max(worst, float(np.linalg.norm(mats[i] - mats[j])))
-    return worst
+                norms.append(float(np.linalg.norm(mats[i] - mats[j])))
+    return float(np.max(norms))  # which, unlike max(), keeps a NaN
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,11 @@ class LandmarkSet:
         arr = np.asarray(coords, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise GeometryError("landmark coordinates must be finite")
-        centered = arr - arr.mean(axis=0)
-        svals = np.linalg.svd(centered, compute_uv=False)
+        # A spread past float range overflows the mean, and the test reads
+        # NaN and passes, silently: the parse's range checks name such a set.
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = arr - arr.mean(axis=0)
+            svals = np.linalg.svd(centered, compute_uv=False)
         if svals[-1] <= COLLINEARITY_RTOL * max(svals[0], 1e-300):
             raise GeometryError("landmarks are collinear (or coincident)")
 

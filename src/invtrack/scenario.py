@@ -302,17 +302,25 @@ def parse_scenario(doc: dict) -> ParsedScenario:
             raise ScenarioError("probe_times entries must be >= 0")
 
     # The reference stays within its path length up to the last time any
-    # analysis asks for; the ranges measured along it must stay finite too.
+    # analysis asks for, where the ranges measured along it, the heading it
+    # turns (the last leg runs on; a wobble at its peak rate) and a wobble's
+    # phase, whose sines the reference takes, must stay finite too.
     horizon = max(t_end, *canonical["probe_times"])
     ref = canonical["trajectory"]
     if "segments" in ref:
         segs = ref["segments"]
         reach = sum(abs(s["u"]) * s["duration"] for s in segs) + abs(segs[-1]["u"]) * horizon
+        turn = abs(segs[-1]["u"] * segs[-1]["v"])
     else:
         reach = abs(ref["u"]) * horizon
+        turn = abs(ref["u"]) * (abs(ref["v"]) + abs(ref.get("v_wobble", {}).get("amplitude", 0.0)))
     for i, (lx, ly) in enumerate(coords):
         far = math.hypot(ref["start"][0] - lx, ref["start"][1] - ly) + reach
         _finite_product(far * far, "trajectory", f"squared range to landmarks[{i}] along the run")
+    _finite_product(turn * horizon, "trajectory", "turn angle along the run")
+    if "v_wobble" in ref:
+        phase = abs(ref["v_wobble"]["angular_rate"]) * horizon
+        _finite_product(phase, "trajectory.v_wobble", "phase |angular_rate|*t along the run")
 
     canonical["ekf"] = _section(doc.get("ekf", {}), "ekf", _EKF)
     mech = canonical["mech"] = _section(doc.get("mech", {}), "mech", _MECH)

@@ -191,8 +191,8 @@ class IntegratedTrajectory:
         x, y, th = self._knots[i]
         tb, ub, vb, wb = self._last_input
         if t0 != t:
-            # numerics.integrate's RK4 on its grid (t0 + k*_POSE_STEP, closed
-            # by t), with rk4_step's stage times and combine, fused for the
+            # RK4 on numerics.grid's grid (t0 + k*_POSE_STEP, closed by t),
+            # with rk4_step's stage times and combine, fused for the
             # unicycle: the field reads only the heading, so the position
             # stages are never formed, and k2 and k3 share the time ta + hh
             # and so the heading rate w2.  The input at the last end stage

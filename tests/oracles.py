@@ -14,17 +14,20 @@ central-difference Jacobian on numpy arrays, one array per shifted point,
 which numerics.linearize_error_field gives bit for bit at the origin and
 the other fd checks of closed forms use; numerics.rk4_step as the
 per-component loop over zip that the generated straight-line step is held
-to bit for bit (with bits, which compares floats by their bytes); the
+to bit for bit (with bits, which compares floats by their bytes);
+integrate, a fixed-step RK4 loop written apart from numerics.rk4_run (a
+list of states, the finite check and an optional after_step), which
+rk4_run as written is held to bit for bit on each model's parts; the
 Riccati flow of riccati_values and the Euler-Poincare rates of
 ep_rate_values written as the textbook formulas, with 3x3 arrays,
 np.linalg.solve and np.cross, plus the runs that integrate them with
-numerics.integrate (the rigid-body run also under a force model, which
+integrate (the rigid-body run also under a force model, which
 mech.integrate_ep refuses); the SVD projection onto SO(3) that
 project_attitude's polar iteration is held to; hat, Rodrigues' formula,
 J_r^-1, the force models and the rigid body's tracking-error field on 3x3
 arrays, and that field's linearization in closed form;
-IntegratedTrajectory's reference poses integrated by numerics.integrate on
-the unicycle field; the relative check that the property tests hold the
+IntegratedTrajectory's reference poses integrated by integrate on the
+unicycle field; the relative check that the property tests hold the
 cores to, with its grid bound where the oracle is subnormal; and the
 time-series CSV built as one string from the whole table, which
 reporting.write_timeseries_csv's blocks are held to byte for byte.
@@ -33,6 +36,7 @@ reporting.write_timeseries_csv's blocks are held to byte for byte.
 import bisect
 import math
 import struct
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,9 +44,9 @@ from invtrack import se2
 from invtrack.controller import feedback_values, relative_pose
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
 from invtrack.mech import SMALL_ROTATION, ep_rate_values, rotation_exp_values
-from invtrack.numerics import FD_STEP, ErrorField, integrate
+from invtrack.numerics import FD_STEP, ErrorField, VectorField, grid, rk4_step
 from invtrack.observer import observer_field
-from invtrack.errors import GeometryError
+from invtrack.errors import DivergenceError, GeometryError
 from invtrack.reporting import CSV_COLUMNS, FLOAT_FORMAT
 from invtrack.robot import (
     LandmarkSet,
@@ -209,6 +213,45 @@ def rk4_step_oracle(field, t, x, h):
         a + h6 * (b + 2.0 * (c + d) + e)
         for a, b, c, d, e in zip(x, k1, k2, k3, k4)
     ])
+
+
+def integrate(
+    field: VectorField,
+    x0: Sequence[float],
+    t0: float,
+    t1: float,
+    dt: float,
+    after_step: Callable[[float, tuple], tuple] | None = None,
+    state: str = "state",
+) -> tuple[list[float], list[tuple]]:
+    """Integrate xdot = field(t, x) from t0 to t1 with fixed-step RK4.
+
+    The grid is grid(t0, t1, dt).  after_step(t, x) runs once after each
+    step, with t the step's end time, and the state it returns is carried
+    forward.  Returns (times, states)
+    with states[i] the state at times[i], including t0.
+
+    Raises:
+        ScenarioError: the grid needs more than MAX_STEPS steps.
+        DivergenceError: a state component became NaN/Inf; its message
+            reads "<state> diverged".
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t1 < t0:
+        raise ValueError(f"t1 must be >= t0, got [{t0}, {t1}]")
+    times = grid(t0, t1, dt)
+    x = tuple(float(c) for c in x0)
+    states = [x]
+    for i in range(len(times) - 1):
+        t = times[i + 1]
+        x = rk4_step(field, times[i], x, t - times[i])
+        if not all(map(math.isfinite, x)):
+            raise DivergenceError(t, f"{state} diverged")
+        if after_step is not None:
+            x = after_step(t, x)
+        states.append(x)
+    return times, states
 
 
 def jacobian_fd_oracle(fn, point):
@@ -406,7 +449,7 @@ def ep_error_matrix(s, t, damping=None, strength=0.0, axis=(0.0, 0.0, 1.0)):
 
 
 class IntegratedTrajectoryOracle(IntegratedTrajectory):
-    """IntegratedTrajectory whose pose runs numerics.integrate on the full
+    """IntegratedTrajectory whose pose runs integrate on the full
     unicycle field, four input calls per step, from the nearest knot."""
 
     def _rate(self, t, w):

@@ -27,9 +27,9 @@ from invtrack.numerics import (
     eigenvalues,
     generated_run,
     grid,
-    integrate,
     linearize_error_field,
     once_per_time,
+    rk4_run,
     spectrum_match_distance,
     time_invariance_probe,
 )
@@ -48,6 +48,7 @@ from oracles import (
     composed_controller_error_field,
     composed_error_field,
     composed_observer_error_field,
+    integrate,
     jacobian_fd_oracle,
     outcome,
     transform_landmarks,
@@ -255,8 +256,8 @@ FD_FLOOR = 5e-8
 
 
 def _called_pair(traj, lm, kg, og):
-    """_loop_pair's rate and row as written, with their core calls: the
-    rate the fd probes evaluate."""
+    """_loop_pair's rate, row and after as written, with their core calls:
+    the rate is the one the fd probes evaluate."""
     return closed_loop._loop_pair(once_per_time(traj.sample), lm.coords, kg, og)
 
 
@@ -320,7 +321,7 @@ class TestFusedRate:
     def test_matches_composed_rate(self, traj, lm, kg, og, pose, est, t, h):
         # The stage times of one RK4 step, so the memoized reference lookup
         # is hit and missed in the order simulate() meets it.
-        fused, _ = _called_pair(traj, lm, kg, og)
+        fused, _, _ = _called_pair(traj, lm, kg, og)
         oracle = composed_rate(traj, lm, kg, og)
         w = pose + est
         for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
@@ -342,7 +343,7 @@ class TestFusedRate:
         # inlined: each run's first stage at t = 0.25 meets the Gram cap.
         def bound_run():
             reference = once_per_time(PermanentTrajectory(1.0, 0.5).sample)
-            run = generated_run(closed_loop._loop_run, closed_loop._CORES, len(FAR), 6)
+            run = generated_run(closed_loop._loop_pair, closed_loop._CORES, len(FAR), 6)
             return run(reference, FAR.coords, KG, OG)
 
         before = bound_run()
@@ -371,7 +372,7 @@ class TestFusedRate:
         # names, on the rate as written, which the fd probes evaluate;
         # test_error_paths_through_the_run holds simulate's run to it.
         traj, lm, kg, og, t, w, want = ERROR_PATHS[case]
-        rate, _ = _called_pair(traj, lm, kg, og)
+        rate, _, _ = _called_pair(traj, lm, kg, og)
         assert outcome(rate, t, w)[:2] == want
 
     def test_not_generated_at_import_or_parse(self):
@@ -404,9 +405,9 @@ class TestFusedRate:
         assert _fresh_process(code) == want
 
     def test_non_finite_stage_state_is_a_divergence(self):
-        # An RK stage can carry a heading of inf before integrate checks the
+        # An RK stage can carry a heading of inf before the run checks the
         # step; the rate names the stage time instead of a math domain error.
-        rate, _ = _called_pair(PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG)
+        rate, _, _ = _called_pair(PermanentTrajectory(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(DivergenceError) as info:
             rate(0.25, (0.0, 0.0, 0.0, 0.0, 0.0, math.inf))
         assert str(info.value) == "closed-loop state diverged at t=0.25"
@@ -414,7 +415,7 @@ class TestFusedRate:
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_value_error_on_a_finite_state_is_kept(self):
-        rate, _ = _called_pair(_NanInput(1.0, 0.5), STANDARD, KG, OG)
+        rate, _, _ = _called_pair(_NanInput(1.0, 0.5), STANDARD, KG, OG)
         with pytest.raises(ValueError, match="reference input must be finite"):
             rate(0.25, (0.0,) * 6)
 
@@ -423,7 +424,7 @@ class TestFusedRate:
         # the feedback's (u, v) on an estimate 10 m ahead of the reference
         # (which starts at the origin), and the observer rejects that input.
         kg = ControllerGains(1e308, 1.0, 1.0)
-        rate, _ = _called_pair(PermanentTrajectory(1.0, 0.5), STANDARD, kg, OG)
+        rate, _, _ = _called_pair(PermanentTrajectory(1.0, 0.5), STANDARD, kg, OG)
         with pytest.raises(DivergenceError) as info:
             rate(0.0, (10.0, 0.0, 0.0, 10.0, 0.0, 0.0))
         assert str(info.value) == "closed-loop input diverged at t=0"
@@ -448,11 +449,11 @@ class TestFusedRate:
 
 
 def _integrated_run(traj, lm, kg, og, w0, t0, t_end, dt):
-    """Oracle: simulate's run as integrate of _loop_pair's rate with its
-    core calls, the 1e6 box after every step and the row at every grid
-    time, the row at a time before the step from it; the flat list of
-    (t, *w, *row(t, w)) at each grid time."""
-    rate, row = _called_pair(traj, lm, kg, og)
+    """Oracle: simulate's run as the integrate oracle of _loop_pair's rate
+    with its core calls, the 1e6 box after every step and the row at every
+    grid time, the row at a time before the step from it; the flat list of
+    (t, *w, *row(t, w)[7:]) at each grid time, t and w integrate's."""
+    rate, row, _ = _called_pair(traj, lm, kg, og)
     rows = [row(t0, w0)]
 
     def after_step(t, w):
@@ -463,17 +464,19 @@ def _integrated_run(traj, lm, kg, og, w0, t0, t_end, dt):
         return w
 
     times, states = integrate(rate, w0, t0, t_end, dt, after_step, state="closed-loop state")
-    return [v for t, w, r in zip(times, states, rows) for v in (t, *w, *r)]
+    return [v for t, w, r in zip(times, states, rows) for v in (t, *w, *r[7:])]
 
 
-def _template_run(traj, lm, kg, og, w0, t0, t_end, dt):
-    """_loop_run as written, with its calls of the rate, row and rk4_step."""
-    return closed_loop._loop_run(once_per_time(traj.sample), lm.coords, kg, og)(w0, grid(t0, t_end, dt))
+def _written_run(traj, lm, kg, og, w0, t0, t_end, dt):
+    """rk4_run on _loop_pair as written, with its calls of the rate, row,
+    after and rk4_step."""
+    run = rk4_run(closed_loop._loop_pair, once_per_time(traj.sample), lm.coords, kg, og)
+    return run(w0, grid(t0, t_end, dt))
 
 
 def _generated_run(traj, lm, kg, og, w0, t0, t_end, dt):
     """The run simulate calls, generated for the landmark count."""
-    run = generated_run(closed_loop._loop_run, closed_loop._CORES, len(lm), 6)(
+    run = generated_run(closed_loop._loop_pair, closed_loop._CORES, len(lm), 6)(
         once_per_time(traj.sample), lm.coords, kg, og
     )
     return run(w0, grid(t0, t_end, dt))
@@ -491,9 +494,11 @@ def _run_outcome(run, traj, *args):
 
 
 class TestGeneratedRun:
-    # simulate runs _loop_run as generated code: _loop_pair's rate and row,
-    # rk4_step and the cores inlined, with what stages at one time share
-    # computed once.  It must be integrate plus the row, bit for bit.
+    # simulate runs rk4_run on _loop_pair as generated code: the rate, the
+    # row, the box, rk4_step and the cores inlined, with what stages at one
+    # time share computed once.  rk4_run as written must be the integrate
+    # oracle plus the row, and the generated run rk4_run as written, bit
+    # for bit.
     @pytest.mark.parametrize("p", [*range(3, 13), 33, 40])
     @given(
         data=st.data(),
@@ -510,19 +515,19 @@ class TestGeneratedRun:
         # t_end is not a multiple of dt, so the last step is short.
         lm = data.draw(landmark_sets(p, p))
         # Every call of the law, its cores and the step is inlined.
-        run = generated_run(closed_loop._loop_run, closed_loop._CORES, p, 6)(
+        run = generated_run(closed_loop._loop_pair, closed_loop._CORES, p, 6)(
             once_per_time(traj.sample), lm.coords, kg, og
         )
         called = {
-            "_loop_pair", "rk4_step", "relative_pose", "normalize_angle", "feedback_values",
+            "_loop_pair", "rk4_run", "rk4_step", "relative_pose", "normalize_angle", "feedback_values",
             "measure_values", "observer_rate", "gram_condition", "_check_condition",
             "dynamics_values",
         }
         assert not called & set(run.__code__.co_names)
         args = (lm, kg, og, pose + est, 0.0, (steps - 1 + part) * dt, dt)
-        want = _run_outcome(_integrated_run, traj, *args)
-        assert _run_outcome(_template_run, traj, *args) == want
-        assert _run_outcome(_generated_run, traj, *args) == want
+        written = _run_outcome(_written_run, traj, *args)
+        assert written == _run_outcome(_integrated_run, traj, *args)
+        assert _run_outcome(_generated_run, traj, *args) == written
 
     @pytest.mark.parametrize("traj", [
         PermanentTrajectory(-1.2, 0.4, GroupElement(1.0, -2.0, math.pi - 1e-7)),

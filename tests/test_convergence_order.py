@@ -1,10 +1,10 @@
 """RK4's order, seen in the numbers themselves: each halving of the step
 divides the change of the final state by 2^4 = 16.
 
-The generated runs are held bit for bit to integrate, and integrate's step
-to a per-component oracle loop, so a fault they share (in the grid, the
-stage times or the short last step) passes those tests; it does not pass
-these.  The band and the step ranges are not fitted to any run: a ratio
+The generated runs are held bit for bit to numerics.rk4_run as written,
+rk4_run to the integrate oracle, and its step to a per-component oracle
+loop, so a fault they share (in the grid, the stage times or the short
+last step) passes those tests; it does not pass these.  The band and the step ranges are not fitted to any run: a ratio
 must show an order within 4 +- 0.5, which orders 3 and 5 (ratios 8
 and 32) fall outside.  Every horizon is (n + part) times the finest step,
 so each run ends with a short last step.  The EKF is left out: at the steps

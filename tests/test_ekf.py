@@ -19,7 +19,7 @@ from invtrack.ekf import (
     time_variance_probe,
 )
 from invtrack.errors import DivergenceError
-from invtrack.numerics import generated_run, grid, integrate, once_per_time
+from invtrack.numerics import generated_run, grid, once_per_time, rk4_run
 from invtrack.robot import LandmarkSet, RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import (
@@ -34,6 +34,7 @@ from oracles import (
     bits,
     ekf_field_oracle,
     ekf_oracle_run,
+    integrate,
     jacobian_fd_oracle,
     measure,
     rotation_exp,
@@ -294,27 +295,25 @@ class TestRun:
             assert np.min(np.linalg.eigvalsh(P)) > 0.0
 
 
-def _called_rate(traj, lm, q, r):
-    """_riccati_rate's rate as written, with its core calls."""
-    return ekf._riccati_rate(once_per_time(traj.sample), lm.coords, q, 1.0 / r)
-
-
 def _integrated_run(traj, lm, q, r, w0, t0, t_end, dt):
-    """Oracle: the filter's run as integrate of _riccati_rate's rate with its
-    core calls and keep_psd after every step; the flat list of the states."""
-    rate = _called_rate(traj, lm, q, r)
+    """Oracle: the filter's run as the integrate oracle of _riccati_rate's
+    rate with its core calls and keep_psd after every step; the flat list
+    of the states."""
+    rate, _, _ = ekf._riccati_rate(once_per_time(traj.sample), lm.coords, q, 1.0 / r)
     _, states = integrate(rate, w0, t0, t_end, dt, keep_psd, state="EKF state")
     return [c for w in states for c in w]
 
 
-def _template_run(traj, lm, q, r, w0, t0, t_end, dt):
-    """_filter_run as written, with its calls of the rate, rk4_step and keep_psd."""
-    return ekf._filter_run(once_per_time(traj.sample), lm.coords, q, 1.0 / r)(w0, grid(t0, t_end, dt))
+def _written_run(traj, lm, q, r, w0, t0, t_end, dt):
+    """rk4_run on _riccati_rate as written, with its calls of the rate, row,
+    after, rk4_step and keep_psd."""
+    run = rk4_run(ekf._riccati_rate, once_per_time(traj.sample), lm.coords, q, 1.0 / r)
+    return run(w0, grid(t0, t_end, dt))
 
 
 def _generated_run(traj, lm, q, r, w0, t0, t_end, dt):
     """The run run_along_reference calls, generated for the landmark count."""
-    run = generated_run(ekf._filter_run, ekf._CORES, len(lm), 9)(
+    run = generated_run(ekf._riccati_rate, ekf._CORES, len(lm), 9)(
         once_per_time(traj.sample), lm.coords, q, 1.0 / r
     )
     return run(w0, grid(t0, t_end, dt))
@@ -374,9 +373,11 @@ ERROR_PATHS = {
 
 
 class TestGeneratedRun:
-    # run_along_reference runs _filter_run as generated code: the rate,
-    # rk4_step, keep_psd and the cores inlined, with what the two midpoint
-    # stages share computed once.  It must be integrate, bit for bit.
+    # run_along_reference runs rk4_run on _riccati_rate as generated code:
+    # the rate, the row, the checks, rk4_step, keep_psd and the cores
+    # inlined, with what the two midpoint stages share computed once.
+    # rk4_run as written must be the integrate oracle, and the generated
+    # run rk4_run as written, bit for bit.
     @pytest.mark.parametrize("p", [*range(3, 13), 33, 40])
     @given(
         data=st.data(),
@@ -395,9 +396,9 @@ class TestGeneratedRun:
         # its own generated run.
         lm = data.draw(landmark_sets(p, p))
         args = (lm, q, r, (*est, p0, 0.0, 0.0, p0, 0.0, p0), 0.0, (steps - 1 + part) * dt, dt)
-        want = _run_outcome(_integrated_run, traj, *args)
-        assert _run_outcome(_template_run, traj, *args) == want
-        assert _run_outcome(_generated_run, traj, *args) == want
+        written = _run_outcome(_written_run, traj, *args)
+        assert written == _run_outcome(_integrated_run, traj, *args)
+        assert _run_outcome(_generated_run, traj, *args) == written
 
     @pytest.mark.parametrize("p", [3, 12, 40])
     def test_no_core_is_called_by_name(self, p):
@@ -407,13 +408,13 @@ class TestGeneratedRun:
         # of it shows here.
         ring = tuple((10.0 * math.cos(0.1 + k), 10.0 * math.sin(0.1 + k)) for k in range(p))
         reference = once_per_time(PermanentTrajectory(1.0, 0.5).sample)
-        run = generated_run(ekf._filter_run, ekf._CORES, p, 9)(reference, ring, 1e-3, 1e2)
+        run = generated_run(ekf._riccati_rate, ekf._CORES, p, 9)(reference, ring, 1e-3, 1e2)
         called = {
-            "_riccati_rate", "rk4_step", "measure_values", "riccati_values", "dynamics_values",
-            "keep_psd",
+            "_riccati_rate", "rk4_run", "rk4_step", "measure_values", "riccati_values",
+            "dynamics_values", "keep_psd",
         }
         assert not called & set(run.__code__.co_names)
-        written = ekf._filter_run(None, ring, 1e-3, 1e2)
+        written = rk4_run(ekf._riccati_rate, None, ring, 1e-3, 1e2)
         assert run.__code__ is not written.__code__
 
     @pytest.mark.parametrize("traj", [

@@ -1,3 +1,4 @@
+import dis
 import math
 import sys
 import types
@@ -5,6 +6,13 @@ import types
 import pytest
 
 from invtrack.inline import InlineError, inline_cores
+
+
+def _inlined(template, cores, unrolled):
+    """inline_cores on cores named by their own names, the generated code
+    reading the template's module."""
+    return inline_cores(template, {core.__name__: core for core in cores}, unrolled, template.__globals__)
+
 
 OFFSET = 1.0
 
@@ -194,9 +202,27 @@ def _toy_loop(k):
     return f
 
 
+def _bounded(limit):
+    def check(xs):
+        for x in xs:
+            if not abs(x) <= limit:
+                raise ValueError("past the limit")
+        return xs
+
+    return check
+
+
+def _toy_check(limit):
+    def f(xs):
+        check = _bounded(limit)
+        xs = check(xs)
+        return xs
+    return f
+
+
 class TestInlineCores:
     def test_inlines_a_straight_line_core(self):
-        f = inline_cores(_toy, (_scaled,), {})(3.0)
+        f = _inlined(_toy, (_scaled,), {})(3.0)
         assert f(2.0) == _scaled(2.0, 3.0)
         # The core's statements, not a call: f reads OFFSET as a global and
         # never reads _scaled.
@@ -204,20 +230,20 @@ class TestInlineCores:
         assert "_scaled" not in f.__code__.co_names + f.__code__.co_freevars
 
     def test_globals_are_read_when_the_outer_function_runs(self, monkeypatch):
-        f = inline_cores(_toy, (_scaled,), {})(3.0)
+        f = _inlined(_toy, (_scaled,), {})(3.0)
         monkeypatch.setattr(sys.modules[__name__], "OFFSET", 2.0)
         assert f(2.0) == 8.0
 
     def test_unrolls_a_loop_over_the_named_elements(self):
-        f = inline_cores(_toy_sum, (_summed,), {"xs": ["x0", "x1", "x2"]})((1.0, 2.0, 4.0))
+        f = _inlined(_toy_sum, (_summed,), {"xs": ["x0", "x1", "x2"]})((1.0, 2.0, 4.0))
         assert f() == 7.0
         assert {"x0", "x1", "x2"} <= set(f.__code__.co_freevars)
         with pytest.raises(ValueError):  # the elements are unpacked when bound
-            inline_cores(_toy_sum, (_summed,), {"xs": ["x0", "x1"]})((1.0, 2.0, 4.0))
+            _inlined(_toy_sum, (_summed,), {"xs": ["x0", "x1"]})((1.0, 2.0, 4.0))
 
     def test_refuses_an_element_name_the_template_binds(self):
         with pytest.raises(InlineError, match="generated name 's' is already in use"):
-            inline_cores(_toy_sum, (_summed,), {"xs": ["x0", "s"]})
+            _inlined(_toy_sum, (_summed,), {"xs": ["x0", "s"]})
 
     @pytest.mark.parametrize("core, rule", [
         (_two_returns, "must end in its one return"),
@@ -225,47 +251,47 @@ class TestInlineCores:
     ])
     def test_refuses_a_core_that_is_not_straight_line(self, core, rule):
         with pytest.raises(InlineError, match=rule):
-            inline_cores(_refused, (core,), {})
+            _inlined(_refused, (core,), {})
 
     def test_refuses_cores_whose_globals_clash(self):
         # _shifted reads another module's OFFSET, not the template module's.
         with pytest.raises(InlineError, match="global name 'OFFSET' is not the core's object"):
-            inline_cores(_clashing, (_scaled, _shifted), {})
+            _inlined(_clashing, (_scaled, _shifted), {})
 
     def test_refuses_a_core_global_the_template_binds(self):
         with pytest.raises(InlineError, match="global name 'OFFSET' is bound by the template"):
-            inline_cores(_binding, (_scaled,), {})
+            _inlined(_binding, (_scaled,), {})
 
     def test_refuses_a_core_global_the_template_module_leaves_unbound(self):
         with pytest.raises(InlineError, match="global name 'OFFSET' is not the core's object"):
-            inline_cores(_unbound, (_scaled,), {})
+            _inlined(_unbound, (_scaled,), {})
 
     def test_refuses_a_template_module_that_shadows_a_builtin(self):
-        assert inline_cores(_toy_abs, (_magnitude,), {})(3.0)(-2.0) == 6.0
+        assert _inlined(_toy_abs, (_magnitude,), {})(3.0)(-2.0) == 6.0
         with pytest.raises(InlineError, match="global name 'abs' is not the core's object"):
-            inline_cores(_shadowing, (_magnitude,), {})
+            _inlined(_shadowing, (_magnitude,), {})
 
     @pytest.mark.parametrize("template", [_defaulted, _keyword_defaulted, _enclosed()])
     def test_refuses_a_template_with_defaults_or_a_closure(self, template):
         with pytest.raises(InlineError, match="may not have defaults or a closure"):
-            inline_cores(template, (_scaled,), {})
+            _inlined(template, (_scaled,), {})
 
     def test_inlines_a_core_that_a_core_calls(self):
-        f = inline_cores(_toy_nested, (_outer, _scaled), {})(3.0)
+        f = _inlined(_toy_nested, (_outer, _scaled), {})(3.0)
         assert f(2.0) == _outer(2.0, 3.0)
         assert not {"_outer", "_scaled"} & set(f.__code__.co_names)
 
     def test_inlines_the_functions_a_core_returns(self):
         # _factory defines and returns two functions; each call of one is
         # inlined, an expression argument bound to a name first.
-        f = inline_cores(_toy_factory, (_factory, _scaled), {})(3.0)
-        assert f(2.0) == inline_cores(_toy_factory, (), {})(3.0)(2.0) == 2.0 * 2.0 * 3.0 + 2.0 * OFFSET
+        f = _inlined(_toy_factory, (_factory, _scaled), {})(3.0)
+        assert f(2.0) == _inlined(_toy_factory, (), {})(3.0)(2.0) == 2.0 * 2.0 * 3.0 + 2.0 * OFFSET
         assert not {"_factory", "_scaled", "scale", "shift"} & set(f.__code__.co_names)
 
     def test_a_repeated_pure_statement_runs_once(self):
         # The second _squared call's pure statements repeat the first's and
         # are dropped; its method call log.append is not pure and runs again.
-        f = inline_cores(_toy_twice, (_squared,), {})(1.0)
+        f = _inlined(_toy_twice, (_squared,), {})(1.0)
         CALLS.clear()
         log = []
         assert f(3.0, log) == 18.0
@@ -274,6 +300,16 @@ class TestInlineCores:
     def test_loop_locals_share_slots(self):
         # Names whose lives in the loop body do not overlap share a local:
         # the three calls' results and a, b, c take two slots.
-        f = inline_cores(_toy_loop, (_scaled,), {})(2.0)
-        assert f([1.0, 2.0]) == inline_cores(_toy_loop, (), {})(2.0)([1.0, 2.0])
+        f = _inlined(_toy_loop, (_scaled,), {})(2.0)
+        assert f([1.0, 2.0]) == _inlined(_toy_loop, (), {})(2.0)([1.0, 2.0])
         assert f.__code__.co_varnames == ("xs", "total", "x", "v0", "v1")
+
+    def test_drops_the_self_copy_of_a_check_that_returns_its_argument(self):
+        # `xs = check(xs)` on unrolled elements leaves the raise-guards and
+        # no `(x0, x1) = (x0, x1)`: x0 is stored once, where xs is unpacked.
+        f = _inlined(_toy_check, (_bounded,), {"xs": ["x0", "x1"]})(2.0)
+        assert f((1.0, -2.0)) == (1.0, -2.0)
+        with pytest.raises(ValueError, match="past the limit"):
+            f((1.0, 3.0))
+        stores = [i for i in dis.get_instructions(f) if i.opname == "STORE_FAST" and i.argval == "x0"]
+        assert len(stores) == 1

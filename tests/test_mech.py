@@ -27,6 +27,7 @@ from invtrack.numerics import linearize_error_field
 from oracles import (
     assert_close,
     assert_rates_close,
+    bits,
     damping_oracle,
     ep_dynamics_oracle,
     ep_error_field_oracle,
@@ -34,6 +35,7 @@ from oracles import (
     ep_oracle_run,
     gravity_gradient_oracle,
     hat,
+    integrate,
     inv_right_jacobian,
     jacobian_fd_oracle,
     project_rotation,
@@ -253,6 +255,32 @@ class TestDynamics:
         assert times.tolist() == want_t.tolist()
         assert_close(attitudes, want_att)
         assert_close(velocities, want_vel)
+
+    @given(inertia=inertias(), zeta=_vectors(-3.0, 3.0), xi=_vectors(-2.0, 2.0),
+           dt=floats(1e-3, 0.6), steps=st.integers(1, 12), part=floats(0.05, 0.95))
+    def test_run_is_integrate_bit_for_bit(self, inertia, zeta, xi, dt, steps, part):
+        # integrate_ep is rk4_run on _free_body as written: the integrate
+        # oracle of the zero-torque rate with project_attitude after every
+        # step, bit for bit, and the same error where a coarse step leaves
+        # the rotation group.  The last step is short.
+        s = EpSystem(rotation_exp(zeta), xi, inertia)
+        t_end = (steps - 1 + part) * dt
+
+        def rate(t, w):
+            return ep_rate_values(w, s.inertia_flat, s.inertia_inv_flat, (0.0, 0.0, 0.0))
+
+        w0 = _flat(s.attitude) + _flat(s.velocity)
+        try:
+            times, states = integrate(rate, w0, 0.0, t_end, dt, project_attitude, state="rigid-body state")
+        except DivergenceError as err:
+            with pytest.raises(DivergenceError) as got:
+                integrate_ep(s, t_end, dt)
+            assert (str(got.value), got.value.time) == (str(err), err.time)
+            return
+        got_t, attitudes, velocities = integrate_ep(s, t_end, dt)
+        assert bits(got_t) == bits(times)
+        got = np.hstack((attitudes.reshape(-1, 9), velocities))
+        assert [bits(row) for row in got.tolist()] == [bits(w) for w in states]
 
     def test_refuses_a_forced_body(self):
         # A forced body's tracking error goes through tracking_error_field.

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,11 +15,11 @@ from invtrack.numerics import (
     ErrorField,
     Spectrum,
     eigenvalues,
-    integrate,
     linearize_error_field,
     max_pairwise_distance,
     once_per_time,
     probe_times,
+    rk4_run,
     rk4_step,
     spectrum_match_distance,
     step_count,
@@ -30,7 +31,7 @@ from invtrack.robot import LandmarkSet
 from invtrack.se2 import IDENTITY
 from invtrack.trajectories import PermanentTrajectory
 
-from oracles import bits, rk4_step_oracle
+from oracles import bits, integrate, rk4_step_oracle
 from strategies import floats
 
 
@@ -219,7 +220,7 @@ class TestRk4Step:
             rk4_step(field, 0.0, (0.0, 0.0), 0.1)
         assert caught.value is err
 
-    def test_integrate_steps_through_the_module_global(self, monkeypatch):
+    def test_rk4_run_steps_through_the_module_global(self, monkeypatch):
         # Per-layer tracing counts numerics.rk4_step by replacing the global.
         calls = []
 
@@ -228,16 +229,55 @@ class TestRk4Step:
             return rk4_step(field, t, x, h)
 
         monkeypatch.setattr(numerics, "rk4_step", counted)
-        times, _ = integrate(lambda t, x: (1.0, -x[0]), (0.0, 1.0), 0.05, 0.25, 0.03)
+        times = numerics.grid(0.05, 0.25, 0.03)
+        rk4_run(_logged_parts, lambda t, x: (1.0, -x[0]), [], 1.0, None)((0.0, 1.0), times)
         assert len(calls) == len(times) - 1
         assert calls == times[:-1]
 
 
+def _logged_parts(rate, log, scale, _):
+    """parts for rk4_run on a plain rate: (t, *w) as the row, and after
+    scaling w[1] by scale; each call of the three logged in order."""
+    def logged_rate(t, w):
+        log.append(("rate", t))
+        return rate(t, w)
+
+    def row(t, w):
+        log.append(("row", t, w))
+        return (t, *w)
+
+    def after(t, w):
+        log.append(("after", t, w))
+        return (w[0], scale * w[1])
+
+    return logged_rate, row, after
+
+
+class TestRk4Run:
+    def test_rows_before_steps_and_after_carried(self):
+        # The row at each grid time comes before the step from it, and after
+        # runs at each step's end time on the stepped state; what it
+        # returns is carried on and sampled.
+        log = []
+        times = numerics.grid(0.0, 0.25, 0.1)  # a short last step
+        buf = rk4_run(_logged_parts, lambda t, x: (1.0, 0.0), log, 0.5, None)((0.0, 8.0), times)
+        want = []
+        for t, t1 in zip(times, times[1:]):
+            want += [("row", t), ("rate", t), ("rate", t + 0.5 * (t1 - t)), ("rate", t + 0.5 * (t1 - t)),
+                     ("rate", t1), ("after", t1)]
+        assert [e[:2] for e in log] == want + [("row", times[-1])]
+        rows = [e[2] for e in log if e[0] == "row"]
+        assert [w[1] for w in rows] == [8.0, 4.0, 2.0, 1.0]
+        assert [e[2][1] for e in log if e[0] == "after"] == [8.0, 4.0, 2.0]
+        assert list(buf) == [v for t, w in zip(times, rows) for v in (t, *w)]
+
+
 class TestGeneratedRun:
-    def test_generated_once_per_template_and_landmark_count(self):
-        # simulate and run_along_reference each generate their run through
-        # the one owner, once per landmark count: p = 3 and p = 4 for both
-        # templates are 4 misses, and the second round 4 hits.
+    def test_generated_once_per_parts_and_landmark_count(self):
+        # simulate and run_along_reference each generate their run of
+        # rk4_run through the one owner, once per parts and landmark count:
+        # p = 3 and p = 4 for both parts are 4 misses, and the second round
+        # 4 hits.
         numerics.generated_run.cache_clear()
         traj = PermanentTrajectory(1.0, 0.5)
         gains = (ControllerGains(1.0, 1.0, 1.0), ObserverGains(1.0, 1.0, 1.0))
@@ -248,6 +288,24 @@ class TestGeneratedRun:
             run_along_reference(traj, lm, t_end=0.01, dt=1e-3, q=1e-3, r=1e-2, p0=1e-2)
         info = numerics.generated_run.cache_info()
         assert (info.misses, info.hits) == (4, 4)
+
+    def test_inlines_rk4_run_under_a_wrapper_bound_to_its_name(self, monkeypatch):
+        # A tracer rebinds numerics.rk4_run to a timing wrapper with a
+        # closure, which the inliner refuses as a template: generated_run
+        # inlines the function it wraps.
+        original = rk4_run
+
+        @functools.wraps(original)
+        def timed(*args):
+            return original(*args)
+
+        monkeypatch.setattr(numerics, "rk4_run", timed)
+        numerics.generated_run.cache_clear()
+        traj = PermanentTrajectory(1.0, 0.5)
+        lm = LandmarkSet(((10.0, 0.0), (0.0, 10.0), (-10.0, -10.0)))
+        gains = (ControllerGains(1.0, 1.0, 1.0), ObserverGains(1.0, 1.0, 1.0))
+        assert len(simulate(Scenario(traj, lm, *gains, IDENTITY, IDENTITY, t_end=0.1, dt=0.05)).times) == 3
+        numerics.generated_run.cache_clear()
 
 
 class TestOncePerTime:

@@ -73,7 +73,7 @@ class TestExp:
 
     def test_matches_ode_integration(self):
         # exp(xi) is the unit-time flow of the left-invariant field g * xi.
-        from invtrack.numerics import integrate
+        from oracles import integrate
 
         xi = TangentVector(0.8, -0.3, 1.7)
 

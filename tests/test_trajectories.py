@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from invtrack import se2
 from invtrack.errors import DivergenceError, ScenarioError
-from invtrack.numerics import integrate
 from invtrack.robot import RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY, TangentVector
 from invtrack.trajectories import (
@@ -18,7 +17,7 @@ from invtrack.trajectories import (
     Segment,
     permanence_probe,
 )
-from oracles import IntegratedTrajectoryOracle
+from oracles import IntegratedTrajectoryOracle, integrate
 from strategies import HEADINGS, floats, signed
 
 
@@ -225,7 +224,7 @@ class TestFusedPose:
         times=query_times(),
     )
     def test_matches_integrate_oracle(self, u, v, amplitude, rate, x, y, theta, times):
-        # The fused unicycle step does numerics.integrate's arithmetic on
+        # The fused unicycle step does the integrate oracle's arithmetic on
         # its grid, so every pose and every knot it keeps is bit-identical.
         input_fn = wobble(u, v, amplitude, rate)
         start = GroupElement(x, y, theta)

@@ -24,7 +24,7 @@ Two trees write byte-identical outputs on this set exactly when their
 OUT.json files agree; `diff` shows where they do not, and names each metric
 that moved with its old and new value.
 
---cheap digests only the default and hand-written scenes (114 analyses, a
+--cheap digests only the default and hand-written scenes (127 analyses, a
 few seconds).  Their digests are committed beside this script as
 output_digests.json, and tests/test_output_digests.py re-digests them on
 every test run; refresh that file with
@@ -170,7 +170,7 @@ HAND_SCENES = (
      {"ekf": {"process_noise": 1e200}, "probe_times": [0, 0.01]}),
     # Finite u and v whose product, the turn rate, is not.
     ("fault-turn-rate", PLANAR, {"trajectory": {"u": 1e200, "v": 1e200}, "t_end": 0.01}),
-    # A state that leaves float range in one step of numerics.integrate.
+    # A state that leaves float range in one RK4 step of the EKF's run.
     ("fault-ekf-tiny-noise", ("ekf-compare",),
      {"ekf": {"measurement_noise": 1e-300}, "probe_times": [0, 0.01]}),
     ("fault-ekf-huge-covariance", ("ekf-compare",),
@@ -191,12 +191,34 @@ HAND_SCENES = (
     # A reference speed below the feedback's 1e-12 floor.
     ("fault-slow", PLANAR, {"trajectory": {"u": 1e-13}}),
     ("fault-slow-segment", PLANAR, {"trajectory": {"segments": [{"u": 1e-13, "duration": 1.0}]}}),
+    # A reference heading, or a wobble's phase, past float range by a late
+    # probe time, where the reach along the run stays finite.
+    ("fault-turn-angle", PLANAR,
+     {"t_end": 0.05, "probe_times": [1e154, 0.01], "trajectory": {"v": -1e300}}),
+    ("fault-last-leg-turn", ("separation",),
+     {"t_end": 0.05, "probe_times": [1.3e154, 0.01],
+      "trajectory": {"segments": [{"u": 1.0, "v": -1e300, "duration": 1.0}]}}),
+    ("fault-wobble-turn", ("invariance",),
+     {"t_end": 0.05, "probe_times": [1e154, 0.01],
+      "trajectory": {"u": 1.0, "v": 0.0, "v_wobble": {"amplitude": 1e300}}}),
+    ("fault-wobble-phase", ("separation",),
+     {"t_end": 0.05, "probe_times": [1.3e154, 0.01], "trajectory": {"v_wobble": {"angular_rate": -1e300}}}),
+    # A gain times the reference speed past float range in the design matrices.
+    ("fault-design-overflow", ("eigs", "separation"),
+     {"gains": {"k2": 1e300}, "trajectory": {"u": 1e100, "v": 0}}),
+    # Landmarks whose mean overflows, and EKF error matrices past float
+    # range: numpy's overflow and invalid warnings, each silenced at its site.
+    ("fault-landmark-spread", ("eigs", "invariance"),
+     {"landmarks": [[10, 0], [0, 1.7976931348623157e308], [-10, 1e300]]}),
+    ("fault-ekf-matrix-overflow", ("ekf-compare",),
+     {"probe_times": [0.0, 0.01], "dt": 1e154, "trajectory": {"start": [1.3e154, 0, 0]}}),
 )
 
 _RANGE = "squared range to landmarks[0]"
 _LOOP_DIVERGED = "closed-loop state diverged at t=0.0005"
 _NOT_LINEAR = "error-field linearization is not finite at t=0"
 _SUBNORMAL = "at step 5e-324 needs inf RK4 steps, more than the cap of 1000000"
+_TURN = "trajectory: turn angle along the run must be finite, got inf"
 # The stderr line, after "error: ", of every command of each fault scene
 # (or, in a dict, of each command named; the others run to a verdict).
 # tests/test_cli.py runs each of them and checks that it exits 2 with this
@@ -246,6 +268,15 @@ FAULTS = {
     "fault-mech-subnormal-dt": f"integration over [0, 0.01] {_SUBNORMAL}",
     "fault-slow": "reference input u vanishes near t=0",
     "fault-slow-segment": "reference input u vanishes near t=0",
+    "fault-turn-angle": _TURN,
+    "fault-last-leg-turn": _TURN,
+    "fault-wobble-turn": _TURN,
+    "fault-wobble-phase":
+        "trajectory.v_wobble: phase |angular_rate|*t along the run must be finite, got inf",
+    "fault-design-overflow": "design matrix entry |u_r|*k2 at t=0 must be finite, got inf",
+    "fault-landmark-spread": "trajectory.start: squared range to landmarks[1] must be finite, got inf",
+    "fault-ekf-matrix-overflow": "body-frame landmark Gram matrix is ill-conditioned: "
+                                 "condition number nan exceeds 1.000e+08 (at t=0)",
 }
 
 
@@ -258,16 +289,15 @@ FAULTS = {
 _GAIN_IDENTITY = "criterion 7: the observer's gain in matrix form, L (-2 I^T) = W"
 _PROTOCOL = "the ReferenceTrajectory protocol that every reference implements"
 _GENERATED = (
-    "source that the closed-loop or the EKF run generator reads and inlines; no command calls it"
+    "source that generated_run reads and inlines into simulate's or the EKF's run; no command calls it"
 )
 HELD = {
+    "closed_loop._loop_pair.<locals>.after": _GENERATED,
     "closed_loop._loop_pair.<locals>.row": _GENERATED,
-    "closed_loop._loop_run": _GENERATED,
-    "closed_loop._loop_run.<locals>.run": _GENERATED,
-    "ekf._filter_run": _GENERATED,
-    "ekf._filter_run.<locals>.run": _GENERATED,
     "ekf._riccati_rate": _GENERATED,
+    "ekf._riccati_rate.<locals>.after": _GENERATED,
     "ekf._riccati_rate.<locals>.rate": _GENERATED,
+    "ekf._riccati_rate.<locals>.row": _GENERATED,
     "ekf.keep_psd": _GENERATED,
     "ekf.riccati_values": _GENERATED,
     "observer.body_frame_landmarks": _GAIN_IDENTITY,
