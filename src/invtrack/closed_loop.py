@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import se2
 from .controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
 from .errors import DegenerateReferenceError, DivergenceError, GeometryError
 from .numerics import ErrorField, generated_run, grid, once_per_time
@@ -27,7 +26,7 @@ from .observer import observer_field  # noqa: F401 (perfbench's tracer test read
 from .observer import MAX_CONDITION  # noqa: F401
 from .robot import LandmarkSet, dynamics_values, measure_values
 from .robot import non_finite_input  # noqa: F401 (read by observer_rate's inlined statements)
-from .se2 import GroupElement, normalize_angle
+from .se2 import GroupElement, compose_values, normalize_angle, relative_rate_values
 from .se2 import TAU  # noqa: F401
 from .trajectories import ReferenceTrajectory
 
@@ -193,12 +192,13 @@ def controller_error_field(
     reference = once_per_time(traj.sample)
 
     def rate(t: float, w: tuple) -> tuple:
+        ex, ey, eth = w
         xr, yr, thr, ur, vr = reference(t)
-        g_ref = GroupElement(xr, yr, thr)
-        g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
-        u, v = feedback_values(w[0], w[1], w[2], ur, vr, gains)
-        dg = dynamics_values(g.theta, u, v)
-        return se2.relative_rate(g_ref, dynamics_values(thr, ur, vr), g, dg)
+        x, y, th = compose_values(xr, yr, thr, ex, ey, eth)
+        u, v = feedback_values(ex, ey, eth, ur, vr, gains)
+        dx, dy, dth = dynamics_values(th, u, v)
+        dxr, dyr, dthr = dynamics_values(thr, ur, vr)
+        return relative_rate_values(xr, yr, thr, dxr, dyr, dthr, x, y, th, dx, dy, dth)
 
     return ErrorField(rate, 3)
 
@@ -216,15 +216,16 @@ def observer_error_field(
     reference = once_per_time(traj.sample)
 
     def rate(t: float, w: tuple) -> tuple:
+        ex, ey, eth = w
         xr, yr, thr, ur, vr = reference(t)
-        g = GroupElement(xr, yr, thr)
-        gh = se2.compose(g, GroupElement(w[0], w[1], w[2]))
-        dg = dynamics_values(thr, ur, vr)
+        xh, yh, thh = compose_values(xr, yr, thr, ex, ey, eth)
+        dx, dy, dth = dynamics_values(thr, ur, vr)
+        values = measure_values(xr, yr, coords)
         try:
-            dgh = observer_rate(*gh, ur, vr, coords, measure_values(xr, yr, coords), gains)
+            dxh, dyh, dthh = observer_rate(xh, yh, thh, ur, vr, coords, values, gains)
         except GeometryError as err:
             raise _at_time(err, t) from err
-        return se2.relative_rate(g, dg, gh, dgh)
+        return relative_rate_values(xr, yr, thr, dx, dy, dth, xh, yh, thh, dxh, dyh, dthh)
 
     return ErrorField(rate, 3)
 
@@ -245,16 +246,16 @@ def closed_loop_error_field(
     loop, _, _ = _loop_pair(reference, lm.coords, kg, og)
 
     def rate(t: float, w: tuple) -> tuple:
+        ex, ey, eth, px, py, pth = w
         xr, yr, thr, ur, vr = reference(t)
-        g_ref = GroupElement(xr, yr, thr)
-        g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
-        gh = se2.compose(g, GroupElement(w[3], w[4], w[5]))
-        dw = loop(t, g + gh)
-        dg, dgh = dw[:3], dw[3:]
-        dref = dynamics_values(thr, ur, vr)
-        deta = se2.relative_rate(g_ref, dref, g, dg)
-        deps = se2.relative_rate(g, dg, gh, dgh)
-        return deta + deps
+        x, y, th = compose_values(xr, yr, thr, ex, ey, eth)
+        xh, yh, thh = compose_values(x, y, th, px, py, pth)
+        dx, dy, dth, dxh, dyh, dthh = loop(t, (x, y, th, xh, yh, thh))
+        dxr, dyr, dthr = dynamics_values(thr, ur, vr)
+        return (
+            relative_rate_values(xr, yr, thr, dxr, dyr, dthr, x, y, th, dx, dy, dth)
+            + relative_rate_values(x, y, th, dx, dy, dth, xh, yh, thh, dxh, dyh, dthh)
+        )
 
     return ErrorField(rate, 6)
 

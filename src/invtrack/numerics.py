@@ -189,13 +189,17 @@ def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
             non-finite entry.
     """
     rate, origin = field.rate, (0.0,) * field.dim
+    shifted = [
+        (origin[:j] + (FD_STEP,) + origin[j + 1:], origin[:j] + (-FD_STEP,) + origin[j + 1:])
+        for j in range(field.dim)
+    ]
     h2 = 2.0 * FD_STEP
     mats = []
     for t in times:
         cols = []
-        for j in range(field.dim):
-            hi = rate(t, origin[:j] + (FD_STEP,) + origin[j + 1:])
-            lo = rate(t, origin[:j] + (-FD_STEP,) + origin[j + 1:])
+        for up, down in shifted:
+            hi = rate(t, up)
+            lo = rate(t, down)
             cols.append([(a - b) / h2 for a, b in zip(hi, lo)])
         jac = np.array(list(zip(*cols)), dtype=float)
         if not np.all(np.isfinite(jac)):

@@ -58,6 +58,9 @@ def _check_condition(cond: float) -> None:
         raise GeometryError(
             f"body-frame landmark Gram matrix is ill-conditioned: "
             f"condition number {cond:.3e} exceeds {MAX_CONDITION:.3e}"
+            if cond == cond else
+            "body-frame landmark geometry is not finite: "
+            "the estimate's landmark offsets overflowed"
         )
 
 

@@ -48,15 +48,19 @@ def _check_finite_tangent(xi: TangentVector) -> None:
         raise ValueError(f"tangent vector has non-finite components: {xi}")
 
 
+def compose_values(
+    ax: float, ay: float, ath: float, bx: float, by: float, bth: float
+) -> tuple[float, float, float]:
+    """Bare-float core of compose: the group product of (ax, ay, ath) and
+    (bx, by, bth), heading wrapped to (-pi, pi]."""
+    ca = math.cos(ath)
+    sa = math.sin(ath)
+    return (bx * ca - by * sa + ax, bx * sa + by * ca + ay, normalize_angle(ath + bth))
+
+
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product a*b: apply b in the frame of a."""
-    ca = math.cos(a.theta)
-    sa = math.sin(a.theta)
-    return GroupElement(
-        b.x * ca - b.y * sa + a.x,
-        b.x * sa + b.y * ca + a.y,
-        normalize_angle(a.theta + b.theta),
-    )
+    return GroupElement(*compose_values(*a, *b))
 
 
 def exp(xi: TangentVector) -> GroupElement:
@@ -77,30 +81,23 @@ def exp(xi: TangentVector) -> GroupElement:
     )
 
 
-def relative_rate(
-    a: GroupElement,
-    a_rate: tuple[float, float, float],
-    b: GroupElement,
-    b_rate: tuple[float, float, float],
+def relative_rate_values(
+    ax: float, ay: float, ath: float, a0: float, a1: float, a2: float,
+    bx: float, by: float, bth: float, b0: float, b1: float, b2: float,
 ) -> tuple[float, float, float]:
-    """Coordinate time-derivative of the relative pose inverse(a)*b.
-
-    a_rate and b_rate are the world-frame coordinate rates (xdot, ydot,
-    thetadot) of the two poses.  Differentiating the components of
-    inverse(a)*b directly gives an exact expression with no quotient of
-    small differences, which keeps finite-difference oracles clean.
+    """Coordinate time-derivative of the relative pose inverse(a)*b, for the
+    poses a = (ax, ay, ath) and b = (bx, by, bth) moving at the world-frame
+    coordinate rates (a0, a1, a2) and (b0, b1, b2), each (xdot, ydot,
+    thetadot).  Differentiating the components of inverse(a)*b directly
+    gives an exact expression with no quotient of small differences, which
+    keeps finite-difference oracles clean.
     """
-    c = math.cos(a.theta)
-    s = math.sin(a.theta)
-    dxb = b.x - a.x
-    dyb = b.y - a.y
+    c = math.cos(ath)
+    s = math.sin(ath)
+    dxb = bx - ax
+    dyb = by - ay
     ex = dxb * c + dyb * s
     ey = -dxb * s + dyb * c
-    rvx = b_rate[0] - a_rate[0]
-    rvy = b_rate[1] - a_rate[1]
-    wa = a_rate[2]
-    return (
-        rvx * c + rvy * s + wa * ey,
-        -rvx * s + rvy * c - wa * ex,
-        b_rate[2] - a_rate[2],
-    )
+    rvx = b0 - a0
+    rvy = b1 - a1
+    return (rvx * c + rvy * s + a2 * ey, -rvx * s + rvy * c - a2 * ex, b2 - a2)

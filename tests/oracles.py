@@ -2,13 +2,16 @@
 and the forms that only tests use.
 
 The SE(2) inverse and principal log (ValueError at heading +-pi), the
-squared-range output error, the numpy rotation_exp that builds the test
-attitudes, and the scene helpers measure (a pose's squared ranges, the
-measure_values tuple) and transform_landmarks (a landmark set moved by a
-planar transformation): no command reaches them, so they live here rather
-than in the package (tools/output_digests.py --unreached keeps it that
-way). The controller, observer and closed-loop error fields composed from the public
-layers, each value boxed (the tracking error and the feedback from their
+boxed group product compose and relative-pose rate relative_rate (written
+apart from se2.compose_values and se2.relative_rate_values, which are held
+to them bit for bit), the squared-range output error, the numpy
+rotation_exp that builds the test attitudes, and the scene helpers
+measure (a pose's squared ranges, the measure_values tuple) and
+transform_landmarks (a landmark set moved by a planar transformation): no
+command reaches them, so they live here rather than in the package
+(tools/output_digests.py --unreached keeps it that way). The controller,
+observer and closed-loop error fields composed from the public layers and
+those two SE(2) forms, each value boxed (the tracking error and the feedback from their
 cores relative_pose and feedback_values, the input as a RobotInput); a
 central-difference Jacobian on numpy arrays, one array per shifted point,
 which numerics.linearize_error_field gives bit for bit at the origin and
@@ -68,6 +71,40 @@ def inverse(g):
         -g.x * c - g.y * s,
         g.x * s - g.y * c,
         se2.normalize_angle(-g.theta),
+    )
+
+
+def compose(a, b):
+    """Group product a*b on boxed poses, written as se2.compose was before
+    its bare-float core se2.compose_values: the oracle that the core and the
+    wrapper are held to bit for bit."""
+    ca = math.cos(a.theta)
+    sa = math.sin(a.theta)
+    return GroupElement(
+        b.x * ca - b.y * sa + a.x,
+        b.x * sa + b.y * ca + a.y,
+        se2.normalize_angle(a.theta + b.theta),
+    )
+
+
+def relative_rate(a, a_rate, b, b_rate):
+    """Coordinate time-derivative of the relative pose inverse(a)*b on boxed
+    poses, a_rate and b_rate the world-frame coordinate rates (xdot, ydot,
+    thetadot) of the two: the form of se2.relative_rate_values that the
+    composed error fields use."""
+    c = math.cos(a.theta)
+    s = math.sin(a.theta)
+    dxb = b.x - a.x
+    dyb = b.y - a.y
+    ex = dxb * c + dyb * s
+    ey = -dxb * s + dyb * c
+    rvx = b_rate[0] - a_rate[0]
+    rvy = b_rate[1] - a_rate[1]
+    wa = a_rate[2]
+    return (
+        rvx * c + rvy * s + wa * ey,
+        -rvx * s + rvy * c - wa * ex,
+        b_rate[2] - a_rate[2],
     )
 
 
@@ -133,15 +170,15 @@ def composed_error_field(traj, lm, kg, og):
     def rate(t, w):
         g_ref = traj.pose(t)
         ref_inp = traj.input(t)
-        g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
-        gh = se2.compose(g, GroupElement(w[3], w[4], w[5]))
+        g = compose(g_ref, GroupElement(w[0], w[1], w[2]))
+        gh = compose(g, GroupElement(w[3], w[4], w[5]))
         inp = boxed_feedback(relative_pose(*g_ref, *gh), ref_inp, kg)
         y = measure(g, lm)
         dref = dynamics(g_ref, ref_inp)
         dg = dynamics(g, inp)
         dgh = observer_field(gh, inp, lm, y, og)
-        deta = se2.relative_rate(g_ref, dref, g, dg)
-        deps = se2.relative_rate(g, dg, gh, dgh)
+        deta = relative_rate(g_ref, dref, g, dg)
+        deps = relative_rate(g, dg, gh, dgh)
         return np.asarray(deta + deps)
 
     return ErrorField(rate, 6)
@@ -154,11 +191,11 @@ def composed_controller_error_field(traj, gains):
     def rate(t, w):
         g_ref = traj.pose(t)
         ref_inp = traj.input(t)
-        g = se2.compose(g_ref, GroupElement(w[0], w[1], w[2]))
+        g = compose(g_ref, GroupElement(w[0], w[1], w[2]))
         inp = boxed_feedback(w[:3], ref_inp, gains)
         dref = dynamics(g_ref, ref_inp)
         dg = dynamics(g, inp)
-        return np.asarray(se2.relative_rate(g_ref, dref, g, dg))
+        return np.asarray(relative_rate(g_ref, dref, g, dg))
 
     return ErrorField(rate, 3)
 
@@ -171,14 +208,14 @@ def composed_observer_error_field(traj, lm, gains):
     def rate(t, w):
         g = traj.pose(t)
         inp = traj.input(t)
-        gh = se2.compose(g, GroupElement(w[0], w[1], w[2]))
+        gh = compose(g, GroupElement(w[0], w[1], w[2]))
         y = measure(g, lm)
         dg = dynamics(g, inp)
         try:
             dgh = observer_field(gh, inp, lm, y, gains)
         except GeometryError as err:
             raise GeometryError(f"{err} (at t={t:.6g})") from err
-        return np.asarray(se2.relative_rate(g, dg, gh, dgh))
+        return np.asarray(relative_rate(g, dg, gh, dgh))
 
     return ErrorField(rate, 3)
 

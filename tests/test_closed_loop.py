@@ -51,6 +51,7 @@ from oracles import (
     integrate,
     jacobian_fd_oracle,
     outcome,
+    relative_rate,
     transform_landmarks,
 )
 from strategies import HEADINGS, floats, landmark_sets, references, signed
@@ -660,19 +661,21 @@ class TestFusedErrorField:
         # that simulate's generated run inlines; the layer-by-layer
         # composition is its oracle.  Probed at the stage times of one RK4
         # step, so the shared reference memo is hit and missed as in a run.
+        # The state comes as a numpy array and, as linearize_error_field
+        # passes it, as a tuple of floats.
         fused = closed_loop_error_field(traj, lm, kg, og).rate
         oracle = composed_error_field(traj, lm, kg, og).rate
-        w = np.array(eta + eps)
-        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
-            try:
-                want = oracle(s, w)
-            except GeometryError as err:
-                with pytest.raises(GeometryError) as got:
-                    fused(s, w)
-                assert str(got.value) == f"{err} (at t={s:.6g})"
-                continue
-            # Same arithmetic in the same order: equal, not merely close.
-            assert np.array_equal(fused(s, w), want)
+        for w in (np.array(eta + eps), tuple(eta + eps)):
+            for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+                try:
+                    want = oracle(s, w)
+                except GeometryError as err:
+                    with pytest.raises(GeometryError) as got:
+                        fused(s, w)
+                    assert str(got.value) == f"{err} (at t={s:.6g})"
+                    continue
+                # Same arithmetic in the same order: equal, not merely close.
+                assert np.array_equal(fused(s, w), want)
 
     @given(
         traj=references(),
@@ -686,9 +689,9 @@ class TestFusedErrorField:
         # composition is its oracle, probed at one RK4 step's stage times.
         core = controller_error_field(traj, kg).rate
         oracle = composed_controller_error_field(traj, kg).rate
-        w = np.array(eta)
-        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
-            assert np.array_equal(core(s, w), oracle(s, w))
+        for w in (np.array(eta), tuple(eta)):
+            for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+                assert np.array_equal(core(s, w), oracle(s, w))
 
     @given(
         traj=references(),
@@ -703,16 +706,16 @@ class TestFusedErrorField:
         # composition is its oracle, down to the timestamped cap message.
         core = observer_error_field(traj, lm, og).rate
         oracle = composed_observer_error_field(traj, lm, og).rate
-        w = np.array(eps)
-        for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
-            try:
-                want = oracle(s, w)
-            except GeometryError as err:
-                with pytest.raises(GeometryError) as got:
-                    core(s, w)
-                assert str(got.value) == str(err)
-                continue
-            assert np.array_equal(core(s, w), want)
+        for w in (np.array(eps), tuple(eps)):
+            for s in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+                try:
+                    want = oracle(s, w)
+                except GeometryError as err:
+                    with pytest.raises(GeometryError) as got:
+                        core(s, w)
+                    assert str(got.value) == str(err)
+                    continue
+                assert np.array_equal(core(s, w), want)
 
     @given(
         traj=references(),
@@ -984,7 +987,7 @@ class TestSeparation:
 
             def through_estimate(e):
                 dg = dynamics(IDENTITY, boxed_feedback(e, RobotInput(u_r, v_r), kg))
-                return np.asarray(se2.relative_rate(IDENTITY, dref, IDENTITY, dg))
+                return np.asarray(relative_rate(IDENTITY, dref, IDENTITY, dg))
 
             return jacobian_fd_oracle(through_estimate, np.zeros(3))
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from invtrack import se2
 from invtrack.se2 import GroupElement, IDENTITY, TangentVector
-from oracles import inverse, log
-from strategies import HEADINGS, floats
+from invtrack.robot import dynamics_values
+from oracles import bits, compose, inverse, log, relative_rate
+from strategies import HEADINGS, SPEEDS, STEERS, floats
 
 ELEMENTS = st.builds(GroupElement, floats(-10.0, 10.0), floats(-10.0, 10.0), HEADINGS)
 
@@ -182,7 +183,7 @@ class TestRelativeRate:
 
         h = 1e-6
         for t in (0.0, 0.5, 1.3, 2.9):
-            got = se2.relative_rate(a_of(t), a_dot(t), b_of(t), b_dot(t))
+            got = se2.relative_rate_values(*a_of(t), *a_dot(t), *b_of(t), *b_dot(t))
             plus = se2.compose(inverse(a_of(t + h)), b_of(t + h))
             minus = se2.compose(inverse(a_of(t - h)), b_of(t - h))
             fd = (
@@ -196,7 +197,23 @@ class TestRelativeRate:
     def test_zero_when_moving_together(self):
         g = GroupElement(1.0, 2.0, 0.5)
         rate = (0.3, -0.2, 0.9)
-        out = se2.relative_rate(g, rate, g, rate)
+        out = se2.relative_rate_values(*g, *rate, *g, *rate)
         # Equal poses with equal world rates still leave a rotational
         # coupling only through the relative offset, which is zero here.
         assert max(abs(c) for c in out) < 1e-15
+
+
+class TestBareFloatCores:
+    @given(a=ELEMENTS, b=ELEMENTS, ua=SPEEDS, va=STEERS, ub=SPEEDS, vb=STEERS)
+    def test_cores_are_the_boxed_oracles_bit_for_bit(self, a, b, ua, va, ub, vb):
+        # Headings on both sides of the +-pi wrap, and unicycle rates that
+        # drive forward or in reverse (u < 0): compose_values, the compose
+        # wrapper and relative_rate_values run the boxed forms' operations.
+        want = compose(a, b)
+        assert bits(se2.compose_values(*a, *b)) == bits(want)
+        boxed = se2.compose(a, b)
+        assert type(boxed) is GroupElement and bits(boxed) == bits(want)
+        da = dynamics_values(a.theta, ua, va)
+        db = dynamics_values(b.theta, ub, vb)
+        got = se2.relative_rate_values(*a, *da, *b, *db)
+        assert bits(got) == bits(relative_rate(a, da, b, db))

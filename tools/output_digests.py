@@ -275,8 +275,8 @@ FAULTS = {
         "trajectory.v_wobble: phase |angular_rate|*t along the run must be finite, got inf",
     "fault-design-overflow": "design matrix entry |u_r|*k2 at t=0 must be finite, got inf",
     "fault-landmark-spread": "trajectory.start: squared range to landmarks[1] must be finite, got inf",
-    "fault-ekf-matrix-overflow": "body-frame landmark Gram matrix is ill-conditioned: "
-                                 "condition number nan exceeds 1.000e+08 (at t=0)",
+    "fault-ekf-matrix-overflow": "body-frame landmark geometry is not finite: "
+                                 "the estimate's landmark offsets overflowed (at t=0)",
 }
 
 
