@@ -11,8 +11,9 @@ transform_landmarks (a landmark set moved by a planar transformation): no
 command reaches them, so they live here rather than in the package
 (tools/output_digests.py --unreached keeps it that way). The controller,
 observer and closed-loop error fields composed from the public layers and
-those two SE(2) forms, each value boxed (the tracking error and the feedback from their
-cores relative_pose and feedback_values, the input as a RobotInput); a
+those two SE(2) forms, each value boxed (the tracking error and the
+feedback from their cores relative_pose and feedback_values, the input as
+a RobotInput); a
 central-difference Jacobian on numpy arrays, one array per shifted point,
 which numerics.linearize_error_field gives bit for bit at the origin and
 the other fd checks of closed forms use; numerics.rk4_step as the
@@ -75,8 +76,8 @@ def inverse(g):
 
 
 def compose(a, b):
-    """Group product a*b on boxed poses, written as se2.compose was before
-    its bare-float core se2.compose_values: the oracle that the core and the
+    """Group product a*b on boxed poses, written apart from
+    se2.compose_values: the oracle that the core and its se2.compose
     wrapper are held to bit for bit."""
     ca = math.cos(a.theta)
     sa = math.sin(a.theta)
