@@ -12,7 +12,6 @@ it against finite-difference linearizations of the full nonlinear loop.
 from __future__ import annotations
 
 import math
-from array import array  # noqa: F401 (read by rk4_run's generated code)
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +19,10 @@ import numpy as np
 from .controller import ControllerGains, ctrl_loop_matrix, feedback_values, relative_pose
 from .errors import DegenerateReferenceError, DivergenceError, GeometryError
 from .numerics import ErrorField, generated_run, grid, once_per_time
-from .observer import ObserverGains, _check_condition, gram_condition, obs_error_matrix, observer_rate
+from .observer import ObserverGains, obs_error_matrix, observer_rate
 from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
-# Globals of the cores, which their inlined statements read from this module.
-from .observer import MAX_CONDITION  # noqa: F401
 from .robot import LandmarkSet, dynamics_values, measure_values
-from .robot import non_finite_input  # noqa: F401 (read by observer_rate's inlined statements)
-from .se2 import GroupElement, compose_values, normalize_angle, relative_rate_values
-from .se2 import TAU  # noqa: F401
+from .se2 import GroupElement, compose_values, relative_rate_values
 from .trajectories import ReferenceTrajectory
 
 DIVERGENCE_LIMIT = 1e6
@@ -153,14 +148,6 @@ def _loop_pair(reference, coords, kg, og):
     return rate, row, after
 
 
-# The cores themselves, taken at import: a tracer that later rebinds these
-# names to timing wrappers must not hand the inliner a wrapper's source.
-_CORES = (
-    relative_pose, normalize_angle, feedback_values, measure_values, observer_rate,
-    gram_condition, _check_condition, dynamics_values,
-)
-
-
 def simulate(sc: Scenario) -> SimulationResult:
     """Run the coupled plant/observer/controller loop with fixed-step RK4
     on the grid numerics.grid(0, t_end, dt).
@@ -173,7 +160,7 @@ def simulate(sc: Scenario) -> SimulationResult:
     count; it queries the reference once per distinct stage time.
     """
     coords = sc.landmarks.coords
-    run = generated_run(_loop_pair, _CORES, len(coords), 6)(
+    run = generated_run(_loop_pair, len(coords), 6)(
         once_per_time(sc.trajectory.sample), coords, sc.controller_gains, sc.observer_gains
     )
     buf = run(tuple(map(float, sc.initial_pose + sc.initial_estimate)), grid(0.0, sc.t_end, sc.dt))

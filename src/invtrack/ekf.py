@@ -9,7 +9,6 @@ observer exists precisely to remove that time dependence.
 from __future__ import annotations
 
 import math
-from array import array  # noqa: F401 (read by rk4_run's generated code)
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,11 +183,6 @@ def keep_psd(t: float, w: tuple) -> tuple:
     return w
 
 
-# The cores themselves, taken at import: a tracer that later rebinds these
-# names to timing wrappers must not hand the inliner a wrapper's source.
-_CORES = (measure_values, riccati_values, dynamics_values, keep_psd)
-
-
 @dataclass(frozen=True)
 class EkfRun:
     """Sampled filter run: times, estimates (n, 3), covariances (n, 3, 3)."""
@@ -226,7 +220,7 @@ def run_along_reference(
         if not (level > 0.0 and math.isfinite(level)):
             raise ValueError(f"noise level {name} must be positive and finite, got {level}")
     coords = lm.coords
-    run = generated_run(_riccati_rate, _CORES, len(coords), 9)(once_per_time(traj.sample), coords, q, 1.0 / r)
+    run = generated_run(_riccati_rate, len(coords), 9)(once_per_time(traj.sample), coords, q, 1.0 / r)
     w0 = tuple(map(float, (*traj.pose(0.0), p0, 0.0, 0.0, p0, 0.0, p0)))
     times = grid(0.0, t_end, dt)
     w_rows = np.frombuffer(run(w0, times)).reshape(-1, 9)

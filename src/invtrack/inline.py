@@ -29,6 +29,10 @@ class InlineError(Exception):
     """A core that inline_cores refuses, named with the rule it breaks."""
 
 
+# A global that a module leaves unbound, as it does a builtin.
+_UNBOUND = object()
+
+
 # Expressions an inlined core may not hold: each binds names of its own or
 # defers evaluation, so its statements could not be spliced in as they stand.
 # A comprehension is unrolled when the core returns it; anywhere else it is barred.
@@ -194,15 +198,17 @@ def _definition(core: Callable) -> ast.FunctionDef:
 class _Inliner:
     """inline_cores' pass over the template, one statement at a time."""
 
-    def __init__(self, cores: dict, env: dict, taken: set, unrolled: dict):
+    def __init__(self, cores: dict, taken: set, unrolled: dict):
         self.cores = cores
-        self.env = env  # the module globals that the generated code reads
         self.taken = taken  # the names the template binds, and those generated
         self.unrolled = unrolled  # parameter -> the names of its elements
-        # name -> (definition, names, where) of a function that an inlined
-        # core defined and returned: each call of it is inlined in turn.
+        # The generated code's globals, copied from the modules of the
+        # functions inlined: name -> object, _UNBOUND for a builtin.
+        self.env: dict = {"__builtins__": builtins.__dict__}
+        # name -> (definition, names, where, module) of a function that an
+        # inlined core defined and returned: each call of it is inlined in turn.
         self.local: dict[str, tuple] = {}
-        self.checked: set = set()  # the cores whose globals are checked
+        self.copied: set = set()  # the functions whose globals are copied
         self.calls = 0
 
     def fresh(self, name: str) -> str:
@@ -211,7 +217,7 @@ class _Inliner:
         self.taken.add(name)
         return name
 
-    def function(self, fn: ast.FunctionDef, names: dict) -> ast.FunctionDef:
+    def function(self, fn: ast.FunctionDef, names: dict, module: dict) -> ast.FunctionDef:
         """A function of the template, inlined, with each unrolled parameter
         unpacked into its elements' names at the start."""
         names = dict(names)
@@ -222,14 +228,15 @@ class _Inliner:
                 spec = names[a.arg] = self.unrolled[a.arg]
                 unpack.append(ast.Assign([_name_expr(spec, ast.Store())], ast.Name(a.arg, ast.Load())))
         start = 0 if ast.get_docstring(fn) is None else 1
-        fn.body = fn.body[:start] + unpack + self.block(fn.body[start:], names, fn.name, True)
+        fn.body = fn.body[:start] + unpack + self.block(fn.body[start:], names, fn.name, module, True)
         return fn
 
-    def block(self, stmts: list, names: dict, where: str, template: bool = False) -> list:
+    def block(self, stmts: list, names: dict, where: str, module: dict, template: bool = False) -> list:
+        """stmts inlined in the caller's names, their calls found in module."""
         out = []
         for s in stmts:
             if type(s) in (ast.Assign, ast.Expr) and type(s.value) is ast.Call:
-                inlined = self.call(s, names, where)
+                inlined = self.call(s, names, where, module)
                 if inlined is not None:
                     out += inlined
                     continue
@@ -237,21 +244,18 @@ class _Inliner:
                 seqs = self._sequences(s.iter, names)
                 if seqs is not None:
                     for inner in self._passes(s.target, seqs, names, where):
-                        out += self.block(s.body, inner, where, template)
+                        out += self.block(s.body, inner, where, module, template)
                 elif template:
-                    body = self.block(s.body, names, where, template)
+                    body = self.block(s.body, names, where, module, template)
                     out.append(ast.For(_renamed(s.target, names), _renamed(s.iter, names), body, []))
                 else:
                     raise InlineError(f"{where}: a loop must run over unrolled sequences")
             elif isinstance(s, ast.Try) and not s.orelse and not s.finalbody:
                 # The handlers are copied as they stand, in the caller's names.
-                body = self.block(s.body, names, where, template)
+                body = self.block(s.body, names, where, module, template)
                 out.append(ast.Try(body, _renamed(s.handlers, names), [], []))
             elif isinstance(s, ast.FunctionDef) and template:
-                out.append(self.function(s, names))
-            elif isinstance(s, ast.If) and template:
-                body, orelse = (self.block(b, names, where, template) for b in (s.body, s.orelse))
-                out.append(ast.If(_renamed(s.test, names), body, orelse))
+                out.append(self.function(s, names, module))
             elif isinstance(s, (ast.Assign, ast.AugAssign, ast.Expr)) or _is_guard(s) or (
                 template and isinstance(s, (ast.Return, ast.Raise))
             ):
@@ -262,22 +266,28 @@ class _Inliner:
                 )
         return out
 
-    def call(self, s, names: dict, where: str) -> list | None:
+    def call(self, s, names: dict, where: str, module: dict) -> list | None:
         """The statements that replace `targets = f(args...)`, or the
-        expression statement `f(args...)`, when f is a core or a function
-        that an inlined core returned; None otherwise.  An argument that is
-        not a name, or a tuple of names, is bound to a generated name first,
-        in argument order, its own core calls inlined."""
+        expression statement `f(args...)`, when f is a function that an
+        inlined core returned, a name that cores maps, or else a global name
+        that module binds to a Python function; None otherwise.  An argument
+        that is not a name, or a tuple of names, is bound to a generated
+        name first, in argument order, its own calls inlined."""
         func = s.value.func
-        name = names.get(func.id, func.id) if isinstance(func, ast.Name) else None
-        if name in self.local:
-            fn, outer, where = self.local[name]
-            core = None
-        elif name in self.cores and func.id not in names:
-            core = self.cores[name]
-            fn, outer, where = _definition(core), {}, f"{core.__module__}.{core.__qualname__}"
-        else:
+        if type(func) is not ast.Name:
             return None
+        name = names.get(func.id, func.id)
+        if name in self.local:
+            fn, outer, where, home = self.local[name]
+            core = None
+        elif func.id in names:  # a parameter given a name that is not a function's
+            return None
+        else:
+            # The function itself, not a tracer's wrapper bound to its name.
+            core = inspect.unwrap(self.cores.get(name, None if name in self.taken else module.get(name)))
+            if type(core) is not types.FunctionType:
+                return None
+            fn, outer, where, home = _definition(core), {}, f"{core.__module__}.{core.__qualname__}", core.__globals__
         targets = s.targets if type(s) is ast.Assign else [None]
         if len(targets) != 1 or s.value.keywords or any(isinstance(a, ast.Starred) for a in s.value.args):
             raise InlineError(f"{where}: inline only `targets = core(args...)` or `core(args...)`")
@@ -296,12 +306,12 @@ class _Inliner:
                 spec = self._value(node, f"{param}_{self.calls}", out)
             inner[param] = spec
         target = targets[0]
-        stmts, bound = self._inline(fn, core, inner, params, _renamed(target, names), where)
+        stmts, bound = self._inline(fn, core, inner, params, _renamed(target, names), where, home)
         if bound is not None:
             if not isinstance(target, ast.Name):
                 raise InlineError(f"{where}: a returned comprehension must map one sequence to one name")
             names[target.id] = bound
-        return self.block(out, {}, where) + stmts
+        return self.block(out, {}, where, module) + stmts
 
     def _value(self, node: ast.expr, name: str, out: list) -> str:
         if isinstance(node, ast.Name):
@@ -310,7 +320,8 @@ class _Inliner:
         out.append(ast.Assign([ast.Name(name, ast.Store())], node))
         return name
 
-    def _inline(self, fn: ast.FunctionDef, core, names: dict, params: list, target: ast.expr, where: str):
+    def _inline(self, fn: ast.FunctionDef, core, names: dict, params: list, target: ast.expr, where: str,
+                module: dict):
         """fn's statements in the caller's names, with its return assigned to
         target; and, when it returns a comprehension, the names of its
         elements, which target then names."""
@@ -332,12 +343,11 @@ class _Inliner:
             stmts = [s for s in stmts if not (type(s) is ast.Assign and set(_stored([s])) <= aliased.keys())]
         for name in dict.fromkeys(stored):
             names[name] = aliased[name] if name in aliased else self.fresh(f"{name}_{k}")
-        if core is not None and core not in self.checked:
-            self._check_globals(core, read, where)
-            self.checked.add(core)
+        if core is not None:
+            self.copy_globals(core, read, where)
         for d in defs:
-            self.local[names[d.name]] = (d, names, f"{where}.<locals>.{d.name}")
-        out = self.block([s for s in stmts if s not in defs], names, where)
+            self.local[names[d.name]] = (d, names, f"{where}.<locals>.{d.name}", module)
+        out = self.block([s for s in stmts if s not in defs], names, where, module)
         if defs:
             bound = _spec(target)
             if bound is None or _shape(bound) != _shape(returned):
@@ -374,19 +384,20 @@ class _Inliner:
             out.append(ast.Assign([ast.Name(elements[-1], ast.Store())], _renamed(value.elt, inner)))
         return out, tuple(elements)
 
-    def _check_globals(self, core, read: set, where: str) -> None:
-        """Each name the core reads and neither takes nor binds is a global or
-        a builtin.  The generated code reads it from env, so that must bind
-        it to the core's object, or leave a builtin unbound, and the
-        template must not bind it."""
-        missing = object()
+    def copy_globals(self, fn, read: set, where: str) -> None:
+        """Each name fn reads and neither takes nor binds is a global or a
+        builtin of fn's own module, copied from there into env, the
+        generated code's globals, once per function.  The template must not
+        bind it, nor another function's module bind it to another object."""
+        if fn in self.copied:
+            return
+        self.copied.add(fn)
         for name in sorted(read):
             if name in self.taken:
                 raise InlineError(f"{where}: global name {name!r} is bound by the template")
-            if self.env.get(name, missing) is not core.__globals__.get(name, missing):
-                raise InlineError(
-                    f"{where}: global name {name!r} is not the core's object in the template's module"
-                )
+            value = fn.__globals__.get(name, _UNBOUND)
+            if self.env.setdefault(name, value) is not value:
+                raise InlineError(f"{where}: global name {name!r} is bound to another object in another module")
 
     @staticmethod
     def _sequences(it: ast.expr, names: dict) -> list | None:
@@ -615,25 +626,27 @@ def _numbered(fn: ast.FunctionDef, env: dict, taken: set) -> None:
     _coalesced(fn, taken)
 
 
+def inline_cores(template: Callable, cores: dict, unrolled: dict[str, list]) -> Callable:
+    """template, a function of module-level source (inspect.unwrap'ed,
+    never a tracer's wrapper), recompiled with every statement `targets =
+    name(args...)` or `name(args...)` replaced by the statements of the
+    function called, then value-numbered (see _Numbering), and with the
+    names local to a loop body sharing slots (see _coalesced).  cores maps
+    the template's stand-ins, a parameter or a global, to their functions;
+    any other name is inlined when the calling code's own module binds it
+    to a Python function, which is unwrapped too.
 
-def inline_cores(template: Callable, cores: dict, unrolled: dict[str, list], env: dict) -> Callable:
-    """template, a function of module-level source, recompiled with every
-    statement `targets = name(args...)` or `name(args...)` replaced by the
-    statements of the core that cores maps name to (a template parameter
-    may name one too), then value-numbered (see _Numbering), and with the
-    names local to a loop body sharing slots (see _coalesced).
-
-    A core is inlined only when it is a docstring, straight-line statements
-    (assignments, expression statements such as a check call, raise-guards
-    `if c: raise ...`, loops over an unrolled sequence or a zip of two, and
-    a try whose handlers are copied as they stand) and exactly one final
-    return, or none for a check called as a statement; anything else raises
-    InlineError, as does a template with
-    defaults or a closure, which the recompiled function would drop.  Its
-    own calls of cores are inlined too.  A core may also define functions
-    and return them, as _loop_pair returns its rate, row and after: each
-    later call of one is inlined like a core's, its free names read as the
-    core's (`w = f(..., w)` on one that returns w is dropped).
+    A function is inlined only when it is a docstring, straight-line
+    statements (assignments, expression statements such as a check call,
+    raise-guards `if c: raise ...`, loops over an unrolled sequence or a
+    zip of two, and a try whose handlers are copied as they stand) and
+    exactly one final return, or none for a check called as a statement;
+    anything else raises InlineError, as does a template with defaults or a
+    closure, which the recompiled function would drop.  A core may also
+    define functions and return them, as _loop_pair returns its rate, row
+    and after: each later call of one is inlined like a core's, its free
+    names read as the core's (`w = f(..., w)` on one that returns w is
+    dropped).
 
     Parameters become the caller's names and each local gets the call's
     suffix; an argument that is neither a name nor a tuple of names is bound
@@ -646,13 +659,13 @@ def inline_cores(template: Callable, cores: dict, unrolled: dict[str, list], env
     those names.  The float operations and the raises run in the same order
     as the calls would.
 
-    The generated code reads its globals from env, a module's live globals,
-    each time it runs, so a name rebound there, say to a tracer's wrapper,
-    reaches the functions already returned.  env must bind what the
-    template reads, and every global a core reads to the same object (a
-    builtin to nothing), which the template must not bind: InlineError
-    names one that is not.
+    Each global that the template or an inlined function reads is copied
+    from that function's own module into one namespace, the generated
+    code's globals, so a name rebound later does not reach it.  InlineError
+    names one that the template binds, or that two modules bind to
+    different objects (a builtin to nothing).
     """
+    template = inspect.unwrap(template)
     if template.__defaults__ or template.__kwdefaults__ or template.__closure__:
         raise InlineError(f"{template.__qualname__}: a template may not have defaults or a closure")
     module = ast.parse(inspect.getsource(template))
@@ -668,12 +681,14 @@ def inline_cores(template: Callable, cores: dict, unrolled: dict[str, list], env
         param: tuple(e if isinstance(e, str) else tuple(e) for e in elements)
         for param, elements in unrolled.items()
     }
-    inliner = _Inliner(cores, env, taken, specs)
+    inliner = _Inliner(cores, taken, specs)
+    inliner.copy_globals(template, _globals(outer.body, [a.arg for a in outer.args.args]), template.__qualname__)
     for spec in specs.values():
         for name in _flat(spec):
             inliner.fresh(name)
-    inliner.function(outer, {})
-    _numbered(outer, env, inliner.taken)
+    inliner.function(outer, {}, template.__globals__)
+    _numbered(outer, inliner.env, inliner.taken)
     code = compile(ast.fix_missing_locations(module), f"<inlined {template.__qualname__}>", "exec")
     (outer_code,) = (c for c in code.co_consts if isinstance(c, types.CodeType))
+    env = {name: value for name, value in inliner.env.items() if value is not _UNBOUND}
     return types.FunctionType(outer_code, env, template.__name__)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import inspect
 import linecache
 import math
 from array import array
@@ -141,20 +140,17 @@ def rk4_run(parts: Callable, reference, coords, a, b) -> Callable:
 
 
 @functools.cache
-def generated_run(parts: Callable, cores: tuple, p: int, n: int) -> Callable:
+def generated_run(parts: Callable, p: int, n: int) -> Callable:
     """rk4_run on parts, generated for p landmarks and an n-float state w
-    and called without parts: parts, the cores, compiled_rk4_step(n) and all
-    they call inlined, w and each loop over coords unrolled (see
-    inline.inline_cores), on the live globals of parts' module, which must
-    bind rk4_run's free name array too.  Generated on the first run with p
-    landmarks, never at import or parse time: the inliner is imported then."""
+    and called without parts: parts, compiled_rk4_step(n) and all they call
+    inlined, w and each loop over coords unrolled (see inline.inline_cores).
+    Generated on the first run with p landmarks, never at import or parse
+    time: the inliner is imported then."""
     from .inline import inline_cores
 
     unrolled = {"coords": [(f"lx{i}", f"ly{i}") for i in range(p)], "w": [f"w{i}" for i in range(n)]}
-    named = {"parts": parts, "rk4_step": compiled_rk4_step(n), **{c.__name__: c for c in cores}}
-    # rk4_run as written, not a tracer's timing wrapper bound to its name.
-    template = inspect.unwrap(rk4_run)
-    return functools.partial(inline_cores(template, named, unrolled, parts.__globals__), parts)
+    cores = {"parts": parts, "rk4_step": compiled_rk4_step(n)}
+    return functools.partial(inline_cores(rk4_run, cores, unrolled), parts)
 
 
 def max_pairwise_distance(mats: Sequence[np.ndarray]) -> float:

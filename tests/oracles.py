@@ -4,8 +4,10 @@ and the forms that only tests use.
 The SE(2) inverse and principal log (ValueError at heading +-pi), the
 boxed group product compose and relative-pose rate relative_rate (written
 apart from se2.compose_values and se2.relative_rate_values, which are held
-to them bit for bit), the squared-range output error, the numpy
-rotation_exp that builds the test attitudes, and the scene helpers
+to them bit for bit), the squared-range output error, the Gram
+condition number seen from an estimate and the estimates bisected to
+either side of its cap, the numpy rotation_exp that builds the test
+attitudes, and the scene helpers
 measure (a pose's squared ranges, the measure_values tuple) and
 transform_landmarks (a landmark set moved by a planar transformation): no
 command reaches them, so they live here rather than in the package
@@ -49,7 +51,7 @@ from invtrack.controller import feedback_values, relative_pose
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
 from invtrack.mech import SMALL_ROTATION, ep_rate_values, rotation_exp_values
 from invtrack.numerics import FD_STEP, ErrorField, VectorField, grid, rk4_step
-from invtrack.observer import observer_field
+from invtrack.observer import MAX_CONDITION, body_frame_landmarks, gram_condition, observer_field
 from invtrack.errors import DivergenceError, GeometryError
 from invtrack.reporting import CSV_COLUMNS, FLOAT_FORMAT
 from invtrack.robot import (
@@ -144,6 +146,32 @@ def transform_landmarks(g0, lm):
     return LandmarkSet(
         tuple((lx * c - ly * s + g0.x, lx * s + ly * c + g0.y) for lx, ly in lm.coords)
     )
+
+
+def body_frame_condition(x_hat, lm):
+    """gain_matrix's Gram condition number, seen from the estimate x_hat."""
+    coords = body_frame_landmarks(x_hat, lm)
+    g = coords @ coords.T
+    return gram_condition(g[0, 0], g[0, 1], g[1, 1])
+
+
+def cap_boundary_estimate(side, lm):
+    """An estimate far out along a ray, where the landmarks lm look nearly
+    collinear, bisected in distance to a Gram condition number 1e-3
+    relative below (side -1) or above (side +1) MAX_CONDITION."""
+    target = MAX_CONDITION * (1.0 + side * 1e-3)
+
+    def pose(dist):
+        return GroupElement(dist * math.cos(0.3), dist * math.sin(0.3), 2.0)
+
+    lo, hi = 10.0, 1e7
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if body_frame_condition(pose(mid), lm) < target:
+            lo = mid
+        else:
+            hi = mid
+    return pose(lo)
 
 
 def output_error(x_hat, lm, y):

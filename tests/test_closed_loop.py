@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from invtrack import closed_loop, se2
+from invtrack import closed_loop, observer, se2
 from invtrack.closed_loop import (
     Scenario,
     SimulationResult,
@@ -45,6 +46,7 @@ from invtrack.trajectories import (
 from oracles import (
     bits,
     boxed_feedback,
+    cap_boundary_estimate,
     composed_controller_error_field,
     composed_error_field,
     composed_observer_error_field,
@@ -336,36 +338,36 @@ class TestFusedRate:
             # Same arithmetic in the same order: equal, not merely close.
             assert bits(fused(s, w)) == bits(want)
 
-    def test_a_rebound_global_reaches_the_next_run(self, monkeypatch):
-        # A wrapper installed in closed_loop after generation (as a tracer
-        # installs one) is called by a generated run bound before it and by
-        # one bound after it, and by neither once it is removed.  _at_time,
-        # which names the time of a GeometryError, is still called, not
-        # inlined: each run's first stage at t = 0.25 meets the Gram cap.
+    def test_a_wrapper_bound_to_a_core_is_never_called(self, monkeypatch):
+        # A functools.wraps wrapper bound to a core's name before generation
+        # (as a tracer binds one) is unwrapped: the run never calls it and
+        # its code is the same.  _at_time, which names the time of a
+        # GeometryError, is still called, not inlined: the run's first stage
+        # at t = 0.25 meets the Gram cap.
         def bound_run():
+            generated_run.cache_clear()
             reference = once_per_time(PermanentTrajectory(1.0, 0.5).sample)
-            run = generated_run(closed_loop._loop_pair, closed_loop._CORES, len(FAR), 6)
-            return run(reference, FAR.coords, KG, OG)
+            return generated_run(closed_loop._loop_pair, len(FAR), 6)(reference, FAR.coords, KG, OG)
 
-        before = bound_run()
         calls = []
-        original = closed_loop._at_time
 
-        def counted(err, t):
-            calls.append(t)
-            return original(err, t)
+        def wrapped(original):
+            @functools.wraps(original)
+            def wrapper(*args):
+                calls.append(original.__name__)
+                return original(*args)
+            return wrapper
 
-        with monkeypatch.context() as patch:
-            patch.setattr(closed_loop, "_at_time", counted)
-            after = bound_run()
-            for run in (before, after):
-                with pytest.raises(GeometryError, match=r"\(at t=0\.25\)$"):
-                    run(_ORIGIN, [0.25, 0.26])
-        assert calls == [0.25, 0.25]
-        for run in (before, after):
-            with pytest.raises(GeometryError, match=r"\(at t=0\.25\)$"):
-                run(_ORIGIN, [0.25, 0.26])
-        assert len(calls) == 2
+        plain = bound_run()
+        monkeypatch.setattr(closed_loop, "relative_pose", wrapped(closed_loop.relative_pose))
+        monkeypatch.setattr(observer, "_check_condition", wrapped(observer._check_condition))
+        run = bound_run()
+        generated_run.cache_clear()
+        assert run.__code__.co_code == plain.__code__.co_code
+        assert "_at_time" in run.__code__.co_names
+        with pytest.raises(GeometryError, match=r"\(at t=0\.25\)$"):
+            run(_ORIGIN, [0.25, 0.26])
+        assert calls == []
 
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
     def test_error_paths_match_the_oracle(self, case):
@@ -477,7 +479,7 @@ def _written_run(traj, lm, kg, og, w0, t0, t_end, dt):
 
 def _generated_run(traj, lm, kg, og, w0, t0, t_end, dt):
     """The run simulate calls, generated for the landmark count."""
-    run = generated_run(closed_loop._loop_pair, closed_loop._CORES, len(lm), 6)(
+    run = generated_run(closed_loop._loop_pair, len(lm), 6)(
         once_per_time(traj.sample), lm.coords, kg, og
     )
     return run(w0, grid(t0, t_end, dt))
@@ -516,7 +518,7 @@ class TestGeneratedRun:
         # t_end is not a multiple of dt, so the last step is short.
         lm = data.draw(landmark_sets(p, p))
         # Every call of the law, its cores and the step is inlined.
-        run = generated_run(closed_loop._loop_pair, closed_loop._CORES, p, 6)(
+        run = generated_run(closed_loop._loop_pair, p, 6)(
             once_per_time(traj.sample), lm.coords, kg, og
         )
         called = {
@@ -554,6 +556,25 @@ class TestGeneratedRun:
         got = _run_outcome(_generated_run, traj, *args)
         assert got == _run_outcome(_integrated_run, traj, *args)
         assert got[0] != "ok"
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_gram_near_the_cap_through_the_run(self, side):
+        # The estimates of test_observer's test_default_cap_boundary, their
+        # Gram condition number 1e-3 relative below (side -1) or above
+        # (side +1) MAX_CONDITION, met by the run's inlined _check_condition
+        # over one short step from the true pose at the estimate: the run
+        # gives integrate's outcome, which above the cap is the
+        # GeometryError at the step's start.
+        traj = PermanentTrajectory(1.0, 0.5)
+        w = (*cap_boundary_estimate(side, STANDARD),) * 2
+        args = (STANDARD, KG, OG, w, 0.25, 0.25 + 1e-4, 1e-4)
+        got = _run_outcome(_generated_run, traj, *args)
+        assert got == _run_outcome(_integrated_run, traj, *args)
+        if side < 0.0:
+            assert got[0] == "ok" and len(got[1]) == 2 * 18
+        else:
+            assert got[:2] == (GeometryError, "body-frame landmark Gram matrix is ill-conditioned: "
+                               "condition number 1.001e+08 exceeds 1.000e+08 (at t=0.25)")
 
     @pytest.mark.parametrize("test", [
         "test_divergence_reported_with_time",

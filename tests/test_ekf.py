@@ -313,7 +313,7 @@ def _written_run(traj, lm, q, r, w0, t0, t_end, dt):
 
 def _generated_run(traj, lm, q, r, w0, t0, t_end, dt):
     """The run run_along_reference calls, generated for the landmark count."""
-    run = generated_run(ekf._riccati_rate, ekf._CORES, len(lm), 9)(
+    run = generated_run(ekf._riccati_rate, len(lm), 9)(
         once_per_time(traj.sample), lm.coords, q, 1.0 / r
     )
     return run(w0, grid(t0, t_end, dt))
@@ -404,11 +404,11 @@ class TestGeneratedRun:
     def test_no_core_is_called_by_name(self, p):
         # Every call of the rate, the step, the check and the cores is
         # inlined, riccati_values' own call of dynamics_values included.
-        # The names are listed, not read from ekf._CORES, so a core left out
-        # of it shows here.
+        # The names are listed here, so a core that the inliner leaves as a
+        # call shows.
         ring = tuple((10.0 * math.cos(0.1 + k), 10.0 * math.sin(0.1 + k)) for k in range(p))
         reference = once_per_time(PermanentTrajectory(1.0, 0.5).sample)
-        run = generated_run(ekf._riccati_rate, ekf._CORES, p, 9)(reference, ring, 1e-3, 1e2)
+        run = generated_run(ekf._riccati_rate, p, 9)(reference, ring, 1e-3, 1e2)
         called = {
             "_riccati_rate", "rk4_run", "rk4_step", "measure_values", "riccati_values",
             "dynamics_values", "keep_psd",

@@ -8,10 +8,10 @@ import pytest
 from invtrack.inline import InlineError, inline_cores
 
 
-def _inlined(template, cores, unrolled):
-    """inline_cores on cores named by their own names, the generated code
-    reading the template's module."""
-    return inline_cores(template, {core.__name__: core for core in cores}, unrolled, template.__globals__)
+def _inlined(template, unrolled=None):
+    """inline_cores with no stand-ins: each call is found in the calling
+    code's own module."""
+    return inline_cores(template, {}, unrolled or {})
 
 
 OFFSET = 1.0
@@ -61,14 +61,6 @@ def _toy(k):
     return f
 
 
-def _refused(k):
-    def f(x):
-        y = _two_returns(x, k)
-        z = _nested(x, k)
-        return y + z
-    return f
-
-
 def _clashing(k):
     def f(x):
         y = _scaled(x, k)
@@ -92,8 +84,17 @@ def _toy_abs(k):
     return f
 
 
-# _toy_abs's source, read in a module that shadows the builtin abs.
+def _toy_abs_too(k):
+    def f(x):
+        y = _magnitude(x, k)
+        return abs(y) * k
+    return f
+
+
+# _toy_abs's and _toy_abs_too's source, read in a module that shadows the
+# builtin abs, which _magnitude reads in its own.
 _shadowing = types.FunctionType(_toy_abs.__code__, {**globals(), "abs": math.fabs}, "_shadowing")
+_shadowing_too = types.FunctionType(_toy_abs_too.__code__, {**globals(), "abs": math.fabs}, "_shadowing_too")
 
 
 # _toy's source, read in a module that leaves OFFSET unbound.
@@ -176,16 +177,17 @@ def _recorded(x):
     return x
 
 
-def _squared(x, log):
-    y = _recorded(x)
+def _squared(x, log, record):
+    # record is a parameter, so its call is kept as a call, not inlined.
+    y = record(x)
     log.append(y)
     return y * y
 
 
 def _toy_twice(k):
     def f(x, log):
-        a = _squared(x, log)
-        b = _squared(x, log)
+        a = _squared(x, log, _recorded)
+        b = _squared(x, log, _recorded)
         return a + b
     return f
 
@@ -222,76 +224,83 @@ def _toy_check(limit):
 
 class TestInlineCores:
     def test_inlines_a_straight_line_core(self):
-        f = _inlined(_toy, (_scaled,), {})(3.0)
+        f = _inlined(_toy)(3.0)
         assert f(2.0) == _scaled(2.0, 3.0)
         # The core's statements, not a call: f reads OFFSET as a global and
         # never reads _scaled.
         assert "OFFSET" in f.__code__.co_names
         assert "_scaled" not in f.__code__.co_names + f.__code__.co_freevars
 
-    def test_globals_are_read_when_the_outer_function_runs(self, monkeypatch):
-        f = _inlined(_toy, (_scaled,), {})(3.0)
+    def test_globals_are_copied_when_the_function_is_generated(self, monkeypatch):
+        # A global rebound after generation does not reach the generated
+        # function, which reads its own copy; one generated after does.
+        f = _inlined(_toy)(3.0)
         monkeypatch.setattr(sys.modules[__name__], "OFFSET", 2.0)
-        assert f(2.0) == 8.0
+        assert f(2.0) == 7.0
+        assert _inlined(_toy)(3.0)(2.0) == 8.0
 
     def test_unrolls_a_loop_over_the_named_elements(self):
-        f = _inlined(_toy_sum, (_summed,), {"xs": ["x0", "x1", "x2"]})((1.0, 2.0, 4.0))
+        f = _inlined(_toy_sum, {"xs": ["x0", "x1", "x2"]})((1.0, 2.0, 4.0))
         assert f() == 7.0
         assert {"x0", "x1", "x2"} <= set(f.__code__.co_freevars)
         with pytest.raises(ValueError):  # the elements are unpacked when bound
-            _inlined(_toy_sum, (_summed,), {"xs": ["x0", "x1"]})((1.0, 2.0, 4.0))
+            _inlined(_toy_sum, {"xs": ["x0", "x1"]})((1.0, 2.0, 4.0))
 
     def test_refuses_an_element_name_the_template_binds(self):
         with pytest.raises(InlineError, match="generated name 's' is already in use"):
-            _inlined(_toy_sum, (_summed,), {"xs": ["x0", "s"]})
+            _inlined(_toy_sum, {"xs": ["x0", "s"]})
 
     @pytest.mark.parametrize("core, rule", [
         (_two_returns, "must end in its one return"),
         (_nested, "FunctionDef is not a straight-line statement"),
     ])
     def test_refuses_a_core_that_is_not_straight_line(self, core, rule):
+        # core stands in for _toy's _scaled, as generated_run's core for rk4_step.
         with pytest.raises(InlineError, match=rule):
-            _inlined(_refused, (core,), {})
+            inline_cores(_toy, {"_scaled": core}, {})
 
     def test_refuses_cores_whose_globals_clash(self):
-        # _shifted reads another module's OFFSET, not the template module's.
-        with pytest.raises(InlineError, match="global name 'OFFSET' is not the core's object"):
-            _inlined(_clashing, (_scaled, _shifted), {})
+        # _shifted's module binds OFFSET to another object than _scaled's.
+        with pytest.raises(InlineError, match="global name 'OFFSET' is bound to another object in another module"):
+            _inlined(_clashing)
 
     def test_refuses_a_core_global_the_template_binds(self):
         with pytest.raises(InlineError, match="global name 'OFFSET' is bound by the template"):
-            _inlined(_binding, (_scaled,), {})
+            _inlined(_binding)
 
-    def test_refuses_a_core_global_the_template_module_leaves_unbound(self):
-        with pytest.raises(InlineError, match="global name 'OFFSET' is not the core's object"):
-            _inlined(_unbound, (_scaled,), {})
+    def test_a_core_reads_its_own_module(self):
+        # The template's module leaves OFFSET unbound, or shadows the
+        # builtin abs; the core reads its own module's OFFSET and abs.
+        assert _inlined(_unbound)(3.0)(2.0) == _scaled(2.0, 3.0)
+        assert _inlined(_toy_abs)(3.0)(-2.0) == _inlined(_shadowing)(3.0)(-2.0) == 6.0
 
     def test_refuses_a_template_module_that_shadows_a_builtin(self):
-        assert _inlined(_toy_abs, (_magnitude,), {})(3.0)(-2.0) == 6.0
-        with pytest.raises(InlineError, match="global name 'abs' is not the core's object"):
-            _inlined(_shadowing, (_magnitude,), {})
+        # The template reads its module's abs, and _magnitude the builtin.
+        assert _inlined(_toy_abs_too)(3.0)(-2.0) == 18.0
+        with pytest.raises(InlineError, match="global name 'abs' is bound to another object in another module"):
+            _inlined(_shadowing_too)
 
     @pytest.mark.parametrize("template", [_defaulted, _keyword_defaulted, _enclosed()])
     def test_refuses_a_template_with_defaults_or_a_closure(self, template):
         with pytest.raises(InlineError, match="may not have defaults or a closure"):
-            _inlined(template, (_scaled,), {})
+            _inlined(template)
 
     def test_inlines_a_core_that_a_core_calls(self):
-        f = _inlined(_toy_nested, (_outer, _scaled), {})(3.0)
+        f = _inlined(_toy_nested)(3.0)
         assert f(2.0) == _outer(2.0, 3.0)
         assert not {"_outer", "_scaled"} & set(f.__code__.co_names)
 
     def test_inlines_the_functions_a_core_returns(self):
         # _factory defines and returns two functions; each call of one is
         # inlined, an expression argument bound to a name first.
-        f = _inlined(_toy_factory, (_factory, _scaled), {})(3.0)
-        assert f(2.0) == _inlined(_toy_factory, (), {})(3.0)(2.0) == 2.0 * 2.0 * 3.0 + 2.0 * OFFSET
+        f = _inlined(_toy_factory)(3.0)
+        assert f(2.0) == _toy_factory(3.0)(2.0) == 2.0 * 2.0 * 3.0 + 2.0 * OFFSET
         assert not {"_factory", "_scaled", "scale", "shift"} & set(f.__code__.co_names)
 
     def test_a_repeated_pure_statement_runs_once(self):
         # The second _squared call's pure statements repeat the first's and
         # are dropped; its method call log.append is not pure and runs again.
-        f = _inlined(_toy_twice, (_squared,), {})(1.0)
+        f = _inlined(_toy_twice)(1.0)
         CALLS.clear()
         log = []
         assert f(3.0, log) == 18.0
@@ -300,14 +309,14 @@ class TestInlineCores:
     def test_loop_locals_share_slots(self):
         # Names whose lives in the loop body do not overlap share a local:
         # the three calls' results and a, b, c take two slots.
-        f = _inlined(_toy_loop, (_scaled,), {})(2.0)
-        assert f([1.0, 2.0]) == _inlined(_toy_loop, (), {})(2.0)([1.0, 2.0])
+        f = _inlined(_toy_loop)(2.0)
+        assert f([1.0, 2.0]) == _toy_loop(2.0)([1.0, 2.0])
         assert f.__code__.co_varnames == ("xs", "total", "x", "v0", "v1")
 
     def test_drops_the_self_copy_of_a_check_that_returns_its_argument(self):
         # `xs = check(xs)` on unrolled elements leaves the raise-guards and
         # no `(x0, x1) = (x0, x1)`: x0 is stored once, where xs is unpacked.
-        f = _inlined(_toy_check, (_bounded,), {"xs": ["x0", "x1"]})(2.0)
+        f = _inlined(_toy_check, {"xs": ["x0", "x1"]})(2.0)
         assert f((1.0, -2.0)) == (1.0, -2.0)
         with pytest.raises(ValueError, match="past the limit"):
             f((1.0, 3.0))

@@ -291,8 +291,8 @@ class TestGeneratedRun:
 
     def test_inlines_rk4_run_under_a_wrapper_bound_to_its_name(self, monkeypatch):
         # A tracer rebinds numerics.rk4_run to a timing wrapper with a
-        # closure, which the inliner refuses as a template: generated_run
-        # inlines the function it wraps.
+        # closure, which the inliner would refuse as a template: it unwraps
+        # the template first and inlines the function wrapped.
         original = rk4_run
 
         @functools.wraps(original)

@@ -22,7 +22,14 @@ from invtrack.observer import (
 from invtrack.robot import LandmarkSet, RobotInput, dynamics
 from invtrack.se2 import GroupElement, IDENTITY
 from invtrack.trajectories import PermanentTrajectory
-from oracles import jacobian_fd_oracle, measure, output_error, transform_landmarks
+from oracles import (
+    body_frame_condition,
+    cap_boundary_estimate,
+    jacobian_fd_oracle,
+    measure,
+    output_error,
+    transform_landmarks,
+)
 from strategies import HEADINGS, floats, landmark_sets, signed
 
 GAINS = ObserverGains(1.0, 1.0, 1.0)
@@ -35,13 +42,6 @@ def random_pose(rng, scale=4.0):
         float(rng.uniform(-scale, scale)),
         float(rng.uniform(-3, 3)),
     )
-
-
-def body_frame_condition(x_hat, lm):
-    # gain_matrix's Gram condition number, seen from the estimate x_hat.
-    coords = body_frame_landmarks(x_hat, lm)
-    g = coords @ coords.T
-    return gram_condition(g[0, 0], g[0, 1], g[1, 1])
 
 
 def random_landmarks(rng):
@@ -179,25 +179,12 @@ class TestGainMatrix:
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_default_cap_boundary(self, side):
-        # Estimates far out along a ray see the landmarks nearly collinear;
-        # bisect the distance to a Gram condition number 1e-3 relative below
-        # (side -1) or above (side +1) the cap.
-        target = MAX_CONDITION * (1.0 + side * 1e-3)
-        heading = 2.0
-
-        def pose(dist):
-            return GroupElement(dist * math.cos(0.3), dist * math.sin(0.3), heading)
-
-        lo, hi = 10.0, 1e7
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if body_frame_condition(pose(mid), STANDARD) < target:
-                lo = mid
-            else:
-                hi = mid
-        x_hat = pose(lo)
+        # An estimate whose Gram condition number is 1e-3 relative below
+        # (side -1) or above (side +1) the cap; test_closed_loop's
+        # test_gram_near_the_cap_through_the_run runs both through simulate's run.
+        x_hat = cap_boundary_estimate(side, STANDARD)
         cond = body_frame_condition(x_hat, STANDARD)
-        assert abs(cond / target - 1.0) < 1e-6
+        assert abs(cond / (MAX_CONDITION * (1.0 + side * 1e-3)) - 1.0) < 1e-6
         inp = RobotInput(1.0, 0.5)
         y = measure(GroupElement(0.0, 0.0, 0.0), STANDARD)
         bf = body_frame_landmarks(x_hat, STANDARD)
