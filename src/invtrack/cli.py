@@ -21,7 +21,6 @@ import numpy as np
 from . import reporting
 from .closed_loop import (
     Scenario,
-    _input_grid,
     closed_loop_error_field,
     controller_error_field,
     observer_error_field,
@@ -203,9 +202,7 @@ def _cmd_invariance(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[
         controller_error_field(sc.trajectory, sc.controller_gains), times
     )
     obs_drift, loop_drift = _observer_and_loop_drift(sc, times)
-    input_variation = permanence_probe(
-        [sc.trajectory.input(t) for t in _input_grid(sc.t_end)]
-    )
+    input_variation = permanence_probe(sc.grid_inputs)
     metrics = {
         "controller_drift": ctrl_drift,
         "observer_drift": obs_drift,

@@ -12,7 +12,7 @@ it against finite-difference linearizations of the full nonlinear loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,8 @@ DIVERGENCE_LIMIT = 1e6
 
 def _input_grid(t_end: float) -> list[float]:
     """The 257 evenly spaced times on [0, t_end] at which a scenario's
-    reference input is sampled: checked for u_r = 0 here, and measured for
-    drift by the invariance command."""
+    reference input is sampled, once, as Scenario.grid_inputs: checked for
+    u_r = 0 there, and measured for drift by the invariance command."""
     return [t_end * k / 256.0 for k in range(257)]
 
 
@@ -53,6 +53,8 @@ class Scenario:
     initial_estimate: GroupElement
     t_end: float
     dt: float
+    # The reference input at each _input_grid(t_end) time, sampled once here.
+    grid_inputs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -60,9 +62,13 @@ class Scenario:
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         # The feedback is undefined at u_r = 0; catch it before a run starts.
+        inputs = []
         for t in _input_grid(self.t_end):
-            if abs(self.trajectory.input(t).u) < 1e-12:
+            inp = self.trajectory.input(t)
+            if abs(inp.u) < 1e-12:
                 raise ValueError(f"reference input u vanishes near t={t:.6g}")
+            inputs.append(inp)
+        object.__setattr__(self, "grid_inputs", tuple(inputs))
 
 
 @dataclass(frozen=True)
@@ -175,16 +181,20 @@ def controller_error_field(
     traj: ReferenceTrajectory,
     gains: ControllerGains,
 ) -> ErrorField:
-    """Tracking-error dynamics under perfect state feedback (no observer)."""
-    reference = once_per_time(traj.sample)
+    """Tracking-error dynamics under perfect state feedback (no observer),
+    on the reference and its velocity looked up once per probe time."""
+
+    @once_per_time
+    def reference(t: float) -> tuple:
+        xr, yr, thr, ur, vr = traj.sample(t)
+        return (xr, yr, thr, ur, vr, *dynamics_values(thr, ur, vr))
 
     def rate(t: float, w: tuple) -> tuple:
         ex, ey, eth = w
-        xr, yr, thr, ur, vr = reference(t)
+        xr, yr, thr, ur, vr, dxr, dyr, dthr = reference(t)
         x, y, th = compose_values(xr, yr, thr, ex, ey, eth)
         u, v = feedback_values(ex, ey, eth, ur, vr, gains)
         dx, dy, dth = dynamics_values(th, u, v)
-        dxr, dyr, dthr = dynamics_values(thr, ur, vr)
         return relative_rate_values(xr, yr, thr, dxr, dyr, dthr, x, y, th, dx, dy, dth)
 
     return ErrorField(rate, 3)
@@ -195,19 +205,22 @@ def observer_error_field(
     lm: LandmarkSet,
     gains: ObserverGains,
 ) -> ErrorField:
-    """Estimation-error dynamics with the true state riding the reference.
+    """Estimation-error dynamics with the true state riding the reference,
+    whose pose, velocity and ranges are looked up once per probe time.
 
     GeometryError is timestamped as in simulate().
     """
     coords = lm.coords
-    reference = once_per_time(traj.sample)
+
+    @once_per_time
+    def reference(t: float) -> tuple:
+        xr, yr, thr, ur, vr = traj.sample(t)
+        return (xr, yr, thr, ur, vr, *dynamics_values(thr, ur, vr), measure_values(xr, yr, coords))
 
     def rate(t: float, w: tuple) -> tuple:
         ex, ey, eth = w
-        xr, yr, thr, ur, vr = reference(t)
+        xr, yr, thr, ur, vr, dx, dy, dth, values = reference(t)
         xh, yh, thh = compose_values(xr, yr, thr, ex, ey, eth)
-        dx, dy, dth = dynamics_values(thr, ur, vr)
-        values = measure_values(xr, yr, coords)
         try:
             dxh, dyh, dthh = observer_rate(xh, yh, thh, ur, vr, coords, values, gains)
         except GeometryError as err:
@@ -227,18 +240,23 @@ def closed_loop_error_field(
     right-hand side that simulate() integrates, seen in error coordinates.
 
     GeometryError is timestamped as in simulate().  The fd probes evaluate
-    _loop_pair's rate as written, with its core calls.
+    _loop_pair's rate as written, with its core calls, on the reference
+    looked up once per probe time; its velocity is looked up with it.
     """
-    reference = once_per_time(traj.sample)
-    loop, _, _ = _loop_pair(reference, lm.coords, kg, og)
+    sample = once_per_time(traj.sample)
+    loop, _, _ = _loop_pair(sample, lm.coords, kg, og)
+
+    @once_per_time
+    def reference(t: float) -> tuple:
+        xr, yr, thr, ur, vr = sample(t)
+        return (xr, yr, thr, *dynamics_values(thr, ur, vr))
 
     def rate(t: float, w: tuple) -> tuple:
         ex, ey, eth, px, py, pth = w
-        xr, yr, thr, ur, vr = reference(t)
+        xr, yr, thr, dxr, dyr, dthr = reference(t)
         x, y, th = compose_values(xr, yr, thr, ex, ey, eth)
         xh, yh, thh = compose_values(x, y, th, px, py, pth)
         dx, dy, dth, dxh, dyh, dthh = loop(t, (x, y, th, xh, yh, thh))
-        dxr, dyr, dthr = dynamics_values(thr, ur, vr)
         return (
             relative_rate_values(xr, yr, thr, dxr, dyr, dthr, x, y, th, dx, dy, dth)
             + relative_rate_values(x, y, th, dx, dy, dth, xh, yh, thh, dxh, dyh, dthh)

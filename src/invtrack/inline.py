@@ -661,9 +661,10 @@ def inline_cores(template: Callable, cores: dict, unrolled: dict[str, list]) -> 
 
     Each global that the template or an inlined function reads is copied
     from that function's own module into one namespace, the generated
-    code's globals, so a name rebound later does not reach it.  InlineError
-    names one that the template binds, or that two modules bind to
-    different objects (a builtin to nothing).
+    code's globals, so a name rebound later does not reach it, and only
+    the names the compiled code loads are kept.  InlineError names one that
+    the template binds, or that two modules bind to different objects (a
+    builtin to nothing).
     """
     template = inspect.unwrap(template)
     if template.__defaults__ or template.__kwdefaults__ or template.__closure__:
@@ -690,5 +691,10 @@ def inline_cores(template: Callable, cores: dict, unrolled: dict[str, list]) -> 
     _numbered(outer, inliner.env, inliner.taken)
     code = compile(ast.fix_missing_locations(module), f"<inlined {template.__qualname__}>", "exec")
     (outer_code,) = (c for c in code.co_consts if isinstance(c, types.CodeType))
-    env = {name: value for name, value in inliner.env.items() if value is not _UNBOUND}
+    read, todo = {"__builtins__"}, [outer_code]  # the names the code and its nested functions load
+    while todo:
+        c = todo.pop()
+        read.update(c.co_names)
+        todo.extend(k for k in c.co_consts if isinstance(k, types.CodeType))
+    env = {name: value for name, value in inliner.env.items() if value is not _UNBOUND and name in read}
     return types.FunctionType(outer_code, env, template.__name__)

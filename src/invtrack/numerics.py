@@ -156,12 +156,14 @@ def generated_run(parts: Callable, p: int, n: int) -> Callable:
 def max_pairwise_distance(mats: Sequence[np.ndarray]) -> float:
     """Largest Frobenius norm of the difference between any two matrices,
     with no numpy warning: inf when a norm overflows, and NaN when two
-    matrices hold the same infinity at one entry."""
+    matrices hold the same infinity at one entry.  Each norm is the ravel,
+    dot and sqrt that np.linalg.norm runs, without its Python dispatch."""
     norms = [0.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                norms.append(float(np.linalg.norm(mats[i] - mats[j])))
+        for i, a in enumerate(mats):
+            for b in mats[i + 1:]:
+                d = (a - b).ravel("K")
+                norms.append(math.sqrt(d.dot(d)))
     return float(np.max(norms))  # which, unlike max(), keeps a NaN
 
 
@@ -177,8 +179,8 @@ def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
     """Central-difference Jacobian of the field at the origin (step FD_STEP),
     one column per coordinate, per time.  The field sees each shifted point
     as a tuple of floats.  Each matrix is C-ordered, as np.column_stack
-    builds it: np.linalg.norm sums a difference of two Jacobians in memory
-    order, so a transposed layout moves drifts at roundoff.
+    builds it: max_pairwise_distance sums a difference of two Jacobians in
+    memory order, so a transposed layout moves drifts at roundoff.
 
     Raises:
         DivergenceError: at a probe time where the linearization has a
@@ -197,8 +199,8 @@ def linearize_error_field(field: ErrorField, times) -> list[np.ndarray]:
             hi = rate(t, up)
             lo = rate(t, down)
             cols.append([(a - b) / h2 for a, b in zip(hi, lo)])
-        jac = np.array(list(zip(*cols)), dtype=float)
-        if not np.all(np.isfinite(jac)):
+        jac = np.array(cols, dtype=float).T.copy()
+        if not np.isfinite(jac).all():
             raise DivergenceError(t, "error-field linearization is not finite")
         mats.append(jac)
     return mats

@@ -8,8 +8,8 @@ tiny: insertion-ordered dicts, no trailing whitespace, newline at EOF.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -40,53 +40,48 @@ CSV_COLUMNS = (
 FLOAT_FORMAT = "%.17g"
 
 
-def _emit(obj, indent: int, pieces: list) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        last = len(obj) - 1
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            pieces.append(f'{pad}  {json.dumps(key)}: ')
-            _emit(value, indent + 1, pieces)
-            pieces.append(",\n" if i != last else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        last = len(obj) - 1
-        for i, value in enumerate(obj):
-            pieces.append(pad + "  ")
-            _emit(value, indent + 1, pieces)
-            pieces.append(",\n" if i != last else "\n")
-        pieces.append(pad + "]")
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif obj is None:
-        pieces.append("null")
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
+def _emit(obj, pad: str, append) -> None:
+    """Append obj's JSON text at indent pad.  A float (np.float64 too), the
+    commonest value, is tested first: no type can subclass two of float,
+    dict, list or tuple, str and int, so only bool must come before int."""
+    if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"JSON has no value for the float {obj}")
-        pieces.append(FLOAT_FORMAT % obj)
+        append(FLOAT_FORMAT % obj)
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be strings, got {key!r}")
+            append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _emit(value, inner, append)
+            sep = ",\n" + inner
+        append(f"\n{pad}}}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for value in obj:
+            append(sep)
+            _emit(value, inner, append)
+            sep = ",\n" + inner
+        append(f"\n{pad}]" if obj else "[]")
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+        append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        append(str(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def json_text(obj) -> str:
     """Serialize to deterministic JSON with a trailing newline; a NaN or
-    infinite float, which JSON cannot hold, raises ValueError."""
+    infinite float, which JSON cannot hold, raises ValueError.  Strings are
+    quoted by encode_basestring_ascii, as json.dumps quotes them."""
     pieces: list = []
-    _emit(obj, 0, pieces)
+    _emit(obj, "", pieces.append)
     pieces.append("\n")
     return "".join(pieces)
 

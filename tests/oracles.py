@@ -36,10 +36,16 @@ IntegratedTrajectory's reference poses integrated by integrate on the
 unicycle field; the relative check that the property tests hold the
 cores to, with its grid bound where the oracle is subnormal; and the
 time-series CSV built as one string from the whole table, which
-reporting.write_timeseries_csv's blocks are held to byte for byte.
+reporting.write_timeseries_csv's blocks are held to byte for byte; the
+recursive JSON writer with json.dumps quoting and an isinstance chain,
+which reporting.json_text is held to byte for byte and raise for raise;
+max_pairwise_distance with np.linalg.norm and linearize_error_field with
+its Jacobian gathered by zip, which the package's forms are held to bit for
+bit.
 """
 
 import bisect
+import json
 import math
 import struct
 from typing import Callable, Sequence
@@ -572,3 +578,87 @@ def timeseries_csv(result) -> str:
     lines.extend(row_format % tuple(row) for row in table.tolist())
     lines.append("")
     return "\n".join(lines)
+
+
+def _emit_oracle(obj, indent, pieces):
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        last = len(obj) - 1
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be strings, got {key!r}")
+            pieces.append(f'{pad}  {json.dumps(key)}: ')
+            _emit_oracle(value, indent + 1, pieces)
+            pieces.append(",\n" if i != last else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        last = len(obj) - 1
+        for i, value in enumerate(obj):
+            pieces.append(pad + "  ")
+            _emit_oracle(value, indent + 1, pieces)
+            pieces.append(",\n" if i != last else "\n")
+        pieces.append(pad + "]")
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif obj is None:
+        pieces.append("null")
+    elif isinstance(obj, int):
+        pieces.append(str(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"JSON has no value for the float {obj}")
+        pieces.append(FLOAT_FORMAT % obj)
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def json_text_oracle(obj) -> str:
+    """reporting.json_text as an isinstance chain that recurses with an
+    integer indent and quotes each string by json.dumps."""
+    pieces = []
+    _emit_oracle(obj, 0, pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def max_pairwise_distance_oracle(mats) -> float:
+    """numerics.max_pairwise_distance with np.linalg.norm on each pair."""
+    norms = [0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                norms.append(float(np.linalg.norm(mats[i] - mats[j])))
+    return float(np.max(norms))
+
+
+def linearize_error_field_oracle(field, times):
+    """numerics.linearize_error_field with each Jacobian gathered row by
+    row through zip and checked by np.all(np.isfinite(...))."""
+    rate, origin = field.rate, (0.0,) * field.dim
+    shifted = [
+        (origin[:j] + (FD_STEP,) + origin[j + 1:], origin[:j] + (-FD_STEP,) + origin[j + 1:])
+        for j in range(field.dim)
+    ]
+    h2 = 2.0 * FD_STEP
+    mats = []
+    for t in times:
+        cols = []
+        for up, down in shifted:
+            hi = rate(t, up)
+            lo = rate(t, down)
+            cols.append([(a - b) / h2 for a, b in zip(hi, lo)])
+        jac = np.array(list(zip(*cols)), dtype=float)
+        if not np.all(np.isfinite(jac)):
+            raise DivergenceError(t, "error-field linearization is not finite")
+        mats.append(jac)
+    return mats

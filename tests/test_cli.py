@@ -5,11 +5,13 @@ import pytest
 
 from invtrack import cli
 from invtrack.cli import main
+from invtrack.closed_loop import _input_grid
 from invtrack.ekf import run_along_reference, time_variance_probe
 from invtrack.errors import ScenarioError
 from invtrack.reporting import CSV_COLUMNS
 from invtrack.scenario import parse_scenario
-from oracles import assert_close, ekf_oracle_run
+from invtrack.trajectories import permanence_probe
+from oracles import assert_close, bits, ekf_oracle_run
 from test_output_digests import output_digests
 
 VERDICT_KEYS = ("command", "pass", "metrics", "tolerances", "scenario_digest")
@@ -68,6 +70,31 @@ class TestVerdicts:
         report = read_report(out)
         assert report["metrics"]["closed_loop_drift"] <= 1e-6
         assert report["metrics"]["input_variation"] == 0.0
+
+    @pytest.mark.parametrize("trajectory", [
+        {"v_wobble": {"amplitude": 0.3, "angular_rate": 1.5}},
+        {"segments": [{"u": 1.0, "v": 0.5, "duration": 10.0}, {"u": 2.0, "v": -0.5, "duration": 5.0}]},
+    ])
+    def test_invariance_samples_the_input_grid_once(self, tmp_path, monkeypatch, trajectory):
+        # The scenario's u_r = 0 check samples the 257 grid inputs that the
+        # input variation then reads: no second pass over the grid.
+        doc = {"trajectory": trajectory}
+        sc = parse_scenario(doc).scenario
+        kind = type(sc.trajectory)
+        want = permanence_probe([sc.trajectory.input(t) for t in _input_grid(sc.t_end)])
+        calls = []
+        original = kind.input
+
+        def counting(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(kind, "input", counting)
+        out = tmp_path / "out"
+        assert main(["invariance", "--config", write_config(tmp_path, doc), "--out", str(out)]) in (0, 1)
+        assert calls == _input_grid(sc.t_end)
+        got = read_report(out)["metrics"]["input_variation"]
+        assert got > 0.0 and bits([got]) == bits([want])
 
     def test_ekf_compare_passes(self, tmp_path):
         out = tmp_path / "out"

@@ -788,18 +788,24 @@ class TestFusedErrorField:
             observer_error_field(traj, lm, OG).rate(0.25, np.zeros(3))
         assert str(got.value) == f"{want.value} (at t=0.25)"
 
-    def test_one_reference_lookup_per_probe_time(self):
-        calls = []
+    @staticmethod
+    def count_lookups(kind, args, monkeypatch):
+        calls, ranges = [], []
 
-        class Counting(PermanentTrajectory):
+        class Counting(kind):
             def sample(self, t):
                 calls.append(t)
                 return super().sample(t)
 
+        def counting_ranges(x, y, coords):
+            ranges.append((x, y))
+            return measure_values(x, y, coords)
+
         # Every fd evaluation at a probe time (twelve in the closed loop, six
-        # in the controller and observer fields) shares one trajectory query.
-        times = [0.0, 1.0, 2.5]
-        traj = Counting(1.0, 0.5)
+        # in the controller and observer fields) shares one trajectory query,
+        # and a repeated probe time does not query it again.
+        times = [0.0, 1.0, 1.0, 2.5]
+        traj = Counting(*args)
         for field in (
             closed_loop_error_field(traj, STANDARD, KG, OG),
             controller_error_field(traj, KG),
@@ -807,7 +813,18 @@ class TestFusedErrorField:
         ):
             calls.clear()
             linearize_error_field(field, times)
-            assert calls == times
+            assert calls == [0.0, 1.0, 2.5]
+        # The observer field reads the reference's own ranges once per time too.
+        monkeypatch.setattr(closed_loop, "measure_values", counting_ranges)
+        linearize_error_field(observer_error_field(kind(*args), STANDARD, OG), times)
+        sample = kind(*args).sample
+        assert ranges == [sample(t)[:2] for t in (0.0, 1.0, 2.5)]
+
+    def test_one_reference_lookup_per_probe_time(self, monkeypatch):
+        self.count_lookups(PermanentTrajectory, (1.0, 0.5), monkeypatch)
+
+    def test_one_integrated_reference_lookup_per_probe_time(self, monkeypatch):
+        self.count_lookups(IntegratedTrajectory, (lambda t: (1.0, 0.5 + 0.2 * math.sin(t)),), monkeypatch)
 
 
 class TestSimulateRegimes:

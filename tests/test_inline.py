@@ -231,6 +231,12 @@ class TestInlineCores:
         assert "OFFSET" in f.__code__.co_names
         assert "_scaled" not in f.__code__.co_names + f.__code__.co_freevars
 
+    def test_namespace_holds_only_what_the_code_reads(self):
+        # _scaled is read to inline it but never loaded by the code: only
+        # OFFSET and the builtins are left in the generated globals.
+        f = _inlined(_toy)(3.0)
+        assert set(f.__globals__) == {"__builtins__", "OFFSET"}
+
     def test_globals_are_copied_when_the_function_is_generated(self, monkeypatch):
         # A global rebound after generation does not reach the generated
         # function, which reads its own copy; one generated after does.

@@ -1,5 +1,7 @@
 import functools
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invtrack import numerics
-from invtrack.closed_loop import Scenario, simulate
+from invtrack.closed_loop import Scenario, _loop_pair, simulate
 from invtrack.controller import ControllerGains
-from invtrack.ekf import run_along_reference
+from invtrack.ekf import _riccati_rate, run_along_reference
 from invtrack.errors import DivergenceError, GeometryError, ScenarioError
 from invtrack.numerics import (
     ErrorField,
     Spectrum,
     eigenvalues,
+    generated_run,
     linearize_error_field,
     max_pairwise_distance,
     once_per_time,
@@ -31,7 +34,13 @@ from invtrack.robot import LandmarkSet
 from invtrack.se2 import IDENTITY
 from invtrack.trajectories import PermanentTrajectory
 
-from oracles import bits, integrate, rk4_step_oracle
+from oracles import (
+    bits,
+    integrate,
+    linearize_error_field_oracle,
+    max_pairwise_distance_oracle,
+    rk4_step_oracle,
+)
 from strategies import floats
 
 
@@ -307,6 +316,23 @@ class TestGeneratedRun:
         assert len(simulate(Scenario(traj, lm, *gains, IDENTITY, IDENTITY, t_end=0.1, dt=0.05)).times) == 3
         numerics.generated_run.cache_clear()
 
+    @pytest.mark.parametrize("p", [3, 12])
+    @pytest.mark.parametrize("parts, n", [(_loop_pair, 6), (_riccati_rate, 9)])
+    def test_namespace_holds_only_what_the_code_reads(self, parts, n, p):
+        # The globals of each generated run are the names its code objects,
+        # nested ones included, load, plus __builtins__: the functions it
+        # inlined are not among them.
+        run = generated_run(parts, p, n).func
+        read, todo = set(), [run.__code__]
+        while todo:
+            code = todo.pop()
+            read.update(code.co_names)
+            todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        namespace = set(run.__globals__)
+        assert "__builtins__" in namespace and namespace - {"__builtins__"} <= read
+        assert {"math", "array", "DivergenceError", "non_finite_input"} <= namespace
+        assert not namespace & {"rk4_step", "dynamics_values", "measure_values", parts.__name__}
+
 
 class TestOncePerTime:
     def test_one_call_per_run_of_equal_times(self):
@@ -355,6 +381,45 @@ class TestPairwiseDistance:
     def test_single_matrix_is_zero(self):
         assert max_pairwise_distance([np.eye(3)]) == 0.0
 
+    @staticmethod
+    def same_as_the_norm_oracle(mats):
+        # Bit for bit with np.linalg.norm on each pair, NaN included, and no
+        # numpy warning, which the warnings filter would raise.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = max_pairwise_distance(mats)
+            want = max_pairwise_distance_oracle(mats)
+        assert type(got) is float
+        assert bits([got]) == bits([want])
+        return got
+
+    @given(
+        n=st.sampled_from([3, 6]),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 2 ** 32 - 1),
+        scale=st.sampled_from([1e-300, 1e-6, 1.0, 1e150, 1e300]),
+    )
+    def test_matches_the_norm_oracle(self, n, count, seed, scale):
+        rng = np.random.default_rng(seed)
+        self.same_as_the_norm_oracle(list(rng.standard_normal((count, n, n)) * scale))
+
+    def test_overflow_is_inf(self):
+        # One difference of 1e300 squares past float range in the dot.
+        a, b = np.zeros((6, 6)), np.zeros((6, 6))
+        a[2, 3] = 1e300
+        assert self.same_as_the_norm_oracle([a, b, np.eye(6)]) == math.inf
+
+    def test_shared_infinity_is_nan(self):
+        a, b = np.eye(3), 2.0 * np.eye(3)
+        a[0, 1] = b[0, 1] = math.inf
+        assert math.isnan(self.same_as_the_norm_oracle([a, b]))
+
+    def test_nan_entries_are_nan(self):
+        a = np.eye(6)
+        a[5, 0] = math.nan
+        assert math.isnan(self.same_as_the_norm_oracle([np.zeros((6, 6)), a, np.eye(6)]))
+        assert self.same_as_the_norm_oracle([a]) == 0.0
+
 
 def _shifted(fn, point):
     # An ErrorField whose linearization at the origin is fn's Jacobian at
@@ -394,6 +459,29 @@ class TestJacobian:
         assert seen == [(1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6), (0.0, -1e-6)]
         assert jac.shape == (3, 2) and jac.dtype == np.float64 and jac.flags.c_contiguous
         assert np.max(np.abs(jac - [[-2.0, 0.5], [1.0, 2.0], [3.0, 0.0]])) < 1e-9
+
+
+    @given(
+        dim=st.sampled_from([1, 3, 6]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        times=st.lists(floats(-5.0, 5.0), min_size=1, max_size=3),
+    )
+    def test_matches_the_zip_built_oracle(self, dim, seed, times):
+        # A nonlinear field with a time-varying linearization: the same bits
+        # as the Jacobian gathered through zip, and C-ordered.
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((dim, dim))
+
+        def rate(t, w):
+            return tuple(math.sin(t * a + b) * math.exp(c) for a, b, c in zip(m @ w, w, m.T @ w))
+
+        field = ErrorField(rate, dim)
+        got = linearize_error_field(field, times)
+        want = linearize_error_field_oracle(field, times)
+        assert len(got) == len(want) == len(times)
+        for g, w in zip(got, want):
+            assert g.flags.c_contiguous and g.dtype == np.float64 and g.shape == (dim, dim)
+            assert bits(g.ravel()) == bits(w.ravel())
 
 
 class TestProbes:

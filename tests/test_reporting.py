@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invtrack.closed_loop import SimulationResult
 from invtrack.reporting import (
@@ -9,7 +11,7 @@ from invtrack.reporting import (
     json_text,
     write_timeseries_csv,
 )
-from oracles import timeseries_csv
+from oracles import json_text_oracle, timeseries_csv
 
 
 def per_value_csv(result) -> str:
@@ -89,3 +91,65 @@ class TestJsonText:
     def test_extreme_finite_floats_are_kept(self):
         text = json_text([-0.0, 5e-324, 1e308])
         assert text == "[\n  -0,\n  4.9406564584124654e-324,\n  1e+308\n]\n"
+
+    def test_quotes_as_json_dumps(self):
+        assert json_text({"a\"b\\\n\u00e9\U0001f600": "\t\x7f"}) == (
+            '{\n  "a\\"b\\\\\\n\\u00e9\\ud83d\\ude00": "\\t\\u007f"\n}\n'
+        )
+
+
+# Every float class a document may hold: -0.0, the smallest subnormal, other
+# subnormals, the largest magnitudes, and any finite value.
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308, allow_subnormal=True),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+SCALARS = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(-(10 ** 30), 10 ** 30),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+)
+KEYS = st.text(alphabet=st.sampled_from('ab"\\\n\t\x00\x7f\u00e9\u2028\U0001f600'), max_size=4)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+# What neither writer may print: NaN or inf, a key that is not a str, a type
+# JSON has no form for.
+FAULTS = st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+    {1: 0.5}, {None: 0.5}, {("a",): 0.5}, np.int64(3), np.float32(0.5), {0.5}, b"x",
+])
+
+
+def outcome(write, doc):
+    """write(doc), or the class and message of what it raised."""
+    try:
+        return write(doc)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+
+
+class TestJsonTextOracle:
+    @given(doc=DOCUMENTS)
+    def test_matches_the_recursive_writer(self, doc):
+        # Byte for byte with the isinstance chain that quotes by json.dumps.
+        assert json_text(doc) == json_text_oracle(doc)
+
+    @given(doc=DOCUMENTS, fault=FAULTS, where=st.integers(0, 2))
+    def test_raises_as_the_recursive_writer(self, doc, fault, where):
+        # The fault placed at the top, in a list after doc, or as a value
+        # after doc's entry: the same class and message from both.
+        placed = (fault, [doc, fault], {"doc": doc, "fault": fault})[where]
+        got = outcome(json_text, placed)
+        assert got == outcome(json_text_oracle, placed)
+        assert isinstance(got, tuple)
