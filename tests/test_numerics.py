@@ -460,7 +460,6 @@ class TestJacobian:
         assert jac.shape == (3, 2) and jac.dtype == np.float64 and jac.flags.c_contiguous
         assert np.max(np.abs(jac - [[-2.0, 0.5], [1.0, 2.0], [3.0, 0.0]])) < 1e-9
 
-
     @given(
         dim=st.sampled_from([1, 3, 6]),
         seed=st.integers(0, 2 ** 32 - 1),
