@@ -23,7 +23,7 @@ from .observer import ObserverGains, obs_error_matrix, observer_rate
 from .observer import observer_field  # noqa: F401 (perfbench's tracer test reads it here)
 from .robot import LandmarkSet, dynamics_values, measure_values
 from .se2 import GroupElement, compose_values, relative_rate_values
-from .trajectories import ReferenceTrajectory
+from .trajectories import PermanentTrajectory, ReferenceTrajectory
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -31,7 +31,8 @@ DIVERGENCE_LIMIT = 1e6
 def _input_grid(t_end: float) -> list[float]:
     """The 257 evenly spaced times on [0, t_end] at which a scenario's
     reference input is sampled, once, as Scenario.grid_inputs: checked for
-    u_r = 0 there, and measured for drift by the invariance command."""
+    u_r = 0 there, and measured for drift by the invariance command.  A
+    PermanentTrajectory's input is one constant, sampled at t = 0 alone."""
     return [t_end * k / 256.0 for k in range(257)]
 
 
@@ -53,7 +54,8 @@ class Scenario:
     initial_estimate: GroupElement
     t_end: float
     dt: float
-    # The reference input at each _input_grid(t_end) time, sampled once here.
+    # The reference input at each _input_grid(t_end) time (t = 0 alone for a
+    # PermanentTrajectory), sampled once here.
     grid_inputs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,7 +65,8 @@ class Scenario:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         # The feedback is undefined at u_r = 0; catch it before a run starts.
         inputs = []
-        for t in _input_grid(self.t_end):
+        constant = isinstance(self.trajectory, PermanentTrajectory)
+        for t in [0.0] if constant else _input_grid(self.t_end):
             inp = self.trajectory.input(t)
             if abs(inp.u) < 1e-12:
                 raise ValueError(f"reference input u vanishes near t={t:.6g}")

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -109,12 +109,31 @@ def write_timeseries_csv(result, path) -> None:
         result.inputs,
     )
     row_format = ",".join([FLOAT_FORMAT] * len(CSV_COLUMNS)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+
+    def blocks():
+        yield ",".join(CSV_COLUMNS) + "\n"
         for start in range(0, len(result.times), CSV_BLOCK_ROWS):
             block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
-            fh.write("".join([row_format % tuple(row) for row in block.tolist()]))
+            yield "".join([row_format % tuple(row) for row in block.tolist()])
+
+    _rewrite(path, blocks())
 
 
 def write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    _rewrite(path, (text,))
+
+
+def _rewrite(path, chunks) -> None:
+    """The one output writer: write the strings of chunks to path as UTF-8,
+    over any file there in place.  The file is opened without O_TRUNC and
+    cut at the end of what was written, in a finally, so no old bytes follow
+    the new ones, even when a chunk raises.  Truncating an existing file to
+    zero makes ext4 (its auto_da_alloc rule) allocate the new blocks at
+    close, which costs more than writing a report.  A new file gets the mode
+    open(path, "w") gives; an existing one keeps its inode, mode and links."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            fh.truncate()

@@ -74,14 +74,19 @@ class TestVerdicts:
     @pytest.mark.parametrize("trajectory", [
         {"v_wobble": {"amplitude": 0.3, "angular_rate": 1.5}},
         {"segments": [{"u": 1.0, "v": 0.5, "duration": 10.0}, {"u": 2.0, "v": -0.5, "duration": 5.0}]},
+        {},
     ])
     def test_invariance_samples_the_input_grid_once(self, tmp_path, monkeypatch, trajectory):
         # The scenario's u_r = 0 check samples the 257 grid inputs that the
-        # input variation then reads: no second pass over the grid.
+        # input variation then reads: no second pass over the grid.  A
+        # permanent reference's constant input is sampled at t = 0 alone.
         doc = {"trajectory": trajectory}
         sc = parse_scenario(doc).scenario
         kind = type(sc.trajectory)
-        want = permanence_probe([sc.trajectory.input(t) for t in _input_grid(sc.t_end)])
+        grid = _input_grid(sc.t_end)
+        want = permanence_probe([sc.trajectory.input(t) for t in grid])
+        if not trajectory:
+            grid = [0.0]
         calls = []
         original = kind.input
 
@@ -92,9 +97,9 @@ class TestVerdicts:
         monkeypatch.setattr(kind, "input", counting)
         out = tmp_path / "out"
         assert main(["invariance", "--config", write_config(tmp_path, doc), "--out", str(out)]) in (0, 1)
-        assert calls == _input_grid(sc.t_end)
+        assert calls == grid
         got = read_report(out)["metrics"]["input_variation"]
-        assert got > 0.0 and bits([got]) == bits([want])
+        assert (got > 0.0) == bool(trajectory) and bits([got]) == bits([want])
 
     def test_ekf_compare_passes(self, tmp_path):
         out = tmp_path / "out"
@@ -389,6 +394,37 @@ class TestDeterminism:
         main(["eigs", "--out", str(out1)])
         main(["eigs", "--out", str(out2)])
         assert (out1 / "eigs.json").read_bytes() == (out2 / "eigs.json").read_bytes()
+
+    # The short horizons the tests above run each command on.
+    SHORT = {
+        "simulate": ["--t-end", "2.0"],
+        "eigs": [],
+        "separation": [],
+        "invariance": [],
+        "ekf-compare": [],
+        "mech-lemma": ["--t-end", "0.5", "--dt", "2e-3"],
+    }
+
+    @pytest.mark.parametrize("command", list(SHORT))
+    def test_stale_outputs_are_rewritten(self, tmp_path, command, capsys):
+        # Into an --out that holds 1 MB under every output name, a run writes
+        # the bytes of a run into a fresh directory and leaves the rest alone.
+        args = [command, *self.SHORT[command], "--out"]
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        rc = main(args + [str(fresh)])
+        printed = capsys.readouterr()
+        stale = b"x" * (1 << 20)
+        reused.mkdir()
+        names = ("report.json", "eigs.json", "timeseries.csv")
+        for name in names:
+            (reused / name).write_bytes(stale)
+        assert main(args + [str(reused)]) == rc
+        assert capsys.readouterr() == printed
+        written = {p.name for p in fresh.iterdir()}
+        assert written and written <= set(names)
+        for name in names:
+            want = (fresh / name).read_bytes() if name in written else stale
+            assert (reused / name).read_bytes() == want
 
     def test_nested_out_dir_is_created(self, tmp_path):
         out = tmp_path / "deep" / "er" / "out"

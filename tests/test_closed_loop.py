@@ -92,6 +92,33 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             standard_scenario(dt=0.0)
 
+    @pytest.mark.parametrize("trajectory, times", [
+        (PermanentTrajectory(1.0, 0.5), [0.0]),
+        (PiecewiseTrajectory((Segment(1.0, 0.5, 10.0), Segment(2.0, -0.5, 5.0))),
+         closed_loop._input_grid(30.0)),
+        (IntegratedTrajectory(lambda t: RobotInput(1.0, 0.5 + 0.3 * math.sin(t)), IDENTITY),
+         closed_loop._input_grid(30.0)),
+    ], ids=["permanent", "piecewise", "integrated"])
+    def test_samples_the_input_once_per_time(self, monkeypatch, trajectory, times):
+        # A permanent reference's one constant input is looked up and checked
+        # once; any other reference's at each of the 257 grid times.
+        kind = type(trajectory)
+        original = kind.input
+        calls = []
+
+        def counting(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(kind, "input", counting)
+        sc = standard_scenario(trajectory=trajectory)
+        assert calls == times
+        assert sc.grid_inputs == tuple(original(trajectory, t) for t in times)
+
+    def test_vanishing_constant_input_is_named_at_zero(self):
+        with pytest.raises(ValueError, match=r"^reference input u vanishes near t=0$"):
+            standard_scenario(trajectory=PermanentTrajectory(1e-13, 0.5))
+
 
 class TestSimulate:
     def test_exact_start_stays_exact(self):

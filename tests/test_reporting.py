@@ -1,14 +1,20 @@
+import dataclasses
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from invtrack import reporting
 from invtrack.closed_loop import SimulationResult
 from invtrack.reporting import (
     CSV_BLOCK_ROWS,
     CSV_COLUMNS,
     FLOAT_FORMAT,
     json_text,
+    write_text,
     write_timeseries_csv,
 )
 from oracles import json_text_oracle, timeseries_csv
@@ -77,6 +83,105 @@ class TestTimeseriesCsv:
         data = written(res, tmp_path)
         assert data == timeseries_csv(res).encode("utf-8")
         assert data.count(b"\n") == rows + 1
+
+
+REPORT = json_text({"command": "eigs", "pass": True, "metrics": {"margin": 0.5}})
+
+
+class TestRewrite:
+    """Both writers rewrite a file in place: never truncated to zero, cut at
+    the end of the new text, the inode, mode and links kept."""
+
+    @pytest.mark.parametrize("old", [b"x" * (1 << 20), b"x" * (len(REPORT) + 1)],
+                             ids=["1MB", "one-byte-longer"])
+    def test_report_over_a_longer_file(self, tmp_path, old):
+        path = tmp_path / "report.json"
+        path.write_bytes(old)
+        write_text(path, REPORT)
+        assert path.read_bytes() == REPORT.encode("utf-8")
+
+    @pytest.mark.parametrize("rows, old_rows", [
+        (2 * CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 1),  # one row, less than a block, shorter
+        (CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS),
+        (1, 2),
+    ])
+    def test_csv_over_a_longer_csv(self, tmp_path, rows, old_rows):
+        path = tmp_path / "timeseries.csv"
+        write_timeseries_csv(separate_arrays(old_rows), path)
+        write_timeseries_csv(separate_arrays(rows), path)
+        assert path.read_bytes() == timeseries_csv(separate_arrays(rows)).encode("utf-8")
+
+    def test_csv_over_a_longer_file(self, tmp_path):
+        path = tmp_path / "timeseries.csv"
+        path.write_bytes(b"x" * (1 << 20))
+        res = separate_arrays(CSV_BLOCK_ROWS + 3)
+        write_timeseries_csv(res, path)
+        assert path.read_bytes() == timeseries_csv(res).encode("utf-8")
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_text(path, REPORT),
+        lambda path: write_timeseries_csv(separate_arrays(3), path),
+    ], ids=["report", "csv"])
+    def test_existing_file_keeps_inode_mode_and_links(self, tmp_path, write):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 5000)
+        path.chmod(0o640)
+        os.link(path, tmp_path / "link")
+        before = path.stat()
+        write(path)
+        after = path.stat()
+        assert after.st_ino == before.st_ino and after.st_nlink == 2
+        assert stat.S_IMODE(after.st_mode) == 0o640
+        assert (tmp_path / "link").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+    def test_new_file_mode_is_open_w_mode(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w", encoding="utf-8"):
+                pass
+            write_text(tmp_path / "report.json", REPORT)
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        assert stat.S_IMODE((tmp_path / "report.json").stat().st_mode) == want
+
+    def test_raising_source_ends_the_file_at_its_last_byte(self, tmp_path, monkeypatch):
+        # The chunks written before the raise stay; the old tail is cut, and
+        # the descriptor is closed.
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * (1 << 20))
+        fds = []
+        os_open = os.open
+
+        def recording(*args):
+            fds.append(os_open(*args))
+            return fds[-1]
+
+        monkeypatch.setattr(reporting.os, "open", recording)
+
+        def chunks():
+            yield "first,"
+            yield "second\n"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            reporting._rewrite(path, chunks())
+        assert path.read_bytes() == b"first,second\n"
+        with pytest.raises(OSError):
+            os.fstat(fds[0])
+
+    def test_csv_block_that_raises_leaves_the_rows_before_it(self, tmp_path):
+        # A block's column_stack raises on inputs one row short: the header
+        # and the full blocks before it are the file.
+        path = tmp_path / "timeseries.csv"
+        path.write_bytes(b"x" * (1 << 20))
+        res = separate_arrays(CSV_BLOCK_ROWS + 2)
+        short = dataclasses.replace(res, inputs=res.inputs[:-1])
+        with pytest.raises(ValueError):
+            write_timeseries_csv(short, path)
+        whole = timeseries_csv(res).encode("utf-8")
+        assert path.read_bytes() == b"".join(whole.splitlines(keepends=True)[:CSV_BLOCK_ROWS + 1])
 
 
 class TestJsonText:
