@@ -31,8 +31,7 @@ DIVERGENCE_LIMIT = 1e6
 def _input_grid(t_end: float) -> list[float]:
     """The 257 evenly spaced times on [0, t_end] at which a scenario's
     reference input is sampled, once, as Scenario.grid_inputs: checked for
-    u_r = 0 there, and measured for drift by the invariance command.  A
-    PermanentTrajectory's input is one constant, sampled at t = 0 alone."""
+    u_r = 0 there, and measured for drift by the invariance command."""
     return [t_end * k / 256.0 for k in range(257)]
 
 
