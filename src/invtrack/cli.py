@@ -239,19 +239,15 @@ def _cmd_ekf_compare(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple
 def _cmd_mech_lemma(parsed: ParsedScenario, tol: float, out_dir: Path) -> tuple[bool, dict, dict]:
     cfg = parsed.canonical["mech"]
     inertia = np.diag(cfg["inertia"])
-    eye = np.eye(3)
-    xi_r = np.asarray(cfg["reference_velocity"])
+    body = EpSystem(np.eye(3), np.asarray(cfg["reference_velocity"]), inertia)
 
-    damped = EpSystem(eye, xi_r, inertia, damping_force(cfg["damping"]))
-    velocity_drift = error_linearization_drift(damped, cfg["probe_times"])
+    damping = damping_force(cfg["damping"])
+    velocity_drift = error_linearization_drift(body, damping, cfg["probe_times"])
 
-    tilted = EpSystem(
-        eye, xi_r, inertia, gravity_gradient_force(cfg["force_strength"], cfg["force_axis"])
-    )
-    attitude_drift = error_linearization_drift(tilted, cfg["probe_times"])
+    tilt = gravity_gradient_force(cfg["force_strength"], cfg["force_axis"])
+    attitude_drift = error_linearization_drift(body, tilt, cfg["probe_times"])
 
-    free = EpSystem(eye, xi_r, inertia, None)
-    times, attitudes, velocities = integrate_ep(free, cfg["t_end"], cfg["dt"])
+    times, attitudes, velocities = integrate_ep(body, cfg["t_end"], cfg["dt"])
     energies = 0.5 * np.einsum("ni,ij,nj->n", velocities, inertia, velocities)
     energy_drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     defect = orthonormality_defect(attitudes)

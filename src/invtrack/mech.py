@@ -2,10 +2,12 @@
 
 A rotating body with left-invariant kinetic energy has velocity dynamics
 that never see the attitude directly; attitude enters only through the
-applied force model.  Spun about a constant body velocity (a relative
-equilibrium plus the matching feedforward), the linearized tracking-error
-dynamics are therefore frozen in time exactly when the force model is
-attitude-independent.  The probe below measures that drift numerically.
+applied force model, which reads it as the body-frame vertical
+Gamma = R^T e_z (the heavy top's advected quantity).  Spun about a
+constant body velocity (a relative equilibrium plus the matching
+feedforward), the linearized tracking-error dynamics are therefore frozen
+in time exactly when the force model ignores Gamma.  The probe below
+measures that drift numerically.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .errors import DivergenceError
 from .numerics import ErrorField, grid, once_per_time, rk4_run, time_invariance_probe
 
 ForceModel = Callable[[tuple, tuple], tuple]
+"""force(vertical, velocity) -> torque, each a 3-tuple of floats in the body
+frame: the vertical Gamma = R^T e_z is the last row of the attitude R."""
 
 SMALL_ROTATION = 1e-8
 
@@ -56,23 +60,6 @@ def inv_right_jacobian_values(x: float, y: float, z: float) -> tuple:
             2.0 * angle * math.sin(angle)
         )
     return _exp_like(x, y, z, 0.5, coeff)
-
-
-def _matmul(a: tuple, b: tuple) -> tuple:
-    """Product of two 3x3 matrices held row-major in 9-tuples."""
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
-    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
-    return (
-        a00 * b00 + a01 * b10 + a02 * b20,
-        a00 * b01 + a01 * b11 + a02 * b21,
-        a00 * b02 + a01 * b12 + a02 * b22,
-        a10 * b00 + a11 * b10 + a12 * b20,
-        a10 * b01 + a11 * b11 + a12 * b21,
-        a10 * b02 + a11 * b12 + a12 * b22,
-        a20 * b00 + a21 * b10 + a22 * b20,
-        a20 * b01 + a21 * b11 + a22 * b21,
-        a20 * b02 + a21 * b12 + a22 * b22,
-    )
 
 
 def orthonormality_defect(m: np.ndarray) -> float:
@@ -149,19 +136,20 @@ def _flat(m: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class EpSystem:
-    """Rigid body state and model: attitude, body velocity, inertia, force.
+    """Rigid body: attitude, body velocity and inertia, validated once.
 
-    force(attitude, velocity) returns a body-frame torque, each a flat
-    tuple (attitude row-major, 9 floats; velocity and torque, 3); None
-    means the free body.  The inertia must be symmetric positive definite
-    and the attitude a proper rotation.  Once validated, I and I^-1 are flattened
-    row-major into inertia_flat and inertia_inv_flat for ep_rate_values.
+    The inertia must be symmetric positive definite and the attitude a
+    proper rotation.  Once validated, the attitude (row-major), velocity, I
+    and I^-1 are flattened into attitude_flat, velocity_flat, inertia_flat
+    and inertia_inv_flat for the routines below; those that apply a force
+    model take it as an argument, so one body serves every force.
     """
 
     attitude: np.ndarray
     velocity: np.ndarray
     inertia: np.ndarray
-    force: Optional[ForceModel] = None
+    attitude_flat: tuple = field(init=False, repr=False)
+    velocity_flat: tuple = field(init=False, repr=False)
     inertia_flat: tuple = field(init=False, repr=False)
     inertia_inv_flat: tuple = field(init=False, repr=False)
 
@@ -180,19 +168,21 @@ class EpSystem:
             raise ValueError("inertia must be symmetric 3x3")
         if np.min(np.linalg.eigvalsh(ine)) <= 0.0:
             raise ValueError("inertia must be positive definite")
+        object.__setattr__(self, "attitude_flat", _flat(att))
+        object.__setattr__(self, "velocity_flat", _flat(vel))
         object.__setattr__(self, "inertia_flat", _flat(ine))
         object.__setattr__(self, "inertia_inv_flat", _flat(np.linalg.inv(ine)))
 
 
-def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tuple:
-    """Attitude and velocity derivatives on the flat state (attitude row-major, velocity).
+def euler_rate_values(a: float, b: float, c: float, inertia: tuple, inertia_inv: tuple,
+                      torque: tuple) -> tuple:
+    """Euler's equation on floats: the rate I^-1 ((I xi) x xi + torque) of
+    the body velocity xi = (a, b, c), as a 3-tuple.
 
     inertia and inertia_inv hold I and I^-1 row-major; torque is the total
-    body torque (force model plus control).  Returns R hat(xi) row-major and
-    I^-1 ((I xi) x xi + torque).  Checks nothing: EpSystem validates a model
-    once, before its arrays are flattened for this core.
+    body torque (force model plus control).  Checks nothing: EpSystem
+    validates a body once, before its arrays are flattened for this core.
     """
-    r00, r01, r02, r10, r11, r12, r20, r21, r22, a, b, c = w
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = inertia_inv
     t0, t1, t2 = torque
@@ -203,9 +193,6 @@ def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tupl
     g1 = m2 * a - m0 * c + t1
     g2 = m0 * b - m1 * a + t2
     return (
-        r01 * c - r02 * b, r02 * a - r00 * c, r00 * b - r01 * a,
-        r11 * c - r12 * b, r12 * a - r10 * c, r10 * b - r11 * a,
-        r21 * c - r22 * b, r22 * a - r20 * c, r20 * b - r21 * a,
         j00 * g0 + j01 * g1 + j02 * g2,
         j10 * g0 + j11 * g1 + j12 * g2,
         j20 * g0 + j21 * g1 + j22 * g2,
@@ -214,10 +201,19 @@ def ep_rate_values(w: tuple, inertia: tuple, inertia_inv: tuple, torque) -> tupl
 
 def _free_body(reference, coords, inertia, inertia_inv):
     """integrate_ep's parts for numerics.rk4_run (reference and coords go
-    unused): the free body's rate at zero torque, the state as its row, and
-    after each step the finite check and then project_attitude."""
+    unused): the free body's rate on the flat state (attitude row-major,
+    velocity), R hat(xi) row-major and euler_rate_values at zero torque; the
+    state as its row; and after each step the finite check and then
+    project_attitude."""
     def rate(t, w):
-        return ep_rate_values(w, inertia, inertia_inv, (0.0, 0.0, 0.0))
+        r00, r01, r02, r10, r11, r12, r20, r21, r22, a, b, c = w
+        va, vb, vc = euler_rate_values(a, b, c, inertia, inertia_inv, (0.0, 0.0, 0.0))
+        return (
+            r01 * c - r02 * b, r02 * a - r00 * c, r00 * b - r01 * a,
+            r11 * c - r12 * b, r12 * a - r10 * c, r10 * b - r11 * a,
+            r21 * c - r22 * b, r22 * a - r20 * c, r20 * b - r21 * a,
+            va, vb, vc,
+        )
 
     def row(t, w):
         return w
@@ -232,73 +228,78 @@ def _free_body(reference, coords, inertia, inertia_inv):
 
 def integrate_ep(s: EpSystem, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 (rk4_run on _free_body) on (attitude, velocity) of the
-    free body (no force model, no torque); attitude is re-projected onto
-    the rotation group after every step (project_attitude) so the drift
-    stays at roundoff level.  I and I^-1 come flattened from s.
+    free body (no force, no torque); attitude is re-projected onto the
+    rotation group after every step (project_attitude) so the drift stays
+    at roundoff level.  The state and I and I^-1 come flattened from s.
 
     Returns (times, attitudes (n, 3, 3), velocities (n, 3)).
-
-    Raises:
-        ValueError: s has a force model; its tracking error goes through
-            tracking_error_field instead.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
-    if s.force is not None:
-        raise ValueError(f"integrate_ep integrates the free body only, got force model {s.force!r}")
-    w0 = tuple(s.attitude.ravel().tolist() + s.velocity.tolist())
     times = grid(0.0, t_end, dt)
     run = rk4_run(_free_body, None, None, s.inertia_flat, s.inertia_inv_flat)
-    w_rows = np.frombuffer(run(w0, times)).reshape(-1, 12)
+    w_rows = np.frombuffer(run(s.attitude_flat + s.velocity_flat, times)).reshape(-1, 12)
     return np.asarray(times), w_rows[:, :9].reshape(-1, 3, 3), w_rows[:, 9:]
 
 
-def spin_feedforward(s: EpSystem, attitude_r: tuple) -> tuple:
-    """Torque holding the body at its own velocity s.velocity at the
-    attitude attitude_r (row-major 9-tuple), as three floats: the negated
-    gyroscopic torque -(I xi_r) x xi_r, less the force."""
-    xi_r = a, b, c = _flat(s.velocity)
+def spin_feedforward(s: EpSystem, vertical_r: tuple, force: Optional[ForceModel]) -> tuple:
+    """Torque holding the body at its own velocity s.velocity where its
+    body-frame vertical is vertical_r, as three floats: the negated
+    gyroscopic torque -(I xi_r) x xi_r, less the force (None: the free body)."""
+    xi_r = a, b, c = s.velocity_flat
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = s.inertia_flat
     m0 = i00 * a + i01 * b + i02 * c
     m1 = i10 * a + i11 * b + i12 * c
     m2 = i20 * a + i21 * b + i22 * c
     u0, u1, u2 = m2 * b - m1 * c, m0 * c - m2 * a, m1 * a - m0 * b
-    if s.force is None:
+    if force is None:
         return (u0, u1, u2)
-    f0, f1, f2 = s.force(attitude_r, xi_r)
+    f0, f1, f2 = force(vertical_r, xi_r)
     return (u0 - f0, u1 - f1, u2 - f2)
 
 
-def tracking_error_field(s: EpSystem) -> ErrorField:
-    """Tracking-error dynamics of the body along its steady spin, on bare floats.
+def _last_row_times(r: tuple, m: tuple) -> tuple:
+    """The last row of R M, from R's last row r and M row-major."""
+    r0, r1, r2 = r
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+    return (
+        r0 * m00 + r1 * m10 + r2 * m20,
+        r0 * m01 + r1 * m11 + r2 * m21,
+        r0 * m02 + r1 * m12 + r2 * m22,
+    )
 
-    The reference spins from the system's attitude at its own constant body
+
+def tracking_error_field(s: EpSystem, force: Optional[ForceModel]) -> ErrorField:
+    """Tracking-error dynamics of the body along its steady spin under force
+    (None: the free body), on bare floats.
+
+    The reference spins from the body's attitude at its own constant body
     velocity xi_r = s.velocity under the matching feedforward torque; the
-    error is the relative attitude in exponential coordinates and the
-    velocity difference.  The reference attitude and feedforward are taken
+    error is the relative attitude eta in exponential coordinates and the
+    velocity difference.  A force reads the attitude R = R_r eta only through
+    its vertical, the last row of R, so the field carries the last rows of
+    R_r and R alone.  The reference's vertical and feedforward are taken
     once per time (numerics.once_per_time).
     """
-    inertia, inertia_inv, force = s.inertia_flat, s.inertia_inv_flat, s.force
-    attitude = _flat(s.attitude)
-    x0, x1, x2 = _flat(s.velocity)
+    inertia, inertia_inv = s.inertia_flat, s.inertia_inv_flat
+    vertical_0 = s.attitude_flat[6:]
+    x0, x1, x2 = s.velocity_flat
 
     @once_per_time
     def reference(t: float) -> tuple[tuple, tuple]:
-        att_r = _matmul(attitude, rotation_exp_values(t * x0, t * x1, t * x2))
-        return att_r, spin_feedforward(s, att_r)
+        vertical_r = _last_row_times(vertical_0, rotation_exp_values(t * x0, t * x1, t * x2))
+        return vertical_r, spin_feedforward(s, vertical_r, force)
 
     def rate(t: float, w: tuple) -> tuple:
-        att_r, u_r = reference(t)
+        vertical_r, u_r = reference(t)
         z0, z1, z2, d0, d1, d2 = w
         eta = e00, e01, e02, e10, e11, e12, e20, e21, e22 = rotation_exp_values(z0, z1, z2)
-        att = _matmul(att_r, eta)
-        xi = v0, v1, v2 = (x0 + d0, x1 + d1, x2 + d2)
+        v0, v1, v2 = x0 + d0, x1 + d1, x2 + d2
         if force is None:
             torque = u_r
         else:
-            f0, f1, f2 = force(att, xi)
+            f0, f1, f2 = force(_last_row_times(vertical_r, eta), (v0, v1, v2))
             torque = (f0 + u_r[0], f1 + u_r[1], f2 + u_r[2])
-        rates = ep_rate_values(att + xi, inertia, inertia_inv, torque)
         # Relative attitude rate xi - eta^T xi_r in the body frame of eta,
         # then pulled back to exponential coordinates by J_r^-1.
         o0 = v0 - (e00 * x0 + e10 * x1 + e20 * x2)
@@ -309,40 +310,35 @@ def tracking_error_field(s: EpSystem) -> ErrorField:
             j00 * o0 + j01 * o1 + j02 * o2,
             j10 * o0 + j11 * o1 + j12 * o2,
             j20 * o0 + j21 * o1 + j22 * o2,
-        ) + rates[9:]
+        ) + euler_rate_values(v0, v1, v2, inertia, inertia_inv, torque)
 
     return ErrorField(rate, 6)
 
 
-def error_linearization_drift(s: EpSystem, times) -> float:
+def error_linearization_drift(s: EpSystem, force: Optional[ForceModel], times) -> float:
     """Drift of the linearized tracking-error dynamics along a steady spin:
-    numerics.time_invariance_probe of tracking_error_field(s).  Near zero
-    when the force model ignores attitude; order one when it does not.
+    numerics.time_invariance_probe of tracking_error_field(s, force).  Near
+    zero when the force model ignores attitude; order one when it does not.
     """
-    return time_invariance_probe(tracking_error_field(s), times)
+    return time_invariance_probe(tracking_error_field(s, force), times)
 
 
 def damping_force(coefficients) -> ForceModel:
-    """Torque -D xi with positive diagonal D; drains kinetic energy, ignores attitude.
-
-    The model maps (attitude row-major 9-tuple, velocity 3-tuple) to a
-    3-tuple torque."""
+    """Torque -D xi with positive diagonal D; drains kinetic energy, ignores attitude."""
     d = np.asarray(coefficients, dtype=float)
     if d.shape != (3,) or np.any(d <= 0.0):
         raise ValueError("damping needs three positive coefficients")
     n0, n1, n2 = (-d).tolist()
 
-    def force(att: tuple, xi: tuple) -> tuple:
+    def force(vertical: tuple, xi: tuple) -> tuple:
         return (n0 * xi[0], n1 * xi[1], n2 * xi[2])
 
     return force
 
 
 def gravity_gradient_force(strength: float, body_axis) -> ForceModel:
-    """Pendulum-style torque strength * ((R^T e_z) x axis); depends on attitude.
-
-    The model maps (attitude row-major 9-tuple, velocity 3-tuple) to a
-    3-tuple torque; R^T e_z is the attitude's last row."""
+    """Pendulum-style torque strength * (Gamma x axis), with Gamma = R^T e_z
+    the body-frame vertical and the axis normalized; depends on attitude."""
     axis = np.asarray(body_axis, dtype=float)
     norm = np.linalg.norm(axis)
     if norm == 0.0:
@@ -350,8 +346,8 @@ def gravity_gradient_force(strength: float, body_axis) -> ForceModel:
     a0, a1, a2 = (axis / norm).tolist()
     k = float(strength)
 
-    def force(att: tuple, xi: tuple) -> tuple:
-        r20, r21, r22 = att[6:9]
-        return (k * (r21 * a2 - r22 * a1), k * (r22 * a0 - r20 * a2), k * (r20 * a1 - r21 * a0))
+    def force(vertical: tuple, xi: tuple) -> tuple:
+        g0, g1, g2 = vertical
+        return (k * (g1 * a2 - g2 * a1), k * (g2 * a0 - g0 * a2), k * (g0 * a1 - g1 * a0))
 
     return force

@@ -24,14 +24,18 @@ to bit for bit (with bits, which compares floats by their bytes);
 integrate, a fixed-step RK4 loop written apart from numerics.rk4_run (a
 list of states, the finite check and an optional after_step), which
 rk4_run as written is held to bit for bit on each model's parts; the
-Riccati flow of riccati_values and the Euler-Poincare rates of
-ep_rate_values written as the textbook formulas, with 3x3 arrays,
-np.linalg.solve and np.cross, plus the runs that integrate them with
-integrate (the rigid-body run also under a force model, which
-mech.integrate_ep refuses); the SVD projection onto SO(3) that
-project_attitude's polar iteration is held to; hat, Rodrigues' formula,
-J_r^-1, the force models and the rigid body's tracking-error field on 3x3
-arrays, and that field's linearization in closed form;
+Riccati flow of riccati_values and the Euler-Poincare rates written as
+the textbook formulas, with 3x3 arrays, np.linalg.solve and np.cross, plus
+the runs that integrate them with integrate (the rigid-body run also under
+a force model, which mech.integrate_ep never applies); the SVD projection
+onto SO(3) that project_attitude's polar iteration is held to; hat,
+Rodrigues' formula, J_r^-1, the force models and the rigid body's
+tracking-error field on 3x3 arrays, and that field's linearization in
+closed form; the rigid body's full-attitude rates ep_rate_values (R hat(xi)
+and Euler's equation in one 12-tuple) and its full-attitude tracking-error
+field, the 9-entry attitude products by matmul_values, which
+mech._free_body's rate and mech.tracking_error_field are held to bit for
+bit;
 IntegratedTrajectory's reference poses integrated by integrate on the
 unicycle field; the relative check that the property tests hold the
 cores to, with its grid bound where the oracle is subnormal; and the
@@ -55,7 +59,11 @@ import numpy as np
 from invtrack import se2
 from invtrack.controller import feedback_values, relative_pose
 from invtrack.ekf import DEFAULT_INITIAL_COVARIANCE, ekf_jacobians
-from invtrack.mech import SMALL_ROTATION, ep_rate_values, rotation_exp_values
+from invtrack.mech import (
+    SMALL_ROTATION,
+    inv_right_jacobian_values,
+    rotation_exp_values,
+)
 from invtrack.numerics import FD_STEP, ErrorField, VectorField, grid, rk4_step
 from invtrack.observer import MAX_CONDITION, body_frame_landmarks, gram_condition, observer_field
 from invtrack.errors import DivergenceError, GeometryError
@@ -432,33 +440,33 @@ def inv_right_jacobian(w):
 def damping_oracle(coefficients):
     """Torque -D xi on arrays."""
     d = np.asarray(coefficients, dtype=float)
-    return lambda att, xi: -d * xi
+    return lambda vertical, xi: -d * xi
 
 
 def gravity_gradient_oracle(strength, body_axis):
-    """Torque strength * ((R^T e_z) x axis) on arrays, axis normalized."""
+    """Torque strength * (Gamma x axis) on arrays, Gamma the vertical, axis normalized."""
     axis = np.asarray(body_axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    e_z = np.array([0.0, 0.0, 1.0])
-    return lambda att, xi: strength * np.cross(att.T @ e_z, axis)
+    return lambda vertical, xi: strength * np.cross(vertical, axis)
 
 
 def ep_dynamics_oracle(attitude, velocity, inertia, force, u):
-    """force is a package force model, called on flat tuples."""
+    """force is a package force model, called on flat tuples: the vertical
+    R^T e_z (the attitude's last row) and the velocity."""
     att_dot = attitude @ hat(velocity)
-    torque = u if force is None else np.array(force(_flat(attitude), _flat(velocity))) + u
+    torque = u if force is None else np.array(force(_flat(attitude[2]), _flat(velocity))) + u
     gyro = np.linalg.solve(inertia, np.cross(inertia @ velocity, velocity))
     return att_dot, gyro + np.linalg.solve(inertia, torque)
 
 
-def ep_oracle_run(s, t_end, dt):
+def ep_oracle_run(s, t_end, dt, force=None):
     """integrate_ep with ep_dynamics_oracle as the right-hand side, under
-    the body's force model alone, which integrate_ep refuses when there is
-    one: (times, attitudes (n, 3, 3), velocities (n, 3))."""
+    the force model alone (integrate_ep runs the free body only):
+    (times, attitudes (n, 3, 3), velocities (n, 3))."""
 
     def rate(t, w):
         att_dot, vel_dot = ep_dynamics_oracle(
-            np.array(w[:9]).reshape(3, 3), np.array(w[9:]), s.inertia, s.force, np.zeros(3)
+            np.array(w[:9]).reshape(3, 3), np.array(w[9:]), s.inertia, force, np.zeros(3)
         )
         return att_dot.ravel().tolist() + vel_dot.tolist()
 
@@ -482,7 +490,7 @@ def ep_error_field_oracle(s, force):
     def feedforward(att_r):
         rates = ep_rate_values((0.0,) * 9 + _flat(xi_r), inertia, inertia_inv, (0.0, 0.0, 0.0))
         u = -(s.inertia @ np.array(rates[9:]))
-        return u if force is None else u - force(att_r, xi_r)
+        return u if force is None else u - force(att_r[2], xi_r)
 
     def rate(t, w):
         w = np.asarray(w, dtype=float)
@@ -491,11 +499,100 @@ def ep_error_field_oracle(s, force):
         eta = rotation_exp_oracle(w[:3])
         att = att_r @ eta
         xi = xi_r + w[3:]
-        torque = u_r if force is None else force(att, xi) + u_r
+        torque = u_r if force is None else force(att[2], xi) + u_r
         rates = ep_rate_values(_flat(att) + _flat(xi), inertia, inertia_inv, _flat(torque))
         omega_rel = xi - eta.T @ xi_r
         zeta_dot = inv_right_jacobian(w[:3]) @ omega_rel
         return np.concatenate([zeta_dot, rates[9:]])
+
+    return ErrorField(rate, 6)
+
+
+def matmul_values(a, b):
+    """Product of two 3x3 matrices held row-major in 9-tuples."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return (
+        a00 * b00 + a01 * b10 + a02 * b20,
+        a00 * b01 + a01 * b11 + a02 * b21,
+        a00 * b02 + a01 * b12 + a02 * b22,
+        a10 * b00 + a11 * b10 + a12 * b20,
+        a10 * b01 + a11 * b11 + a12 * b21,
+        a10 * b02 + a11 * b12 + a12 * b22,
+        a20 * b00 + a21 * b10 + a22 * b20,
+        a20 * b01 + a21 * b11 + a22 * b21,
+        a20 * b02 + a21 * b12 + a22 * b22,
+    )
+
+
+def ep_rate_values(w, inertia, inertia_inv, torque):
+    """Attitude and velocity derivatives on the flat state (attitude
+    row-major, velocity), on bare floats: R hat(xi) row-major and
+    I^-1 ((I xi) x xi + torque), with I and I^-1 row-major."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, a, b, c = w
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = inertia_inv
+    t0, t1, t2 = torque
+    m0 = i00 * a + i01 * b + i02 * c
+    m1 = i10 * a + i11 * b + i12 * c
+    m2 = i20 * a + i21 * b + i22 * c
+    g0 = m1 * c - m2 * b + t0
+    g1 = m2 * a - m0 * c + t1
+    g2 = m0 * b - m1 * a + t2
+    return (
+        r01 * c - r02 * b, r02 * a - r00 * c, r00 * b - r01 * a,
+        r11 * c - r12 * b, r12 * a - r10 * c, r10 * b - r11 * a,
+        r21 * c - r22 * b, r22 * a - r20 * c, r20 * b - r21 * a,
+        j00 * g0 + j01 * g1 + j02 * g2,
+        j10 * g0 + j11 * g1 + j12 * g2,
+        j20 * g0 + j21 * g1 + j22 * g2,
+    )
+
+
+def full_attitude_error_field(s, force):
+    """mech.tracking_error_field on bare floats with the whole attitude: the
+    reference and error attitudes as 9-entry products (matmul_values), the
+    force on the 9-entry attitude, and the velocity rate read off the
+    12-entry ep_rate_values.  force maps (attitude row-major 9-tuple,
+    velocity 3-tuple) to a 3-tuple torque, or is None."""
+    inertia, inertia_inv = s.inertia_flat, s.inertia_inv_flat
+    attitude = _flat(s.attitude)
+    xi_r = x0, x1, x2 = _flat(s.velocity)
+
+    def feedforward(att_r):
+        a, b, c = xi_r
+        i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia
+        m0 = i00 * a + i01 * b + i02 * c
+        m1 = i10 * a + i11 * b + i12 * c
+        m2 = i20 * a + i21 * b + i22 * c
+        u0, u1, u2 = m2 * b - m1 * c, m0 * c - m2 * a, m1 * a - m0 * b
+        if force is None:
+            return (u0, u1, u2)
+        f0, f1, f2 = force(att_r, xi_r)
+        return (u0 - f0, u1 - f1, u2 - f2)
+
+    def rate(t, w):
+        att_r = matmul_values(attitude, rotation_exp_values(t * x0, t * x1, t * x2))
+        u_r = feedforward(att_r)
+        z0, z1, z2, d0, d1, d2 = w
+        eta = e00, e01, e02, e10, e11, e12, e20, e21, e22 = rotation_exp_values(z0, z1, z2)
+        att = matmul_values(att_r, eta)
+        xi = v0, v1, v2 = (x0 + d0, x1 + d1, x2 + d2)
+        if force is None:
+            torque = u_r
+        else:
+            f0, f1, f2 = force(att, xi)
+            torque = (f0 + u_r[0], f1 + u_r[1], f2 + u_r[2])
+        rates = ep_rate_values(att + xi, inertia, inertia_inv, torque)
+        o0 = v0 - (e00 * x0 + e10 * x1 + e20 * x2)
+        o1 = v1 - (e01 * x0 + e11 * x1 + e21 * x2)
+        o2 = v2 - (e02 * x0 + e12 * x1 + e22 * x2)
+        j00, j01, j02, j10, j11, j12, j20, j21, j22 = inv_right_jacobian_values(z0, z1, z2)
+        return (
+            j00 * o0 + j01 * o1 + j02 * o2,
+            j10 * o0 + j11 * o1 + j12 * o2,
+            j20 * o0 + j21 * o1 + j22 * o2,
+        ) + rates[9:]
 
     return ErrorField(rate, 6)
 

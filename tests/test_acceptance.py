@@ -233,13 +233,10 @@ def test_criterion_8_rigid_body_probes():
     inertia = np.diag([1.0, 2.0, 3.0])
     xi_r = np.array([0.4, 1.0, -0.6])
     times = [0.0, 1.0, 2.0]
-    eye = np.eye(3)
-    damped = EpSystem(eye, xi_r, inertia, damping_force([0.5, 0.4, 0.3]))
-    frozen = error_linearization_drift(damped, times)
-    tilted = EpSystem(eye, xi_r, inertia, gravity_gradient_force(1.0, [0.0, 0.0, 1.0]))
-    drifting = error_linearization_drift(tilted, times)
-    free = EpSystem(eye, xi_r, inertia)
-    _, _, velocities = integrate_ep(free, 10.0, 1e-3)
+    body = EpSystem(np.eye(3), xi_r, inertia)
+    frozen = error_linearization_drift(body, damping_force([0.5, 0.4, 0.3]), times)
+    drifting = error_linearization_drift(body, gravity_gradient_force(1.0, [0.0, 0.0, 1.0]), times)
+    _, _, velocities = integrate_ep(body, 10.0, 1e-3)
     energies = 0.5 * np.einsum("ni,ij,nj->n", velocities, inertia, velocities)
     energy_drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     ok = frozen < 1e-6 and drifting > 1e-2 and energy_drift < 1e-8

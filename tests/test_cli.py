@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,57 @@ def write_config(tmp_path, doc):
 
 def read_report(out_dir, name="report.json"):
     return json.loads((out_dir / name).read_text(encoding="utf-8"))
+
+
+# Each drift of README's verdict table at its bound (tol is 1e-6 for all
+# three commands), with the value one step past it: "<= tol" passes at tol
+# and fails one float above, "> 0.1" fails at 0.1 itself and passes one
+# float above, ">= 1e-2" passes at 1e-2 and fails one float below.
+AT_TOL, PAST_TOL = 1e-6, math.nextafter(1e-6, math.inf)
+DRIFT_BOUNDS = {
+    "invariance": {
+        "controller_drift": (AT_TOL, PAST_TOL),
+        "observer_drift": (AT_TOL, PAST_TOL),
+        "closed_loop_drift": (AT_TOL, PAST_TOL),
+    },
+    "ekf-compare": {
+        "ekf_drift": (math.nextafter(0.1, math.inf), 0.1),
+        "observer_drift": (AT_TOL, PAST_TOL),
+        "closed_loop_drift": (AT_TOL, PAST_TOL),
+    },
+    "mech-lemma": {
+        "velocity_force_drift": (AT_TOL, PAST_TOL),
+        "attitude_force_drift": (1e-2, math.nextafter(1e-2, 0.0)),
+    },
+}
+
+
+def stub_drifts(monkeypatch, drifts):
+    """Make each probe that cli calls return the drift given for its metric:
+    every error field and force model cli builds is its metric's name, and
+    the probes look that name up."""
+    for name, metric in (
+        ("controller_error_field", "controller_drift"),
+        ("observer_error_field", "observer_drift"),
+        ("closed_loop_error_field", "closed_loop_drift"),
+        ("damping_force", "velocity_force_drift"),
+        ("gravity_gradient_force", "attitude_force_drift"),
+    ):
+        monkeypatch.setattr(cli, name, lambda *args, metric=metric: metric)
+    monkeypatch.setattr(cli, "time_invariance_probe", lambda field, times: drifts[field])
+    monkeypatch.setattr(cli, "time_variance_probe", lambda *args, **kwargs: drifts["ekf_drift"])
+    monkeypatch.setattr(cli, "error_linearization_drift", lambda body, force, times: drifts[force])
+
+
+def drift_verdict(tmp_path, command, drifts):
+    """The exit code of command with its probes stubbed to drifts, after
+    checking that the report carries each drift as given.  The short
+    horizon keeps mech-lemma's free run, which is not stubbed, brief."""
+    out = tmp_path / "out"
+    code = main([command, "--out", str(out), "--t-end", "0.5"])
+    metrics = read_report(out)["metrics"]
+    assert {k: metrics[k] for k in drifts} == drifts
+    return code
 
 
 class TestVerdicts:
@@ -122,6 +174,23 @@ class TestVerdicts:
             "error: EKF integration unstable (P must be positive semidefinite); "
             "reduce dt at t=0.001\n"
         )
+
+    @pytest.mark.parametrize("command", sorted(DRIFT_BOUNDS))
+    def test_drifts_at_their_bounds_pass(self, tmp_path, monkeypatch, command):
+        drifts = {metric: at for metric, (at, _) in DRIFT_BOUNDS[command].items()}
+        stub_drifts(monkeypatch, drifts)
+        assert drift_verdict(tmp_path, command, drifts) == 0
+
+    @pytest.mark.parametrize("command, moved", [
+        (command, metric) for command, bounds in sorted(DRIFT_BOUNDS.items()) for metric in bounds
+    ])
+    def test_a_drift_past_its_bound_fails(self, tmp_path, monkeypatch, command, moved):
+        drifts = {
+            metric: past if metric == moved else at
+            for metric, (at, past) in DRIFT_BOUNDS[command].items()
+        }
+        stub_drifts(monkeypatch, drifts)
+        assert drift_verdict(tmp_path, command, drifts) == 1
 
     def test_mech_lemma_passes(self, tmp_path):
         out = tmp_path / "out"

@@ -11,9 +11,10 @@ from invtrack.mech import (
     PROJECTION_DEFECT_CAP,
     SMALL_ROTATION,
     EpSystem,
+    _free_body,
     damping_force,
-    ep_rate_values,
     error_linearization_drift,
+    euler_rate_values,
     gravity_gradient_force,
     integrate_ep,
     inv_right_jacobian_values,
@@ -33,6 +34,8 @@ from oracles import (
     ep_error_field_oracle,
     ep_error_matrix,
     ep_oracle_run,
+    ep_rate_values,
+    full_attitude_error_field,
     gravity_gradient_oracle,
     hat,
     integrate,
@@ -57,13 +60,13 @@ def _flat(m):
 
 
 def _ep_rates(attitude, velocity, inertia, torque):
-    # ep_rate_values on arrays: (attitude rate (3, 3), velocity rate (3,)).
-    rates = ep_rate_values(
-        tuple(np.asarray(attitude).ravel().tolist()) + tuple(np.asarray(velocity).tolist()),
-        tuple(np.asarray(inertia).ravel().tolist()),
-        tuple(np.linalg.inv(inertia).ravel().tolist()), tuple(np.asarray(torque).tolist()),
-    )
-    return np.array(rates[:9]).reshape(3, 3), np.array(rates[9:])
+    # The package's rates on arrays: the attitude rate (3, 3) of the free
+    # body's rate and the velocity rate (3,) of euler_rate_values.
+    inertia_flat, inertia_inv_flat = _flat(inertia), _flat(np.linalg.inv(inertia))
+    rate = _free_body(None, None, inertia_flat, inertia_inv_flat)[0]
+    att_rate = rate(0.0, _flat(attitude) + _flat(velocity))[:9]
+    vel_rate = euler_rate_values(*_flat(velocity), inertia_flat, inertia_inv_flat, _flat(torque))
+    return np.array(att_rate).reshape(3, 3), np.array(vel_rate)
 
 
 def vee(m):
@@ -239,7 +242,7 @@ class TestDynamics:
     def test_ep_rate_values_match_oracle(self, inertia, force, zeta, xi, u):
         att = rotation_exp(zeta)
         want_att, want_vel = ep_dynamics_oracle(att, xi, inertia, force, u)
-        torque = u if force is None else np.array(force(_flat(att), _flat(xi))) + u
+        torque = u if force is None else np.array(force(_flat(att[2]), _flat(xi))) + u
         got_att, got_vel = _ep_rates(att, xi, inertia, torque)
         assert_close(got_att, want_att)
         assert_rates_close(got_vel, want_vel)
@@ -282,11 +285,16 @@ class TestDynamics:
         got = np.hstack((attitudes.reshape(-1, 9), velocities))
         assert [bits(row) for row in got.tolist()] == [bits(w) for w in states]
 
-    def test_refuses_a_forced_body(self):
-        # A forced body's tracking error goes through tracking_error_field.
-        s = EpSystem(EYE, np.array([0.4, 1.0, -0.6]), INERTIA, damping_force([0.5, 0.4, 0.3]))
-        with pytest.raises(ValueError, match="free body only, got force model .*damping_force"):
-            integrate_ep(s, 0.2, 1e-3)
+    @given(inertia=inertias(), zeta=_vectors(-3.0, 3.0), xi=_vectors(-2.0, 2.0),
+           t=floats(0.0, 4.0))
+    def test_free_body_rate_is_the_full_rate_bit_for_bit(self, inertia, zeta, xi, t):
+        # _free_body's rate, R hat(xi) beside euler_rate_values at zero
+        # torque, is the 12-entry full-attitude rate at zero torque.
+        s = EpSystem(rotation_exp(zeta), xi, inertia)
+        rate = _free_body(None, None, s.inertia_flat, s.inertia_inv_flat)[0]
+        w = s.attitude_flat + s.velocity_flat
+        want = ep_rate_values(w, s.inertia_flat, s.inertia_inv_flat, (0.0, 0.0, 0.0))
+        assert bits(rate(t, w)) == bits(want)
 
     def test_principal_axis_spin_is_equilibrium(self):
         for axis in range(3):
@@ -317,8 +325,8 @@ class TestDynamics:
         assert max(orthonormality_defect(a) for a in attitudes[:: 500]) < 1e-9
 
     def test_damped_body_loses_energy(self):
-        s = EpSystem(EYE, np.array([0.4, 1.0, -0.6]), INERTIA, damping_force([0.5, 0.4, 0.3]))
-        _, _, velocities = ep_oracle_run(s, 5.0, 1e-3)
+        s = EpSystem(EYE, np.array([0.4, 1.0, -0.6]), INERTIA)
+        _, _, velocities = ep_oracle_run(s, 5.0, 1e-3, damping_force([0.5, 0.4, 0.3]))
         energies = 0.5 * np.einsum("ni,ij,nj->n", velocities, INERTIA, velocities)
         assert np.all(np.diff(energies) < 0.0)
 
@@ -328,17 +336,18 @@ class TestDynamics:
         # rides on the damping as one force model.
         xi_r = np.array([0.4, 1.0, -0.6])
         damping = damping_force([0.5, 0.4, 0.3])
-        u_r = spin_feedforward(EpSystem(EYE, xi_r, INERTIA, damping), _flat(EYE))
+        s = EpSystem(EYE, xi_r, INERTIA)
+        u_r = spin_feedforward(s, _flat(EYE[2]), damping)
 
-        def held(att, xi):
-            return tuple(f + u for f, u in zip(damping(att, xi), u_r))
+        def held(vertical, xi):
+            return tuple(f + u for f, u in zip(damping(vertical, xi), u_r))
 
-        _, _, velocities = ep_oracle_run(EpSystem(EYE, xi_r, INERTIA, held), 2.0, 1e-3)
+        _, _, velocities = ep_oracle_run(s, 2.0, 1e-3, held)
         assert np.max(np.abs(velocities - xi_r)) < 1e-9
 
     def test_feedforward_free_body_principal_axis(self):
         s = EpSystem(EYE, np.array([0.0, 0.0, 2.0]), INERTIA)
-        assert np.allclose(spin_feedforward(s, EYE), 0.0)
+        assert np.allclose(spin_feedforward(s, _flat(EYE[2]), None), 0.0)
 
     def test_rejects_bad_attitude(self):
         with pytest.raises(ValueError):
@@ -363,50 +372,48 @@ class TestLinearizationDrift:
         # error field at the origin never sees the reference attitude, so
         # every probe time gives the same fd matrix bit for bit.
         force = None if damping is None else damping_force(damping)
-        s = EpSystem(rotation_exp(zeta), xi, inertia, force)
-        assert error_linearization_drift(s, [0.0, 0.7, 1.9, 3.1]) == 0.0
+        s = EpSystem(rotation_exp(zeta), xi, inertia)
+        assert error_linearization_drift(s, force, [0.0, 0.7, 1.9, 3.1]) == 0.0
 
     def test_velocity_only_force_is_frozen(self):
-        s = EpSystem(EYE, self.XI_R, INERTIA, damping_force([0.5, 0.4, 0.3]))
-        assert error_linearization_drift(s, [0.0, 1.0, 2.0]) < 1e-6
+        s = EpSystem(EYE, self.XI_R, INERTIA)
+        assert error_linearization_drift(s, damping_force([0.5, 0.4, 0.3]), [0.0, 1.0, 2.0]) < 1e-6
 
     def test_free_body_is_frozen(self):
         s = EpSystem(EYE, self.XI_R, INERTIA)
-        assert error_linearization_drift(s, [0.0, 1.0, 2.0]) < 1e-6
+        assert error_linearization_drift(s, None, [0.0, 1.0, 2.0]) < 1e-6
 
     def test_attitude_force_drifts(self):
-        s = EpSystem(
-            EYE, self.XI_R, INERTIA, gravity_gradient_force(1.0, [0.0, 0.0, 1.0])
-        )
-        assert error_linearization_drift(s, [0.0, 1.0, 2.0]) > 1e-2
+        s = EpSystem(EYE, self.XI_R, INERTIA)
+        force = gravity_gradient_force(1.0, [0.0, 0.0, 1.0])
+        assert error_linearization_drift(s, force, [0.0, 1.0, 2.0]) > 1e-2
 
     def test_attitude_force_drifts_at_two_times(self):
-        s = EpSystem(
-            EYE, self.XI_R, INERTIA, gravity_gradient_force(1.0, [0.0, 0.0, 1.0])
-        )
-        assert error_linearization_drift(s, [0.0, 1.5]) > 1e-2
+        s = EpSystem(EYE, self.XI_R, INERTIA)
+        force = gravity_gradient_force(1.0, [0.0, 0.0, 1.0])
+        assert error_linearization_drift(s, force, [0.0, 1.5]) > 1e-2
 
     def test_needs_two_times(self):
         s = EpSystem(EYE, self.XI_R, INERTIA)
         with pytest.raises(ValueError, match="need at least two probe times"):
-            error_linearization_drift(s, [0.0])
+            error_linearization_drift(s, None, [0.0])
 
     def test_reference_attitude_once_per_probe_time(self, monkeypatch):
         seen = []
 
-        def counting(s, attitude_r, _feedforward=spin_feedforward):
-            seen.append(attitude_r)
-            return _feedforward(s, attitude_r)
+        def counting(s, vertical_r, force, _feedforward=spin_feedforward):
+            seen.append(vertical_r)
+            return _feedforward(s, vertical_r, force)
 
         monkeypatch.setattr(mech, "spin_feedforward", counting)
-        s = EpSystem(EYE, self.XI_R, INERTIA, gravity_gradient_force(1.0, [0.0, 0.0, 1.0]))
+        s = EpSystem(EYE, self.XI_R, INERTIA)
         times = [0.0, 1.0, 2.0]
-        error_linearization_drift(s, times)
+        error_linearization_drift(s, gravity_gradient_force(1.0, [0.0, 0.0, 1.0]), times)
         # The twelve fd evaluations at a probe time share one reference
-        # attitude (a row-major 9-tuple) and one feedforward.
+        # vertical (R_r^T e_z, a 3-tuple) and one feedforward.
         assert len(seen) == len(times)
-        for t, att_r in zip(times, seen):
-            assert np.array_equal(np.reshape(att_r, (3, 3)), EYE @ rotation_exp(t * self.XI_R))
+        for t, vertical_r in zip(times, seen):
+            assert np.array_equal(vertical_r, (EYE @ rotation_exp(t * self.XI_R))[2])
 
 
 # Force parameters: (kind, damping D, strength s, axis a), kind None for the free body.
@@ -460,7 +467,7 @@ class TestFloatCores:
     @given(damping=_vectors(0.1, 1.0), zeta=_vectors(-3.0, 3.0), xi=_vectors(-2.0, 2.0))
     def test_damping_matches_minus_d_xi(self, damping, zeta, xi):
         # The same products in the same order: equal, tolerance 0.
-        got = damping_force(damping)(_flat(rotation_exp(zeta)), _flat(xi))
+        got = damping_force(damping)(_flat(rotation_exp(zeta)[2]), _flat(xi))
         assert isinstance(got, tuple) and len(got) == 3
         assert np.array_equal(got, -damping * xi)
 
@@ -474,7 +481,7 @@ class TestFloatCores:
         # R^T e_z is R's last row and np.cross takes the same two products
         # per entry: equal, tolerance 0.
         att = rotation_exp(zeta)
-        got = gravity_gradient_force(strength, axis)(_flat(att), _flat(xi))
+        got = gravity_gradient_force(strength, axis)(_flat(att[2]), _flat(xi))
         want = strength * np.cross(att.T @ np.array([0.0, 0.0, 1.0]), axis / np.linalg.norm(axis))
         assert isinstance(got, tuple) and len(got) == 3
         assert np.array_equal(got, want)
@@ -496,12 +503,36 @@ class TestTrackingErrorField:
         # velocity-rate terms (largest seen: 0.65).
         kind, damping, strength, axis = force
         model, oracle_model = _force_pair(*force)
-        s = EpSystem(rotation_exp(zeta0), xi_r, inertia, model)
+        s = EpSystem(rotation_exp(zeta0), xi_r, inertia)
         w = _flat(zeta) + _flat(dxi)
-        got = tracking_error_field(s).rate(t, w)
+        got = tracking_error_field(s, model).rate(t, w)
         want = ep_error_field_oracle(s, oracle_model).rate(t, w)
         assert isinstance(got, tuple) and len(got) == 6
         assert np.max(np.abs(np.array(got) - want)) <= 8 * EPS * _field_scale(s, damping, strength)
+
+    @given(
+        inertia=inertias(),
+        xi_r=_vectors(-2.0, 2.0),
+        force=FORCE_PARAMS,
+        zeta0=_vectors(-3.0, 3.0),
+        zeta=ROTATION_VECTORS,
+        dxi=_vectors(-1.0, 1.0),
+        times=st.tuples(floats(0.0, 4.0), floats(0.0, 4.0)),
+    )
+    def test_matches_full_attitude_field_bit_for_bit(
+        self, inertia, xi_r, force, zeta0, zeta, dxi, times
+    ):
+        # The field carries the reference and error attitudes as their last
+        # rows and takes the velocity rate alone; the full-attitude field
+        # (9-entry products, the 12-entry rate, the force on the whole
+        # attitude) gives the same bits, at a new time and back again.
+        model = _force_pair(*force)[0]
+        full = None if model is None else (lambda att, xi: model(att[6:], xi))
+        s = EpSystem(rotation_exp(zeta0), xi_r, inertia)
+        got, want = tracking_error_field(s, model), full_attitude_error_field(s, full)
+        w = _flat(zeta) + _flat(dxi)
+        for t in times + times[:1]:
+            assert bits(got.rate(t, w)) == bits(want.rate(t, w))
 
     @given(
         inertia=inertias(),
@@ -515,10 +546,11 @@ class TestTrackingErrorField:
         # R_r(t)); fd truncation and roundoff stay within 1e-9 of the term
         # size (largest seen: 4.6e-11).
         kind, damping, strength, axis = force
-        s = EpSystem(rotation_exp(zeta0), xi_r, inertia, _force_pair(*force)[0])
+        s = EpSystem(rotation_exp(zeta0), xi_r, inertia)
+        field = tracking_error_field(s, _force_pair(*force)[0])
         times = [0.0, 0.7, 1.9]
         scale = _field_scale(s, damping, strength)
-        for t, m in zip(times, linearize_error_field(tracking_error_field(s), times)):
+        for t, m in zip(times, linearize_error_field(field, times)):
             a = ep_error_matrix(s, t, damping, strength, axis)
             assert np.max(np.abs(m - a)) <= 1e-9 * scale
 
@@ -533,8 +565,8 @@ class TestTrackingErrorField:
         # linearize_error_field on tuples gives the numpy fd body's array at
         # the origin bit for bit and in the same C order, for the damped and
         # the tilted body.
-        s = EpSystem(rotation_exp(zeta0), xi_r, inertia, _force_pair(*force)[0])
-        field = tracking_error_field(s)
+        s = EpSystem(rotation_exp(zeta0), xi_r, inertia)
+        field = tracking_error_field(s, _force_pair(*force)[0])
         want = jacobian_fd_oracle(lambda w: field.rate(t, w), np.zeros(6))
         (got,) = linearize_error_field(field, [t])
         assert got.flags.c_contiguous and got.dtype == want.dtype
@@ -548,6 +580,6 @@ class TestTrackingErrorField:
             (damping_force([0.5, 0.4, 0.3]), ([0.5, 0.4, 0.3], 0.0, (0.0, 0.0, 1.0))),
             (gravity_gradient_force(1.0, [0.0, 0.0, 1.0]), (None, 1.0, (0.0, 0.0, 1.0))),
         ):
-            s = EpSystem(EYE, xi_r, INERTIA, force)
-            for t, m in zip(times, linearize_error_field(tracking_error_field(s), times)):
+            s = EpSystem(EYE, xi_r, INERTIA)
+            for t, m in zip(times, linearize_error_field(tracking_error_field(s, force), times)):
                 assert np.max(np.abs(m - ep_error_matrix(s, t, *args))) < 1e-9
