@@ -483,7 +483,8 @@ def ep_error_field_oracle(s, force):
     """mech.tracking_error_field on arrays: the reference attitude by the
     numpy Rodrigues formula, the feedforward as I (I^-1 (I xi_r) x xi_r)
     plus the force, and J_r^-1 as a 3x3 array.  force is a model on
-    arrays (damping_oracle, gravity_gradient_oracle) or None."""
+    arrays (damping_oracle, gravity_gradient_oracle), called on the
+    attitude's last row R^T e_z and the velocity, or None."""
     xi_r = s.velocity
     inertia, inertia_inv = _flat(s.inertia), _flat(np.linalg.inv(s.inertia))
 
